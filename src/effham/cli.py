@@ -253,11 +253,8 @@ def _run_spectrum(cfg: RunConfig):
         masks = [np.ones(model.space.dim, dtype=bool)]
     report = dynamics.compare_spectra(model.h_int, h_eff, masks)
     rows = []
-    for b, (mask, blk) in enumerate(zip(masks, report.blocks)):
-        idx = np.where(mask)[0]
-        ev_exact = np.linalg.eigvalsh(model.h_int.matrix[np.ix_(idx, idx)])
-        ev_eff = np.linalg.eigvalsh(h_eff.matrix[np.ix_(idx, idx)])
-        for k, (x, y) in enumerate(zip(ev_exact, ev_eff)):
+    for b, blk in enumerate(report.blocks):
+        for k, (x, y) in enumerate(zip(blk.exact_ev, blk.eff_ev)):
             rows.append((b, k, _fmt(x), _fmt(y), _fmt(abs(x - y))))
     checks = [Check("block-structure", True, report.block_leakage, 1e-10)]
     for name, val in forms.guards.items():

@@ -106,6 +106,8 @@ class BlockErrors:
     max_error: float
     mean_error: float
     size: int
+    exact_ev: tuple[float, ...]
+    eff_ev: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,8 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     ``blocks`` is an iterable of boolean masks or index lists.  Both inputs
     must be block diagonal with respect to them (leakage beyond
     ``block_tol`` relative to the norm is an error); degenerate clusters
-    are compared as sorted multisets.
+    are compared as sorted multisets.  An empty ``blocks`` compares
+    nothing and is an error.
     """
     if h_exact.space != h_eff.space:
         raise SpaceMismatchError("operators live on different spaces")
@@ -143,6 +146,8 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
             m = np.zeros(dim, dtype=bool)
             m[arr] = True
             masks.append(m)
+    if not masks:
+        raise AnalysisError("no blocks to compare")
     leakage = 0.0
     for h in (h_exact, h_eff):
         scale = max(1.0, h.norm())
@@ -159,9 +164,11 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
         ev_eff = np.linalg.eigvalsh(h_eff.matrix[np.ix_(idx, idx)])
         err = np.abs(ev_exact - ev_eff)
         per_block.append(BlockErrors(key=(float(b),), max_error=float(err.max()),
-                                     mean_error=float(err.mean()), size=len(idx)))
+                                     mean_error=float(err.mean()), size=len(idx),
+                                     exact_ev=tuple(ev_exact.tolist()),
+                                     eff_ev=tuple(ev_eff.tolist())))
         errs_all.extend(err.tolist())
-    errs_all = np.asarray(errs_all) if errs_all else np.zeros(1)
+    errs_all = np.asarray(errs_all)
     return ComparisonReport(blocks=tuple(per_block),
                             max_error=float(errs_all.max()),
                             mean_error=float(errs_all.mean()),

@@ -6,24 +6,37 @@ the coupling to first order and leaves, at second order,
 
     h_diag + (g^2 / D) [X+, X-],
 
-a dynamical Stark shift built from the measured structure operator.  Every
-scenario below is that move (sometimes staged) applied to one of the model
-families, with the leftover resonant sector kept.
+a dynamical Stark shift built from the measured structure operator.
+
+Every scenario is that move, run by one engine, :func:`closed_form_effective`:
+check the model kind, evaluate the guards, build the rotation stages, take
+the corrected form, keep the resonant transition signatures, and measure
+the printed form against it on the validity sector.  Each stage is one
+anti-Hermitian generator: the first removes the named one-photon
+transitions, later ones remove couplings the earlier stages generate.  This
+is the order-by-order scheme of Bravyi, DiVincenzo & Loss, Ann. Phys. 326,
+2793 (2011).  What differs between scenarios is data in the rows of
+:data:`SCENARIOS`, so a new scenario is one row plus a printed-form function.
 
 For each scenario two operators are produced: the textbook closed form as
 commonly printed (``printed``), and the form obtained mechanically from the
-second-order rotation algebra or from full numerical conjugation followed
-by a resonant-sector projection (``corrected``).  Several printed forms
-carry sign or coefficient slips; the corrected form is validated against
-exact diagonalization and is the default for downstream comparisons, with
-the printed-form deviation reported rather than silently adopted.
+measured structure operator, from the second-order rotation algebra, or from
+full numerical conjugation followed by a resonant-sector projection
+(``corrected``).  Several printed forms carry sign or coefficient slips; the
+corrected form is validated against exact diagonalization and is the
+default for downstream comparisons, with the printed-form deviation
+reported rather than silently adopted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +45,7 @@ from .errors import (AnalysisError, EffhamError, GuardViolationError,
                      ResonanceError)
 from .hilbert import (OperatorMatrix, SpaceDescriptor, collective_operator,
                       commutator, identity, number_operator,
-                      occupation_sector_mask, photon_safe_mask)
+                      occupation_sector_mask, photon_safe_mask, zero)
 from .models import ModelInstance, dispersive_guard
 
 #: scenarios refuse to build above this expansion-parameter magnitude
@@ -124,22 +137,85 @@ def conjugate_stages(h: OperatorMatrix, stages) -> OperatorMatrix:
     return out
 
 
+def _amplitude_guard(what: str, amplitude: float) -> float:
+    """``|amplitude|``; raises outside the trusted range ``|eps| < GUARD_LIMIT``."""
+    if not abs(amplitude) < GUARD_LIMIT:
+        raise GuardViolationError(
+            f"rotation amplitude {amplitude:.3g} on {what} exceeds {GUARD_LIMIT}")
+    return abs(amplitude)
+
+
+def _dispersive_guards(model: ModelInstance, transitions) -> dict[str, float]:
+    """Dispersive ratios of ``(transition, guard name)`` pairs; raises on the first invalid one."""
+    guards = {}
+    for name, key in transitions:
+        guard = dispersive_guard(model, name)
+        guards[key] = guard.ratio
+        if not guard.valid:
+            raise GuardViolationError(
+                f"dispersive ratio {guard.ratio:.3g} on transition {name} "
+                f"outside validity (< {guard.limit})")
+    return guards
+
+
+def _sum(pieces, start: OperatorMatrix | None = None) -> OperatorMatrix | None:
+    """``start + p1 + p2 + ...`` accumulated left to right; None when empty."""
+    total = start
+    for piece in pieces:
+        total = piece if total is None else total + piece
+    return total
+
+
+def _stark_pieces(space: SpaceDescriptor, mode: int, couplings, eps):
+    """Per adjacent step: ``g_i eps_i [n (S^{i+1,i+1} - S^{ii}) + (S^{ii}+1) S^{i+1,i+1}]``."""
+    n_op = number_operator(space, mode)
+    eye = identity(space)
+    for i, g in enumerate(couplings, start=1):
+        s_low = collective_operator(space, i, i)
+        s_up = collective_operator(space, i + 1, i + 1)
+        yield g * eps[i - 1] * (n_op @ (s_up - s_low) + (s_low + eye) @ s_up)
+
+
+def _resonant(*channels):
+    """Signature predicate keeping the diagonal and the resonant channels.
+
+    A channel ``(photon change, i, j)`` moves atoms between levels i and j
+    while the photon numbers change by ``photon change``, or by its negative.
+    """
+    def keep(dph, docc):
+        return (not any(dph) and not any(docc)) or any(
+            dph in (tuple(ph), tuple(-x for x in ph)) and docc[i - 1] and docc[j - 1]
+            for ph, i, j in channels)
+    return keep
+
+
+def _multiphoton_hops(model: ModelInstance, table: CouplingTable):
+    """``(k, i, a^k S^{i,i+k}, (k-1)/k! lam_i^(k))`` per k-photon transition of a cascade."""
+    nlev = model.space.ensemble.levels
+    a = a_k = model.operators["a"]
+    for k in range(2, nlev):
+        a_k = a_k @ a
+        for i in range(1, nlev - k + 1):
+            hop = a_k @ collective_operator(model.space, i, i + k)
+            yield k, i, hop, (k - 1) / math.factorial(k) * table.lam_at(i, k)
+
+
+def _level_detunings(model: ModelInstance) -> list[float]:
+    """Multiphoton detunings D_1..D_N of a chain model."""
+    return [model.detunings[str(j)] for j in range(1, model.space.ensemble.levels + 1)]
+
+
 # ---------------------------------------------------------------------------
 # second-order closed forms
 # ---------------------------------------------------------------------------
 
-def effective_su2(alg: DeformedAlgebra, delta: float, g: float,
-                  guard_limit: float = GUARD_LIMIT) -> OperatorMatrix:
+def effective_su2(alg: DeformedAlgebra, delta: float, g: float) -> OperatorMatrix:
     """Second-order effective Hamiltonian ``delta*X3 + (g^2/delta)*[X+, X-]``.
 
     Diagonal in the product basis whenever the structure operator is, which
     holds for every built-in deformation.
     """
-    if delta == 0:
-        raise GuardViolationError("effective form undefined at zero detuning")
-    if abs(g / delta) >= guard_limit:
-        raise GuardViolationError(
-            f"|g/delta| = {abs(g / delta):.3g} outside the dispersive regime (< {guard_limit})")
+    _amplitude_guard("g/delta", g / delta if delta else math.inf)
     off = alg.structure.matrix - np.diag(alg.structure.diagonal())
     if float(np.linalg.norm(off)) > 1e-10 * max(1.0, alg.structure.norm()):
         raise AnalysisError("structure operator is not diagonal in the product basis")
@@ -248,7 +324,6 @@ def two_mode_tables(couplings_a, couplings_b, deltas, gap):
     Mode-b detunings are shifted by the mode gap per absorbed photon.  The
     mixed 2-4 pair coupling is stored on both tables.
     """
-    from dataclasses import replace
     xi2 = two_mode_pair_coupling(couplings_a, couplings_b, deltas)
     table_a = coupling_table(couplings_a, deltas)
     table_b = coupling_table(couplings_b, [d - i * gap for i, d in enumerate(deltas)])
@@ -329,27 +404,27 @@ def corrected_eigenstate(generator: OperatorMatrix, m: int, order="exact") -> np
 # transition signatures and projections
 # ---------------------------------------------------------------------------
 
-def _signatures(space: SpaceDescriptor):
-    photons = np.asarray([lab[0] for lab in space.labels], dtype=int)
-    occ = np.asarray([lab[1] for lab in space.labels], dtype=int)
-    return photons, occ
-
-
 def filter_signatures(h: OperatorMatrix, keep) -> OperatorMatrix:
     """Zero every entry whose transition signature fails ``keep(dphot, docc)``.
 
     ``dphot``/``docc`` are tuples (row label minus column label).  Diagonal
-    entries have all-zero signatures; ``keep`` decides those too.
+    entries have all-zero signatures; ``keep`` decides those too.  ``keep``
+    is called once per distinct signature among the nonzero entries.
     """
-    photons, occ = _signatures(h.space)
+    labels = np.asarray([photons + occ for photons, occ in h.space.labels], dtype=int)
+    rows, cols = np.nonzero(h.matrix)
+    # sort the signatures of the nonzero entries; a group of equal ones
+    # starts wherever a signature differs from the one before
+    order = np.lexsort((labels[rows] - labels[cols]).T)
+    sig = labels[rows[order]] - labels[cols[order]]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(sig[1:] != sig[:-1], axis=1)
+    split = len(h.space.modes)
+    kept = np.array([bool(keep(tuple(s[:split]), tuple(s[split:])))
+                     for s in sig[starts].tolist()], dtype=bool)
+    drop = order[~kept[np.cumsum(starts) - 1]]
     out = np.array(h.matrix)
-    dim = h.dim
-    for r in range(dim):
-        dph = photons[r] - photons
-        doc = occ[r] - occ
-        for c in range(dim):
-            if out[r, c] != 0 and not keep(tuple(dph[c]), tuple(doc[c])):
-                out[r, c] = 0.0
+    out[rows[drop], cols[drop]] = 0.0
     return OperatorMatrix(h.space, out)
 
 
@@ -384,53 +459,40 @@ def measured_step(h_diag: OperatorMatrix, xplus: OperatorMatrix) -> float:
     return d
 
 
-def eliminating_generator(model: ModelInstance, names=None,
-                          guard_limit: float | None = GUARD_LIMIT):
+def eliminating_generator(model: ModelInstance, names=None):
     """Anti-Hermitian generator removing the named couplings to first order.
 
     Returns ``(G, eps)`` where ``eps`` maps interaction names to the
     rotation amplitudes ``g / D`` with measured steps D.  Raises on
-    one-photon resonances and, when ``guard_limit`` is set, on amplitudes
-    outside the trusted range.
+    one-photon resonances and on amplitudes outside the trusted range.
     """
     chosen = model.interactions if names is None else [model.interaction(n) for n in names]
-    gen = None
+    pieces = []
     eps: dict[str, float] = {}
     for term in chosen:
         d = measured_step(model.h_diag, term.algebra.xplus)
         if abs(d) < 1e-12:
             raise ResonanceError(f"one-photon resonance on transition {term.name}")
         e = term.g / d
-        if guard_limit is not None and abs(e) >= guard_limit:
-            raise GuardViolationError(
-                f"rotation amplitude {e:.3g} on transition {term.name} exceeds {guard_limit}")
+        _amplitude_guard(f"transition {term.name}", e)
         eps[term.name] = e
-        piece = e * (term.algebra.xplus - term.algebra.xminus)
-        gen = piece if gen is None else gen + piece
-    if gen is None:
-        gen = identity(model.space) * 0.0
-    return gen, eps
+        pieces.append(e * (term.algebra.xplus - term.algebra.xminus))
+    return _sum(pieces) or zero(model.space), eps
 
 
-def _second_order(model: ModelInstance, eliminate, keep=(),
-                  guard_limit: float | None = GUARD_LIMIT):
-    """Second-order rotated Hamiltonian with the named couplings eliminated.
-
-    Returns ``(h2, gen, eps)`` where
-    ``h2 = h_diag + V_keep + 0.5 [G, V_elim] + [G, V_keep]``.
+def _second_order(model: ModelInstance, gen: OperatorMatrix, eliminate, retain=()):
+    """Second-order rotated Hamiltonian
+    ``h_diag + V_retain + 0.5 [G, V_elim] + [G, V_retain]`` for the
+    generator G that eliminates the named couplings.
     """
-    gen, eps = eliminating_generator(model, eliminate, guard_limit)
-    v_elim = None
-    for name in eliminate:
-        term = model.interaction(name)
-        piece = term.g * (term.algebra.xplus + term.algebra.xminus)
-        v_elim = piece if v_elim is None else v_elim + piece
+    terms = [model.interaction(name) for name in eliminate]
+    v_elim = _sum(t.g * (t.algebra.xplus + t.algebra.xminus) for t in terms)
     h2 = model.h_diag + 0.5 * commutator(gen, v_elim)
-    for name in keep:
+    for name in retain:
         term = model.interaction(name)
         v = term.g * (term.algebra.xplus + term.algebra.xminus)
         h2 = h2 + v + commutator(gen, v)
-    return h2, gen, eps
+    return h2
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +537,6 @@ class CascadeDecomposition:
     coupling_checks: tuple[CouplingCheck, ...]
 
 
-def _photon_change(dph: tuple) -> int:
-    return sum(dph)
-
-
 def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
     """Rotate a single-mode cascade to kill one-photon transitions, then split.
 
@@ -490,44 +548,26 @@ def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
     if model.spec.kind != "cascade":
         raise EffhamError("cascade_first_stage expects a cascade model")
     nlev = model.space.ensemble.levels
-    deltas = [model.detunings[str(j)] for j in range(1, nlev + 1)]
-    table = coupling_table(model.spec.couplings, deltas)
-    for name, e in zip((t.name for t in model.interactions), table.eps):
-        if abs(e) >= GUARD_LIMIT:
-            raise GuardViolationError(f"rotation amplitude {e:.3g} on step {name} "
-                                      f"exceeds {GUARD_LIMIT}")
-    gen, _ = eliminating_generator(model, guard_limit=GUARD_LIMIT)
+    table = coupling_table(model.spec.couplings, _level_detunings(model))
+    gen, _ = eliminating_generator(model)
     u = matrix_exponential(gen)
     transformed = conjugate(model.h_int, u)
 
     diag = OperatorMatrix(model.space, np.diag(transformed.diagonal()))
     h_d = diag - model.h_diag
-    h_nd = filter_signatures(transformed,
-                             lambda dph, docc: _photon_change(dph) == 0 and any(docc))
-    multi = {}
-    for k in range(2, nlev):
-        multi[k] = filter_signatures(transformed,
-                                     lambda dph, docc, kk=k: abs(_photon_change(dph)) == kk)
-    residual = filter_signatures(transformed,
-                                 lambda dph, docc: abs(_photon_change(dph)) == 1).norm()
+    h_nd = filter_signatures(transformed, lambda dph, docc: sum(dph) == 0 and any(docc))
+    multi = {k: filter_signatures(transformed, lambda dph, docc, kk=k: abs(sum(dph)) == kk)
+             for k in range(2, nlev)}
+    residual = filter_signatures(transformed, lambda dph, docc: abs(sum(dph)) == 1).norm()
 
-    a = model.operators["a"]
     safe = photon_safe_mask(model.space, margin=1)
-    checks = []
-    for k in range(2, nlev):
-        a_k = a
-        for _ in range(k - 1):
-            a_k = a_k @ a
-        for i in range(1, nlev - k + 1):
-            template = a_k @ collective_operator(model.space, i, i + k)
-            extracted = fit_coefficient(multi[k], template, mask=safe)
-            predicted = (k - 1) / math.factorial(k) * table.lam_at(i, k)
-            checks.append(CouplingCheck(start_level=i, photons=k,
-                                        extracted=extracted, predicted=predicted))
+    checks = tuple(CouplingCheck(start_level=i, photons=k, predicted=predicted,
+                                 extracted=fit_coefficient(multi[k], hop, mask=safe))
+                   for k, i, hop, predicted in _multiphoton_hops(model, table))
     return CascadeDecomposition(
         transformed=transformed, h0=model.h_diag, h_d=h_d, h_nd=h_nd,
         multiphoton=multi, one_photon_residual=float(residual), rotation=u,
-        table=table, coupling_checks=tuple(checks))
+        table=table, coupling_checks=checks)
 
 
 def cascade_stark_leading(model: ModelInstance) -> OperatorMatrix:
@@ -535,19 +575,178 @@ def cascade_stark_leading(model: ModelInstance) -> OperatorMatrix:
 
     Per adjacent step: ``g_i eps_i [n (S^{i+1,i+1} - S^{ii}) + (S^{ii}+1) S^{i+1,i+1}]``.
     """
+    table = coupling_table(model.spec.couplings, _level_detunings(model))
+    return _sum(_stark_pieces(model.space, 0, model.spec.couplings, table.eps))
+
+
+# ---------------------------------------------------------------------------
+# scenario pieces: guards and tables, later stages, printed forms
+# ---------------------------------------------------------------------------
+
+def _prepare_su2(model: ModelInstance):
+    omega, g = model.spec.omega, model.spec.g
+    return {"g_over_omega": _amplitude_guard("g/omega", g / omega if omega else math.inf)}, None
+
+
+def _prepare_xi_far_level(model: ModelInstance):
+    d12, d23 = model.detunings["12"], model.detunings["23"]
+    g12, g23 = model.spec.couplings
+    eps13 = g12 * g23 / (d12 * (d12 + d23)) if (d12 + d23) else math.inf
+    return {"eps13": _amplitude_guard("the second-stage 1-3 transition", eps13)}, None
+
+
+def _prepare_xi_two_photon(model: ModelInstance):
+    d12, d23 = model.detunings["12"], model.detunings["23"]
+    if abs(d12 + d23) > 1e-9 * max(abs(d12), abs(d23), 1e-30):
+        raise ResonanceError(
+            f"two-photon resonance requires D12 = -D23, got {d12:.6g} vs {-d23:.6g}")
+    return {}, None
+
+
+def _prepare_cascade_first_stage(model: ModelInstance):
+    table = coupling_table(model.spec.couplings, _level_detunings(model))
+    return {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}, table
+
+
+def _prepare_four_level(model: ModelInstance):
+    if model.space.ensemble.levels != 4:
+        raise EffhamError("the three-photon scenario needs a four-level cascade")
+    deltas = _level_detunings(model)
+    d2, d3 = deltas[1], deltas[2]
+    if abs(deltas[3]) > 1e-9 * max(1.0, abs(d2), abs(d3)):
+        raise ResonanceError(f"three-photon resonance needs D4 = 0, got {deltas[3]:.3e}")
+    scale = max(abs(d2), abs(d3))
+    for den, which in ((d2 + d3, "D2 = -D3"), (2 * d2 - d3, "2 D2 = D3")):
+        if abs(den) < 1e-9 * scale:
+            raise ResonanceError(f"dipole-dipole resonance {which}: the photon-conserving "
+                                 "pair term is resonant and cannot be rotated away")
+    table = four_level_constants(model.spec.couplings, deltas)
+    guards = {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}
+    guards["alpha2_max"] = max(abs(x) for x in table.alpha2)
+    return guards, table
+
+
+def _stage_xi_far_two_photon(model: ModelInstance, table, stages):
+    """Removes the two-photon 1-3 channel the first stage generates; the
+    amplitude is fitted on the once-rotated Hamiltonian."""
+    y_plus = (model.operators["a"] @ model.operators["a"]) @ model.operators["S13"]
+    c_y = fit_coefficient(conjugate_stages(model.h_int, stages), y_plus,
+                          mask=photon_safe_mask(model.space, 1))
+    step_y = measured_step(model.h_diag, y_plus)
+    return (c_y / step_y) * (y_plus - y_plus.dag())
+
+
+def _stage_four_level_two_photon(model: ModelInstance, table: CouplingTable, stages):
+    a2 = model.operators["a"] @ model.operators["a"]
+    hops = ((alpha, a2 @ collective_operator(model.space, i, i + 2))
+            for i, alpha in zip((1, 2), table.alpha2))
+    return _sum(0.5 * alpha * (hop - hop.dag()) for alpha, hop in hops)
+
+
+def _stage_four_level_dipole_dipole(model: ModelInstance, table: CouplingTable, stages):
     space = model.space
-    n_op = number_operator(space, 0)
+    crosses = ((b, collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j))
+               for (i, j), b in table.beta.items())
+    return _sum(0.5 * b * (cross - cross.dag()) for b, cross in crosses)
+
+
+def _printed_su2(model: ModelInstance, table) -> OperatorMatrix:
+    omega, g = model.spec.omega, model.spec.g
+    return (omega + 2 * g * g / omega) * model.operators["S3"]
+
+
+def _printed_dicke(model: ModelInstance, table) -> OperatorMatrix:
+    delta, g = model.detunings["delta"], model.spec.g
+    s3, n_op = model.operators["S3"], model.operators["n"]
+    a_count = model.spec.atoms
+    casimir = (a_count / 2) * (a_count / 2 + 1)
+    eye = identity(model.space)
+    return delta * s3 + (g * g / delta) * (
+        s3 @ s3 - 2 * (n_op + eye) @ s3 - casimir * eye)
+
+
+def _printed_xi_far_level(model: ModelInstance, table) -> OperatorMatrix:
+    d12, d23 = model.detunings["12"], model.detunings["23"]
+    g12, g23 = model.spec.couplings
+    ops = model.operators
+    eye = identity(model.space)
+    return (d23 * ops["S33"] + g23 * (ops["a"] @ ops["S23"] + (ops["a"] @ ops["S23"]).dag())
+            + (g12 ** 2 / d12) * ops["S22"] @ (ops["n"] + eye))
+
+
+def _printed_xi_two_photon(model: ModelInstance, table) -> OperatorMatrix:
+    d12 = model.detunings["12"]
+    g12, g23 = model.spec.couplings
+    ops = model.operators
+    eye = identity(model.space)
+    a2 = ops["a"] @ ops["a"]
+    s3_13 = 0.5 * (ops["S33"] - ops["S11"])
+    n_op = ops["n"]
+    return ((g12 * g23 / d12) * (a2 @ ops["S13"] + (a2 @ ops["S13"]).dag())
+            + (s3_13 + (model.spec.atoms / 2) * eye)
+            @ ((g23 ** 2 - g12 ** 2) / d12 * n_op + (g23 ** 2 / d12) * eye)
+            + model.spec.atoms * (g12 ** 2 / d12) * n_op)
+
+
+def _printed_lambda(model: ModelInstance, table) -> OperatorMatrix:
+    ops = model.operators
+    eye = identity(model.space)
+    d31, d32 = model.detunings["31"], model.detunings["32"]
+    g13, g23 = model.spec.couplings
+    n_op = ops["n"]
+    transfer = (ops["S12"] + ops["S21"]) @ (ops["S33"] - n_op)
+    return (-d31 * ops["S11"] - d32 * ops["S22"]
+            + (g13 ** 2 / d31) * ((ops["S11"] + eye) @ ops["S33"] + n_op @ (ops["S33"] - ops["S11"]))
+            + (g23 ** 2 / d32) * ((ops["S22"] + eye) @ ops["S33"] + n_op @ (ops["S33"] - ops["S22"]))
+            + (g13 * g23 / d31) * transfer)
+
+
+def _printed_cascade_first_stage(model: ModelInstance, table: CouplingTable) -> OperatorMatrix:
+    space = model.space
     nlev = space.ensemble.levels
-    deltas = [model.detunings[str(j)] for j in range(1, nlev + 1)]
-    table = coupling_table(model.spec.couplings, deltas)
-    out = None
-    for i, g in enumerate(model.spec.couplings, start=1):
-        s_low = collective_operator(space, i, i)
-        s_up = collective_operator(space, i + 1, i + 1)
-        piece = g * table.eps[i - 1] * (
-            n_op @ (s_up - s_low) + (s_low + identity(space)) @ s_up)
-        out = piece if out is None else out + piece
-    return out
+    printed = model.h_diag + cascade_stark_leading(model)
+    g = model.spec.couplings
+    if nlev == 4:
+        pairs = [(1, 3), (1, 2)]
+    else:
+        pairs = [(i, j) for i in range(1, nlev) for j in range(i + 1, nlev)]
+    for i, j in pairs:
+        coeff = 0.5 * (table.eps[i - 1] * g[j - 1] + table.eps[j - 1] * g[i - 1])
+        cross = collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j)
+        printed = printed + coeff * (cross + cross.dag())
+    hops = _multiphoton_hops(model, table)
+    return _sum((coeff * (hop + hop.dag()) for _, _, hop, coeff in hops), start=printed)
+
+
+def _printed_four_level(model: ModelInstance, table) -> OperatorMatrix:
+    ops = model.operators
+    eye = identity(model.space)
+    g1, g2, g3 = model.spec.couplings
+    d2, d3 = model.detunings["2"], model.detunings["3"]
+    a3 = ops["a"] @ ops["a"] @ ops["a"]
+    s3_14 = 0.5 * (ops["S44"] - ops["S11"])
+    n_op = ops["n"]
+    return ((g1 * g2 * g3 / (d2 * d3)) * (a3 @ ops["S14"] + (a3 @ ops["S14"]).dag())
+            - (s3_14 + (model.spec.atoms / 2) * eye)
+            @ ((g1 ** 2 / d2 - g3 ** 2 / d3) * n_op + (g3 ** 2 / d3) * eye)
+            + model.spec.atoms * (g1 ** 2 / d2) * n_op)
+
+
+def _printed_two_mode(model: ModelInstance, table) -> OperatorMatrix:
+    table_a, table_b = two_mode_tables(model.spec.couplings, model.spec.couplings_b,
+                                       _level_detunings(model), model.detunings["gap"])
+    space = model.space
+    ops = model.operators
+    printed = _sum(chain(_stark_pieces(space, 0, model.spec.couplings, table_a.eps),
+                         _stark_pieces(space, 1, model.spec.couplings_b, table_b.eps)),
+                   start=model.h_diag)
+    hop2 = (ops["a"] @ ops["a"]) @ ops["S13"]
+    hop3 = (ops["b"] @ ops["b"] @ ops["b"]) @ ops["S14"]
+    hop_ab = (ops["a"] @ ops["b"]) @ ops["S24"]
+    return (printed
+            + 0.5 * table_a.lam_at(1, 2) * (hop2 + hop2.dag())
+            + (1.0 / 3.0) * table_b.lam_at(1, 3) * (hop3 + hop3.dag())
+            + table_a.xi2_ab * (hop_ab + hop_ab.dag()))
 
 
 # ---------------------------------------------------------------------------
@@ -570,37 +769,81 @@ class EffectiveScenario:
 
 @dataclass(frozen=True)
 class ScenarioInfo:
+    """One scenario as data for the engine, :func:`closed_form_effective`."""
+
     identifier: str
     model_kinds: tuple[str, ...]
-    guards: str
-    sketch: str
+    guards: str  # validity conditions, as printed by list-scenarios
+    sketch: str  # effective form, likewise
+    printed: Callable  # (model, table) -> the printed closed form
+    corrected_from: str = "conjugation"  # or "structure", "second-order"; see the engine
+    dispersive: tuple[tuple[str, str], ...] = ()  # (transition, guard name) pairs
+    prepare: Callable | None = None  # model -> (further guards, table); raises on violation
+    eliminate: tuple[str, ...] | None = None  # first-stage transitions; None: all
+    retain: tuple[str, ...] = ()  # couplings kept at second order
+    amplitude_key: str | None = None  # guard name format of the first-stage amplitudes
+    stages: tuple[Callable, ...] = ()  # later generators: (model, table, unitaries) -> G
+    keep: Callable | None = None  # filter_signatures predicate; None: no filter
+    empty_levels: tuple[int, ...] = ()  # validity sector; none: the full space
+    notes: tuple[str, ...] | Callable = ()  # printed-form deviations, or model -> notes
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {s.identifier: s for s in (
-    ScenarioInfo("su2-generic", ("spin-in-field",),
-                 "|g/omega| < 0.3",
-                 "omega*S3 + (g^2/omega)*[S+,S-]"),
-    ScenarioInfo("dicke-dispersive", ("dicke",),
-                 "A*g*sqrt(n_max+1)/|Delta| < 0.3",
-                 "Delta*S3 + (g^2/Delta)*P(S3, n)"),
+    ScenarioInfo("su2-generic", ("spin-in-field",), "|g/omega| < 0.3",
+                 "omega*S3 + (g^2/omega)*[S+,S-]",
+                 printed=_printed_su2, corrected_from="structure", prepare=_prepare_su2),
+    ScenarioInfo("dicke-dispersive", ("dicke",), "A*g*sqrt(n_max+1)/|Delta| < 0.3",
+                 "Delta*S3 + (g^2/Delta)*P(S3, n)",
+                 printed=_printed_dicke, corrected_from="structure",
+                 dispersive=(("jc", "dispersive_ratio"),),
+                 notes=("printed Stark bracket differs in sign from the measured "
+                        "structure operator",)),
     ScenarioInfo("xi-far-level", ("xi3",),
                  "far-off 1-2 transition: A*g12*sqrt(n_max+1)/|D12| < 0.3",
-                 "D23*S33 + g23*(a S23+ + h.c.) + (g12^2/D12)*S22*(n+1) on the S11=0 sector"),
+                 "D23*S33 + g23*(a S23+ + h.c.) + (g12^2/D12)*S22*(n+1) on the S11=0 sector",
+                 printed=_printed_xi_far_level, corrected_from="second-order",
+                 dispersive=(("12", "dispersive_ratio_12"),), prepare=_prepare_xi_far_level,
+                 eliminate=("12",), retain=("23",), stages=(_stage_xi_far_two_photon,),
+                 keep=lambda dph, docc: not (abs(sum(dph)) == 2 and docc[0] and docc[2]),
+                 empty_levels=(1,)),
     ScenarioInfo("xi-two-photon", ("xi3",),
                  "two-photon resonance D12 = -D23; |eps12|, |eps23| < 0.3",
-                 "(g12*g23/D12)*(a^2 S13+ + h.c.) + Stark shifts on the S22=0 sector"),
+                 "(g12*g23/D12)*(a^2 S13+ + h.c.) + Stark shifts on the S22=0 sector",
+                 printed=_printed_xi_two_photon, corrected_from="second-order",
+                 prepare=_prepare_xi_two_photon, eliminate=("12", "23"), amplitude_key="eps{}",
+                 empty_levels=(2,),
+                 notes=("printed two-photon form differs in overall sign from the "
+                        "rotation algebra",)),
     ScenarioInfo("lambda-dispersive", ("lambda3",),
                  "both one-photon transitions dispersive (ratio < 0.3)",
-                 "Stark shifts + (g13*g23/D)*(S12+ + S12-)*(S33 - n): photonless 1-2 transfer"),
+                 "Stark shifts + (g13*g23/D)*(S12+ + S12-)*(S33 - n): photonless 1-2 transfer",
+                 printed=_printed_lambda, corrected_from="second-order",
+                 dispersive=(("13", "dispersive_ratio_13"), ("23", "dispersive_ratio_23")),
+                 eliminate=("13", "23"),
+                 notes=("printed transfer coefficient uses 1/D31 alone; the rotation algebra gives "
+                        "the symmetric (1/D31 + 1/D32)/2, identical for degenerate lower levels",)),
     ScenarioInfo("cascade-first-stage", ("cascade",),
                  "all one-photon steps off resonance, |eps_i| < 0.3",
-                 "h0 + h_d + h_nd + sum_k (k-1)/k! lam^(k) (a^k S+^{i,i+k} + h.c.)"),
+                 "h0 + h_d + h_nd + sum_k (k-1)/k! lam^(k) (a^k S+^{i,i+k} + h.c.)",
+                 printed=_printed_cascade_first_stage, prepare=_prepare_cascade_first_stage,
+                 keep=lambda dph, docc: abs(sum(dph)) != 1,
+                 notes=lambda model: ("printed dipole-dipole part lists the (1,3) and (1,2) step "
+                                      "pairs only",) if model.space.ensemble.levels == 4 else ()),
     ScenarioInfo("four-level-three-photon", ("cascade",),
                  "D4 = 0; no one-/two-photon or dipole-dipole resonances",
-                 "(g1*g2*g3/(D2*D3))*(a^3 S14+ + h.c.) + Stark shifts on the S22=S33=0 sector"),
+                 "(g1*g2*g3/(D2*D3))*(a^3 S14+ + h.c.) + Stark shifts on the S22=S33=0 sector",
+                 printed=_printed_four_level, prepare=_prepare_four_level,
+                 stages=(_stage_four_level_two_photon, _stage_four_level_dipole_dipole),
+                 keep=_resonant(((3,), 1, 4)), empty_levels=(2, 3),
+                 notes=("printed Stark pattern disagrees with the rotation algebra in the photon-"
+                        "dependent terms; the corrected form is taken from conjugation",)),
     ScenarioInfo("two-mode-four", ("two-mode-four",),
                  "all one-photon steps of both modes off resonance, |eps| < 0.3",
-                 "two-photon (a^2 S13+), three-photon (b^3 S14+) and mixed (a b S24+) channels"),
+                 "two-photon (a^2 S13+), three-photon (b^3 S14+) and mixed (a b S24+) channels",
+                 printed=_printed_two_mode, amplitude_key="eps_{}",
+                 keep=_resonant(((2, 0), 1, 3), ((0, 3), 1, 4), ((1, 1), 2, 4)),
+                 notes=("printed mixed coupling holds on the E4 - E2 = omega_a + omega_b "
+                        "resonance; off it the rotation algebra adds mode-gap corrections",)),
 )}
 
 
@@ -645,8 +888,36 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     if model.spec.kind not in info.model_kinds:
         raise EffhamError(
             f"scenario {scenario.identifier!r} does not apply to model kind {model.spec.kind!r}")
-    builder = _SCENARIO_BUILDERS[scenario.identifier]
-    printed, corrected, rotation, guards, sector, notes = builder(model)
+    guards = _dispersive_guards(model, info.dispersive)
+    table = None
+    if info.prepare is not None:
+        more, table = info.prepare(model)
+        guards.update(more)
+
+    gen, eps = eliminating_generator(model, info.eliminate)
+    # the printed forms divide by the one-photon steps checked above; built
+    # before the dim x dim exponentials, they leave the memory peak lower
+    printed = info.printed(model, table)
+    if info.amplitude_key is not None:
+        guards.update((info.amplitude_key.format(name), abs(e)) for name, e in eps.items())
+    stages = [matrix_exponential(gen)]
+    for next_stage in info.stages:
+        stages.append(matrix_exponential(next_stage(model, table, stages)))
+    rotation = reduce(operator.matmul, reversed(stages))
+
+    if info.corrected_from == "structure":
+        (term,) = model.interactions
+        corrected = effective_su2(term.algebra, term.detuning, term.g)
+    elif info.corrected_from == "second-order":
+        corrected = _second_order(model, gen, info.eliminate, info.retain)
+    else:
+        corrected = conjugate_stages(model.h_int, stages)
+    del gen, stages  # memory peaks in the deviation below
+    if info.keep is not None:
+        corrected = filter_signatures(corrected, info.keep)
+
+    sector = occupation_sector_mask(model.space, info.empty_levels) if info.empty_levels else None
+    notes = info.notes(model) if callable(info.notes) else info.notes
     # deviation is measured away from the Fock cutoff, where the measured
     # structure operators are exact (cutoff-touching blocks are flagged
     # elsewhere and never enter comparisons)
@@ -660,279 +931,3 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
         scenario=scenario, printed=printed, corrected=corrected, rotation=rotation,
         deviation_norm=diff, deviation_relative=diff / max(ref, 1e-300),
         guards=guards, sector_mask=sector, notes=tuple(notes))
-
-
-# -- per-scenario builders ---------------------------------------------------
-
-def _build_su2_generic(model: ModelInstance):
-    term = model.interaction("spin")
-    omega, g = model.spec.omega, model.spec.g
-    guards = {"g_over_omega": abs(g / omega) if omega else math.inf}
-    corrected = effective_su2(term.algebra, omega, g)
-    printed = (omega + 2 * g * g / omega) * model.operators["S3"]
-    gen, _ = eliminating_generator(model)
-    return printed, corrected, matrix_exponential(gen), guards, None, []
-
-
-def _build_dicke_dispersive(model: ModelInstance):
-    guard = dispersive_guard(model, "jc")
-    if not guard.valid:
-        raise GuardViolationError(
-            f"dispersive ratio {guard.ratio:.3g} outside validity (< {guard.limit})")
-    term = model.interaction("jc")
-    delta, g = model.detunings["delta"], model.spec.g
-    corrected = effective_su2(term.algebra, delta, g)
-    s3, n_op = model.operators["S3"], model.operators["n"]
-    a_count = model.spec.atoms
-    casimir = (a_count / 2) * (a_count / 2 + 1)
-    eye = identity(model.space)
-    printed = delta * s3 + (g * g / delta) * (
-        s3 @ s3 - 2 * (n_op + eye) @ s3 - casimir * eye)
-    gen, _ = eliminating_generator(model)
-    notes = ["printed Stark bracket differs in sign from the measured structure operator"]
-    return printed, corrected, matrix_exponential(gen), {"dispersive_ratio": guard.ratio}, None, notes
-
-
-def _build_xi_far_level(model: ModelInstance):
-    guard = dispersive_guard(model, "12")
-    if not guard.valid:
-        raise GuardViolationError(
-            f"far-level ratio {guard.ratio:.3g} outside validity (< {guard.limit})")
-    d12, d23 = model.detunings["12"], model.detunings["23"]
-    g12, g23 = model.spec.couplings
-    eps13 = g12 * g23 / (d12 * (d12 + d23)) if (d12 + d23) else math.inf
-    if not abs(eps13) < GUARD_LIMIT:
-        raise GuardViolationError(f"second-stage amplitude {eps13:.3g} exceeds {GUARD_LIMIT}")
-    h2, gen, _ = _second_order(model, eliminate=["12"], keep=["23"])
-    # second stage removes the generated two-photon 1-3 channel
-    corrected = filter_signatures(
-        h2, lambda dph, docc: not (abs(_photon_change(dph)) == 2
-                                   and docc[0] != 0 and docc[2] != 0))
-    u1 = matrix_exponential(gen)
-    y_plus = (model.operators["a"] @ model.operators["a"]) @ model.operators["S13"]
-    c_y = fit_coefficient(conjugate(model.h_int, u1), y_plus,
-                          mask=photon_safe_mask(model.space, 1))
-    step_y = measured_step(model.h_diag, y_plus)
-    gen2 = (c_y / step_y) * (y_plus - y_plus.dag())
-    rotation = matrix_exponential(gen2) @ u1
-
-    ops = model.operators
-    eye = identity(model.space)
-    printed = (d23 * ops["S33"] + g23 * (ops["a"] @ ops["S23"] + (ops["a"] @ ops["S23"]).dag())
-               + (g12 ** 2 / d12) * ops["S22"] @ (ops["n"] + eye))
-    sector = occupation_sector_mask(model.space, [1])
-    guards = {"dispersive_ratio_12": guard.ratio, "eps13": abs(eps13)}
-    return printed, corrected, rotation, guards, sector, []
-
-
-def _build_xi_two_photon(model: ModelInstance):
-    d12, d23 = model.detunings["12"], model.detunings["23"]
-    scale = max(abs(d12), abs(d23), 1e-30)
-    if abs(d12 + d23) > 1e-9 * scale:
-        raise ResonanceError(
-            f"two-photon resonance requires D12 = -D23, got {d12:.6g} vs {-d23:.6g}")
-    h2, gen, eps = _second_order(model, eliminate=["12", "23"])
-    corrected = h2
-    ops = model.operators
-    eye = identity(model.space)
-    g12, g23 = model.spec.couplings
-    a2 = ops["a"] @ ops["a"]
-    s3_13 = 0.5 * (ops["S33"] - ops["S11"])
-    n_op = ops["n"]
-    printed = ((g12 * g23 / d12) * (a2 @ ops["S13"] + (a2 @ ops["S13"]).dag())
-               + (s3_13 + (model.spec.atoms / 2) * eye)
-               @ ((g23 ** 2 - g12 ** 2) / d12 * n_op + (g23 ** 2 / d12) * eye)
-               + model.spec.atoms * (g12 ** 2 / d12) * n_op)
-    sector = occupation_sector_mask(model.space, [2])
-    guards = {f"eps{k}": abs(v) for k, v in eps.items()}
-    notes = ["printed two-photon form differs in overall sign from the rotation algebra"]
-    return printed, corrected, matrix_exponential(gen), guards, sector, notes
-
-
-def _build_lambda_dispersive(model: ModelInstance):
-    guards = {}
-    for name in ("13", "23"):
-        guard = dispersive_guard(model, name)
-        guards[f"dispersive_ratio_{name}"] = guard.ratio
-        if not guard.valid:
-            raise GuardViolationError(
-                f"dispersive ratio {guard.ratio:.3g} on transition {name} "
-                f"outside validity (< {guard.limit})")
-    h2, gen, _ = _second_order(model, eliminate=["13", "23"])
-    corrected = h2
-    ops = model.operators
-    eye = identity(model.space)
-    d31, d32 = model.detunings["31"], model.detunings["32"]
-    g13, g23 = model.spec.couplings
-    n_op = ops["n"]
-    transfer = (ops["S12"] + ops["S21"]) @ (ops["S33"] - n_op)
-    printed = (-d31 * ops["S11"] - d32 * ops["S22"]
-               + (g13 ** 2 / d31) * ((ops["S11"] + eye) @ ops["S33"] + n_op @ (ops["S33"] - ops["S11"]))
-               + (g23 ** 2 / d32) * ((ops["S22"] + eye) @ ops["S33"] + n_op @ (ops["S33"] - ops["S22"]))
-               + (g13 * g23 / d31) * transfer)
-    notes = ["printed transfer coefficient uses 1/D31 alone; the rotation algebra gives "
-             "the symmetric (1/D31 + 1/D32)/2, identical for degenerate lower levels"]
-    return printed, corrected, matrix_exponential(gen), guards, None, notes
-
-
-def _printed_cascade_first_stage(model: ModelInstance, table: CouplingTable) -> OperatorMatrix:
-    space = model.space
-    nlev = space.ensemble.levels
-    printed = model.h_diag + cascade_stark_leading(model)
-    g = model.spec.couplings
-    if nlev == 4:
-        pairs = [(1, 3), (1, 2)]
-    else:
-        pairs = [(i, j) for i in range(1, nlev) for j in range(i + 1, nlev)]
-    for i, j in pairs:
-        coeff = 0.5 * (table.eps[i - 1] * g[j - 1] + table.eps[j - 1] * g[i - 1])
-        cross = collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j)
-        printed = printed + coeff * (cross + cross.dag())
-    a = model.operators["a"]
-    for k in range(2, nlev):
-        a_k = a
-        for _ in range(k - 1):
-            a_k = a_k @ a
-        for i in range(1, nlev - k + 1):
-            coeff = (k - 1) / math.factorial(k) * table.lam_at(i, k)
-            hop = a_k @ collective_operator(space, i, i + k)
-            printed = printed + coeff * (hop + hop.dag())
-    return printed
-
-
-def _build_cascade_first_stage(model: ModelInstance):
-    deco = cascade_first_stage(model)
-    corrected = filter_signatures(deco.transformed,
-                                  lambda dph, docc: abs(_photon_change(dph)) != 1)
-    printed = _printed_cascade_first_stage(model, deco.table)
-    guards = {f"eps{i + 1}": abs(e) for i, e in enumerate(deco.table.eps)}
-    notes = []
-    if model.space.ensemble.levels == 4:
-        notes.append("printed dipole-dipole part lists the (1,3) and (1,2) step pairs only")
-    return printed, corrected, deco.rotation, guards, None, notes
-
-
-def _build_four_level_three_photon(model: ModelInstance):
-    nlev = model.space.ensemble.levels
-    if nlev != 4:
-        raise EffhamError("the three-photon scenario needs a four-level cascade")
-    deltas = [model.detunings[str(j)] for j in range(1, 5)]
-    if abs(deltas[3]) > 1e-9 * max(1.0, abs(deltas[1]), abs(deltas[2])):
-        raise ResonanceError(f"three-photon resonance needs D4 = 0, got {deltas[3]:.3e}")
-    scale = max(abs(deltas[1]), abs(deltas[2]))
-    if abs(deltas[1] + deltas[2]) < 1e-9 * scale:
-        raise ResonanceError("dipole-dipole resonance D2 = -D3: the photon-conserving "
-                             "pair term is resonant and cannot be rotated away")
-    if abs(2 * deltas[1] - deltas[2]) < 1e-9 * scale:
-        raise ResonanceError("dipole-dipole resonance 2 D2 = D3: the photon-conserving "
-                             "pair term is resonant and cannot be rotated away")
-    table = four_level_constants(model.spec.couplings, deltas)
-    for e in table.eps:
-        if abs(e) >= GUARD_LIMIT:
-            raise GuardViolationError(f"rotation amplitude {e:.3g} exceeds {GUARD_LIMIT}")
-
-    space = model.space
-    a = model.operators["a"]
-    gen1, _ = eliminating_generator(model)
-    u1 = matrix_exponential(gen1)
-    a2 = a @ a
-    gen2 = None
-    for i in (1, 2):
-        hop = a2 @ collective_operator(space, i, i + 2)
-        piece = 0.5 * table.alpha2[i - 1] * (hop - hop.dag())
-        gen2 = piece if gen2 is None else gen2 + piece
-    u2 = matrix_exponential(gen2)
-    gen3 = None
-    for (i, j), b in table.beta.items():
-        cross = collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j)
-        piece = 0.5 * b * (cross - cross.dag())
-        gen3 = piece if gen3 is None else gen3 + piece
-    u3 = matrix_exponential(gen3)
-    transformed = conjugate_stages(model.h_int, [u1, u2, u3])
-    corrected = filter_signatures(
-        transformed,
-        lambda dph, docc: (not any(dph) and not any(docc)) or
-                          (abs(_photon_change(dph)) == 3 and docc[0] != 0 and docc[3] != 0))
-
-    ops = model.operators
-    eye = identity(space)
-    g1, g2, g3 = model.spec.couplings
-    d2, d3 = deltas[1], deltas[2]
-    a3 = a2 @ a
-    s3_14 = 0.5 * (ops["S44"] - ops["S11"])
-    n_op = ops["n"]
-    printed = ((g1 * g2 * g3 / (d2 * d3)) * (a3 @ ops["S14"] + (a3 @ ops["S14"]).dag())
-               - (s3_14 + (model.spec.atoms / 2) * eye)
-               @ ((g1 ** 2 / d2 - g3 ** 2 / d3) * n_op + (g3 ** 2 / d3) * eye)
-               + model.spec.atoms * (g1 ** 2 / d2) * n_op)
-    sector = occupation_sector_mask(space, [2, 3])
-    guards = {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}
-    guards["alpha2_max"] = max(abs(x) for x in table.alpha2)
-    notes = ["printed Stark pattern disagrees with the rotation algebra in the "
-             "photon-dependent terms; the corrected form is taken from conjugation"]
-    return printed, corrected, u3 @ u2 @ u1, guards, sector, notes
-
-
-def _build_two_mode_four(model: ModelInstance):
-    deltas = [model.detunings[str(j)] for j in range(1, 5)]
-    gap = model.detunings["gap"]
-    ga, gb = model.spec.couplings, model.spec.couplings_b
-    table_a, table_b = two_mode_tables(ga, gb, deltas, gap)
-    for e in table_a.eps + table_b.eps:
-        if abs(e) >= GUARD_LIMIT:
-            raise GuardViolationError(f"rotation amplitude {e:.3g} exceeds {GUARD_LIMIT}")
-    gen, eps = eliminating_generator(model)
-    u = matrix_exponential(gen)
-    transformed = conjugate(model.h_int, u)
-
-    def keep(dph, docc):
-        if not any(dph) and not any(docc):
-            return True
-        da, db = dph
-        if abs(da) == 2 and db == 0 and docc[0] != 0 and docc[2] != 0:
-            return True
-        if da == 0 and abs(db) == 3 and docc[0] != 0 and docc[3] != 0:
-            return True
-        if abs(da) == 1 and db == da and docc[1] != 0 and docc[3] != 0:
-            return True
-        return False
-
-    corrected = filter_signatures(transformed, keep)
-
-    space = model.space
-    ops = model.operators
-    eye = identity(space)
-    printed = model.h_diag
-    for mode, table, gs in ((0, table_a, ga), (1, table_b, gb)):
-        n_op = number_operator(space, mode)
-        for i, g in enumerate(gs, start=1):
-            s_low = collective_operator(space, i, i)
-            s_up = collective_operator(space, i + 1, i + 1)
-            printed = printed + g * table.eps[i - 1] * (
-                n_op @ (s_up - s_low) + (s_low + eye) @ s_up)
-    a2 = ops["a"] @ ops["a"]
-    b3 = ops["b"] @ ops["b"] @ ops["b"]
-    hop2 = a2 @ ops["S13"]
-    hop3 = b3 @ ops["S14"]
-    hop_ab = (ops["a"] @ ops["b"]) @ ops["S24"]
-    xi2 = table_a.xi2_ab
-    printed = (printed
-               + 0.5 * table_a.lam_at(1, 2) * (hop2 + hop2.dag())
-               + (1.0 / 3.0) * table_b.lam_at(1, 3) * (hop3 + hop3.dag())
-               + xi2 * (hop_ab + hop_ab.dag()))
-    guards = {f"eps_{k}": abs(v) for k, v in eps.items()}
-    notes = ["printed mixed coupling holds on the E4 - E2 = omega_a + omega_b resonance; "
-             "off it the rotation algebra adds mode-gap corrections"]
-    return printed, corrected, u, guards, None, notes
-
-
-_SCENARIO_BUILDERS = {
-    "su2-generic": _build_su2_generic,
-    "dicke-dispersive": _build_dicke_dispersive,
-    "xi-far-level": _build_xi_far_level,
-    "xi-two-photon": _build_xi_two_photon,
-    "lambda-dispersive": _build_lambda_dispersive,
-    "cascade-first-stage": _build_cascade_first_stage,
-    "four-level-three-photon": _build_four_level_three_photon,
-    "two-mode-four": _build_two_mode_four,
-}

@@ -14,6 +14,11 @@ def rng():
 
 
 @pytest.fixture
+def spin_model():
+    return eh.build(eh.ModelSpec(kind="spin-in-field", omega=1.0, g=0.1, spin_j=1.5))
+
+
+@pytest.fixture
 def dicke_model():
     spec = eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0,
                         g=0.04, atoms=1, n_max=6)
@@ -43,3 +48,21 @@ def four_level_model():
     spec = eh.ModelSpec(kind="cascade", energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf),
                         omega_field=wf, couplings=(0.03, 0.03, 0.03), atoms=1, n_max=8)
     return eh.build(spec, require_resonance=True)
+
+
+@pytest.fixture
+def xi_far_level_model():
+    spec = eh.ModelSpec(kind="xi3", energies=(0.0, 11.0, 21.05), omega_field=10.0,
+                        couplings=(0.05, 0.05), atoms=2, n_max=6)
+    return eh.build(spec)
+
+
+@pytest.fixture
+def two_mode_model():
+    wa, wb = 10.0, 11.0
+    spec = eh.ModelSpec(kind="two-mode-four",
+                        energies=(0.0, wa + 0.7, 2 * wa + 2.6, 3 * wa + 1.7),
+                        omega_field=wa, omega_b=wb,
+                        couplings=(0.02, 0.015, 0.025), couplings_b=(0.018, 0.022, 0.02),
+                        atoms=1, n_max=(4, 4))
+    return eh.build(spec)

@@ -115,6 +115,21 @@ class TestCompareSpectra:
         with pytest.raises(AnalysisError):
             eh.compare_spectra(dicke_model.h_int, dicke_model.h_diag, [mask])
 
+    def test_no_blocks_rejected(self, dicke_model):
+        # comparing nothing must not read as a zero error
+        with pytest.raises(AnalysisError):
+            eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, [])
+
+    def test_blocks_carry_compared_eigenvalues(self, dicke_model):
+        masks = eh.block_masks(dicke_model)
+        rep = eh.compare_spectra(dicke_model.h_int, dicke_model.h_diag, masks)
+        for mask, blk in zip(masks, rep.blocks):
+            idx = np.where(mask)[0]
+            sub = dicke_model.h_int.matrix[np.ix_(idx, idx)]
+            assert np.array_equal(blk.exact_ev, np.linalg.eigvalsh(sub))
+            err = np.abs(np.asarray(blk.exact_ev) - np.asarray(blk.eff_ev))
+            assert blk.max_error == err.max()
+
 
 class TestScalingStudy:
     def test_two_level_effective_error_order_four(self):

@@ -335,6 +335,8 @@ class TestClosedFormEffective:
         ("lambda_model", "lambda-dispersive"),
         ("four_level_model", "four-level-three-photon"),
         ("four_level_model", "cascade-first-stage"),
+        ("xi_far_level_model", "xi-far-level"),
+        ("two_mode_model", "two-mode-four"),
     ])
     def test_effective_commutes_with_conserved(self, fixture, scenario, request):
         m = request.getfixturevalue(fixture)

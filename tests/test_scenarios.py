@@ -1,0 +1,122 @@
+"""The scenario engine: pinned outputs of every scenario, and the signature
+filter against its per-entry reference loop."""
+
+import numpy as np
+import pytest
+
+import effham as eh
+from effham import rotations
+
+#: the small model (dim <= 100) each scenario is pinned on, by fixture name
+FIXTURES = {
+    "su2-generic": "spin_model",
+    "dicke-dispersive": "dicke_model",
+    "xi-far-level": "xi_far_level_model",
+    "xi-two-photon": "xi_two_photon_model",
+    "lambda-dispersive": "lambda_model",
+    "cascade-first-stage": "four_level_model",
+    "four-level-three-photon": "four_level_model",
+    "two-mode-four": "two_mode_model",
+}
+
+#: (deviation_norm, ||corrected||, ||printed||, ||rotation - I||), guards, notes
+PINNED = {
+    "su2-generic": (
+        (0.0, 2.2807893370497854, 2.2807893370497854, 0.44568753896140384),
+        {"g_over_omega": 0.1},
+        ()),
+    "dicke-dispersive": (
+        (0.041073592489578994, 1.8888265987114858, 1.846923322718082, 0.25915474791532256),
+        {"dispersive_ratio": 0.10583005244258363},
+        ("printed Stark bracket differs in sign from the measured structure operator",)),
+    "xi-far-level": (
+        (2.096074351170154e-17, 6.516347711717048, 0.8014050162059153, 0.7262860060510595),
+        {"dispersive_ratio_12": 0.2645751311064591, "eps13": 0.00238095238095238},
+        ()),
+    "xi-two-photon": (
+        (3.497529733969391, 3.7597936964679324, 0.0352272621700864, 0.3664187173099762),
+        {"eps12": 0.04, "eps23": 0.04},
+        ("printed two-photon form differs in overall sign from the rotation algebra",)),
+    "lambda-dispersive": (
+        (4.0682871653286484e-18, 3.4860794597943405, 3.4862085422418434, 0.3870025704341597),
+        {"dispersive_ratio_13": 0.1224744871391589, "dispersive_ratio_23": 0.1224744871391589},
+        ("printed transfer coefficient uses 1/D31 alone; the rotation algebra gives the "
+         "symmetric (1/D31 + 1/D32)/2, identical for degenerate lower levels",)),
+    "cascade-first-stage": (
+        (0.0003378080203357282, 5.933327755449687, 5.938126411204359, 0.4681848490273975),
+        {"eps1": 0.03, "eps2": 0.0428571428571429, "eps3": 0.01764705882352942},
+        ("printed dipole-dipole part lists the (1,3) and (1,2) step pairs only",)),
+    "four-level-three-photon": (
+        (0.024686380219817283, 5.933327753026439, 0.019686721571363117, 0.46848360490751756),
+        {"eps1": 0.03, "eps2": 0.0428571428571429, "eps3": 0.01764705882352942,
+         "alpha2_max": 0.0018151260504201696},
+        ("printed Stark pattern disagrees with the rotation algebra in the photon-dependent "
+         "terms; the corrected form is taken from conjugation",)),
+    "two-mode-four": (
+        (0.00021993538900323933, 36.793278224936074, 36.7911207736159, 0.7714871387036994),
+        {"eps_a1": 0.028571428571428605, "eps_b1": 0.05999999999999985,
+         "eps_a2": 0.007894736842105255, "eps_b2": 0.024444444444444387,
+         "eps_a3": 0.027777777777777714, "eps_b3": 0.010526315789473674},
+        ("printed mixed coupling holds on the E4 - E2 = omega_a + omega_b resonance; "
+         "off it the rotation algebra adds mode-gap corrections",)),
+}
+
+
+def _pinned(value):
+    # the absolute floor only matters for the two deviations that are pure
+    # roundoff (xi-far-level and lambda-dispersive, ~1e-17)
+    return pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def test_every_scenario_is_pinned():
+    assert set(PINNED) == set(FIXTURES) == set(eh.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", list(PINNED))
+def test_scenario_outputs_pinned(scenario, request):
+    model = request.getfixturevalue(FIXTURES[scenario])
+    assert model.space.dim <= 100
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    norms, guards, notes = PINNED[scenario]
+    got = (forms.deviation_norm, forms.corrected.norm(), forms.printed.norm(),
+           (forms.rotation - eh.identity(model.space)).norm())
+    assert got == _pinned(norms)
+    assert list(forms.guards) == list(guards)
+    assert forms.guards == _pinned(guards)
+    assert forms.notes == notes
+
+
+def _filter_reference(h, keep):
+    """The per-entry loop: one ``keep`` call per nonzero entry."""
+    photons = np.asarray([lab[0] for lab in h.space.labels], dtype=int)
+    occ = np.asarray([lab[1] for lab in h.space.labels], dtype=int)
+    out = np.array(h.matrix)
+    for r in range(h.dim):
+        dph = photons[r] - photons
+        doc = occ[r] - occ
+        for c in range(h.dim):
+            if out[r, c] != 0 and not keep(tuple(dph[c]), tuple(doc[c])):
+                out[r, c] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("scenario", ["cascade-first-stage", "four-level-three-photon",
+                                      "two-mode-four", "xi-far-level"])
+def test_filter_matches_per_entry_loop(scenario, monkeypatch, request):
+    # every operator the scenario filters is also filtered by the reference loop
+    calls = []
+    vectorised = rotations.filter_signatures
+
+    def spy(h, keep):
+        out = vectorised(h, keep)
+        calls.append((h, keep, out))
+        return out
+
+    monkeypatch.setattr(rotations, "filter_signatures", spy)
+    model = request.getfixturevalue(FIXTURES[scenario])
+    eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    if scenario == "cascade-first-stage":
+        eh.cascade_first_stage(model)
+    assert calls
+    for h, keep, out in calls:
+        assert np.array_equal(out.matrix, _filter_reference(h, keep))
