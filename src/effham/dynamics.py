@@ -1,7 +1,9 @@
 """Exact time evolution, fidelities, spectra comparison, and scaling fits.
 
-Evolution goes through a full eigendecomposition, so trajectories are exact
-for arbitrary horizons and norm is conserved to machine precision.  The
+Evolution goes through the eigendecomposition of the invariant subspace
+reachable from the initial state (a diagonal generator needs none), so
+trajectories are exact for arbitrary horizons and norm is conserved to
+machine precision.  The
 comparison helpers quantify how well an effective Hamiltonian reproduces
 the exact spectra (per conserved block) and dynamics (fidelity in the
 rotated frame), and fit empirical convergence orders from epsilon sweeps.
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, SpaceMismatchError
-from .hilbert import OperatorMatrix
+from .hilbert import OperatorMatrix, _diagonal
 
 NORM_TOL = 1e-10
 
@@ -35,6 +37,12 @@ class Trajectory:
 def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Trajectory:
     """Evolve ``psi0`` under the Hermitian ``h`` at the requested times.
 
+    A diagonal ``h`` evolves in closed form.  Otherwise the states are
+    expanded in the eigendecomposition of ``h`` restricted to the states
+    reachable from the support of ``psi0`` through its nonzero entries.
+    That span is invariant under ``h``, so the restriction is exact and
+    every state outside it keeps amplitude exactly 0.
+
     ``observables`` maps names to operators whose expectation values are
     recorded along the trajectory.
     """
@@ -44,11 +52,17 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)
-    w, v = np.linalg.eigh(h.matrix)
-    coeff = v.conj().T @ psi
-    phases = np.exp(-1j * np.outer(t, w))
-    states = phases * coeff
-    states = states @ v.T  # (T, dim) in the original basis
+    d = _diagonal(h.matrix)
+    if d is not None:
+        # eigh reads only the real part of a Hermitian diagonal
+        states = np.exp(-1j * np.outer(t, d.real)) * psi
+    else:
+        span = _reachable(h.matrix, psi)
+        w, v = np.linalg.eigh(h.matrix[np.ix_(span, span)])
+        coeff = v.conj().T @ psi[span]
+        phases = np.exp(-1j * np.outer(t, w))
+        states = np.zeros((len(t), len(psi)), dtype=complex)
+        states[:, span] = (phases * coeff) @ v.T  # (T, dim) in the original basis
     drift = float(np.max(np.abs(1.0 - np.linalg.norm(states, axis=1))))
     if drift > NORM_TOL:
         raise AnalysisError(f"norm drift {drift:.3e} beyond tolerance")
@@ -58,6 +72,23 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
             raise SpaceMismatchError(f"observable {name} on a different space")
         obs[name] = np.real(np.einsum("ti,ij,tj->t", states.conj(), op.matrix, states))
     return Trajectory(times=t, states=states, observables=obs)
+
+
+def _reachable(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable from the support of ``psi`` through ``m``.
+
+    A state reaches every state its row or column of ``m`` has a nonzero
+    entry in, which covers the Hermitian matrix ``eigh`` reads from either
+    triangle.  Each state joins the frontier once, so the search scans each
+    row and column of ``m`` at most once.
+    """
+    span = psi != 0
+    new = np.flatnonzero(span)
+    while new.size:
+        hit = (m[new] != 0).any(axis=0) | (m[:, new] != 0).any(axis=1)
+        new = np.flatnonzero(hit & ~span)
+        span[new] = True
+    return span
 
 
 def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,

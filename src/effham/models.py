@@ -418,17 +418,20 @@ def dispersive_guard(model: ModelInstance, transition: str,
                      limit: float = DISPERSIVE_LIMIT) -> GuardResult:
     """Evaluate the dispersive condition for one coupling term.
 
-    Uses the retained ``n_max`` as the pessimistic photon scale.  A zero
-    detuning is flagged invalid with an infinite ratio.
+    A field coupling uses ``atoms * sqrt(n_max + 1)``, with the retained
+    ``n_max``, as the pessimistic collective scale.  A term without a field
+    mode (the spin in a classical field, whose size is set by ``spin_j``,
+    not ``atoms``) checks ``|g| / |detuning|`` alone.  A zero detuning is
+    flagged invalid with an infinite ratio.
     """
     term = model.interaction(transition)
-    if term.mode is None:
-        photon_scale = 1.0
-    else:
-        photon_scale = math.sqrt(model.spec.n_max[term.mode] + 1)
     if term.detuning == 0:
         return GuardResult(ratio=math.inf, valid=False, limit=limit)
-    ratio = model.spec.atoms * abs(term.g) * photon_scale / abs(term.detuning)
+    if term.mode is None:
+        ratio = abs(term.g) / abs(term.detuning)
+    else:
+        photon_scale = math.sqrt(model.spec.n_max[term.mode] + 1)
+        ratio = model.spec.atoms * abs(term.g) * photon_scale / abs(term.detuning)
     return GuardResult(ratio=ratio, valid=ratio < limit, limit=limit)
 
 

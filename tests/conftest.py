@@ -2,8 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import effham as eh
+
+# property tests draw the same examples on every run and never time out,
+# so the suite stays deterministic on a slow or shared machine
+settings.register_profile("effham", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("effham")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -250,6 +250,14 @@ class TestGuardsAndBlocks:
         res = eh.dispersive_guard(m, "jc")
         assert not res.valid and math.isinf(res.ratio)
 
+    @pytest.mark.parametrize("atoms", [1, 3])
+    def test_dispersive_guard_spin_ignores_atoms(self, atoms):
+        # the spin's size comes from spin_j; atoms is documented as ignored
+        m = eh.build(eh.ModelSpec(kind="spin-in-field", omega=1.0, g=0.1,
+                                  spin_j=1, atoms=atoms))
+        res = eh.dispersive_guard(m, "spin")
+        assert res.ratio == 0.1 and res.valid
+
     @pytest.mark.parametrize("fixture", ["dicke_model", "xi_two_photon_model",
                                          "lambda_model", "four_level_model"])
     def test_block_decomposition_is_exact(self, fixture, request):
