@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, SpaceMismatchError
-from .hilbert import OperatorMatrix, _diagonal
+from .hilbert import OperatorMatrix
 
 NORM_TOL = 1e-10
 
@@ -52,10 +52,9 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)
-    d = _diagonal(h.matrix)
-    if d is not None:
+    if h.ladder is not None and h.ladder.is_diagonal:
         # eigh reads only the real part of a Hermitian diagonal
-        states = np.exp(-1j * np.outer(t, d.real)) * psi
+        states = np.exp(-1j * np.outer(t, h.matrix.diagonal().real)) * psi
     else:
         span = _reachable(h.matrix, psi)
         w, v = np.linalg.eigh(h.matrix[np.ix_(span, span)])

@@ -14,11 +14,17 @@ first, e.g. for two levels and one atom the order is
 
 Everything is stored dense ``complex128``; matrices are frozen (read-only)
 after construction, so values can be shared freely between threads.  Most
-operators the models build are diagonal (populations, photon numbers,
-``X3``, the structure operators, the diagonal Hamiltonians), so ``@`` and
-:func:`commutator` check each operand for a diagonal with one O(dim^2)
-scan and scale rows or columns in place of a dim^3 BLAS product; for a real
-diagonal the result equals the dense product entry for entry.
+operators the models build have at most one nonzero per row and per
+column: the diagonal ones (populations, photon numbers, ``X3``, the
+structure operators) and the ladder operators (``a``, ``S^{ij}``,
+``a^k S^{ij}`` and their adjoints).  Each operator finds this
+:class:`LadderPattern` with one O(dim^2) scan, at most once; products,
+adjoints and scalar multiples inherit it without a scan.  A patterned factor turns
+``@`` and :func:`commutator` into a gather of the other factor's rows or
+columns scaled by the pattern values, in place of a dim^3 BLAS product;
+for real pattern values every entry equals the dense product's.  Every
+product is C-ordered like BLAS's output, because the layout of an operand
+changes how later BLAS calls round.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,6 +146,30 @@ def enumerate_basis(modes, ensemble: EnsembleSpec, cap: int = DIMENSION_CAP) -> 
     return SpaceDescriptor(modes=mode_specs, ensemble=ensemble, labels=labels)
 
 
+class LadderPattern(NamedTuple):
+    """Where the only nonzero of each column and of each row sits.
+
+    ``matrix[rows[j], j] == col_values[j]`` and ``matrix[i, cols[i]] ==
+    row_values[i]``.  An empty column has value 0 and an arbitrary row,
+    an empty row likewise, so a pattern is compared by its values and by
+    its indices where the values are nonzero.
+    """
+
+    rows: np.ndarray
+    col_values: np.ndarray
+    cols: np.ndarray
+    row_values: np.ndarray
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Every nonzero sits on the diagonal."""
+        return bool(np.all((self.rows == np.arange(len(self.rows))) | (self.col_values == 0)))
+
+
+#: marks an operator whose ladder pattern has not been looked for yet
+_UNSCANNED = object()
+
+
 class OperatorMatrix:
     """Dense complex operator bound to a :class:`SpaceDescriptor` basis.
 
@@ -146,7 +177,7 @@ class OperatorMatrix:
     The underlying array is read-only; arithmetic returns new instances.
     """
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "matrix", "_ladder")
 
     def __init__(self, space: SpaceDescriptor, matrix: np.ndarray):
         arr = np.array(matrix, dtype=complex)
@@ -154,9 +185,20 @@ class OperatorMatrix:
             raise ValueError("operator matrix must be square")
         if arr.shape[0] != space.dim:
             raise ValueError(f"matrix dimension {arr.shape[0]} != space dimension {space.dim}")
+        self._freeze(space, arr, _UNSCANNED)
+
+    def _freeze(self, space: SpaceDescriptor, arr: np.ndarray, ladder) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_ladder", ladder)
+
+    def _result(self, arr: np.ndarray, ladder=_UNSCANNED) -> "OperatorMatrix":
+        """An operator on this space around ``arr``, a fresh arithmetic result
+        nothing else holds, so it is frozen in place instead of copied."""
+        out = object.__new__(OperatorMatrix)
+        out._freeze(self.space, arr, ladder)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -170,9 +212,23 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def ladder(self) -> LadderPattern | None:
+        """The :class:`LadderPattern`, or None if a row or column has two nonzeros.
+
+        Found by one scan on first use and kept; an idempotent write, so
+        threads sharing the operator at worst scan it twice.
+        """
+        if self._ladder is _UNSCANNED:
+            object.__setattr__(self, "_ladder", _scan(self.matrix))
+        return self._ladder
+
     def dag(self) -> "OperatorMatrix":
         """Hermitian adjoint."""
-        return OperatorMatrix(self.space, self.matrix.conj().T)
+        p = self._ladder
+        if isinstance(p, LadderPattern):
+            p = LadderPattern(p.cols, p.row_values.conj(), p.rows, p.col_values.conj())
+        return self._result(self.matrix.conj().T, p)
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -204,24 +260,35 @@ class OperatorMatrix:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         self._check(other)
-        return OperatorMatrix(self.space, self.matrix + other.matrix)
+        return self._result(self.matrix + other.matrix)
 
     def __sub__(self, other):
         self._check(other)
-        return OperatorMatrix(self.space, self.matrix - other.matrix)
+        return self._result(self.matrix - other.matrix)
 
     def __neg__(self):
-        return OperatorMatrix(self.space, -self.matrix)
+        return self._result(-self.matrix)
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.space, self.matrix * complex(scalar))
+        s = complex(scalar)
+        p = self._ladder
+        if isinstance(p, LadderPattern):
+            p = LadderPattern(p.rows, p.col_values * s, p.cols, p.row_values * s)
+        else:
+            p = _UNSCANNED  # times 0, an operator without a pattern gets one
+        return self._result(self.matrix * s, p)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._check(other)
-        a, b = self.matrix, other.matrix
-        return OperatorMatrix(self.space, _product(a, b, _diagonal(a), _diagonal(b)))
+        pa, pb = self.ladder, other.ladder
+        composed = _UNSCANNED
+        if pa is not None and pb is not None:
+            # the products the gathers make, in their operand order, so bit for bit
+            composed = LadderPattern(pa.rows[pb.rows], pa.col_values[pb.rows] * pb.col_values,
+                                     pb.cols[pa.cols], pa.row_values * pb.row_values[pa.cols])
+        return self._result(_product(self, other), composed)
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
@@ -309,39 +376,53 @@ def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     """``lhs @ rhs - rhs @ lhs`` on a shared space."""
     if lhs.space != rhs.space:
         raise SpaceMismatchError("commutator operands live on different spaces")
-    a, b = lhs.matrix, rhs.matrix
-    da, db = _diagonal(a), _diagonal(b)
-    return OperatorMatrix(lhs.space, _product(a, b, da, db) - _product(b, a, db, da))
+    out = _product(lhs, rhs)
+    out -= _product(rhs, lhs)
+    return lhs._result(out)
 
 
-def _diagonal(m: np.ndarray) -> np.ndarray | None:
-    """The diagonal of the square array ``m`` if every off-diagonal entry is 0, else None.
+def _scan(m: np.ndarray) -> LadderPattern | None:
+    """The ladder pattern of the square array ``m``, or None.
 
-    The off-diagonal entries of a C-ordered ``d x d`` array are the last
-    ``d`` of each row of its first ``d^2 - 1`` entries laid out as
-    ``(d - 1) x (d + 1)``, so the scan reads each entry once and copies
-    nothing (an F-ordered array is scanned through its transpose).
+    More nonzeros than rows rule a pattern out after one count.  Otherwise
+    the first nonzero of every row and of every column is located; the
+    array is a pattern if these are all of its nonzeros.
     """
     d = m.shape[0]
-    flat = m if m.flags.c_contiguous else m.T
-    if flat.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any():
+    nonzero = m != 0
+    n = np.count_nonzero(nonzero)
+    if n > d:
         return None
-    return m.diagonal()
+    own = np.arange(d)
+    rows, cols = nonzero.argmax(axis=0), nonzero.argmax(axis=1)
+    col_values, row_values = m[rows, own], m[own, cols]
+    if np.count_nonzero(col_values) < n or np.count_nonzero(row_values) < n:
+        return None
+    return LadderPattern(rows, col_values, cols, row_values)
 
 
-def _product(a: np.ndarray, b: np.ndarray, da: np.ndarray | None, db: np.ndarray | None) -> np.ndarray:
-    """``a @ b``, given the diagonals ``da``/``db`` of diagonal operands (else None).
+def _product(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
+    """``a @ b`` as a fresh C-ordered array.
 
-    A diagonal factor scales the rows or columns of the other one.  The
-    skipped terms of the dense product are exact zeros, so for a real
-    diagonal every entry equals that of ``a @ b``.  Adding 0 turns the -0
-    of a negative entry times 0 into the +0 that BLAS gives for the
-    models' products, so LAPACK, which reads the sign of a zero, later
-    sees the same bits.
+    If ``a`` has a ladder pattern, row ``i`` of the product is row
+    ``cols[i]`` of ``b`` times ``row_values[i]``; else if ``b`` has one,
+    column ``j`` is column ``rows[j]`` of ``a`` times ``col_values[j]``.
+    The skipped terms of the dense product are exact zeros, so for real
+    pattern values every entry equals that of ``a @ b``.  Adding 0 turns
+    the -0 of a negative value times 0 into +0, the zero BLAS gives at most
+    sizes (some of its edge kernels give -0), because LAPACK reads the sign
+    of a zero.
     """
-    if da is None and db is None:
-        return a @ b
-    out = da[:, None] * b if da is not None else a * db[None, :]
+    pa = a.ladder
+    if pa is not None:
+        out = np.ascontiguousarray(b.matrix[pa.cols])
+        np.multiply(pa.row_values[:, None], out, out=out)
+    else:
+        pb = b.ladder
+        if pb is None:
+            return a.matrix @ b.matrix
+        out = np.ascontiguousarray(np.take(a.matrix, pb.rows, axis=1))
+        out *= pb.col_values
     out += 0.0
     return out
 

@@ -411,18 +411,32 @@ def filter_signatures(h: OperatorMatrix, keep) -> OperatorMatrix:
     entries have all-zero signatures; ``keep`` decides those too.  ``keep``
     is called once per distinct signature among the nonzero entries.
     """
+    return _keep_signatures(h, _signature_groups(h), keep)
+
+
+def _signature_groups(h: OperatorMatrix):
+    """The nonzero entries of ``h`` grouped by transition signature:
+    their rows and columns, sorted by signature, the index of each one's
+    group, and the distinct ``(dphot, docc)`` signatures."""
     labels = np.asarray([photons + occ for photons, occ in h.space.labels], dtype=int)
     rows, cols = np.nonzero(h.matrix)
     # sort the signatures of the nonzero entries; a group of equal ones
     # starts wherever a signature differs from the one before
     order = np.lexsort((labels[rows] - labels[cols]).T)
-    sig = labels[rows[order]] - labels[cols[order]]
+    rows, cols = rows[order], cols[order]
+    sig = labels[rows] - labels[cols]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = np.any(sig[1:] != sig[:-1], axis=1)
     split = len(h.space.modes)
-    kept = np.array([bool(keep(tuple(s[:split]), tuple(s[split:])))
-                     for s in sig[starts].tolist()], dtype=bool)
-    drop = order[~kept[np.cumsum(starts) - 1]]
+    signatures = [(tuple(s[:split]), tuple(s[split:])) for s in sig[starts].tolist()]
+    return rows, cols, np.cumsum(starts) - 1, signatures
+
+
+def _keep_signatures(h: OperatorMatrix, groups, keep) -> OperatorMatrix:
+    """:func:`filter_signatures` of ``h``, given its signature groups."""
+    rows, cols, group, signatures = groups
+    kept = np.array([bool(keep(dph, docc)) for dph, docc in signatures], dtype=bool)
+    drop = ~kept[group]
     out = np.array(h.matrix)
     out[rows[drop], cols[drop]] = 0.0
     return OperatorMatrix(h.space, out)
@@ -555,10 +569,13 @@ def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
 
     diag = OperatorMatrix(model.space, np.diag(transformed.diagonal()))
     h_d = diag - model.h_diag
-    h_nd = filter_signatures(transformed, lambda dph, docc: sum(dph) == 0 and any(docc))
-    multi = {k: filter_signatures(transformed, lambda dph, docc, kk=k: abs(sum(dph)) == kk)
+    groups = _signature_groups(transformed)
+    h_nd = _keep_signatures(transformed, groups, lambda dph, docc: sum(dph) == 0 and any(docc))
+    multi = {k: _keep_signatures(transformed, groups,
+                                 lambda dph, docc, kk=k: abs(sum(dph)) == kk)
              for k in range(2, nlev)}
-    residual = filter_signatures(transformed, lambda dph, docc: abs(sum(dph)) == 1).norm()
+    residual = _keep_signatures(transformed, groups,
+                                lambda dph, docc: abs(sum(dph)) == 1).norm()
 
     safe = photon_safe_mask(model.space, margin=1)
     checks = tuple(CouplingCheck(start_level=i, photons=k, predicted=predicted,

@@ -150,6 +150,16 @@ def test_operator_matrix_is_immutable():
         op.matrix = np.zeros((4, 4))
 
 
+def test_operator_matrix_copies_its_input():
+    space = eh.enumerate_basis([1], eh.EnsembleSpec(2, 1))
+    arr = np.eye(space.dim, dtype=complex)
+    op = eh.OperatorMatrix(space, arr)
+    arr[0, 1] = 5.0
+    assert arr.flags.writeable
+    assert np.array_equal(op.matrix, np.eye(space.dim))
+    assert op.ladder.is_diagonal
+
+
 def test_commutator_with_self_vanishes(rng):
     space = eh.enumerate_basis([2], eh.EnsembleSpec(2, 1))
     mat = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))

@@ -120,3 +120,21 @@ def test_filter_matches_per_entry_loop(scenario, monkeypatch, request):
     assert calls
     for h, keep, out in calls:
         assert np.array_equal(out.matrix, _filter_reference(h, keep))
+
+
+def test_cascade_split_filters_match_per_entry_loop(four_level_model, monkeypatch):
+    # cascade_first_stage groups the signatures once and applies four predicates
+    calls = []
+    apply_keep = rotations._keep_signatures
+
+    def spy(h, groups, keep):
+        out = apply_keep(h, groups, keep)
+        calls.append((h, keep, out))
+        return out
+
+    monkeypatch.setattr(rotations, "_keep_signatures", spy)
+    eh.cascade_first_stage(four_level_model)
+    assert len(calls) == 4
+    assert len({id(h) for h, _, _ in calls}) == 1
+    for h, keep, out in calls:
+        assert np.array_equal(out.matrix, _filter_reference(h, keep))
