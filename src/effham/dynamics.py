@@ -54,10 +54,10 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     t = np.asarray(list(times), dtype=float)
     if h.ladder is not None and h.ladder.is_diagonal:
         # eigh reads only the real part of a Hermitian diagonal
-        states = np.exp(-1j * np.outer(t, h.matrix.diagonal().real)) * psi
+        states = np.exp(-1j * np.outer(t, h.diagonal().real)) * psi
     else:
         span = _reachable(h.matrix, psi)
-        w, v = np.linalg.eigh(h.matrix[np.ix_(span, span)])
+        w, v = np.linalg.eigh(h.block(np.flatnonzero(span)))
         coeff = v.conj().T @ psi[span]
         phases = np.exp(-1j * np.outer(t, w))
         states = np.zeros((len(t), len(psi)), dtype=complex)
@@ -180,18 +180,18 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
         raise AnalysisError("no blocks to compare")
     leakage = 0.0
     for h in (h_exact, h_eff):
-        scale = max(1.0, h.norm())
-        for m in masks:
-            out = h.matrix[np.ix_(m, ~m)]
-            leakage = max(leakage, float(np.linalg.norm(out)) / scale)
+        out = max(float(np.linalg.norm(h.block(np.flatnonzero(m), np.flatnonzero(~m))))
+                  for m in masks)
+        if out:
+            leakage = max(leakage, out / max(1.0, h.norm()))
     if leakage > block_tol:
         raise AnalysisError(f"operators leak between blocks (relative norm {leakage:.3e})")
     per_block = []
     errs_all = []
     for b, m in enumerate(masks):
         idx = np.where(m)[0]
-        ev_exact = np.linalg.eigvalsh(h_exact.matrix[np.ix_(idx, idx)])
-        ev_eff = np.linalg.eigvalsh(h_eff.matrix[np.ix_(idx, idx)])
+        ev_exact = np.linalg.eigvalsh(h_exact.block(idx))
+        ev_eff = np.linalg.eigvalsh(h_eff.block(idx))
         err = np.abs(ev_exact - ev_eff)
         per_block.append(BlockErrors(key=(float(b),), max_error=float(err.max()),
                                      mean_error=float(err.mean()), size=len(idx),

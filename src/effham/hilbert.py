@@ -12,26 +12,45 @@ slowest indices, then atomic occupations with the ground level filled
 first, e.g. for two levels and one atom the order is
 ``|n=0;(1,0)>, |n=0;(0,1)>, |n=1;(1,0)>, ...``.
 
-Everything is stored dense ``complex128``; matrices are frozen (read-only)
-after construction, so values can be shared freely between threads.  Most
-operators the models build have at most one nonzero per row and per
-column: the diagonal ones (populations, photon numbers, ``X3``, the
-structure operators) and the ladder operators (``a``, ``S^{ij}``,
-``a^k S^{ij}`` and their adjoints).  Each operator finds this
-:class:`LadderPattern` with one O(dim^2) scan, at most once; products,
-adjoints and scalar multiples inherit it without a scan.  A patterned factor turns
-``@`` and :func:`commutator` into a gather of the other factor's rows or
-columns scaled by the pattern values, in place of a dim^3 BLAS product;
+Entries are ``complex128`` and operators are immutable, so values can be
+shared freely between threads.  Most operators the models build have at
+most one nonzero per row and per column: the diagonal ones (populations,
+photon numbers, ``X3``, the structure operators) and the ladder operators
+(``a``, ``S^{ij}``, ``a^k S^{ij}`` and their adjoints).  Where the nonzero
+of each row and column sits is the operator's :class:`LadderPattern`, and
+an operator is stored one of two ways:
+
+* dense, a frozen ``dim x dim`` array; its pattern, if it has one, is found
+  by one O(dim^2) scan on first use and kept;
+* pattern-only, O(dim): the pattern, the value of every entry off it (a
+  zero, with its sign) and the memory order of the dense array.  An
+  operation that already knows the pattern of its result makes one: the
+  constructors below, ``dag``, ``-`` and scalar ``*`` of a pattern-only
+  operator, ``@`` and :func:`commutator` of two patterned operators, ``+``
+  and ``-`` of pattern-only operators whose nonzeros sit in the same
+  places, and :meth:`OperatorMatrix.project`.  Everything else is dense.
+
+Both storages hold the same array bit for bit, signs of zero and memory
+order included, because LAPACK reads the sign of a zero and the order of
+an array changes how BLAS and NumPy's reductions round.  ``matrix`` of a
+pattern-only operator builds that array on each access and does not keep
+it; the library's own readers (norms, diagonals, blocks, the checks) take
+the pattern where that gives the dense result's bits.
+
+A patterned factor of ``@`` or :func:`commutator` whose partner is dense
+and has no pattern turns the product into a gather of the partner's rows
+or columns scaled by the pattern values, in place of a dim^3 BLAS product;
 for real pattern values every entry equals the dense product's.  Every
-product is C-ordered like BLAS's output, because the layout of an operand
-changes how later BLAS calls round.
+product is C-ordered like BLAS's output.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -109,6 +128,35 @@ class SpaceDescriptor:
     def _index(self) -> dict[Label, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    @cached_property
+    def _label_array(self) -> np.ndarray:
+        """The labels as integers, one row per state: photons, then occupations."""
+        return np.array([p + o for p, o in self.labels], dtype=np.int64).reshape(self.dim, -1)
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(radix, sorted keys, basis index of each) for :meth:`_lookup`."""
+        labels = self._label_array
+        radix = labels.max(axis=0) + 1
+        keys = np.ravel_multi_index(labels.T, radix)
+        order = np.argsort(keys)
+        return radix, keys[order], order
+
+    @cached_property
+    def _operators(self) -> dict:
+        """The elementary operators built on this space, by constructor call."""
+        return {}
+
+    def _lookup(self, labels: np.ndarray) -> np.ndarray:
+        """Basis indices of the rows of an integer label array laid out like
+        ``_label_array``; raises if one is not a basis state."""
+        radix, keys, order = self._sorted_keys
+        wanted = np.ravel_multi_index(labels.T, radix, mode="clip")
+        found = order[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)]
+        if not np.array_equal(self._label_array[found], labels):
+            raise ValueError("no basis state with a requested label")
+        return found
+
     def index(self, photons, occupations) -> int:
         """Basis index of the state with the given photon numbers and occupations."""
         key = (tuple(int(n) for n in photons), tuple(int(k) for k in occupations))
@@ -163,21 +211,23 @@ class LadderPattern(NamedTuple):
     @property
     def is_diagonal(self) -> bool:
         """Every nonzero sits on the diagonal."""
-        return bool(np.all((self.rows == np.arange(len(self.rows))) | (self.col_values == 0)))
+        return not np.count_nonzero((self.rows != _own(len(self.rows))) & (self.col_values != 0))
 
 
-#: marks an operator whose ladder pattern has not been looked for yet
+#: marks a dense operator whose ladder pattern has not been looked for yet
 _UNSCANNED = object()
 
 
 class OperatorMatrix:
-    """Dense complex operator bound to a :class:`SpaceDescriptor` basis.
+    """Complex operator bound to a :class:`SpaceDescriptor` basis.
 
     Supports ``+``, ``-``, scalar ``*``, ``@`` and adjoint via :meth:`dag`.
-    The underlying array is read-only; arithmetic returns new instances.
+    Operators are immutable; arithmetic returns new instances.  ``matrix``
+    is the read-only dense array whichever way the operator is stored (see
+    the module docstring).
     """
 
-    __slots__ = ("space", "matrix", "_ladder")
+    __slots__ = ("space", "_dense", "_ladder", "_zero", "_fortran")
 
     def __init__(self, space: SpaceDescriptor, matrix: np.ndarray):
         arr = np.array(matrix, dtype=complex)
@@ -185,19 +235,22 @@ class OperatorMatrix:
             raise ValueError("operator matrix must be square")
         if arr.shape[0] != space.dim:
             raise ValueError(f"matrix dimension {arr.shape[0]} != space dimension {space.dim}")
-        self._freeze(space, arr, _UNSCANNED)
+        self._set(space, arr, _UNSCANNED)
 
-    def _freeze(self, space: SpaceDescriptor, arr: np.ndarray, ladder) -> None:
-        arr.setflags(write=False)
+    def _set(self, space: SpaceDescriptor, dense, ladder, zero=0j, fortran=False) -> None:
+        if dense is not None:
+            dense.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_ladder", ladder)
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "_fortran", fortran)
 
     def _result(self, arr: np.ndarray, ladder=_UNSCANNED) -> "OperatorMatrix":
-        """An operator on this space around ``arr``, a fresh arithmetic result
+        """A dense operator on this space around ``arr``, a fresh array
         nothing else holds, so it is frozen in place instead of copied."""
         out = object.__new__(OperatorMatrix)
-        out._freeze(self.space, arr, ladder)
+        out._set(self.space, arr, ladder)
         return out
 
     def __setattr__(self, name, value):
@@ -205,22 +258,33 @@ class OperatorMatrix:
 
     # -- helpers -----------------------------------------------------------
     def _check(self, other: "OperatorMatrix"):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError("operators live on different spaces")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.space.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense array, read-only.  A pattern-only operator builds it on
+        each access and does not keep it."""
+        if self._dense is not None:
+            return self._dense
+        arr = _materialise(self._ladder, self._zero, self._fortran)
+        arr.setflags(write=False)
+        return arr
 
     @property
     def ladder(self) -> LadderPattern | None:
         """The :class:`LadderPattern`, or None if a row or column has two nonzeros.
 
-        Found by one scan on first use and kept; an idempotent write, so
-        threads sharing the operator at worst scan it twice.
+        A dense operator finds it by one scan on first use and keeps it; an
+        idempotent write, so threads sharing the operator at worst scan it
+        twice.
         """
         if self._ladder is _UNSCANNED:
-            object.__setattr__(self, "_ladder", _scan(self.matrix))
+            object.__setattr__(self, "_ladder", _scan(self._dense))
         return self._ladder
 
     def dag(self) -> "OperatorMatrix":
@@ -228,46 +292,129 @@ class OperatorMatrix:
         p = self._ladder
         if isinstance(p, LadderPattern):
             p = LadderPattern(p.cols, p.row_values.conj(), p.rows, p.col_values.conj())
-        return self._result(self.matrix.conj().T, p)
+        if self._dense is None:
+            # the dense adjoint is a transposed view, so its order flips
+            return _pattern_operator(self.space, p, self._zero.conjugate(), not self._fortran)
+        return self._result(self._dense.conj().T, p)
 
     def norm(self) -> float:
         """Frobenius norm."""
+        if self._dense is None and not np.count_nonzero(self._ladder.col_values):
+            return 0.0
         return float(np.linalg.norm(self.matrix))
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().copy()
+        if self._dense is None:
+            p = self._ladder
+            return np.where(p.rows == _own(self.dim), p.col_values, self._zero)
+        return self._dense.diagonal().copy()
+
+    def offdiagonal_norm(self) -> float:
+        """Frobenius norm of the operator with its diagonal set to zero."""
+        if self._dense is None:
+            p = self._ladder
+            if not np.count_nonzero((p.rows != _own(self.dim)) & (p.col_values != 0)):
+                return 0.0
+        m = self.matrix
+        return float(np.linalg.norm(m - np.diag(m.diagonal())))
+
+    def is_diagonal(self, tol: float) -> bool:
+        """The off-diagonal part is at most ``tol`` relative to the norm (or to 1)."""
+        off = self.offdiagonal_norm()
+        return off == 0.0 or off <= tol * max(1.0, self.norm())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) <= tol * max(1.0, self.norm())
+        if self._dense is not None:
+            m = self._dense
+            return float(np.linalg.norm(m - m.conj().T)) <= tol * max(1.0, self.norm())
+        # each nonzero c at (rows[j], j) leaves c - conj(back) there, back
+        # the entry at (j, rows[j]); where back is 0 it also leaves -conj(c)
+        # at (j, rows[j])
+        p = self._ladder
+        c = p.col_values
+        back = np.where((p.cols == p.rows) & (c != 0), p.row_values, 0.0)
+        diff, lone = c - back.conj(), np.where(back == 0, c, 0.0)
+        defect2 = np.vdot(diff, diff).real + np.vdot(lone, lone).real
+        return math.sqrt(defect2) <= tol * max(1.0, math.sqrt(np.vdot(c, c).real))
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
+        m = self.matrix
         eye = np.eye(self.dim)
-        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - eye)) <= tol * max(1.0, float(np.sqrt(self.dim)))
+        return float(np.linalg.norm(m.conj().T @ m - eye)) <= tol * max(1.0, float(np.sqrt(self.dim)))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
+        v = np.asarray(vec, dtype=complex)
+        if self._dense is None:
+            return self._ladder.row_values * v[self._ladder.cols]
+        return self._dense @ v
 
     def expect(self, vec: np.ndarray) -> complex:
         v = np.asarray(vec, dtype=complex)
-        return complex(v.conj() @ (self.matrix @ v))
+        return complex(v.conj() @ self.apply(v))
+
+    def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """``matrix[np.ix_(rows, cols)]`` (``cols`` defaults to ``rows``), a
+        fresh C-ordered array; a pattern-only operator builds only the block."""
+        cols = rows if cols is None else cols
+        if self._dense is not None:
+            return self._dense[np.ix_(rows, cols)]
+        p = self._ladder
+        hit = np.asarray(rows)[:, None] == p.rows[cols]
+        return np.where(hit, p.col_values[cols], self._zero)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzero entries, in row-major
+        order as ``np.nonzero`` lists them."""
+        if self._dense is None:
+            p = self._ladder
+            rows = np.flatnonzero(p.row_values)
+            return rows, p.cols[rows], p.row_values[rows]
+        rows, cols = np.nonzero(self._dense)
+        return rows, cols, self._dense[rows, cols]
+
+    def inner(self, other: "OperatorMatrix"):
+        """``sum(conj(self) * other)`` over all entries, summed as NumPy sums
+        the dense product."""
+        self._check(other)
+        if self._dense is None and other._dense is None:
+            prod = _aligned(_conj_times, self, other)
+            if prod is not None:
+                return np.sum(_materialise(*prod))
+        return np.sum(np.conj(self.matrix) * other.matrix)
 
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
         """Compress to the subspace selected by the boolean ``mask`` (P A P)."""
         m = np.asarray(mask, dtype=bool)
-        out = np.where(np.outer(m, m), self.matrix, 0.0)
-        return OperatorMatrix(self.space, out)
+        p = self._ladder
+        if self._dense is None and _is_plus_zero(self._zero):
+            # every entry outside the block becomes +0, the zero off the pattern
+            inside_c, inside_r = m[p.rows] & m, m & m[p.cols]
+            return _pattern_operator(self.space, LadderPattern(
+                p.rows, np.where(inside_c, p.col_values, 0.0),
+                p.cols, np.where(inside_r, p.row_values, 0.0)))
+        return self._result(np.where(np.outer(m, m), self.matrix, 0.0))
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other):
+    def _entrywise(self, op, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
-        return self._result(self.matrix + other.matrix)
+        if self._dense is None and other._dense is None:
+            aligned = _aligned(op, self, other)
+            if aligned is not None:
+                return _pattern_operator(self.space, *aligned)
+        return self._result(op(self.matrix, other.matrix))
+
+    def __add__(self, other):
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return self._result(self.matrix - other.matrix)
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self):
-        return self._result(-self.matrix)
+        if self._dense is None:
+            p = self._ladder
+            return _pattern_operator(self.space, LadderPattern(p.rows, -p.col_values, p.cols, -p.row_values),
+                                     -self._zero, self._fortran)
+        return self._result(-self._dense)
 
     def __mul__(self, scalar):
         s = complex(scalar)
@@ -276,34 +423,148 @@ class OperatorMatrix:
             p = LadderPattern(p.rows, p.col_values * s, p.cols, p.row_values * s)
         else:
             p = _UNSCANNED  # times 0, an operator without a pattern gets one
-        return self._result(self.matrix * s, p)
+        if self._dense is None:
+            if cmath.isfinite(s):
+                return _pattern_operator(self.space, p, self._zero * s, self._fortran)
+            return self._result(self.matrix * s)
+        return self._result(self._dense * s, p)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._check(other)
         pa, pb = self.ladder, other.ladder
-        composed = _UNSCANNED
         if pa is not None and pb is not None:
-            # the products the gathers make, in their operand order, so bit for bit
-            composed = LadderPattern(pa.rows[pb.rows], pa.col_values[pb.rows] * pb.col_values,
-                                     pb.cols[pa.cols], pa.row_values * pb.row_values[pa.cols])
-        return self._result(_product(self, other), composed)
+            return _pattern_operator(self.space, _compose(pa, pb))
+        return self._result(_product(self, other))
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
 
 
+def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern, zero=0j,
+                      fortran: bool = False) -> OperatorMatrix:
+    """A pattern-only operator: ``ladder``, ``zero`` at every other entry,
+    and a dense array in Fortran order if ``fortran``."""
+    out = object.__new__(OperatorMatrix)
+    out._set(space, None, ladder, complex(zero), fortran)
+    return out
+
+
+def _materialise(p: LadderPattern, zero: complex, fortran: bool) -> np.ndarray:
+    """The dense array of a pattern-only operator, fresh and writable."""
+    d = len(p.rows)
+    order = "F" if fortran else "C"
+    if _is_plus_zero(zero):
+        out = np.zeros((d, d), dtype=complex, order=order)
+    else:
+        out = np.full((d, d), zero, dtype=complex, order=order)
+    out[p.rows, _own(d)] = p.col_values
+    return out
+
+
+@lru_cache(maxsize=64)
+def _own(d: int) -> np.ndarray:
+    """``arange(d)``, shared and read-only."""
+    own = np.arange(d)
+    own.setflags(write=False)
+    return own
+
+
+def _is_plus_zero(z: complex) -> bool:
+    return z == 0 and math.copysign(1.0, z.real) > 0 and math.copysign(1.0, z.imag) > 0
+
+
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    return x is y or x.tobytes() == y.tobytes()
+
+
+def _live(values: np.ndarray, zero: complex) -> np.ndarray:
+    """Which pattern values differ, bit for bit, from the entries off it."""
+    bits = values.view(np.uint64).reshape(-1, 2)
+    re, im = np.array([zero.real, zero.imag]).view(np.uint64)
+    return (bits[:, 0] != re) | (bits[:, 1] != im)
+
+
+def _conj_times(x, y):
+    return np.conj(x) * y
+
+
+def _aligned(op, a: OperatorMatrix, b: OperatorMatrix):
+    """The storage ``(pattern, zero, fortran)`` of ``op`` applied entry by
+    entry to two pattern-only operators, or None if that is not pattern-only.
+
+    It is when no column, and no row, holds live entries of the two in
+    different places, a live entry being a pattern value that is not bit
+    for bit the zero off the pattern: the result holds ``op`` of the two
+    entries there and ``op`` of the two zeros everywhere else.  Patterns
+    with the same indices pass at once; a column with nonzeros in two rows
+    fails at once.  The dense array is C-ordered unless both are
+    Fortran-ordered, as NumPy orders the result of ``op``.
+    """
+    p, q = a._ladder, b._ladder
+    if _same(p.rows, q.rows) and _same(p.cols, q.cols):
+        rows, cols = p.rows, p.cols
+    else:
+        both = (p.col_values != 0) & (q.col_values != 0)
+        if not _same(p.rows[both], q.rows[both]):
+            return None
+        live_p, live_q = _live(p.col_values, a._zero), _live(q.col_values, b._zero)
+        both = live_p & live_q
+        if not _same(p.rows[both], q.rows[both]):
+            return None
+        mine_p, mine_q = _live(p.row_values, a._zero), _live(q.row_values, b._zero)
+        both = mine_p & mine_q
+        if not _same(p.cols[both], q.cols[both]):
+            return None
+        rows, cols = np.where(live_p, p.rows, q.rows), np.where(mine_p, p.cols, q.cols)
+    ladder = LadderPattern(rows, op(p.col_values, q.col_values), cols, op(p.row_values, q.row_values))
+    return ladder, complex(op(a._zero, b._zero)), a._fortran and b._fortran
+
+
 # -- constructors -----------------------------------------------------------
 
+def _per_space(build):
+    """Build each elementary operator once per space: operators are
+    immutable, and a model and its scenarios ask for the same ones again."""
+    @wraps(build)
+    def cached(space: SpaceDescriptor, *args, **kwargs) -> OperatorMatrix:
+        key = (build.__name__, args, tuple(sorted(kwargs.items())))
+        built = space._operators.get(key)
+        if built is None:
+            built = space._operators[key] = build(space, *args, **kwargs)
+        return built
+    return cached
+
+
+def _diagonal_operator(space: SpaceDescriptor, values: np.ndarray) -> OperatorMatrix:
+    own = _own(space.dim)
+    values = np.asarray(values, dtype=complex)
+    return _pattern_operator(space, LadderPattern(own, values, own, values))
+
+
+def _column_operator(space: SpaceDescriptor, rows: np.ndarray, values: np.ndarray) -> OperatorMatrix:
+    """The operator whose column ``j`` holds ``values[j]`` in row ``rows[j]``
+    and nothing else; a column with value 0 is empty."""
+    values = np.asarray(values, dtype=complex)
+    full = np.flatnonzero(values)
+    cols, row_values = np.arange(space.dim), np.zeros(space.dim, dtype=complex)
+    cols[rows[full]] = full
+    row_values[rows[full]] = values[full]
+    return _pattern_operator(space, LadderPattern(rows, values, cols, row_values))
+
+
+@_per_space
 def identity(space: SpaceDescriptor) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.dim))
+    return _diagonal_operator(space, np.ones(space.dim))
 
 
+@_per_space
 def zero(space: SpaceDescriptor) -> OperatorMatrix:
-    return OperatorMatrix(space, np.zeros((space.dim, space.dim)))
+    return _diagonal_operator(space, np.zeros(space.dim))
 
 
+@_per_space
 def annihilator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     """Photon annihilation operator ``a`` on the selected mode.
 
@@ -312,27 +573,29 @@ def annihilator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     """
     if not 0 <= mode_index < len(space.modes):
         raise ValueError(f"mode index {mode_index} out of range")
-    mat = np.zeros((space.dim, space.dim))
-    for col, (photons, occ) in enumerate(space.labels):
-        n = photons[mode_index]
-        if n == 0:
-            continue
-        lowered = photons[:mode_index] + (n - 1,) + photons[mode_index + 1:]
-        mat[space.index(lowered, occ), col] = math.sqrt(n)
-    return OperatorMatrix(space, mat)
+    labels = space._label_array
+    n = labels[:, mode_index]
+    occupied = n > 0
+    lowered = labels[occupied]
+    lowered[:, mode_index] -= 1
+    rows = np.arange(space.dim)
+    rows[occupied] = space._lookup(lowered)
+    return _column_operator(space, rows, np.sqrt(n))
 
 
+@_per_space
 def creator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     return annihilator(space, mode_index).dag()
 
 
+@_per_space
 def number_operator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     if not 0 <= mode_index < len(space.modes):
         raise ValueError(f"mode index {mode_index} out of range")
-    diag = [lab[0][mode_index] for lab in space.labels]
-    return OperatorMatrix(space, np.diag(np.asarray(diag, dtype=float)))
+    return _diagonal_operator(space, space._label_array[:, mode_index])
 
 
+@_per_space
 def collective_operator(space: SpaceDescriptor, i: int, j: int) -> OperatorMatrix:
     """Collective atomic operator taking one atom from level ``i`` to level ``j``.
 
@@ -343,22 +606,20 @@ def collective_operator(space: SpaceDescriptor, i: int, j: int) -> OperatorMatri
     nlev = space.ensemble.levels
     if not (1 <= i <= nlev and 1 <= j <= nlev):
         raise ValueError(f"level indices ({i}, {j}) out of range 1..{nlev}")
-    mat = np.zeros((space.dim, space.dim))
-    ii, jj = i - 1, j - 1
-    for col, (photons, occ) in enumerate(space.labels):
-        if i == j:
-            mat[col, col] = occ[ii]
-            continue
-        if occ[ii] == 0:
-            continue
-        moved = list(occ)
-        moved[ii] -= 1
-        moved[jj] += 1
-        amp = math.sqrt(occ[ii] * (occ[jj] + 1))
-        mat[space.index(photons, tuple(moved)), col] = amp
-    return OperatorMatrix(space, mat)
+    labels = space._label_array
+    ii, jj = len(space.modes) + i - 1, len(space.modes) + j - 1
+    if i == j:
+        return _diagonal_operator(space, labels[:, ii])
+    able = labels[:, ii] > 0
+    moved = labels[able]
+    moved[:, ii] -= 1
+    moved[:, jj] += 1
+    rows = np.arange(space.dim)
+    rows[able] = space._lookup(moved)
+    return _column_operator(space, rows, np.sqrt(labels[:, ii] * (labels[:, jj] + 1)))
 
 
+@_per_space
 def collective_inversion(space: SpaceDescriptor, i: int, j: int) -> OperatorMatrix:
     """Half population difference ``(S^{jj} - S^{ii}) / 2`` between levels ``i < j``."""
     return 0.5 * (collective_operator(space, j, j) - collective_operator(space, i, i))
@@ -374,8 +635,10 @@ def spin_operators(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatr
 
 def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     """``lhs @ rhs - rhs @ lhs`` on a shared space."""
-    if lhs.space != rhs.space:
+    if lhs.space is not rhs.space and lhs.space != rhs.space:
         raise SpaceMismatchError("commutator operands live on different spaces")
+    if lhs.ladder is not None and rhs.ladder is not None:
+        return lhs @ rhs - rhs @ lhs
     out = _product(lhs, rhs)
     out -= _product(rhs, lhs)
     return lhs._result(out)
@@ -399,6 +662,13 @@ def _scan(m: np.ndarray) -> LadderPattern | None:
     if np.count_nonzero(col_values) < n or np.count_nonzero(row_values) < n:
         return None
     return LadderPattern(rows, col_values, cols, row_values)
+
+
+def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
+    """The pattern of ``A @ B``, each value the product :func:`_product`'s
+    gathers form, in their operand order, with every zero +0."""
+    return LadderPattern(pa.rows[pb.rows], pa.col_values[pb.rows] * pb.col_values + 0.0,
+                         pb.cols[pa.cols], pa.row_values * pb.row_values[pa.cols] + 0.0)
 
 
 def _product(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
@@ -434,17 +704,14 @@ def photon_safe_mask(space: SpaceDescriptor, margin: int = 1) -> np.ndarray:
     space only away from the top Fock level; comparisons are restricted to
     this mask.
     """
-    tops = tuple(m.n_max for m in space.modes)
-    return np.asarray([
-        all(lab[0][m] <= tops[m] - margin for m in range(len(tops)))
-        for lab in space.labels], dtype=bool)
+    tops = np.array([m.n_max for m in space.modes], dtype=np.int64)
+    return np.all(space._label_array[:, :len(tops)] <= tops - margin, axis=1)
 
 
 def occupation_sector_mask(space: SpaceDescriptor, empty_levels) -> np.ndarray:
     """States with zero population in each of the given (1-based) levels."""
-    empties = [lvl - 1 for lvl in empty_levels]
-    return np.asarray([
-        all(lab[1][k] == 0 for k in empties) for lab in space.labels], dtype=bool)
+    empties = [len(space.modes) + lvl - 1 for lvl in empty_levels]
+    return np.all(space._label_array[:, empties] == 0, axis=1)
 
 
 def basis_state(space: SpaceDescriptor, photons=(), occupations=None, level: int | None = None) -> np.ndarray:

@@ -126,11 +126,12 @@ class ModelInstance:
 
 
 def _validate(model: ModelInstance, tol: float = 1e-10) -> ModelInstance:
-    scale = max(1.0, model.h_int.norm())
     if not model.h_int.is_hermitian(1e-12) or not model.h_free.is_hermitian(1e-12):
         raise ValueError("constructed Hamiltonian is not Hermitian")
     for name, op in model.conserved.items():
-        if commutator(model.h_int, op).norm() > tol * scale * max(1.0, op.norm()):
+        # an exact 0, the usual case, needs no scale
+        resid = commutator(model.h_int, op).norm()
+        if resid and resid > tol * max(1.0, model.h_int.norm()) * max(1.0, op.norm()):
             raise ValueError(f"[h_int, {name}] != 0")
     return model
 
@@ -453,8 +454,7 @@ def conserved_blocks(model: ModelInstance) -> list[Block]:
     space = model.space
     diags = []
     for name, op in model.conserved.items():
-        offd = op.matrix - np.diag(op.diagonal())
-        if float(np.linalg.norm(offd)) > 1e-12 * max(1.0, op.norm()):
+        if not op.is_diagonal(1e-12):
             raise ValueError(f"conserved operator {name} is not diagonal in the product basis")
         diags.append(op.diagonal().real)
     groups: dict[tuple, list[int]] = {}

@@ -75,11 +75,11 @@ def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
     herm_defect = float(np.linalg.norm(a - a.conj().T))
     if herm_defect <= 1e-13 * scale:
         w, v = np.linalg.eigh(a)
-        return OperatorMatrix(op.space, (v * np.exp(w)) @ v.conj().T)
+        return op._result((v * np.exp(w)) @ v.conj().T)
     anti_defect = float(np.linalg.norm(a + a.conj().T))
     if anti_defect <= 1e-13 * scale:
         w, v = np.linalg.eigh(-1j * a)
-        return OperatorMatrix(op.space, (v * np.exp(1j * w)) @ v.conj().T)
+        return op._result((v * np.exp(1j * w)) @ v.conj().T)
 
     norm1 = float(np.linalg.norm(a, 1))
     squarings = max(0, int(math.ceil(math.log2(norm1 / _SCALE_TARGET)))) if norm1 > _SCALE_TARGET else 0
@@ -91,7 +91,7 @@ def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
         result = result + term
     for _ in range(squarings):
         result = result @ result
-    return OperatorMatrix(op.space, result)
+    return op._result(result)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +123,14 @@ def small_rotation(spec: RotationSpec) -> OperatorMatrix:
 
 
 def conjugate(h: OperatorMatrix, u: OperatorMatrix, tol: float = 1e-10) -> OperatorMatrix:
-    """Rotated operator ``U H U^dag`` (spectrum preserved)."""
+    """Rotated operator ``U H U^dag`` (spectrum preserved).
+
+    The two products go through the operator algebra, so a patterned ``h``
+    is gathered rather than sent to BLAS.
+    """
     if not u.is_unitary(tol):
         raise ValueError("conjugation requires a unitary matrix")
-    return OperatorMatrix(h.space, u.matrix @ h.matrix @ u.matrix.conj().T)
+    return u @ h @ u.dag()
 
 
 def conjugate_stages(h: OperatorMatrix, stages) -> OperatorMatrix:
@@ -216,8 +220,7 @@ def effective_su2(alg: DeformedAlgebra, delta: float, g: float) -> OperatorMatri
     holds for every built-in deformation.
     """
     _amplitude_guard("g/delta", g / delta if delta else math.inf)
-    off = alg.structure.matrix - np.diag(alg.structure.diagonal())
-    if float(np.linalg.norm(off)) > 1e-10 * max(1.0, alg.structure.norm()):
+    if not alg.structure.is_diagonal(1e-10):
         raise AnalysisError("structure operator is not diagonal in the product basis")
     return delta * alg.x3 + (g * g / delta) * alg.structure
 
@@ -345,14 +348,12 @@ def offdiagonal_residual(h: OperatorMatrix, labels=None) -> float:
     if total == 0:
         return 0.0
     if labels is None:
-        off = h.matrix - np.diag(h.diagonal())
-    else:
-        lab = list(labels)
-        if len(lab) != h.dim:
-            raise ValueError("labels must cover the basis")
-        same = np.asarray([[a == b for b in lab] for a in lab])
-        off = np.where(same, 0.0, h.matrix)
-    return float(np.linalg.norm(off)) / total
+        return h.offdiagonal_norm() / total
+    lab = list(labels)
+    if len(lab) != h.dim:
+        raise ValueError("labels must cover the basis")
+    same = np.asarray([[a == b for b in lab] for a in lab])
+    return float(np.linalg.norm(np.where(same, 0.0, h.matrix))) / total
 
 
 def cancellation_residual(h: OperatorMatrix, u: OperatorMatrix, labels=None) -> float:
@@ -363,7 +364,7 @@ def cancellation_residual(h: OperatorMatrix, u: OperatorMatrix, labels=None) -> 
     """
     def offpart(op: OperatorMatrix) -> float:
         if labels is None:
-            return float(np.linalg.norm(op.matrix - np.diag(op.diagonal())))
+            return op.offdiagonal_norm()
         return offdiagonal_residual(op, labels) * op.norm()
 
     before = offpart(h)
@@ -439,21 +440,21 @@ def _keep_signatures(h: OperatorMatrix, groups, keep) -> OperatorMatrix:
     drop = ~kept[group]
     out = np.array(h.matrix)
     out[rows[drop], cols[drop]] = 0.0
-    return OperatorMatrix(h.space, out)
+    return h._result(out)
 
 
 def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
                     mask: np.ndarray | None = None) -> float:
     """Least-squares coefficient c minimizing ``||h - c * template||`` on a mask."""
-    t = template.matrix
-    x = h.matrix
-    sel = t != 0
+    rows, cols, t = template.entries()
     if mask is not None:
-        sel = sel & np.outer(mask, mask)
-    denom = float(np.sum(np.abs(t[sel]) ** 2))
+        mask = np.asarray(mask, dtype=bool)
+        inside = mask[rows] & mask[cols]
+        rows, cols, t = rows[inside], cols[inside], t[inside]
+    denom = float(np.sum(np.abs(t) ** 2))
     if denom == 0:
         raise AnalysisError("template vanishes on the requested region")
-    return float(np.real(np.sum(np.conj(t[sel]) * x[sel])) / denom)
+    return float(np.real(np.sum(np.conj(t) * h.matrix[rows, cols])) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +464,12 @@ def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
 def measured_step(h_diag: OperatorMatrix, xplus: OperatorMatrix) -> float:
     """The scalar D with ``[h_diag, X+] = D X+``, measured from the matrices."""
     comm = commutator(h_diag, xplus)
-    denom = xplus.norm() ** 2
-    if denom == 0:
+    size = xplus.norm()
+    if size == 0:
         raise AnalysisError("cannot measure a detuning step against a zero operator")
-    d = float(np.real(np.sum(np.conj(xplus.matrix) * comm.matrix)) / denom)
+    d = float(np.real(xplus.inner(comm)) / size ** 2)
     resid = (comm - d * xplus).norm()
-    if resid > 1e-10 * max(1.0, xplus.norm()) * max(1.0, abs(d)):
+    if resid > 1e-10 * max(1.0, size) * max(1.0, abs(d)):
         raise AnalysisError("diagonal part does not scale X+ by a single step")
     return d
 
@@ -942,7 +943,9 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
         else np.ones(model.space.dim, dtype=bool)
     if sector is not None:
         dev_mask = dev_mask & sector
-    diff = (printed.project(dev_mask) - corrected.project(dev_mask)).norm()
+    # projecting after the subtraction gives the same array, with one
+    # dim x dim temporary less where the forms are dense
+    diff = (printed - corrected).project(dev_mask).norm()
     ref = corrected.project(dev_mask).norm()
     return EffectiveForms(
         scenario=scenario, printed=printed, corrected=corrected, rotation=rotation,

@@ -175,3 +175,62 @@ def test_hermiticity_predicates():
     assert not a.is_hermitian()
     u = eh.matrix_exponential(1j * h)
     assert u.is_unitary(1e-12)
+
+
+# -- constructors against the per-state loops they replace ------------------
+
+def _reference_annihilator(space, mode):
+    mat = np.zeros((space.dim, space.dim))
+    for col, (photons, occ) in enumerate(space.labels):
+        n = photons[mode]
+        if n == 0:
+            continue
+        lowered = photons[:mode] + (n - 1,) + photons[mode + 1:]
+        mat[space.index(lowered, occ), col] = math.sqrt(n)
+    return mat
+
+
+def _reference_number(space, mode):
+    return np.diag(np.asarray([lab[0][mode] for lab in space.labels], dtype=float))
+
+
+def _reference_collective(space, i, j):
+    mat = np.zeros((space.dim, space.dim))
+    ii, jj = i - 1, j - 1
+    for col, (photons, occ) in enumerate(space.labels):
+        if i == j:
+            mat[col, col] = occ[ii]
+            continue
+        if occ[ii] == 0:
+            continue
+        moved = list(occ)
+        moved[ii] -= 1
+        moved[jj] += 1
+        mat[space.index(photons, tuple(moved)), col] = math.sqrt(occ[ii] * (occ[jj] + 1))
+    return mat
+
+
+@pytest.mark.parametrize("fixture", ["spin_model", "dicke_model", "xi_far_level_model",
+                                     "lambda_model", "four_level_model", "two_mode_model"])
+def test_constructors_match_per_state_loops(fixture, request):
+    space = request.getfixturevalue(fixture).space
+    assert np.array_equal(eh.identity(space).matrix, np.eye(space.dim))
+    assert np.array_equal(eh.zero(space).matrix, np.zeros((space.dim, space.dim)))
+    for mode in range(len(space.modes)):
+        a = _reference_annihilator(space, mode)
+        assert np.array_equal(eh.annihilator(space, mode).matrix, a)
+        assert np.array_equal(eh.creator(space, mode).matrix, a.T)
+        assert np.array_equal(eh.number_operator(space, mode).matrix, _reference_number(space, mode))
+    levels = space.ensemble.levels
+    for i in range(1, levels + 1):
+        for j in range(1, levels + 1):
+            assert np.array_equal(eh.collective_operator(space, i, j).matrix,
+                                  _reference_collective(space, i, j))
+
+
+def test_constructor_rejects_label_outside_the_basis():
+    # a hand-made basis missing the state the ladder operator lands in
+    space = eh.SpaceDescriptor(modes=(eh.FockTruncation(2),), ensemble=eh.EnsembleSpec(2, 1),
+                               labels=(((0,), (1, 0)), ((2,), (1, 0))))
+    with pytest.raises(ValueError):
+        eh.annihilator(space, 0)

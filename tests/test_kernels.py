@@ -156,6 +156,127 @@ def test_carried_pattern_equals_fresh_scan(case, scalar):
         assert _same_pattern(op._ladder, _fresh_scan(op))
 
 
+def _bits(m: np.ndarray) -> bytes:
+    """The entries bit for bit, signs of zero included, in row-major order."""
+    return np.ascontiguousarray(m).tobytes()
+
+
+def _order(m: np.ndarray) -> tuple[bool, bool]:
+    return m.flags.c_contiguous, m.flags.f_contiguous
+
+
+#: unary steps that keep an operator pattern-only but change the signs of
+#: its zeros and the order of its dense array
+_SHAPES = {"neg": lambda op: -op, "dag": lambda op: op.dag(), "times -0.5": lambda op: -0.5 * op,
+           "times 1j": lambda op: 1j * op, "times 2": lambda op: 2.0 * op}
+
+
+@st.composite
+def pattern_operands(draw):
+    """(a, b, mask): pattern-only operators made from random partial
+    permutations with real values, zeros and negatives included, by the
+    same unary steps; b has its nonzeros where a has (or at a subset of
+    those places) half of the time."""
+    dim = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    space = _space(dim)
+    p = _partial_permutation(rng, dim)
+    if draw(st.booleans()):
+        q = np.where(rng.random((dim, dim)) < 0.8, p * rng.normal(size=(dim, dim)), 0.0)
+    else:
+        q = _partial_permutation(rng, dim)
+    eye = eh.identity(space)
+    a, b = eh.OperatorMatrix(space, p) @ eye, eh.OperatorMatrix(space, q) @ eye
+    for step in draw(st.lists(st.sampled_from(sorted(_SHAPES)), max_size=3)):
+        a, b = _SHAPES[step](a), _SHAPES[step](b)
+    b = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))](b)
+    assert a._dense is None and b._dense is None
+    return a, b, rng.random(dim) < 0.7
+
+
+def _shared_places(a, b) -> bool:
+    live = (a.matrix != 0) | (b.matrix != 0)
+    return bool(np.all(live.sum(axis=0) <= 1) and np.all(live.sum(axis=1) <= 1))
+
+
+@given(pattern_operands())
+def test_pattern_only_results_match_dense_arithmetic(case):
+    a, b, mask = case
+    x, y = np.array(a.matrix), np.array(b.matrix)  # dense copies in the same order
+    entrywise = [(a.dag(), x.conj().T, True), (-0.5 * a, x * complex(-0.5), True),
+                 (0.0 * a, x * 0j, False), (-a, -x, True),
+                 (a + b, x + y, _shared_places(a, b)), (a - b, x - y, _shared_places(a, b)),
+                 (a.project(mask), np.where(np.outer(mask, mask), x, 0.0),
+                  a.project(mask)._dense is None)]
+    for got, ref, pattern_only in entrywise:
+        m = got.matrix
+        assert m.dtype == complex and not m.flags.writeable
+        assert _order(m) == _order(ref)
+        assert _bits(m) == _bits(ref)
+        assert got._dense is None or not pattern_only
+        if got._dense is None:
+            assert _same_pattern(got._ladder, _fresh_scan(got))
+    for got, ref in ((a @ b, x @ y), (eh.commutator(a, b), x @ y - y @ x)):
+        m = got.matrix
+        assert m.dtype == complex and not m.flags.writeable and m.flags.c_contiguous
+        assert _blas_bits(m, ref)
+        if got._dense is None:
+            assert _same_pattern(got._ladder, _fresh_scan(got))
+    assert (a @ b)._dense is None
+
+
+@given(pattern_operands())
+def test_pattern_only_readers_match_dense_bits(case):
+    a, b, mask = case
+    x, y = np.array(a.matrix), np.array(b.matrix)
+    dense = eh.OperatorMatrix(a.space, x)
+    rows, cols = np.flatnonzero(mask), np.flatnonzero(~mask)
+    assert a.norm() == np.linalg.norm(x)
+    assert a.diagonal().tobytes() == x.diagonal().tobytes()
+    assert a.offdiagonal_norm() == dense.offdiagonal_norm()
+    assert a.inner(b) == np.sum(np.conj(x) * y)
+    assert _bits(a.block(rows)) == _bits(x[np.ix_(rows, rows)])
+    assert _bits(a.block(rows, cols)) == _bits(x[np.ix_(rows, cols)])
+    r, c, v = a.entries()
+    assert np.array_equal(np.stack([r, c]), np.stack(np.nonzero(x))) and np.array_equal(v, x[r, c])
+    psi = np.linspace(1.0, 2.0, a.dim) + 0.5j
+    assert np.allclose(a.apply(psi), x @ psi, rtol=1e-15, atol=0)
+    assert a.is_hermitian() == dense.is_hermitian()
+    h = a + a.dag()
+    assert h.is_hermitian() and h.is_hermitian() == eh.OperatorMatrix(a.space, h.matrix).is_hermitian()
+
+
+def test_sum_with_two_nonzeros_in_one_row_is_dense():
+    space, eye = _space(2), eh.identity(_space(2))
+    a = eh.OperatorMatrix(space, [[1.0, 0.0], [0.0, 0.0]]) @ eye
+    b = eh.OperatorMatrix(space, [[0.0, 2.0], [0.0, 0.0]]) @ eye
+    total = a + b
+    assert total.ladder is None and np.array_equal(total.matrix, [[1.0, 2.0], [0.0, 0.0]])
+
+
+def test_cancelled_entry_keeps_its_place():
+    # a - b cancels to +0 at (1, 1), where the entries off its pattern are
+    # -0; c, all zeros, points its empty column 1 at row 0, so the sum
+    # must keep that +0 where it is
+    space = _space(2)
+    eye = eh.identity(space)
+    a = -1.0 * (eh.OperatorMatrix(space, np.diag([0.0, -1.0])) @ eye)
+    b = eh.OperatorMatrix(space, np.eye(2)) @ eye
+    c = -1.0 * (eh.OperatorMatrix(space, np.zeros((2, 2))) @ eye)
+    got = (a - b) + c
+    assert _bits(got.matrix) == _bits((a.matrix - b.matrix) + c.matrix)
+
+
+def test_hermiticity_from_pattern_counts_each_entry_once():
+    # column 1 is empty and its index points at row 0, while row 1 holds
+    # the only nonzero: ||m - m^H|| = 9.9e-13 sits just inside 1e-12
+    space = _space(2)
+    m = np.array([[0.0, 0.0], [7e-13, 0.0]])
+    op = eh.OperatorMatrix(space, m) @ eh.identity(space)
+    assert op._dense is None
+    assert op.is_hermitian() and eh.OperatorMatrix(space, m).is_hermitian()
+
+
 @pytest.mark.parametrize("scenario", ["cascade-first-stage", "four-level-three-photon"])
 def test_closed_form_scans_each_operator_once(four_level_model, scenario, monkeypatch):
     scanned = []
@@ -268,3 +389,29 @@ def test_dicke_effective_evolution_needs_no_eigh(dicke_model, monkeypatch):
     traj = eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
     assert not calls
     assert traj.norm_drift() < 1e-12
+
+
+def test_dicke_model_keeps_patterned_operators_without_arrays(dicke_model):
+    alg = dicke_model.interactions[0].algebra
+    held = [dicke_model.h_free, dicke_model.h_diag, dicke_model.conserved["N"],
+            *dicke_model.operators.values(), alg.x3, alg.xplus, alg.xminus, alg.structure]
+    assert all(op._dense is None for op in held)
+    assert dicke_model.h_int._dense is not None  # two nonzeros per column
+
+
+def test_dicke_analysis_materialises_no_pattern_only_operator(dicke_model, monkeypatch):
+    forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
+    assert forms.corrected._dense is None
+    built = []
+    real = hilbert._materialise
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hilbert, "_materialise", spy)
+    report = eh.compare_spectra(dicke_model.h_int, forms.corrected, eh.block_masks(dicke_model))
+    psi = eh.basis_state(dicke_model.space, photons=(3,), occupations=(1, 0))
+    eh.evolve(dicke_model.h_int, psi, TIMES)
+    eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
+    assert report.blocks and not built

@@ -1,0 +1,101 @@
+"""Record every benchmark task result of one checkout, or diff two records.
+
+    python3 tools/bit_identity.py record OUT.json [--checkout DIR]
+    python3 tools/bit_identity.py diff BEFORE.json AFTER.json
+
+``record`` imports ``effham`` from ``DIR/src`` and the task list from
+``DIR/benchmarks`` (default: the checkout this file sits in), runs every
+task ``workloads.all_variants`` yields at full size for each workload, once,
+with one BLAS thread, and writes the results with floats as hex strings, so
+equal records mean bit-identical results.  It also runs ``effham run`` on
+each ``configs/*.cfg`` with csv and with json reports and records their
+sha256.  Reports and configs go to a temporary directory; nothing under the
+checkout is written.
+
+``diff`` prints every task or report that differs between two records and
+exits 1 if any does, 0 if the records agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _exact(value):
+    """A JSON value that compares equal only for bit-identical floats."""
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def record(checkout: Path, out: Path) -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "benchmarks")]
+    import workloads as wl
+    from effham import cli
+
+    doc = {"checkout": str(checkout), "tasks": {}, "reports": {}}
+    workdir = Path(tempfile.mkdtemp(prefix="bit-identity-"))
+    try:
+        for workload in wl.WORKLOADS:
+            tasks = wl.all_variants(workload, "full", checkout, workdir / workload)
+            for task in tasks:
+                result = task.run(**task.args)
+                doc["tasks"][task.key] = {k: _exact(v) for k, v in sorted(result.items())}
+            print(f"{workload}: {len(tasks)} tasks", flush=True)
+        for cfg in sorted((checkout / "configs").glob("*.cfg")):
+            for fmt in ("csv", "json"):
+                report = workdir / f"{cfg.stem}.{fmt}"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["run", str(cfg), "--output", str(report), "--format", fmt])
+                digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.is_file() else None
+                doc["reports"][f"{cfg.name}:{fmt}"] = {"exit_code": code, "sha256": digest}
+        print(f"configs: {len(doc['reports'])} reports", flush=True)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+def diff(before: Path, after: Path) -> int:
+    a = json.loads(before.read_text(encoding="utf-8"))
+    b = json.loads(after.read_text(encoding="utf-8"))
+    differing = 0
+    for section in ("tasks", "reports"):
+        for key in sorted(set(a[section]) | set(b[section])):
+            x, y = a[section].get(key), b[section].get(key)
+            if x != y:
+                differing += 1
+                print(f"{section} {key}:\n  before {x}\n  after  {y}")
+        print(f"{section}: {len(b[section])} compared")
+    print("identical" if not differing else f"{differing} differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="mode", required=True)
+    p_rec = sub.add_parser("record", help="record one checkout's results")
+    p_rec.add_argument("out", type=Path)
+    p_rec.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    p_diff = sub.add_parser("diff", help="compare two records")
+    p_diff.add_argument("before", type=Path)
+    p_diff.add_argument("after", type=Path)
+    args = p.parse_args(argv)
+    if args.mode == "record":
+        return record(args.checkout.resolve(), args.out)
+    return diff(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
