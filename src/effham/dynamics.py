@@ -1,7 +1,7 @@
 """Exact time evolution, fidelities, spectra comparison, and scaling fits.
 
 Evolution goes through the eigendecomposition of the invariant subspace
-reachable from the initial state (a diagonal generator needs none), so
+the initial state lies in (a diagonal generator needs none), so
 trajectories are exact for arbitrary horizons and norm is conserved to
 machine precision.  The
 comparison helpers quantify how well an effective Hamiltonian reproduces
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, SpaceMismatchError
-from .hilbert import OperatorMatrix
+from .hilbert import OperatorMatrix, components
 
 NORM_TOL = 1e-10
 
@@ -38,8 +38,9 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     """Evolve ``psi0`` under the Hermitian ``h`` at the requested times.
 
     A diagonal ``h`` evolves in closed form.  Otherwise the states are
-    expanded in the eigendecomposition of ``h`` restricted to the states
-    reachable from the support of ``psi0`` through its nonzero entries.
+    expanded in one eigendecomposition of ``h`` restricted to the union of
+    the connected components of its nonzero pattern
+    (:func:`~effham.hilbert.components`) that meet the support of ``psi0``.
     That span is invariant under ``h``, so the restriction is exact and
     every state outside it keeps amplitude exactly 0.
 
@@ -56,7 +57,8 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
         # eigh reads only the real part of a Hermitian diagonal
         states = np.exp(-1j * np.outer(t, h.diagonal().real)) * psi
     else:
-        span = _reachable(h.matrix, psi)
+        span = np.zeros(len(psi), dtype=bool)
+        span[np.concatenate([part for part in components(h) if np.any(psi[part])])] = True
         w, v = np.linalg.eigh(h.block(np.flatnonzero(span)))
         coeff = v.conj().T @ psi[span]
         phases = np.exp(-1j * np.outer(t, w))
@@ -71,23 +73,6 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
             raise SpaceMismatchError(f"observable {name} on a different space")
         obs[name] = np.real(np.einsum("ti,ij,tj->t", states.conj(), op.matrix, states))
     return Trajectory(times=t, states=states, observables=obs)
-
-
-def _reachable(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Mask of the states reachable from the support of ``psi`` through ``m``.
-
-    A state reaches every state its row or column of ``m`` has a nonzero
-    entry in, which covers the Hermitian matrix ``eigh`` reads from either
-    triangle.  Each state joins the frontier once, so the search scans each
-    row and column of ``m`` at most once.
-    """
-    span = psi != 0
-    new = np.flatnonzero(span)
-    while new.size:
-        hit = (m[new] != 0).any(axis=0) | (m[:, new] != 0).any(axis=1)
-        new = np.flatnonzero(hit & ~span)
-        span[new] = True
-    return span
 
 
 def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,

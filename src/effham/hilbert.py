@@ -42,6 +42,10 @@ and has no pattern turns the product into a gather of the partner's rows
 or columns scaled by the pattern values, in place of a dim^3 BLAS product;
 for real pattern values every entry equals the dense product's.  Every
 product is C-ordered like BLAS's output.
+
+:func:`components` gives the connected components of the joint nonzero
+pattern of operators: the blocks every function of them is block diagonal
+in, which the exponential, the conjugation and the evolution run on.
 """
 
 from __future__ import annotations
@@ -354,13 +358,18 @@ class OperatorMatrix:
 
     def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """``matrix[np.ix_(rows, cols)]`` (``cols`` defaults to ``rows``), a
-        fresh C-ordered array; a pattern-only operator builds only the block."""
-        cols = rows if cols is None else cols
+        fresh C-ordered array; a pattern-only operator builds only the block.
+
+        ``rows`` and ``cols`` may also be stacks of index arrays, shape
+        ``(count, size)``, for a stack of ``count`` blocks.
+        """
+        rows = np.asarray(rows)
+        cols = rows if cols is None else np.asarray(cols)
         if self._dense is not None:
-            return self._dense[np.ix_(rows, cols)]
+            return self._dense[rows[..., :, None], cols[..., None, :]]
         p = self._ladder
-        hit = np.asarray(rows)[:, None] == p.rows[cols]
-        return np.where(hit, p.col_values[cols], self._zero)
+        hit = rows[..., :, None] == p.rows[cols][..., None, :]
+        return np.where(hit, p.col_values[cols][..., None, :], self._zero)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
@@ -642,6 +651,46 @@ def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     out = _product(lhs, rhs)
     out -= _product(rhs, lhs)
     return lhs._result(out)
+
+
+def components(*ops: OperatorMatrix) -> list[np.ndarray]:
+    """The connected components of the joint nonzero pattern of ``ops``.
+
+    States ``i`` and ``j`` are joined when an operator has a nonzero at
+    ``(i, j)`` or ``(j, i)``, and a state no nonzero touches is a component
+    of its own.  Each component is a sorted index array, and they come in
+    the order of their first index.  Every sum and product of the operators,
+    their exponential included, is block diagonal in these components with
+    exact zeros outside them, whatever the model.  An operator with a ladder
+    pattern gives its nonzeros in O(dim), any other by one scan of its array.
+    """
+    rows, cols = [], []
+    for op in ops:
+        p = op.ladder
+        if p is None:
+            # one pass over a boolean array, faster than np.nonzero of a complex one
+            r, c = np.divmod(np.flatnonzero(op._dense != 0), op.dim)
+        else:
+            c = np.flatnonzero(p.col_values)
+            r = p.rows[c]
+        rows.append(r)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # every state points at the smallest state of its component when no
+    # nonzero joins two roots: hook each root to the smallest root across
+    # its nonzeros, then point every state straight at its root
+    root = np.arange(ops[0].dim)
+    while True:
+        low = np.minimum(root[rows], root[cols])
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], low)
+        np.minimum.at(hooked, root[cols], low)
+        if np.array_equal(hooked, root):
+            break
+        while not np.array_equal(root, hooked):
+            root, hooked = hooked, hooked[hooked]
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
 def _scan(m: np.ndarray) -> LadderPattern | None:

@@ -452,24 +452,21 @@ def conserved_blocks(model: ModelInstance) -> list[Block]:
     flagged, since their spectra and dynamics are affected by the cutoff.
     """
     space = model.space
-    diags = []
-    for name, op in model.conserved.items():
+    diags = np.empty((space.dim, len(model.conserved)))
+    for k, (name, op) in enumerate(model.conserved.items()):
         if not op.is_diagonal(1e-12):
             raise ValueError(f"conserved operator {name} is not diagonal in the product basis")
-        diags.append(op.diagonal().real)
-    groups: dict[tuple, list[int]] = {}
-    for idx in range(space.dim):
-        key = tuple(round(float(d[idx]), 9) for d in diags)
-        groups.setdefault(key, []).append(idx)
-    blocks = []
-    tops = tuple(m.n_max for m in space.modes)
-    for key in sorted(groups):
-        idxs = groups[key]
-        touches = any(
-            any(space.photons(i)[m] == tops[m] for m in range(len(tops)))
-            for i in idxs)
-        blocks.append(Block(key=key, indices=tuple(idxs), touches_truncation=touches))
-    return blocks
+        diags[:, k] = op.diagonal().real
+    # one block per distinct row of rounded eigenvalues, in sorted order,
+    # each holding its states in basis order
+    keys, group = np.unique(np.round(diags, 9), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    tops = np.array([m.n_max for m in space.modes], dtype=np.int64)
+    at_top = np.any(space._label_array[:, :len(tops)] == tops, axis=1)
+    return [Block(key=tuple(key.tolist()), indices=tuple(idx.tolist()),
+                  touches_truncation=bool(at_top[idx].any()))
+            for key, idx in zip(keys, members)]
 
 
 def block_masks(model: ModelInstance, skip_truncated: bool = True) -> list[np.ndarray]:

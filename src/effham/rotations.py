@@ -31,7 +31,6 @@ reported rather than silently adopted.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -44,7 +43,7 @@ from .algebra import DeformedAlgebra
 from .errors import (AnalysisError, EffhamError, GuardViolationError,
                      ResonanceError)
 from .hilbert import (OperatorMatrix, SpaceDescriptor, collective_operator,
-                      commutator, identity, number_operator,
+                      commutator, components, identity, number_operator,
                       occupation_sector_mask, photon_safe_mask, zero)
 from .models import ModelInstance, dispersive_guard
 
@@ -63,24 +62,30 @@ def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
     """Dense ``exp(A)``.
 
     Hermitian and anti-Hermitian inputs go through an eigendecomposition,
-    which keeps rotations unitary to machine precision.  Everything else
-    uses scaling and squaring with an order-20 Taylor series; the scaled
-    norm is kept at 1/2, where the series remainder is ~1e-26, far below
-    double-precision roundoff.
+    which keeps rotations unitary to machine precision.  It runs on each
+    connected component of the nonzero pattern of A
+    (:func:`~effham.hilbert.components`), where ``exp(A)`` is block
+    diagonal, so the cost is the sum of the block sizes cubed, not dim^3,
+    and every entry outside the blocks is +0.  Each block is assembled as
+    ``1 + v (exp(w) - 1) v^dag``, so the roundoff of a small rotation scales
+    with the rotation, not with 1.  The checks for non-finite
+    entries and for the Hermitian and anti-Hermitian defects read the same
+    blocks, against the norm of the whole A.  Everything else uses scaling
+    and squaring with an order-20 Taylor series on the dense array; the
+    scaled norm is kept at 1/2, where the series remainder is ~1e-26, far
+    below double-precision roundoff.
     """
-    a = op.matrix
-    if not np.all(np.isfinite(a)):
+    stacks = _block_stacks(op)
+    blocks = [op.block(idx) for idx in stacks]
+    if not all(np.isfinite(b).all() for b in blocks):
         raise ValueError("matrix exponential of a non-finite matrix")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    herm_defect = float(np.linalg.norm(a - a.conj().T))
-    if herm_defect <= 1e-13 * scale:
-        w, v = np.linalg.eigh(a)
-        return op._result((v * np.exp(w)) @ v.conj().T)
-    anti_defect = float(np.linalg.norm(a + a.conj().T))
-    if anti_defect <= 1e-13 * scale:
-        w, v = np.linalg.eigh(-1j * a)
-        return op._result((v * np.exp(1j * w)) @ v.conj().T)
+    scale = max(1.0, op.norm())
+    if _stacked_norm(b - _adjoint(b) for b in blocks) <= 1e-13 * scale:
+        return _assemble(op, stacks, (_eigh_exp(b, 1.0) for b in blocks))
+    if _stacked_norm(b + _adjoint(b) for b in blocks) <= 1e-13 * scale:
+        return _assemble(op, stacks, (_eigh_exp(-1j * b, 1j) for b in blocks))
 
+    a = op.matrix
     norm1 = float(np.linalg.norm(a, 1))
     squarings = max(0, int(math.ceil(math.log2(norm1 / _SCALE_TARGET)))) if norm1 > _SCALE_TARGET else 0
     b = a / (2.0 ** squarings)
@@ -92,6 +97,44 @@ def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
     for _ in range(squarings):
         result = result @ result
     return op._result(result)
+
+
+def _eigh_exp(b: np.ndarray, phase: complex) -> np.ndarray:
+    """``exp(phase b)`` for each Hermitian block of the stack ``b``, as
+    ``1 + v (exp(phase w) - 1) v^dag`` from ``b = v w v^dag``: the roundoff
+    of ``v`` then scales with ``exp(phase w) - 1``, small for a small
+    rotation, instead of with 1."""
+    w, v = np.linalg.eigh(b)
+    out = (v * np.expm1(phase * w)[..., None, :]) @ _adjoint(v)
+    out += np.eye(b.shape[-1])
+    return out
+
+
+def _adjoint(b: np.ndarray) -> np.ndarray:
+    return b.conj().swapaxes(-1, -2)
+
+
+def _stacked_norm(parts) -> float:
+    """Frobenius norm of the whole operator whose nonzero blocks are ``parts``."""
+    return math.hypot(*(float(np.linalg.norm(p)) for p in parts))
+
+
+def _block_stacks(*ops: OperatorMatrix) -> list[np.ndarray]:
+    """The components of the joint nonzero pattern of ``ops``, grouped by
+    size: one ``(count, size)`` index array per size, for stacked kernels."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for part in components(*ops):
+        by_size.setdefault(len(part), []).append(part)
+    return [np.array(parts) for _, parts in sorted(by_size.items())]
+
+
+def _assemble(op: OperatorMatrix, stacks, values) -> OperatorMatrix:
+    """A dense operator on ``op``'s space holding each stack of ``values``
+    on the blocks of the matching index stack, and +0 everywhere else."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for idx, value in zip(stacks, values):
+        out[idx[:, :, None], idx[:, None, :]] = value
+    return op._result(out)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +166,32 @@ def small_rotation(spec: RotationSpec) -> OperatorMatrix:
 
 
 def conjugate(h: OperatorMatrix, u: OperatorMatrix, tol: float = 1e-10) -> OperatorMatrix:
-    """Rotated operator ``U H U^dag`` (spectrum preserved).
+    """Rotated operator ``U H U^dag`` (spectrum preserved), as a dense operator.
 
-    The two products go through the operator algebra, so a patterned ``h``
-    is gathered rather than sent to BLAS.
+    It is formed block by block on the connected components of the joint
+    nonzero pattern of ``U`` and ``H``, where the result is block diagonal,
+    with +0 outside the blocks.  ``U`` must be unitary at the tolerance of
+    :meth:`~effham.hilbert.OperatorMatrix.is_unitary`; its defect
+    ``||U^dag U - 1||`` is the root of the sum of the squared defects of the
+    blocks, every state (an isolated one too) lying in one block.
     """
-    if not u.is_unitary(tol):
+    h._check(u)
+    stacks = _block_stacks(u, h)
+    blocks = [u.block(idx) for idx in stacks]
+    defect = _stacked_norm(_adjoint(b) @ b - np.eye(b.shape[-1]) for b in blocks)
+    if defect > tol * max(1.0, math.sqrt(u.dim)):
         raise ValueError("conjugation requires a unitary matrix")
-    return u @ h @ u.dag()
+    return _assemble(h, stacks, (b @ h.block(idx) @ _adjoint(b) for idx, b in zip(stacks, blocks)))
+
+
+def _stage_product(stages) -> OperatorMatrix:
+    """The total rotation ``U_n ... U_1``, first stage rightmost, formed
+    block by block on the components of the stages' joint nonzero pattern."""
+    if len(stages) == 1:
+        return stages[0]
+    stacks = _block_stacks(*stages)
+    return _assemble(stages[0], stacks, (reduce(np.matmul, [u.block(idx) for u in reversed(stages)])
+                                         for idx in stacks))
 
 
 def conjugate_stages(h: OperatorMatrix, stages) -> OperatorMatrix:
@@ -921,7 +982,7 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     stages = [matrix_exponential(gen)]
     for next_stage in info.stages:
         stages.append(matrix_exponential(next_stage(model, table, stages)))
-    rotation = reduce(operator.matmul, reversed(stages))
+    rotation = _stage_product(stages)
 
     if info.corrected_from == "structure":
         (term,) = model.interactions

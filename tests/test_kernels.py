@@ -4,11 +4,15 @@ A factor of ``@`` or ``commutator`` with at most one nonzero per row and
 column (a ladder pattern, the diagonal included) turns the product into a
 gather of the other factor's rows or columns instead of a BLAS call, and
 ``evolve`` diagonalises only the subspace the initial state can reach; both
-must agree with the plain dense computation.
+must agree with the plain dense computation.  The exponential and the
+conjugation run per connected component of the nonzero pattern: they must
+agree with the dense computation too, leave exact zeros off the blocks, and
+let none of their checks miss a block.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -306,12 +310,17 @@ def test_ladder_scan_sees_every_second_nonzero():
 
 
 @st.composite
-def block_hamiltonians(draw):
-    """(space, Hermitian h block diagonal under a permutation, its blocks as masks)."""
+def block_hamiltonians(draw, every_layout: bool = False):
+    """(space, Hermitian h block diagonal under a permutation, its blocks as masks).
+
+    With ``every_layout`` the blocks may also be one block of the whole
+    space or all single states.
+    """
     dim = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=draw(st.integers(1, min(5, dim - 1))),
-                              replace=False))
+    layout = draw(st.sampled_from(["blocks", "one", "singletons"] if every_layout else ["blocks"]))
+    n_cuts = {"one": 0, "singletons": dim - 1}.get(layout) or draw(st.integers(1, min(5, dim - 1)))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_cuts, replace=False))
     perm = rng.permutation(dim)
     h = np.zeros((dim, dim), dtype=complex)
     masks = []
@@ -365,7 +374,7 @@ def eigh_sizes(monkeypatch):
     real_eigh = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
+        sizes.append(np.shape(a)[-1])  # the size of each matrix of a stack
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
@@ -379,6 +388,15 @@ def test_dicke_basis_state_diagonalises_its_block_only(dicke_model, eigh_sizes):
     psi = eh.basis_state(space, photons=(3,), occupations=(1, 0))
     eh.evolve(dicke_model.h_int, psi, TIMES)
     assert eigh_sizes and max(eigh_sizes) <= len(block.indices) < space.dim
+
+
+def test_dicke_exponential_diagonalises_blocks_only(dicke_model, eigh_sizes):
+    largest = max(len(b.indices) for b in eh.conserved_blocks(dicke_model))
+    forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
+    eh.conjugate(dicke_model.h_int, forms.rotation)
+    psi = eh.basis_state(dicke_model.space, photons=(3,), occupations=(1, 0))
+    eh.evolve(dicke_model.h_int, psi, TIMES)
+    assert eigh_sizes and max(eigh_sizes) <= largest < dicke_model.space.dim
 
 
 def test_dicke_effective_evolution_needs_no_eigh(dicke_model, monkeypatch):
@@ -415,3 +433,86 @@ def test_dicke_analysis_materialises_no_pattern_only_operator(dicke_model, monke
     eh.evolve(dicke_model.h_int, psi, TIMES)
     eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
     assert report.blocks and not built
+
+
+def _same_block(masks) -> np.ndarray:
+    return np.any([np.outer(m, m) for m in masks], axis=0)
+
+
+@given(block_hamiltonians(every_layout=True), st.sampled_from([1e-3, 0.3, 3.0]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_blockwise_exponential_and_conjugation_match_dense(case, size, anti, seed, patterned):
+    space, h, masks = case
+    a = size * h / np.linalg.norm(h) * (1j if anti else 1.0)
+    w, v = np.linalg.eigh(-1j * a if anti else a)
+    ref = (v * np.exp(1j * w if anti else w)) @ v.conj().T
+    parts = hilbert.components(eh.OperatorMatrix(space, a))
+    assert [tuple(p) for p in parts] == sorted(tuple(np.flatnonzero(k)) for k in masks)
+    got = eh.matrix_exponential(eh.OperatorMatrix(space, a))
+    m = got.matrix
+    assert np.max(np.abs(m - ref)) <= 1e-13 * max(1.0, np.linalg.norm(a))
+    off = m[~_same_block(masks)]
+    assert np.all(off == 0) and not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+    if not anti:
+        return
+    assert got.is_unitary(1e-12)
+    rng = np.random.default_rng(seed)
+    if patterned:  # a pattern-only operand, read through its pattern
+        x = eh.OperatorMatrix(space, _partial_permutation(rng, space.dim)) @ eh.identity(space)
+        assert x._dense is None
+    else:  # its own sparse pattern joins blocks of u
+        x = _dense(rng, space.dim, 0.05)
+        x = eh.OperatorMatrix(space, x + x.conj().T)
+    out = eh.conjugate(x, got).matrix
+    assert np.max(np.abs(out - m @ x.matrix @ m.conj().T)) <= 1e-13 * max(1.0, x.norm())
+
+
+def _with_one_bad_block(dicke_model, bad):
+    """The Dicke rotation with the block of the vacuum, its smallest
+    component and a state no other state is joined to, replaced."""
+    forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
+    block = min(eh.conserved_blocks(dicke_model), key=lambda b: len(b.indices))
+    assert len(block.indices) == 1
+    idx = np.array(block.indices)
+    u = np.array(forms.rotation.matrix)
+    u[np.ix_(idx, idx)] = bad(u[np.ix_(idx, idx)])
+    return eh.OperatorMatrix(dicke_model.space, u)
+
+
+@pytest.mark.parametrize("bad", [lambda b: (1 + 1e-8) * b, lambda b: 0 * b],
+                         ids=["scaled", "lost state"])
+def test_conjugate_sees_one_nonunitary_block(dicke_model, bad):
+    eh.conjugate(dicke_model.h_int, _with_one_bad_block(dicke_model, lambda b: b))  # passes
+    with pytest.raises(ValueError, match="unitary"):
+        eh.conjugate(dicke_model.h_int, _with_one_bad_block(dicke_model, bad))
+
+
+def test_nonnormal_input_takes_the_taylor_branch(eigh_sizes):
+    space = _space(3)
+    jordan = np.diag([1.0, 1.0], k=1)  # nilpotent: exp is 1 + J + J^2 / 2
+    out = eh.matrix_exponential(eh.OperatorMatrix(space, jordan)).matrix
+    assert np.allclose(out, np.eye(3) + jordan + jordan @ jordan / 2, rtol=0, atol=1e-15)
+    assert not eigh_sizes
+
+
+@pytest.mark.parametrize("pair, lone", [(np.array([[0.2, 0.1j], [-0.1j, -0.3]]), 0.5 + 0.5j),
+                                        (np.array([[0.2j, 0.1], [-0.1, -0.3j]]), 0.5)],
+                         ids=["hermitian pair", "anti-hermitian pair"])
+def test_mixed_blocks_take_the_taylor_branch(pair, lone, eigh_sizes):
+    # neither Hermitian nor anti-Hermitian as a whole, though the pair is one of them
+    m = np.zeros((3, 3), dtype=complex)
+    m[:2, :2], m[2, 2] = pair, lone
+    out = eh.matrix_exponential(eh.OperatorMatrix(_space(3), m)).matrix
+    assert not eigh_sizes
+    assert abs(out[2, 2] - np.exp(lone)) <= 1e-15
+    assert np.max(np.abs(out[:2, :2] - scipy.linalg.expm(pair))) <= 1e-15
+
+
+@pytest.mark.parametrize("where", [(3, 3), (2, 4)], ids=["lone state", "own pair"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_nonfinite_entry_in_any_block_raises(bad, where):
+    m = np.zeros((5, 5), dtype=complex)
+    m[0, 1], m[1, 0] = 0.3, -0.3  # one anti-Hermitian block; the bad entry forms another
+    m[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eh.matrix_exponential(eh.OperatorMatrix(_space(5), m))

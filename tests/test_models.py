@@ -285,3 +285,31 @@ class TestGuardsAndBlocks:
         # interaction-picture comparison is exact
         m = request.getfixturevalue(fixture)
         assert eh.commutator(m.h_free, m.h_int).norm() <= 1e-10
+
+
+def _blocks_per_state_loop(model):
+    """The per-state loop ``conserved_blocks`` replaced, kept as its reference."""
+    space = model.space
+    diags = [op.diagonal().real for op in model.conserved.values()]
+    groups = {}
+    for idx in range(space.dim):
+        key = tuple(round(float(d[idx]), 9) for d in diags)
+        groups.setdefault(key, []).append(idx)
+    tops = tuple(m.n_max for m in space.modes)
+    return [eh.Block(key=key, indices=tuple(groups[key]),
+                     touches_truncation=any(any(space.photons(i)[m] == tops[m]
+                                                for m in range(len(tops)))
+                                            for i in groups[key]))
+            for key in sorted(groups)]
+
+
+@pytest.mark.parametrize("fixture", ["spin_model", "dicke_model", "xi_two_photon_model",
+                                     "lambda_model", "four_level_model", "xi_far_level_model",
+                                     "two_mode_model"])
+def test_conserved_blocks_match_per_state_loop(fixture, request):
+    model = request.getfixturevalue(fixture)
+    got, ref = eh.conserved_blocks(model), _blocks_per_state_loop(model)
+    assert [(b.key, b.indices, b.touches_truncation) for b in got] == \
+        [(b.key, b.indices, b.touches_truncation) for b in ref]
+    assert all(type(x) is float for b in got for x in b.key)
+    assert all(type(i) is int for b in got for i in b.indices)

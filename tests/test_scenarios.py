@@ -1,5 +1,10 @@
-"""The scenario engine: pinned outputs of every scenario, and the signature
-filter against its per-entry reference loop."""
+"""The scenario engine: pinned outputs of every scenario, held also against
+an extended-precision oracle, and the signature filter against its
+per-entry reference loop."""
+
+import json
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +48,7 @@ PINNED = {
         ("printed transfer coefficient uses 1/D31 alone; the rotation algebra gives the "
          "symmetric (1/D31 + 1/D32)/2, identical for degenerate lower levels",)),
     "cascade-first-stage": (
-        (0.0003378080203357282, 5.933327755449687, 5.938126411204359, 0.4681848490273975),
+        (0.0003378080203339603, 5.933327755449687, 5.938126411204359, 0.4681848490273975),
         {"eps1": 0.03, "eps2": 0.0428571428571429, "eps3": 0.01764705882352942},
         ("printed dipole-dipole part lists the (1,3) and (1,2) step pairs only",)),
     "four-level-three-photon": (
@@ -84,6 +89,47 @@ def test_scenario_outputs_pinned(scenario, request):
     assert list(forms.guards) == list(guards)
     assert forms.guards == _pinned(guards)
     assert forms.notes == notes
+
+
+#: the four pinned norms recomputed with mpmath at 40 digits by tools/oracle.py
+ORACLE = json.loads((Path(__file__).parent / "data" / "scenario_oracle.json").read_text())
+
+#: how far each pinned norm may lie from its oracle value, in the order of
+#: PINNED: the distance of the engine's value when the oracle was added,
+#: rounded up to two digits
+ORACLE_DISTANCE = {
+    "su2-generic": (0.0, 1.6e-16, 1.6e-16, 1.4e-16),
+    "dicke-dispersive": (1.5e-18, 5.4e-17, 3.7e-17, 3.9e-17),
+    "xi-far-level": (4.6e-34, 9.1e-16, 1e-16, 5.8e-18),
+    "xi-two-photon": (2.2e-17, 2e-16, 1.4e-18, 4.2e-17),
+    "lambda-dispersive": (1.6e-34, 2.4e-16, 9.3e-17, 1.2e-17),
+    "cascade-first-stage": (1.7e-15, 3.8e-15, 1.9e-16, 9.2e-17),
+    "four-level-three-photon": (9.2e-19, 5.3e-15, 2.6e-18, 1.7e-16),
+    "two-mode-four": (8.1e-16, 8e-15, 5.8e-15, 2.5e-16),
+}
+
+
+@pytest.mark.parametrize("scenario", list(PINNED))
+def test_pins_near_oracle(scenario, request):
+    """Every pinned norm lies within its stated distance of the oracle.
+
+    The oracle (``tools/oracle.py``, written to
+    ``tests/data/scenario_oracle.json``) recomputes the pinned norms with
+    mpmath at 40 digits from the float64 operators the engine builds before
+    any exponential.  The distances in ``ORACLE_DISTANCE`` are never raised.
+
+    Re-record policy: a pin may be re-recorded only if the new engine is at
+    least as close to the oracle as the parent on every pinned quantity.
+    CHANGES.md lists each moved pin with its old and new value and both
+    oracle distances, as a change of test data.
+    """
+    entry = ORACLE["scenarios"][scenario]
+    assert entry["fixture"] == FIXTURES[scenario]
+    assert entry["dim"] == request.getfixturevalue(FIXTURES[scenario]).space.dim
+    oracle = [entry["values"][q] for q in ORACLE["quantities"]]
+    for pin, value, distance in zip(PINNED[scenario][0], oracle, ORACLE_DISTANCE[scenario],
+                                    strict=True):
+        assert abs(Decimal(pin) - Decimal(value)) <= Decimal(distance)
 
 
 def _filter_reference(h, keep):

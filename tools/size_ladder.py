@@ -1,0 +1,98 @@
+"""Time the Dicke model up a ladder of sizes: build, scenario and evolution.
+
+    python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--repeats 3] [--out OUT.json]
+
+For each atom count A the Dicke model with ``n_max = 10 A`` (dim 22, 306,
+1111 and 4221 for the defaults) runs in a fresh interpreter with one BLAS
+thread, importing ``effham`` from ``DIR/src`` (default: the checkout this
+file sits in).  Each repeat times three stages of one pass on a freshly
+built model:
+
+* ``build``: ``effham.build`` of the model;
+* ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``;
+* ``evolve``: ``evolve`` of ``h_int`` from ``|n_max/2 photons, ground>`` at
+  41 times over one effective period.
+
+The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
+the coupling sits at a fifth of the dispersive guard.  The median of each
+stage over the repeats and the peak resident memory of the interpreter are
+printed as one JSON line per size and, with ``--out``, written to a file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+DELTA = 0.6
+GUARD_RATIO = 0.2
+
+
+def measure(atoms: int, repeats: int) -> dict:
+    """One size, in this interpreter: the median stage times and peak RSS."""
+    import numpy as np
+
+    import effham as eh
+
+    n_max = 10 * atoms
+    g = GUARD_RATIO * DELTA / (atoms * math.sqrt(n_max + 1))
+    spec = eh.ModelSpec(kind="dicke", atoms=atoms, n_max=n_max, omega_field=10.0,
+                        omega0=10.0 + DELTA, g=g)
+    n0 = n_max // 2
+    times = np.linspace(0.0, 2 * math.pi * DELTA / (g * g * (n0 + 1)), 41)
+    samples = {"build": [], "scenario": [], "evolve": []}
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        model = eh.build(spec)
+        t1 = time.perf_counter()
+        eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
+        t2 = time.perf_counter()
+        eh.evolve(model.h_int, eh.basis_state(model.space, (n0,), level=1), times)
+        t3 = time.perf_counter()
+        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2)):
+            samples[stage].append(seconds)
+        del model
+    return {"atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
+            "repeats": repeats,
+            **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "samples_s": samples}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    p.add_argument("--atoms", type=int, nargs="+", default=[1, 5, 10, 20])
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    checkout = args.checkout.resolve()
+    if args.child is not None:
+        sys.path.insert(0, str(checkout / "src"))
+        print(json.dumps(measure(args.child, args.repeats)))
+        return 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    sizes = []
+    for atoms in args.atoms:
+        out = subprocess.run([sys.executable, __file__, "--checkout", str(checkout),
+                              "--repeats", str(args.repeats), "--child", str(atoms)],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        sizes.append(json.loads(out.splitlines()[-1]))
+        print(json.dumps({k: v for k, v in sizes[-1].items() if k != "samples_s"}), flush=True)
+    if args.out is not None:
+        args.out.write_text(json.dumps({"checkout": str(checkout), "sizes": sizes}, indent=1) + "\n",
+                            encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
