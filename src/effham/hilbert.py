@@ -343,8 +343,7 @@ class OperatorMatrix:
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         m = self.matrix
-        eye = np.eye(self.dim)
-        return float(np.linalg.norm(m.conj().T @ m - eye)) <= tol * max(1.0, float(np.sqrt(self.dim)))
+        return unitary_within(float(np.linalg.norm(m.conj().T @ m - np.eye(self.dim))), tol, self.dim)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         v = np.asarray(vec, dtype=complex)
@@ -651,6 +650,12 @@ def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     out = _product(lhs, rhs)
     out -= _product(rhs, lhs)
     return lhs._result(out)
+
+
+def unitary_within(defect: float, tol: float, dim: int) -> bool:
+    """Whether a unitarity defect ``||U^dag U - 1||`` (Frobenius) passes at
+    ``tol``, scaled by ``max(1, sqrt(dim))``; a NaN defect never passes."""
+    return defect <= tol * max(1.0, math.sqrt(dim))
 
 
 def components(*ops: OperatorMatrix) -> list[np.ndarray]:
