@@ -249,8 +249,6 @@ def _run_spectrum(cfg: RunConfig):
             f"scenario {cfg.scenario!r} is restricted to an occupation sector; "
             "spectrum comparison is only defined for full-space scenarios")
     masks = models.block_masks(model, skip_truncated=True)
-    if not masks and not model.conserved:
-        masks = [np.ones(model.space.dim, dtype=bool)]
     report = dynamics.compare_spectra(model.h_int, h_eff, masks)
     rows = []
     for b, blk in enumerate(report.blocks):
@@ -364,8 +362,6 @@ def _run_scaling(cfg: RunConfig):
         forms = rotations.closed_form_effective(model, _scenario(cfg))
         if cfg.metric == "eigenvalue-error":
             masks = models.block_masks(model, skip_truncated=True)
-            if not masks:
-                masks = [np.ones(model.space.dim, dtype=bool)]
             report = dynamics.compare_spectra(model.h_int, forms.selected, masks)
             for b, blk in enumerate(report.blocks):
                 rows.append((_fmt(eps), _fmt(blk.max_error), b))

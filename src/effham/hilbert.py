@@ -16,32 +16,29 @@ Entries are ``complex128`` and operators are immutable, so values can be
 shared freely between threads.  Most operators the models build have at
 most one nonzero per row and per column: the diagonal ones (populations,
 photon numbers, ``X3``, the structure operators) and the ladder operators
-(``a``, ``S^{ij}``, ``a^k S^{ij}`` and their adjoints).  Where the nonzero
-of each row and column sits is the operator's :class:`LadderPattern`, and
-an operator is stored one of two ways:
+(``a``, ``S^{ij}``, ``a^k S^{ij}`` and their adjoints).  Such an operator
+is a column map, its :class:`LadderPattern`: the row and the value of the
+one entry of each column.  An operator's storage is fixed when it is made:
 
-* dense, a frozen ``dim x dim`` array; its pattern, if it has one, is found
-  by one O(dim^2) scan on first use and kept;
-* pattern-only, O(dim): the pattern, the value of every entry off it (a
-  zero, with its sign) and the memory order of the dense array.  An
-  operation that already knows the pattern of its result makes one: the
-  constructors below, ``dag``, ``-`` and scalar ``*`` of a pattern-only
-  operator, ``@`` and :func:`commutator` of two patterned operators, ``+``
-  and ``-`` of pattern-only operators whose nonzeros sit in the same
-  places, and :meth:`OperatorMatrix.project`.  Everything else is dense.
+* pattern-only, O(dim): the column map, with +0 at every other entry.  The
+  public constructor stores an array this way when it has a pattern, and
+  an operation that knows its result has one makes one: the constructors
+  below, ``dag``, ``-`` and scalar ``*`` of a pattern-only operator, ``@``
+  and :func:`commutator` of two of them, ``+`` and ``-`` of two whose sum
+  keeps one nonzero per row and column, and :meth:`OperatorMatrix.project`;
+* dense, a frozen ``dim x dim`` array.  Every other result is dense, and a
+  dense result is not searched for a pattern.
 
-Both storages hold the same array bit for bit, signs of zero and memory
-order included, because LAPACK reads the sign of a zero and the order of
-an array changes how BLAS and NumPy's reductions round.  ``matrix`` of a
-pattern-only operator builds that array on each access and does not keep
-it; the library's own readers (norms, diagonals, blocks, the checks) take
-the pattern where that gives the dense result's bits.
+``matrix`` of a pattern-only operator builds the C-ordered dense array on
+each access and does not keep it.  The library's own readers (diagonals,
+blocks, entries, the checks) take the column map; the norms reduce over the
+dense array, so their bits are NumPy's.
 
-A patterned factor of ``@`` or :func:`commutator` whose partner is dense
-and has no pattern turns the product into a gather of the partner's rows
-or columns scaled by the pattern values, in place of a dim^3 BLAS product;
-for real pattern values every entry equals the dense product's.  Every
-product is C-ordered like BLAS's output.
+A pattern-only factor of ``@`` or :func:`commutator` whose partner is dense
+turns the product into a gather of the partner's rows or columns scaled by
+the pattern values, in place of a dim^3 BLAS product; for real pattern
+values every entry equals the dense product's.  Every product is C-ordered
+like BLAS's output.
 
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
@@ -199,27 +196,31 @@ def enumerate_basis(modes, ensemble: EnsembleSpec, cap: int = DIMENSION_CAP) -> 
 
 
 class LadderPattern(NamedTuple):
-    """Where the only nonzero of each column and of each row sits.
+    """The column map of an operator with at most one nonzero per row and
+    per column: ``matrix[rows[j], j] == values[j]``, every other entry is +0,
+    and no two nonzeros share a row.
 
-    ``matrix[rows[j], j] == col_values[j]`` and ``matrix[i, cols[i]] ==
-    row_values[i]``.  An empty column has value 0 and an arbitrary row,
-    an empty row likewise, so a pattern is compared by its values and by
-    its indices where the values are nonzero.
+    An empty column has value 0 and an arbitrary row, so a pattern is
+    compared by its values and by its rows where the values are nonzero.
     """
 
     rows: np.ndarray
-    col_values: np.ndarray
-    cols: np.ndarray
-    row_values: np.ndarray
+    values: np.ndarray
 
     @property
     def is_diagonal(self) -> bool:
         """Every nonzero sits on the diagonal."""
-        return not np.count_nonzero((self.rows != _own(len(self.rows))) & (self.col_values != 0))
+        return not np.count_nonzero((self.rows != _own(len(self.rows))) & (self.values != 0))
 
-
-#: marks a dense operator whose ladder pattern has not been looked for yet
-_UNSCANNED = object()
+    def transpose(self) -> "LadderPattern":
+        """The column map of the transpose, which is this pattern's row map:
+        entry ``i`` gives the column and the value of row ``i``'s nonzero,
+        and an empty row points at its own index with value +0."""
+        full = np.flatnonzero(self.values)
+        rows, values = np.arange(len(self.rows)), np.zeros(len(self.rows), dtype=complex)
+        rows[self.rows[full]] = full
+        values[self.rows[full]] = self.values[full]
+        return LadderPattern(rows, values)
 
 
 class OperatorMatrix:
@@ -231,7 +232,7 @@ class OperatorMatrix:
     the module docstring).
     """
 
-    __slots__ = ("space", "_dense", "_ladder", "_zero", "_fortran")
+    __slots__ = ("space", "_dense", "_ladder")
 
     def __init__(self, space: SpaceDescriptor, matrix: np.ndarray):
         arr = np.array(matrix, dtype=complex)
@@ -239,22 +240,21 @@ class OperatorMatrix:
             raise ValueError("operator matrix must be square")
         if arr.shape[0] != space.dim:
             raise ValueError(f"matrix dimension {arr.shape[0]} != space dimension {space.dim}")
-        self._set(space, arr, _UNSCANNED)
+        ladder = _scan(arr)
+        self._set(space, None if ladder is not None else arr, ladder)
 
-    def _set(self, space: SpaceDescriptor, dense, ladder, zero=0j, fortran=False) -> None:
+    def _set(self, space: SpaceDescriptor, dense, ladder) -> None:
         if dense is not None:
             dense.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_ladder", ladder)
-        object.__setattr__(self, "_zero", zero)
-        object.__setattr__(self, "_fortran", fortran)
 
-    def _result(self, arr: np.ndarray, ladder=_UNSCANNED) -> "OperatorMatrix":
+    def _result(self, arr: np.ndarray) -> "OperatorMatrix":
         """A dense operator on this space around ``arr``, a fresh array
         nothing else holds, so it is frozen in place instead of copied."""
         out = object.__new__(OperatorMatrix)
-        out._set(self.space, arr, ladder)
+        out._set(self.space, arr, None)
         return out
 
     def __setattr__(self, name, value):
@@ -271,54 +271,44 @@ class OperatorMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense array, read-only.  A pattern-only operator builds it on
-        each access and does not keep it."""
+        """The dense array, read-only.  A pattern-only operator builds it,
+        C-ordered with +0 off its pattern, on each access and does not keep
+        it."""
         if self._dense is not None:
             return self._dense
-        arr = _materialise(self._ladder, self._zero, self._fortran)
+        arr = _materialise(self._ladder)
         arr.setflags(write=False)
         return arr
 
     @property
     def ladder(self) -> LadderPattern | None:
-        """The :class:`LadderPattern`, or None if a row or column has two nonzeros.
-
-        A dense operator finds it by one scan on first use and keeps it; an
-        idempotent write, so threads sharing the operator at worst scan it
-        twice.
-        """
-        if self._ladder is _UNSCANNED:
-            object.__setattr__(self, "_ladder", _scan(self._dense))
+        """The :class:`LadderPattern` of a pattern-only operator; None for a
+        dense one."""
         return self._ladder
 
     def dag(self) -> "OperatorMatrix":
         """Hermitian adjoint."""
-        p = self._ladder
-        if isinstance(p, LadderPattern):
-            p = LadderPattern(p.cols, p.row_values.conj(), p.rows, p.col_values.conj())
         if self._dense is None:
-            # the dense adjoint is a transposed view, so its order flips
-            return _pattern_operator(self.space, p, self._zero.conjugate(), not self._fortran)
-        return self._result(self._dense.conj().T, p)
+            t = self._ladder.transpose()
+            return _pattern_operator(self.space, LadderPattern(t.rows, t.values.conj()))
+        return self._result(self._dense.conj().T)
 
     def norm(self) -> float:
         """Frobenius norm."""
-        if self._dense is None and not np.count_nonzero(self._ladder.col_values):
+        if self._dense is None and not np.count_nonzero(self._ladder.values):
             return 0.0
         return float(np.linalg.norm(self.matrix))
 
     def diagonal(self) -> np.ndarray:
         if self._dense is None:
             p = self._ladder
-            return np.where(p.rows == _own(self.dim), p.col_values, self._zero)
+            return np.where(p.rows == _own(self.dim), p.values, 0.0)
         return self._dense.diagonal().copy()
 
     def offdiagonal_norm(self) -> float:
         """Frobenius norm of the operator with its diagonal set to zero."""
-        if self._dense is None:
-            p = self._ladder
-            if not np.count_nonzero((p.rows != _own(self.dim)) & (p.col_values != 0)):
-                return 0.0
+        if self._dense is None and self._ladder.is_diagonal:
+            return 0.0
         m = self.matrix
         return float(np.linalg.norm(m - np.diag(m.diagonal())))
 
@@ -332,11 +322,11 @@ class OperatorMatrix:
             m = self._dense
             return float(np.linalg.norm(m - m.conj().T)) <= tol * max(1.0, self.norm())
         # each nonzero c at (rows[j], j) leaves c - conj(back) there, back
-        # the entry at (j, rows[j]); where back is 0 it also leaves -conj(c)
+        # the entry at (j, rows[j]), which is values[rows[j]] if column
+        # rows[j] holds it in row j; where back is 0 it also leaves -conj(c)
         # at (j, rows[j])
-        p = self._ladder
-        c = p.col_values
-        back = np.where((p.cols == p.rows) & (c != 0), p.row_values, 0.0)
+        rows, c = self._ladder
+        back = np.where((rows[rows] == _own(self.dim)) & (c != 0), c[rows], 0.0)
         diff, lone = c - back.conj(), np.where(back == 0, c, 0.0)
         defect2 = np.vdot(diff, diff).real + np.vdot(lone, lone).real
         return math.sqrt(defect2) <= tol * max(1.0, math.sqrt(np.vdot(c, c).real))
@@ -348,7 +338,8 @@ class OperatorMatrix:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         v = np.asarray(vec, dtype=complex)
         if self._dense is None:
-            return self._ladder.row_values * v[self._ladder.cols]
+            t = self._ladder.transpose()
+            return t.values * v[t.rows]
         return self._dense @ v
 
     def expect(self, vec: np.ndarray) -> complex:
@@ -368,15 +359,15 @@ class OperatorMatrix:
             return self._dense[rows[..., :, None], cols[..., None, :]]
         p = self._ladder
         hit = rows[..., :, None] == p.rows[cols][..., None, :]
-        return np.where(hit, p.col_values[cols][..., None, :], self._zero)
+        return np.where(hit, p.values[cols][..., None, :], 0.0)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
         order as ``np.nonzero`` lists them."""
         if self._dense is None:
-            p = self._ladder
-            rows = np.flatnonzero(p.row_values)
-            return rows, p.cols[rows], p.row_values[rows]
+            t = self._ladder.transpose()
+            rows = np.flatnonzero(t.values)
+            return rows, t.rows[rows], t.values[rows]
         rows, cols = np.nonzero(self._dense)
         return rows, cols, self._dense[rows, cols]
 
@@ -385,30 +376,26 @@ class OperatorMatrix:
         the dense product."""
         self._check(other)
         if self._dense is None and other._dense is None:
-            prod = _aligned(_conj_times, self, other)
+            prod = _aligned(_conj_times, self._ladder, other._ladder)
             if prod is not None:
-                return np.sum(_materialise(*prod))
+                return np.sum(_materialise(prod))
         return np.sum(np.conj(self.matrix) * other.matrix)
 
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
         """Compress to the subspace selected by the boolean ``mask`` (P A P)."""
         m = np.asarray(mask, dtype=bool)
-        p = self._ladder
-        if self._dense is None and _is_plus_zero(self._zero):
-            # every entry outside the block becomes +0, the zero off the pattern
-            inside_c, inside_r = m[p.rows] & m, m & m[p.cols]
-            return _pattern_operator(self.space, LadderPattern(
-                p.rows, np.where(inside_c, p.col_values, 0.0),
-                p.cols, np.where(inside_r, p.row_values, 0.0)))
-        return self._result(np.where(np.outer(m, m), self.matrix, 0.0))
+        if self._dense is None:
+            rows, values = self._ladder
+            return _pattern_operator(self.space, LadderPattern(rows, np.where(m[rows] & m, values, 0.0)))
+        return self._result(np.where(np.outer(m, m), self._dense, 0.0))
 
     # -- arithmetic --------------------------------------------------------
     def _entrywise(self, op, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
         if self._dense is None and other._dense is None:
-            aligned = _aligned(op, self, other)
+            aligned = _aligned(op, self._ladder, other._ladder)
             if aligned is not None:
-                return _pattern_operator(self.space, *aligned)
+                return _pattern_operator(self.space, aligned)
         return self._result(op(self.matrix, other.matrix))
 
     def __add__(self, other):
@@ -419,55 +406,39 @@ class OperatorMatrix:
 
     def __neg__(self):
         if self._dense is None:
-            p = self._ladder
-            return _pattern_operator(self.space, LadderPattern(p.rows, -p.col_values, p.cols, -p.row_values),
-                                     -self._zero, self._fortran)
+            return _pattern_operator(self.space, LadderPattern(self._ladder.rows, -self._ladder.values))
         return self._result(-self._dense)
 
     def __mul__(self, scalar):
         s = complex(scalar)
-        p = self._ladder
-        if isinstance(p, LadderPattern):
-            p = LadderPattern(p.rows, p.col_values * s, p.cols, p.row_values * s)
-        else:
-            p = _UNSCANNED  # times 0, an operator without a pattern gets one
-        if self._dense is None:
-            if cmath.isfinite(s):
-                return _pattern_operator(self.space, p, self._zero * s, self._fortran)
-            return self._result(self.matrix * s)
-        return self._result(self._dense * s, p)
+        if self._dense is None and cmath.isfinite(s):
+            return _pattern_operator(self.space, LadderPattern(self._ladder.rows, self._ladder.values * s))
+        return self._result(self.matrix * s)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._check(other)
-        pa, pb = self.ladder, other.ladder
-        if pa is not None and pb is not None:
-            return _pattern_operator(self.space, _compose(pa, pb))
+        if self._dense is None and other._dense is None:
+            return _pattern_operator(self.space, _compose(self._ladder, other._ladder))
         return self._result(_product(self, other))
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
 
 
-def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern, zero=0j,
-                      fortran: bool = False) -> OperatorMatrix:
-    """A pattern-only operator: ``ladder``, ``zero`` at every other entry,
-    and a dense array in Fortran order if ``fortran``."""
+def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern) -> OperatorMatrix:
+    """A pattern-only operator with column map ``ladder``."""
     out = object.__new__(OperatorMatrix)
-    out._set(space, None, ladder, complex(zero), fortran)
+    out._set(space, None, ladder)
     return out
 
 
-def _materialise(p: LadderPattern, zero: complex, fortran: bool) -> np.ndarray:
+def _materialise(p: LadderPattern) -> np.ndarray:
     """The dense array of a pattern-only operator, fresh and writable."""
     d = len(p.rows)
-    order = "F" if fortran else "C"
-    if _is_plus_zero(zero):
-        out = np.zeros((d, d), dtype=complex, order=order)
-    else:
-        out = np.full((d, d), zero, dtype=complex, order=order)
-    out[p.rows, _own(d)] = p.col_values
+    out = np.zeros((d, d), dtype=complex)
+    out[p.rows, _own(d)] = p.values
     return out
 
 
@@ -479,55 +450,28 @@ def _own(d: int) -> np.ndarray:
     return own
 
 
-def _is_plus_zero(z: complex) -> bool:
-    return z == 0 and math.copysign(1.0, z.real) > 0 and math.copysign(1.0, z.imag) > 0
-
-
-def _same(x: np.ndarray, y: np.ndarray) -> bool:
-    return x is y or x.tobytes() == y.tobytes()
-
-
-def _live(values: np.ndarray, zero: complex) -> np.ndarray:
-    """Which pattern values differ, bit for bit, from the entries off it."""
-    bits = values.view(np.uint64).reshape(-1, 2)
-    re, im = np.array([zero.real, zero.imag]).view(np.uint64)
-    return (bits[:, 0] != re) | (bits[:, 1] != im)
-
-
 def _conj_times(x, y):
     return np.conj(x) * y
 
 
-def _aligned(op, a: OperatorMatrix, b: OperatorMatrix):
-    """The storage ``(pattern, zero, fortran)`` of ``op`` applied entry by
-    entry to two pattern-only operators, or None if that is not pattern-only.
+def _aligned(op, p: LadderPattern, q: LadderPattern) -> LadderPattern | None:
+    """The column map of ``op`` applied entry by entry to the operators with
+    column maps ``p`` and ``q``, or None if that has two nonzeros in one
+    column or in one row.
 
-    It is when no column, and no row, holds live entries of the two in
-    different places, a live entry being a pattern value that is not bit
-    for bit the zero off the pattern: the result holds ``op`` of the two
-    entries there and ``op`` of the two zeros everywhere else.  Patterns
-    with the same indices pass at once; a column with nonzeros in two rows
-    fails at once.  The dense array is C-ordered unless both are
-    Fortran-ordered, as NumPy orders the result of ``op``.
+    Each column takes its row from whichever operand has a nonzero there,
+    and ``op`` of the two values; ``op`` of the two +0 off the pattern is
+    +0.  An empty column points at an arbitrary row, so equal ``rows``
+    arrays do not rule out two nonzeros in one row: the rows are counted.
     """
-    p, q = a._ladder, b._ladder
-    if _same(p.rows, q.rows) and _same(p.cols, q.cols):
-        rows, cols = p.rows, p.cols
-    else:
-        both = (p.col_values != 0) & (q.col_values != 0)
-        if not _same(p.rows[both], q.rows[both]):
-            return None
-        live_p, live_q = _live(p.col_values, a._zero), _live(q.col_values, b._zero)
-        both = live_p & live_q
-        if not _same(p.rows[both], q.rows[both]):
-            return None
-        mine_p, mine_q = _live(p.row_values, a._zero), _live(q.row_values, b._zero)
-        both = mine_p & mine_q
-        if not _same(p.cols[both], q.cols[both]):
-            return None
-        rows, cols = np.where(live_p, p.rows, q.rows), np.where(mine_p, p.cols, q.cols)
-    ladder = LadderPattern(rows, op(p.col_values, q.col_values), cols, op(p.row_values, q.row_values))
-    return ladder, complex(op(a._zero, b._zero)), a._fortran and b._fortran
+    full_p, full_q = p.values != 0, q.values != 0
+    both = full_p & full_q
+    if not np.array_equal(p.rows[both], q.rows[both]):
+        return None
+    rows = np.where(full_p, p.rows, q.rows)
+    if np.bincount(rows[full_p | full_q], minlength=1).max() > 1:
+        return None
+    return LadderPattern(rows, op(p.values, q.values))
 
 
 # -- constructors -----------------------------------------------------------
@@ -545,31 +489,20 @@ def _per_space(build):
     return cached
 
 
-def _diagonal_operator(space: SpaceDescriptor, values: np.ndarray) -> OperatorMatrix:
-    own = _own(space.dim)
-    values = np.asarray(values, dtype=complex)
-    return _pattern_operator(space, LadderPattern(own, values, own, values))
-
-
-def _column_operator(space: SpaceDescriptor, rows: np.ndarray, values: np.ndarray) -> OperatorMatrix:
+def _column_operator(space: SpaceDescriptor, rows: np.ndarray, values) -> OperatorMatrix:
     """The operator whose column ``j`` holds ``values[j]`` in row ``rows[j]``
     and nothing else; a column with value 0 is empty."""
-    values = np.asarray(values, dtype=complex)
-    full = np.flatnonzero(values)
-    cols, row_values = np.arange(space.dim), np.zeros(space.dim, dtype=complex)
-    cols[rows[full]] = full
-    row_values[rows[full]] = values[full]
-    return _pattern_operator(space, LadderPattern(rows, values, cols, row_values))
+    return _pattern_operator(space, LadderPattern(rows, np.asarray(values, dtype=complex)))
 
 
 @_per_space
 def identity(space: SpaceDescriptor) -> OperatorMatrix:
-    return _diagonal_operator(space, np.ones(space.dim))
+    return _column_operator(space, _own(space.dim), np.ones(space.dim))
 
 
 @_per_space
 def zero(space: SpaceDescriptor) -> OperatorMatrix:
-    return _diagonal_operator(space, np.zeros(space.dim))
+    return _column_operator(space, _own(space.dim), np.zeros(space.dim))
 
 
 @_per_space
@@ -600,7 +533,7 @@ def creator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
 def number_operator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     if not 0 <= mode_index < len(space.modes):
         raise ValueError(f"mode index {mode_index} out of range")
-    return _diagonal_operator(space, space._label_array[:, mode_index])
+    return _column_operator(space, _own(space.dim), space._label_array[:, mode_index])
 
 
 @_per_space
@@ -617,7 +550,7 @@ def collective_operator(space: SpaceDescriptor, i: int, j: int) -> OperatorMatri
     labels = space._label_array
     ii, jj = len(space.modes) + i - 1, len(space.modes) + j - 1
     if i == j:
-        return _diagonal_operator(space, labels[:, ii])
+        return _column_operator(space, _own(space.dim), labels[:, ii])
     able = labels[:, ii] > 0
     moved = labels[able]
     moved[:, ii] -= 1
@@ -676,7 +609,7 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
             # one pass over a boolean array, faster than np.nonzero of a complex one
             r, c = np.divmod(np.flatnonzero(op._dense != 0), op.dim)
         else:
-            c = np.flatnonzero(p.col_values)
+            c = np.flatnonzero(p.values)
             r = p.rows[c]
         rows.append(r)
         cols.append(c)
@@ -702,51 +635,51 @@ def _scan(m: np.ndarray) -> LadderPattern | None:
     """The ladder pattern of the square array ``m``, or None.
 
     More nonzeros than rows rule a pattern out after one count.  Otherwise
-    the first nonzero of every row and of every column is located; the
-    array is a pattern if these are all of its nonzeros.
+    the first nonzero of every column is located; the array is a pattern if
+    these are all of its nonzeros and no two of them share a row.
     """
     d = m.shape[0]
     nonzero = m != 0
     n = np.count_nonzero(nonzero)
     if n > d:
         return None
-    own = np.arange(d)
-    rows, cols = nonzero.argmax(axis=0), nonzero.argmax(axis=1)
-    col_values, row_values = m[rows, own], m[own, cols]
-    if np.count_nonzero(col_values) < n or np.count_nonzero(row_values) < n:
+    rows = nonzero.argmax(axis=0)
+    values = m[rows, np.arange(d)]
+    full = values != 0
+    if np.count_nonzero(full) < n or np.bincount(rows[full], minlength=1).max() > 1:
         return None
-    return LadderPattern(rows, col_values, cols, row_values)
+    return LadderPattern(rows, values)
 
 
 def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
-    """The pattern of ``A @ B``, each value the product :func:`_product`'s
+    """The pattern of ``A @ B``: column ``j`` of ``B`` picks column
+    ``pb.rows[j]`` of ``A``.  Each value is the product :func:`_product`'s
     gathers form, in their operand order, with every zero +0."""
-    return LadderPattern(pa.rows[pb.rows], pa.col_values[pb.rows] * pb.col_values + 0.0,
-                         pb.cols[pa.cols], pa.row_values * pb.row_values[pa.cols] + 0.0)
+    return LadderPattern(pa.rows[pb.rows], pa.values[pb.rows] * pb.values + 0.0)
 
 
 def _product(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
     """``a @ b`` as a fresh C-ordered array.
 
-    If ``a`` has a ladder pattern, row ``i`` of the product is row
-    ``cols[i]`` of ``b`` times ``row_values[i]``; else if ``b`` has one,
-    column ``j`` is column ``rows[j]`` of ``a`` times ``col_values[j]``.
-    The skipped terms of the dense product are exact zeros, so for real
-    pattern values every entry equals that of ``a @ b``.  Adding 0 turns
-    the -0 of a negative value times 0 into +0, the zero BLAS gives at most
-    sizes (some of its edge kernels give -0), because LAPACK reads the sign
-    of a zero.
+    If ``a`` is pattern-only, row ``i`` of the product is row ``t.rows[i]``
+    of ``b`` times ``t.values[i]``, ``t`` the transpose of ``a``'s column
+    map; else if ``b`` is, column ``j`` is column ``rows[j]`` of ``a`` times
+    ``values[j]``.  Otherwise it is BLAS's product.  The skipped terms of
+    the dense product are exact zeros, so for real pattern values every
+    entry equals that of ``a @ b``.  Adding 0 turns the -0 of a negative
+    value times 0 into +0, the zero BLAS gives at most sizes (some of its
+    edge kernels give -0), because LAPACK reads the sign of a zero.
     """
-    pa = a.ladder
-    if pa is not None:
-        out = np.ascontiguousarray(b.matrix[pa.cols])
-        np.multiply(pa.row_values[:, None], out, out=out)
+    if a.ladder is not None:
+        t = a.ladder.transpose()
+        out = np.ascontiguousarray(b.matrix[t.rows])
+        np.multiply(t.values[:, None], out, out=out)
     else:
         pb = b.ladder
         if pb is None:
             return a.matrix @ b.matrix
         out = np.ascontiguousarray(np.take(a.matrix, pb.rows, axis=1))
-        out *= pb.col_values
+        out *= pb.values
     out += 0.0
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 import effham as eh
 from effham.errors import GuardViolationError, ResonanceError
+from effham.models import MODEL_KINDS
 
 
 def _block_eigvals(model, mask):
@@ -313,3 +314,32 @@ def test_conserved_blocks_match_per_state_loop(fixture, request):
         [(b.key, b.indices, b.touches_truncation) for b in ref]
     assert all(type(x) is float for b in got for x in b.key)
     assert all(type(i) is int for b in got for i in b.indices)
+
+
+_SMALLEST = {
+    "spin-in-field": dict(omega=1.0, g=0.1, spin_j=0.5),
+    "spin-in-field, j = 3/2": dict(omega=1.0, g=0.1, spin_j=1.5),
+    "dicke": dict(omega_field=10.0, omega0=11.0, g=0.04, n_max=1),
+    "xi3": dict(energies=(0.0, 11.0, 20.0), omega_field=10.0, couplings=(0.04, 0.04), n_max=1),
+    "lambda3": dict(energies=(0.0, 0.0, 11.0), omega_field=10.0, couplings=(0.05, 0.05), n_max=1),
+    "cascade": dict(energies=(0.0, 11.0, 21.7, 30.0), omega_field=10.0,
+                    couplings=(0.03, 0.03, 0.03), n_max=1),
+    "two-mode-four": dict(energies=(0.0, 10.7, 22.6, 31.7), omega_field=10.0, omega_b=11.0,
+                          couplings=(0.02, 0.015, 0.025), couplings_b=(0.018, 0.022, 0.02),
+                          n_max=(1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALLEST))
+def test_smallest_cutoff_keeps_an_untruncated_block(name):
+    # the vacuum with every atom in the ground level has the least charge
+    # and no photon, so it never touches a cutoff n_max >= 1; a model with
+    # no conserved operator is one untruncated block
+    kind = name.split(",")[0]
+    model = eh.build(eh.ModelSpec(kind=kind, **_SMALLEST[name]))
+    masks = eh.block_masks(model, skip_truncated=True)
+    assert masks and all(m.any() for m in masks)
+
+
+def test_smallest_cutoff_cases_cover_every_kind():
+    assert {name.split(",")[0] for name in _SMALLEST} == set(MODEL_KINDS)
