@@ -8,6 +8,8 @@ effective Hamiltonians, and verifies every closed form against exact
 diagonalization and exact time evolution.
 """
 
+import logging
+
 from .algebra import (DeformedAlgebra, RelationReport, StructureSample,
                       build_deformed, ladder_from_structure,
                       ladder_relation_report, structure_polynomial_samples,
@@ -43,3 +45,7 @@ from .rotations import (SCENARIOS, CascadeDecomposition, CouplingTable,
                         two_mode_pair_coupling, two_mode_tables)
 
 __version__ = "0.1.0"
+
+# the library logs through ``logging`` and is silent unless the application
+# configures a handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -318,18 +318,16 @@ class OperatorMatrix:
         return off == 0.0 or off <= tol * max(1.0, self.norm())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        if self._dense is not None:
-            m = self._dense
-            return float(np.linalg.norm(m - m.conj().T)) <= tol * max(1.0, self.norm())
-        # each nonzero c at (rows[j], j) leaves c - conj(back) there, back
-        # the entry at (j, rows[j]), which is values[rows[j]] if column
-        # rows[j] holds it in row j; where back is 0 it also leaves -conj(c)
-        # at (j, rows[j])
-        rows, c = self._ladder
-        back = np.where((rows[rows] == _own(self.dim)) & (c != 0), c[rows], 0.0)
-        diff, lone = c - back.conj(), np.where(back == 0, c, 0.0)
+        """``||m - m^dag|| <= tol * max(1, ||m||)`` (Frobenius), read from the
+        nonzero entries only; a NaN entry, or an inf that meets its mirror
+        entry, fails."""
+        # each nonzero v at (r, c) leaves v - conj(back) there, back the
+        # entry at (c, r); where back is 0 it also leaves -conj(v) at (c, r)
+        rows, cols, v = self.entries()
+        back = self._at(cols, rows)
+        diff, lone = v - back.conj(), np.where(back == 0, v, 0.0)
         defect2 = np.vdot(diff, diff).real + np.vdot(lone, lone).real
-        return math.sqrt(defect2) <= tol * max(1.0, math.sqrt(np.vdot(c, c).real))
+        return math.sqrt(defect2) <= tol * max(1.0, math.sqrt(np.vdot(v, v).real))
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         m = self.matrix
@@ -363,13 +361,22 @@ class OperatorMatrix:
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
-        order as ``np.nonzero`` lists them."""
+        order as ``np.nonzero`` lists them: from the column map of a
+        pattern-only operator, from one :func:`_nonzero_places` scan of a
+        dense one."""
         if self._dense is None:
             t = self._ladder.transpose()
             rows = np.flatnonzero(t.values)
             return rows, t.rows[rows], t.values[rows]
-        rows, cols = np.nonzero(self._dense)
+        rows, cols = _nonzero_places(self._dense)
         return rows, cols, self._dense[rows, cols]
+
+    def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries at ``(rows[k], cols[k])``."""
+        if self._dense is not None:
+            return self._dense[rows, cols]
+        p = self._ladder
+        return np.where(p.rows[cols] == rows, p.values[cols], 0.0)
 
     def inner(self, other: "OperatorMatrix"):
         """``sum(conj(self) * other)`` over all entries, summed as NumPy sums
@@ -393,9 +400,18 @@ class OperatorMatrix:
     def _entrywise(self, op, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
         if self._dense is None and other._dense is None:
-            aligned = _aligned(op, self._ladder, other._ladder)
+            p, q = self._ladder, other._ladder
+            aligned = _aligned(op, p, q)
             if aligned is not None:
                 return _pattern_operator(self.space, aligned)
+            # op(P, Q) of the two materialised arrays, written into P's:
+            # P's entries meet +0 where Q's entry sits in another row, and
+            # every entry of Q meets what P holds at its place
+            out, own = _materialise(p), _own(self.dim)
+            apart = q.rows != p.rows
+            out[p.rows[apart], own[apart]] = op(p.values[apart], 0.0)
+            out[q.rows, own] = op(out[q.rows, own], q.values)
+            return self._result(out)
         return self._result(op(self.matrix, other.matrix))
 
     def __add__(self, other):
@@ -459,19 +475,27 @@ def _aligned(op, p: LadderPattern, q: LadderPattern) -> LadderPattern | None:
     column maps ``p`` and ``q``, or None if that has two nonzeros in one
     column or in one row.
 
-    Each column takes its row from whichever operand has a nonzero there,
-    and ``op`` of the two values; ``op`` of the two +0 off the pattern is
-    +0.  An empty column points at an arbitrary row, so equal ``rows``
-    arrays do not rule out two nonzeros in one row: the rows are counted.
+    Where ``p`` and ``q`` point a column at one row, that row holds ``op``
+    of the two values.  Where they point it at different rows, each value
+    meets +0 from the other operand, as in the dense arrays: ``q``'s row is
+    kept if its value is nonzero, else ``p``'s (``op(0, zero)`` is +0), so
+    every entry has the dense operation's bits except a signed zero
+    ``op(p value, 0)`` beside a nonzero, which the column map cannot hold.
+    An empty column points at an arbitrary row, so the rows of the
+    nonzeros are counted even where the two maps agree.
     """
-    full_p, full_q = p.values != 0, q.values != 0
-    both = full_p & full_q
-    if not np.array_equal(p.rows[both], q.rows[both]):
+    same = p.rows == q.rows
+    if same.all():
+        rows, values = p.rows, op(p.values, q.values)
+    else:
+        take_q = (q.values != 0) & ~same
+        if (take_q & (p.values != 0)).any():
+            return None
+        at_p = op(p.values, np.where(same, q.values, 0.0))
+        rows, values = np.where(take_q, q.rows, p.rows), np.where(take_q, op(0.0, q.values), at_p)
+    if np.bincount(rows[values != 0], minlength=1).max() > 1:
         return None
-    rows = np.where(full_p, p.rows, q.rows)
-    if np.bincount(rows[full_p | full_q], minlength=1).max() > 1:
-        return None
-    return LadderPattern(rows, op(p.values, q.values))
+    return LadderPattern(rows, values)
 
 
 # -- constructors -----------------------------------------------------------
@@ -606,8 +630,7 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
     for op in ops:
         p = op.ladder
         if p is None:
-            # one pass over a boolean array, faster than np.nonzero of a complex one
-            r, c = np.divmod(np.flatnonzero(op._dense != 0), op.dim)
+            r, c = _nonzero_places(op._dense)
         else:
             c = np.flatnonzero(p.values)
             r = p.rows[c]
@@ -629,6 +652,13 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
             root, hooked = hooked, hooked[hooked]
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+def _nonzero_places(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the nonzero entries of the square array ``m``, in
+    row-major order: one pass over a boolean array, faster than
+    ``np.nonzero`` of a complex one."""
+    return np.divmod(np.flatnonzero(m != 0), m.shape[1])
 
 
 def _scan(m: np.ndarray) -> LadderPattern | None:

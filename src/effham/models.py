@@ -21,7 +21,7 @@ from . import hilbert
 from .algebra import DeformedAlgebra, build_deformed
 from .errors import GuardViolationError, ResonanceError
 from .hilbert import (EnsembleSpec, OperatorMatrix, SpaceDescriptor, annihilator,
-                      collective_inversion, collective_operator, commutator,
+                      collective_inversion, collective_operator,
                       enumerate_basis, identity, number_operator)
 
 MODEL_KINDS = ("spin-in-field", "dicke", "xi3", "lambda3", "cascade", "two-mode-four")
@@ -126,12 +126,25 @@ class ModelInstance:
 
 
 def _validate(model: ModelInstance, tol: float = 1e-10) -> ModelInstance:
-    if not model.h_int.is_hermitian(1e-12) or not model.h_free.is_hermitian(1e-12):
+    """Check that both Hamiltonians are Hermitian and that ``h_int``
+    commutes with every conserved operator, which must be exactly diagonal.
+
+    With ``C = diag(c)``, ``[h_int, C]`` is nonzero only where ``h_int`` is:
+    ``v c[j] - c[i] v`` at each nonzero ``v`` at ``(i, j)``, the entries the
+    dense products would form, so the residual reads ``h_int``'s nonzeros.
+    """
+    h = model.h_int
+    if not h.is_hermitian(1e-12) or not model.h_free.is_hermitian(1e-12):
         raise ValueError("constructed Hamiltonian is not Hermitian")
+    rows, cols, v = h.entries()
     for name, op in model.conserved.items():
+        op_rows, op_cols, _ = op.entries()
+        if not np.array_equal(op_rows, op_cols):
+            raise ValueError(f"conserved operator {name} is not diagonal in the product basis")
+        c = op.diagonal()
         # an exact 0, the usual case, needs no scale
-        resid = commutator(model.h_int, op).norm()
-        if resid and resid > tol * max(1.0, model.h_int.norm()) * max(1.0, op.norm()):
+        resid = float(np.linalg.norm(v * c[cols] - c[rows] * v))
+        if resid and resid > tol * max(1.0, h.norm()) * max(1.0, op.norm()):
             raise ValueError(f"[h_int, {name}] != 0")
     return model
 

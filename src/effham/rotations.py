@@ -30,8 +30,8 @@ reported rather than silently adopted.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -46,6 +46,8 @@ from .hilbert import (OperatorMatrix, SpaceDescriptor, collective_operator,
                       commutator, components, identity, number_operator,
                       occupation_sector_mask, photon_safe_mask, unitary_within, zero)
 from .models import ModelInstance, dispersive_guard
+
+_log = logging.getLogger(__name__)
 
 #: scenarios refuse to build above this expansion-parameter magnitude
 GUARD_LIMIT = 0.3
@@ -138,8 +140,8 @@ class RotationSpec:
         if not abs(self.epsilon) < 1.0:
             raise GuardViolationError(f"|epsilon| = {abs(self.epsilon):.3g} must be < 1")
         if abs(self.epsilon) > GUARD_LIMIT:
-            warnings.warn(f"epsilon = {self.epsilon:.3g} is beyond the trusted range "
-                          f"(|eps| <= {GUARD_LIMIT})", stacklevel=2)
+            _log.warning("epsilon = %.3g is beyond the trusted range (|eps| <= %s)",
+                         self.epsilon, GUARD_LIMIT)
 
     @property
     def generator(self) -> OperatorMatrix:
@@ -399,7 +401,9 @@ def offdiagonal_residual(h: OperatorMatrix, labels=None) -> float:
     lab = list(labels)
     if len(lab) != h.dim:
         raise ValueError("labels must cover the basis")
-    same = np.asarray([[a == b for b in lab] for a in lab])
+    codes: dict = {}
+    code = np.array([codes.setdefault(a, len(codes)) for a in lab])
+    same = code[:, None] == code[None, :]
     return float(np.linalg.norm(np.where(same, 0.0, h.matrix))) / total
 
 

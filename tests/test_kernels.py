@@ -7,8 +7,12 @@ gather of the other factor's rows or columns instead of a BLAS call, and
 must agree with the plain dense computation.  The exponential and the
 conjugation run per connected component of the nonzero pattern: they must
 agree with the dense computation too, leave exact zeros off the blocks, and
-let none of their checks miss a block.
+let none of their checks miss a block.  The Hermiticity, conservation and
+block-leakage checks read only the nonzero entries: they must decide as the
+dense formulas do and allocate less than one dense array.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import effham as eh
-from effham import hilbert, rotations
+from effham import hilbert, models, rotations
 from effham.hilbert import EnsembleSpec, FockTruncation, SpaceDescriptor
 
 EPS = np.finfo(float).eps
@@ -545,3 +549,219 @@ def test_nonfinite_entry_in_any_block_raises(bad, where):
     m[where] = bad
     with pytest.raises(ValueError, match="non-finite"):
         eh.matrix_exponential(eh.OperatorMatrix(_space(5), m))
+
+
+# -- checks that read the nonzeros --------------------------------------------
+
+def _dense_stored(space: SpaceDescriptor, m) -> eh.OperatorMatrix:
+    """``m`` stored dense, whether or not it has a ladder pattern."""
+    return eh.zero(space)._result(np.array(m, dtype=complex))
+
+
+def _hermitian_reference(m: np.ndarray, tol: float) -> bool:
+    return bool(np.linalg.norm(m - m.conj().T) <= tol * max(1.0, np.linalg.norm(m)))
+
+
+_HERMITICITY_CASES = ["hermitian", "lone entry", "lone 0.8 tol", "defect 0.1 tol", "defect 10 tol",
+                      "nan", "inf", "zero", "pattern"]
+
+
+@st.composite
+def hermiticity_cases(draw):
+    """(space, array, tol): Hermitian arrays, dense or with a ladder
+    pattern, and the same with one lone or perturbed entry, a defect just
+    inside or well outside ``tol``, or a non-finite entry."""
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(_HERMITICITY_CASES))
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-6]))
+    if kind == "pattern" or draw(st.booleans()):
+        p = _partial_permutation(rng, dim) * np.exp(1j * rng.normal(size=dim))
+        h = p + p.conj().T if draw(st.booleans()) else p
+    else:
+        x = _dense(rng, dim, draw(st.sampled_from([0.1, 0.5, 1.0])))
+        h = x + x.conj().T  # exactly Hermitian
+    i, j = rng.integers(0, dim, size=2)
+    if kind == "lone entry" and i != j:
+        h[i, j], h[j, i] = 1.0 + rng.normal(), 0.0
+    elif kind == "lone 0.8 tol" and i != j:
+        # inside tol on its own, outside once its empty mirror counts too
+        h[i, j] = h[j, i] = 0.0
+        h[i, j] = 0.8 * tol * max(1.0, np.linalg.norm(h))
+    elif kind.startswith("defect"):
+        size = 0.1 if kind == "defect 0.1 tol" else 10.0
+        h[i, j] += size * tol * max(1.0, np.linalg.norm(h)) * (1.0 if i != j else 1j)
+    elif kind in ("nan", "inf"):
+        h[i, j] = np.nan if kind == "nan" else draw(st.sampled_from([np.inf, -np.inf, 1j * np.inf]))
+        if draw(st.booleans()):
+            h[j, i] = np.conj(h[i, j])
+    elif kind == "zero":
+        h = np.zeros((dim, dim), dtype=complex)
+    return _space(dim), h, tol
+
+
+@given(hermiticity_cases())
+def test_hermiticity_from_nonzeros_matches_dense_reference(case):
+    space, m, tol = case
+    ref = _hermitian_reference(m, tol)
+    assert _dense_stored(space, m).is_hermitian(tol) == ref
+    if hilbert._scan(np.array(m, dtype=complex)) is not None:
+        op = eh.OperatorMatrix(space, m)
+        assert op._dense is None and op.is_hermitian(tol) == ref
+
+
+def test_entries_scan_lists_nonzeros_in_nonzero_order():
+    m = _dense(np.random.default_rng(5), 9, 0.4)
+    m[2, 3] = -0.0  # a signed zero is no entry
+    for arr in (m, np.asfortranarray(m), m.T):
+        r, c, v = _dense_stored(_space(9), arr).entries()
+        assert np.array_equal(np.stack([r, c]), np.stack(np.nonzero(arr)))
+        assert np.array_equal(v, arr[r, c])
+
+
+def _leakage_per_mask(ops, masks) -> float:
+    """The block leakage as one gather per mask: ``max_b ||h[b, ~b]||``
+    relative to ``max(1, ||h||)``, the larger over ``ops``."""
+    leakage = 0.0
+    for h in ops:
+        out = max(float(np.linalg.norm(h.block(np.flatnonzero(m), np.flatnonzero(~m)))) for m in masks)
+        if out:
+            leakage = max(leakage, out / max(1.0, h.norm()))
+    return leakage
+
+
+@st.composite
+def leakage_cases(draw):
+    """(space, h_exact, h_eff, blocks, leaks): two Hermitian arrays block
+    diagonal in a random partition, optionally with couplings between its
+    parts, and the parts, random subsets of states or both as blocks."""
+    dim = draw(st.integers(2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    part = rng.integers(0, draw(st.integers(1, 12)), size=dim)  # more than 8 parts too
+    same = part[:, None] == part[None, :]
+    arrays = []
+    for storage in draw(st.lists(st.sampled_from(["dense", "pattern"]), min_size=2, max_size=2)):
+        if storage == "pattern":
+            m = np.diag(rng.normal(size=dim)).astype(complex)
+        else:
+            x = _dense(rng, dim, draw(st.sampled_from([0.3, 1.0])))
+            m = np.where(same, x + x.conj().T, 0.0)
+        arrays.append(m)
+    leaks = draw(st.booleans())
+    if leaks:
+        i, j = rng.integers(0, dim, size=2)
+        arrays[0][i, j] += 10.0 ** rng.integers(-14, 1)
+        arrays[0][j, i] = np.conj(arrays[0][i, j])
+    shape = draw(st.sampled_from(["partition", "overlapping", "both"]))
+    blocks = [part == k for k in np.unique(part)] if shape != "overlapping" else []
+    if shape != "partition":
+        for _ in range(draw(st.integers(1, 4))):
+            subset = rng.random(dim) < 0.5
+            subset[rng.integers(0, dim)] = True  # an empty block has no spectrum
+            blocks.append(subset)
+    if draw(st.booleans()):
+        blocks = [np.flatnonzero(b) for b in blocks]  # index lists
+    return _space(dim), arrays[0], arrays[1], blocks, leaks or shape != "partition"
+
+
+@given(leakage_cases())
+def test_block_leakage_matches_per_mask_gathers(case):
+    space, x, y, blocks, may_leak = case
+    ops = [eh.OperatorMatrix(space, x), eh.OperatorMatrix(space, y)]
+    masks = [np.isin(np.arange(space.dim), b) if b.dtype != bool else b for b in blocks]
+    ref = _leakage_per_mask(ops, masks)
+    got = eh.compare_spectra(*ops, blocks, block_tol=np.inf).block_leakage
+    assert got == pytest.approx(ref, rel=1e-14, abs=0)
+    if not may_leak:
+        assert got == 0.0
+
+
+def test_block_diagonal_pair_leaks_exactly_zero(dicke_model):
+    forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
+    for h_eff in (forms.corrected, eh.conjugate(dicke_model.h_int, forms.rotation)):
+        report = eh.compare_spectra(dicke_model.h_int, h_eff, eh.block_masks(dicke_model))
+        assert report.block_leakage == 0.0
+
+
+def _signed_parts(rng, n: int) -> np.ndarray:
+    """Normal numbers, +0 and -0 in equal shares."""
+    kind = rng.integers(0, 3, size=n)
+    return np.where(kind == 0, rng.normal(size=n), np.where(kind == 1, 0.0, -0.0))
+
+
+def _signed_pattern(rng, dim: int, rows=None) -> hilbert.LadderPattern:
+    """A column map with ±0 parts: nonzeros on a random partial permutation
+    (on ``rows`` when given), and empty columns of +0 or -0 parts pointing
+    at random rows."""
+    rows = rng.permutation(dim) if rows is None else rows.copy()
+    full = rng.random(dim) < 0.75
+    rows[~full] = rng.integers(0, dim, size=np.count_nonzero(~full))
+    values = np.empty(dim, dtype=complex)
+    values.real, values.imag = _signed_parts(rng, dim), _signed_parts(rng, dim)
+    values.real[full & (values == 0)] = 1.0
+    values[~full] = np.where(rng.random(np.count_nonzero(~full)) < 0.5, 0.0, -0.0) + 0j
+    values.imag[~full] = np.where(rng.random(np.count_nonzero(~full)) < 0.5, 0.0, -0.0)
+    return hilbert.LadderPattern(rows, values)
+
+
+def _column_map_holds(m: np.ndarray) -> bool:
+    """Every column has at most one entry that is not +0, signed zeros counted."""
+    bits = m.view(np.uint64).reshape(*m.shape, 2).any(axis=-1)
+    return bool(np.all(bits.sum(axis=0) <= 1))
+
+
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pattern_sums_match_dense_bits(dim, seed, share_rows):
+    rng = np.random.default_rng(seed)
+    space = _space(dim)
+    p = _signed_pattern(rng, dim)
+    q = _signed_pattern(rng, dim, p.rows if share_rows else None)
+    a, b = hilbert._pattern_operator(space, p), hilbert._pattern_operator(space, q)
+    for got, ref in ((a + b, a.matrix + b.matrix), (a - b, a.matrix - b.matrix)):
+        m = got.matrix
+        assert got._dense is None or not _shared_places(a, b)
+        if got._dense is not None or _column_map_holds(ref):
+            assert np.array_equal(m.view(np.uint64), ref.view(np.uint64))
+        else:  # a -0 beside the column's nonzero, which a column map cannot hold
+            assert np.array_equal(m, ref)
+
+
+def test_offdiagonal_residual_labels_match_pairwise_loop(dicke_model):
+    h, rng = dicke_model.h_int, np.random.default_rng(3)
+    for labels in ([lab[0][0] % 3 for lab in dicke_model.space.labels],  # repeating ints
+                   [tuple(rng.integers(0, 2, size=2)) for _ in range(h.dim)],
+                   list(dicke_model.space.labels)):
+        same = np.asarray([[x == y for y in labels] for x in labels])
+        ref = float(np.linalg.norm(np.where(same, 0.0, h.matrix))) / h.norm()
+        assert eh.offdiagonal_residual(h, labels) == ref
+
+
+def _peak_bytes(call) -> int:
+    """The peak of the memory traced while ``call`` runs, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fixture, scenario", [(None, "dicke-dispersive"),
+                                               ("four_level_model", "four-level-three-photon")],
+                         ids=["dicke dim 124", "four-level"])
+def test_checks_allocate_less_than_one_dense_array(fixture, scenario, request):
+    # at dim 124 Python's own fixed allocations are far below dim^2 x 16 bytes
+    model = (request.getfixturevalue(fixture) if fixture else
+             eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0, g=0.004,
+                                   atoms=3, n_max=30)))
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    masks = eh.block_masks(model)
+    h = model.h_int
+    assert h._dense is not None
+    bound = h.dim ** 2 * 16
+    m = h.matrix
+    assert _peak_bytes(lambda: m - m.conj().T) > bound  # the dense check these replace
+    for call in (h.is_hermitian, lambda: models._validate(model),
+                 lambda: eh.compare_spectra(h, forms.corrected, masks)):
+        assert _peak_bytes(call) < bound

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import effham as eh
 from effham.errors import GuardViolationError, ResonanceError
+from effham import models
 from effham.models import MODEL_KINDS
 
 
@@ -343,3 +345,28 @@ def test_smallest_cutoff_keeps_an_untruncated_block(name):
 
 def test_smallest_cutoff_cases_cover_every_kind():
     assert {name.split(",")[0] for name in _SMALLEST} == set(MODEL_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(_SMALLEST))
+def test_conserved_operators_are_diagonal_patterns(name):
+    model = eh.build(eh.ModelSpec(kind=name.split(",")[0], **_SMALLEST[name]))
+    for op in model.conserved.values():
+        assert op.ladder is not None and op.ladder.is_diagonal
+
+
+def test_validate_reads_the_charge_off_h_int(dicke_model):
+    a = dicke_model.operators["a"]
+    n = dicke_model.conserved["N"]
+    assert models._validate(dicke_model) is dicke_model
+    # the same diagonal stored dense is accepted too
+    dense_n = eh.zero(dicke_model.space)._result(np.array(n.matrix))
+    assert models._validate(dataclasses.replace(dicke_model, conserved={"N": dense_n}))
+    # a Hermitian h_int that changes the excitation number
+    broken = dataclasses.replace(dicke_model, h_int=dicke_model.h_int + 1e-6 * (a + a.dag()))
+    with pytest.raises(ValueError, match=r"\[h_int, N\]"):
+        models._validate(broken)
+    # operators off the diagonal, h_int itself commuting with h_int
+    assert eh.commutator(dicke_model.h_int, dicke_model.h_int).norm() == 0.0
+    for off in (dicke_model.h_int, dicke_model.operators["S+"] + dicke_model.operators["S-"]):
+        with pytest.raises(ValueError, match="not diagonal"):
+            models._validate(dataclasses.replace(dicke_model, conserved={"N": n, "H": off}))

@@ -1,4 +1,4 @@
-"""Time the Dicke model up a ladder of sizes: build, scenario and evolution.
+"""Time the Dicke model up a ladder of sizes: build, scenario, spectra and evolution.
 
     python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--repeats 3] [--out OUT.json]
 
@@ -10,6 +10,8 @@ built model:
 
 * ``build``: ``effham.build`` of the model;
 * ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``;
+* ``spectra``: ``block_masks`` of the model and ``compare_spectra`` of
+  ``h_int`` against the scenario's corrected form on them;
 * ``evolve``: ``evolve`` of ``h_int`` from ``|n_max/2 photons, ground>`` at
   41 times over one effective period.
 
@@ -48,16 +50,19 @@ def measure(atoms: int, repeats: int) -> dict:
                         omega0=10.0 + DELTA, g=g)
     n0 = n_max // 2
     times = np.linspace(0.0, 2 * math.pi * DELTA / (g * g * (n0 + 1)), 41)
-    samples = {"build": [], "scenario": [], "evolve": []}
+    samples = {"build": [], "scenario": [], "spectra": [], "evolve": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = eh.build(spec)
         t1 = time.perf_counter()
-        eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
+        forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
         t2 = time.perf_counter()
-        eh.evolve(model.h_int, eh.basis_state(model.space, (n0,), level=1), times)
+        eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model))
         t3 = time.perf_counter()
-        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2)):
+        del forms
+        eh.evolve(model.h_int, eh.basis_state(model.space, (n0,), level=1), times)
+        t4 = time.perf_counter()
+        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             samples[stage].append(seconds)
         del model
     return {"atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
