@@ -62,14 +62,13 @@ class RelationReport:
         return key, self.residuals[key]
 
 
-def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix,
-                   ladder_tol: float = VERIFICATION_TOL) -> DeformedAlgebra:
+def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix) -> DeformedAlgebra:
     """Assemble a deformed algebra from a diagonal generator and a raising operator.
 
     ``X-`` is taken as the adjoint of ``X+`` and the structure operator is
     measured as ``[X+, X-]``.  Construction fails if the inputs do not share
     a space, if ``X3`` is not Hermitian, or if the ladder relation
-    ``[X3, X+] = X+`` fails beyond ``ladder_tol``.
+    ``[X3, X+] = X+`` fails beyond :data:`VERIFICATION_TOL`.
     """
     if x3.space != xplus.space:
         raise SpaceMismatchError("X3 and X+ live on different spaces")
@@ -77,9 +76,9 @@ def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix,
         raise LadderRelationError(f"{name}: X3 is not Hermitian")
     # each residual is measured first: an exact 0 needs no scale
     ladder = (commutator(x3, xplus) - xplus).norm()
-    if ladder and ladder > ladder_tol * max(1.0, xplus.norm()):
+    if ladder and ladder > VERIFICATION_TOL * max(1.0, xplus.norm()):
         raise LadderRelationError(
-            f"{name}: [X3, X+] - X+ has norm {ladder:.3e} (tol {ladder_tol:.1e})")
+            f"{name}: [X3, X+] - X+ has norm {ladder:.3e} (tol {VERIFICATION_TOL:.1e})")
     xminus = xplus.dag()
     structure = commutator(xplus, xminus)
     comm = commutator(structure, x3).norm()
@@ -159,8 +158,7 @@ def verify_su3_cross_relations(alg_a: DeformedAlgebra, alg_b: DeformedAlgebra,
     """
     if alg_a.space != alg_b.space or y_plus.space != alg_a.space:
         raise SpaceMismatchError("cross-relation operands live on different spaces")
-    space = alg_a.space
-    safe = photon_safe_mask(space, 1) if space.modes else np.ones(space.dim, dtype=bool)
+    safe = photon_safe_mask(alg_a.space, 1)
 
     def resid(op: OperatorMatrix) -> float:
         return op.project(safe).norm()

@@ -100,26 +100,19 @@ def _parse_times(text: str) -> tuple[float, ...]:
     return _parse_floats(text)
 
 
+#: the optional keys of the [model] section, each with the parser of its text
+_MODEL_KEYS = {"atoms": int, "n_max": _parse_ints, "energies": _parse_floats,
+               "couplings": _parse_floats, "couplings_b": _parse_floats,
+               **dict.fromkeys(("omega_field", "omega_b", "omega", "g", "spin_j", "omega0"), float)}
+
+
 def _model_spec(section) -> ModelSpec:
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("missing model.kind")
-    kwargs: dict = {"kind": kind}
-    if "atoms" in section:
-        kwargs["atoms"] = section.getint("atoms")
-    if "n_max" in section:
-        kwargs["n_max"] = _parse_ints(section["n_max"])
-    if "energies" in section:
-        kwargs["energies"] = _parse_floats(section["energies"])
-    if "couplings" in section:
-        kwargs["couplings"] = _parse_floats(section["couplings"])
-    if "couplings_b" in section:
-        kwargs["couplings_b"] = _parse_floats(section["couplings_b"])
-    for key in ("omega_field", "omega_b", "omega", "g", "spin_j", "omega0"):
-        if key in section:
-            kwargs[key] = section.getfloat(key)
+    kwargs = {key: parse(section[key]) for key, parse in _MODEL_KEYS.items() if key in section}
     try:
-        return ModelSpec(**kwargs)
+        return ModelSpec(kind=kind, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
@@ -193,10 +186,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 # analyses
 # ---------------------------------------------------------------------------
 
-def _build_model(cfg: RunConfig) -> models.ModelInstance:
-    return models.build(cfg.model)
-
-
 def _initial_state(cfg: RunConfig, model: models.ModelInstance) -> np.ndarray:
     photons = cfg.initial_photons
     if len(photons) != len(model.space.modes):
@@ -206,12 +195,8 @@ def _initial_state(cfg: RunConfig, model: models.ModelInstance) -> np.ndarray:
     return basis_state(model.space, photons, level=cfg.initial_level)
 
 
-def _scenario(cfg: RunConfig) -> EffectiveScenario:
-    return EffectiveScenario(cfg.scenario, form=cfg.form)
-
-
 def _run_algebra_check(cfg: RunConfig):
-    model = _build_model(cfg)
+    model = models.build(cfg.model)
     checks, rows = [], []
     for name, alg in model.algebras.items():
         rep = ladder_relation_report(alg)
@@ -241,8 +226,8 @@ def _run_algebra_check(cfg: RunConfig):
 
 
 def _run_spectrum(cfg: RunConfig):
-    model = _build_model(cfg)
-    forms = rotations.closed_form_effective(model, _scenario(cfg))
+    model = models.build(cfg.model)
+    forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     h_eff = forms.selected
     if forms.sector_mask is not None:
         raise ConfigError(
@@ -280,7 +265,7 @@ def _default_observables(model: models.ModelInstance):
 
 
 def _run_evolve(cfg: RunConfig):
-    model = _build_model(cfg)
+    model = models.build(cfg.model)
     psi0 = _initial_state(cfg, model)
     obs = _default_observables(model)
     traj = dynamics.evolve(model.h_int, psi0, cfg.times, observables=obs)
@@ -293,7 +278,7 @@ def _run_evolve(cfg: RunConfig):
     columns = ["time"] + list(obs.keys())
     infid = None
     if cfg.scenario is not None:
-        forms = rotations.closed_form_effective(model, _scenario(cfg))
+        forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
         eff = dynamics.effective_evolution(forms.selected, psi0, cfg.times,
                                            rotation=forms.rotation)
         infid = dynamics.infidelity_series(traj, eff)
@@ -359,7 +344,7 @@ def _run_scaling(cfg: RunConfig):
 
     def metric(eps: float) -> float:
         model = _scaled_model(cfg, eps)
-        forms = rotations.closed_form_effective(model, _scenario(cfg))
+        forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
         if cfg.metric == "eigenvalue-error":
             masks = models.block_masks(model, skip_truncated=True)
             report = dynamics.compare_spectra(model.h_int, forms.selected, masks)
@@ -390,8 +375,8 @@ def _run_scaling(cfg: RunConfig):
 
 
 def _run_effective(cfg: RunConfig):
-    model = _build_model(cfg)
-    forms = rotations.closed_form_effective(model, _scenario(cfg))
+    model = models.build(cfg.model)
+    forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     rows = [("deviation_norm", _fmt(forms.deviation_norm)),
             ("deviation_relative", _fmt(forms.deviation_relative))]
     checks = []

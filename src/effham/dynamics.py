@@ -20,6 +20,12 @@ from .errors import AnalysisError, SpaceMismatchError
 from .hilbert import OperatorMatrix, components
 
 NORM_TOL = 1e-10
+#: metric values at or below this are taken as roundoff and left out of a scaling fit
+SATURATION = 1e-14
+#: largest rms log10 residual of a scaling fit whose order is trusted
+FIT_RESIDUAL_LIMIT = 0.15
+#: smallest peak prominence, as a share of the series span, that counts as an oscillation peak
+MIN_PROMINENCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -64,15 +70,21 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
         phases = np.exp(-1j * np.outer(t, w))
         states = np.zeros((len(t), len(psi)), dtype=complex)
         states[:, span] = (phases * coeff) @ v.T  # (T, dim) in the original basis
-    drift = float(np.max(np.abs(1.0 - np.linalg.norm(states, axis=1))))
+    drift = Trajectory(t, states).norm_drift()
     if drift > NORM_TOL:
         raise AnalysisError(f"norm drift {drift:.3e} beyond tolerance")
+    return Trajectory(times=t, states=states, observables=_expectations(h, states, observables))
+
+
+def _expectations(h: OperatorMatrix, states: np.ndarray, observables) -> dict[str, np.ndarray]:
+    """The expectation series of each named observable along ``states``;
+    every observable must live on ``h``'s space."""
     obs = {}
     for name, op in (observables or {}).items():
         if op.space != h.space:
             raise SpaceMismatchError(f"observable {name} on a different space")
         obs[name] = np.real(np.einsum("ti,ij,tj->t", states.conj(), op.matrix, states))
-    return Trajectory(times=t, states=states, observables=obs)
+    return obs
 
 
 def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,
@@ -90,12 +102,9 @@ def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,
     if rotation is None:
         return evolve(h_eff, psi, times, observables)
     inner = evolve(h_eff, rotation.apply(psi), times)
-    back = rotation.matrix.conj().T
-    states = inner.states @ back.T
-    obs = {}
-    for name, op in (observables or {}).items():
-        obs[name] = np.real(np.einsum("ti,ij,tj->t", states.conj(), op.matrix, states))
-    return Trajectory(times=inner.times, states=states, observables=obs)
+    states = inner.states @ rotation.matrix.conj()  # row k: (U^dag psi_k)^T = psi_k^T conj(U)
+    return Trajectory(times=inner.times, states=states,
+                      observables=_expectations(h_eff, states, observables))
 
 
 def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
@@ -153,18 +162,12 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     degenerate clusters are compared as sorted multisets.  An empty
     ``blocks`` compares nothing and is an error.
     """
-    if h_exact.space != h_eff.space:
-        raise SpaceMismatchError("operators live on different spaces")
-    dim = h_exact.dim
+    h_exact._check(h_eff)
     masks = []
     for blk in blocks:
-        arr = np.asarray(blk)
-        if arr.dtype == bool:
-            masks.append(arr)
-        else:
-            m = np.zeros(dim, dtype=bool)
-            m[arr] = True
-            masks.append(m)
+        m = np.zeros(h_exact.dim, dtype=bool)
+        m[np.asarray(blk)] = True
+        masks.append(m)
     if not masks:
         raise AnalysisError("no blocks to compare")
     leakage = max(_leakage(h, masks) for h in (h_exact, h_eff))
@@ -222,25 +225,25 @@ class ScalingFit:
     epsilons: tuple[float, ...]
     values: tuple[float, ...]
     saturated: bool
-    residual_threshold: float = 0.15
 
     @property
     def reliable(self) -> bool:
-        """The fitted order is only meaningful when the log-log fit is tight."""
-        return (not self.saturated) and self.residual <= self.residual_threshold
+        """The fitted order is only meaningful when the log-log fit is tight:
+        unsaturated, with a residual of at most :data:`FIT_RESIDUAL_LIMIT`."""
+        return (not self.saturated) and self.residual <= FIT_RESIDUAL_LIMIT
 
 
-def scaling_study(metric, eps_grid, saturation: float = 1e-14) -> ScalingFit:
+def scaling_study(metric, eps_grid) -> ScalingFit:
     """Fit the convergence order of ``metric(eps)`` over a geometric epsilon grid.
 
-    Grid points whose metric falls below ``saturation`` are dropped and the
-    fit is flagged saturated; at least three usable points are required.
+    Grid points whose metric is at most :data:`SATURATION` are dropped and
+    the fit is flagged saturated; at least three usable points are required.
     """
     eps = [float(e) for e in eps_grid]
     if len(eps) < 3:
         raise ValueError("need at least three epsilon values")
     vals = [float(metric(e)) for e in eps]
-    usable = [(e, v) for e, v in zip(eps, vals) if v > saturation]
+    usable = [(e, v) for e, v in zip(eps, vals) if v > SATURATION]
     saturated = len(usable) < len(vals)
     if len(usable) < 3:
         return ScalingFit(order=math.nan, intercept=math.nan, residual=math.inf,
@@ -270,13 +273,12 @@ def _prominence(s: np.ndarray, p: int) -> float:
     return float(s[p] - max(left, right))
 
 
-def effective_frequency(traj: Trajectory, observable: str,
-                        min_prominence: float = 0.25) -> float:
+def effective_frequency(traj: Trajectory, observable: str) -> float:
     """Dominant oscillation frequency of a recorded observable.
 
     Measured from the mean spacing of successive maxima, refined with a
-    three-point parabolic fit.  Only peaks whose prominence exceeds
-    ``min_prominence`` times the series span count, which makes the
+    three-point parabolic fit.  Only peaks whose prominence is at least
+    :data:`MIN_PROMINENCE` times the series span count, which makes the
     extraction immune to the small fast ripple that nonresonant channels
     superpose on a slow transfer; at least two such peaks are required.
     Note populations oscillate at twice the underlying amplitude frequency,
@@ -293,7 +295,7 @@ def effective_frequency(traj: Trajectory, observable: str,
     for i in range(1, len(s) - 1):
         if not (s[i - 1] < s[i] >= s[i + 1]):
             continue
-        if _prominence(s, i) < min_prominence * span:
+        if _prominence(s, i) < MIN_PROMINENCE * span:
             continue
         denom = s[i - 1] - 2 * s[i] + s[i + 1]
         shift = 0.5 * (s[i - 1] - s[i + 1]) / denom if denom != 0 else 0.0

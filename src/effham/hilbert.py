@@ -353,11 +353,7 @@ class OperatorMatrix:
         """
         rows = np.asarray(rows)
         cols = rows if cols is None else np.asarray(cols)
-        if self._dense is not None:
-            return self._dense[rows[..., :, None], cols[..., None, :]]
-        p = self._ladder
-        hit = rows[..., :, None] == p.rows[cols][..., None, :]
-        return np.where(hit, p.values[cols][..., None, :], 0.0)
+        return self._at(rows[..., :, None], cols[..., None, :])
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
@@ -372,7 +368,8 @@ class OperatorMatrix:
         return rows, cols, self._dense[rows, cols]
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The entries at ``(rows[k], cols[k])``."""
+        """The entries at ``(rows[k], cols[k])``, the two index arrays
+        broadcast against each other."""
         if self._dense is not None:
             return self._dense[rows, cols]
         p = self._ladder
@@ -600,8 +597,7 @@ def spin_operators(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatr
 
 def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     """``lhs @ rhs - rhs @ lhs`` on a shared space."""
-    if lhs.space is not rhs.space and lhs.space != rhs.space:
-        raise SpaceMismatchError("commutator operands live on different spaces")
+    lhs._check(rhs)
     if lhs.ladder is not None and rhs.ladder is not None:
         return lhs @ rhs - rhs @ lhs
     out = _product(lhs, rhs)

@@ -7,6 +7,11 @@ term.  The split is exact: ``h_free + h_int`` reproduces the full lab-frame
 Hamiltonian including the scalar constants that are usually dropped, so
 interaction-picture comparisons cost nothing.
 
+A builder states the physics: the space, the detunings, the diagonal part,
+the excitation number, the transitions and the free part.  One assembler,
+:func:`_model`, builds the algebras and coupling terms from that, sums
+``h_int`` and validates the result.
+
 All couplings are real, energies are in units with hbar = 1.
 """
 
@@ -18,16 +23,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import hilbert
-from .algebra import DeformedAlgebra, build_deformed
+from .algebra import VERIFICATION_TOL, DeformedAlgebra, build_deformed
 from .errors import GuardViolationError, ResonanceError
 from .hilbert import (EnsembleSpec, OperatorMatrix, SpaceDescriptor, annihilator,
                       collective_inversion, collective_operator,
-                      enumerate_basis, identity, number_operator)
+                      enumerate_basis, identity, number_operator, photon_safe_mask)
 
 MODEL_KINDS = ("spin-in-field", "dicke", "xi3", "lambda3", "cascade", "two-mode-four")
 
 #: dimensionless dispersive ratio above which a regime is flagged invalid
 DISPERSIVE_LIMIT = 0.3
+#: largest |detuning| the ``require_resonance`` checks accept as a multiphoton resonance
+RESONANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,11 @@ class Interaction:
     def epsilon(self) -> float:
         return self.g / self.detuning
 
+    @property
+    def coupling(self) -> OperatorMatrix:
+        """The coupling term ``g (X+ + X-)``."""
+        return self.g * (self.algebra.xplus + self.algebra.xminus)
+
 
 @dataclass(frozen=True)
 class ModelInstance:
@@ -125,13 +137,15 @@ class ModelInstance:
         return {t.name: t.algebra for t in self.interactions}
 
 
-def _validate(model: ModelInstance, tol: float = 1e-10) -> ModelInstance:
+def _validate(model: ModelInstance) -> ModelInstance:
     """Check that both Hamiltonians are Hermitian and that ``h_int``
     commutes with every conserved operator, which must be exactly diagonal.
 
     With ``C = diag(c)``, ``[h_int, C]`` is nonzero only where ``h_int`` is:
     ``v c[j] - c[i] v`` at each nonzero ``v`` at ``(i, j)``, the entries the
     dense products would form, so the residual reads ``h_int``'s nonzeros.
+    Its norm may be at most :data:`~effham.algebra.VERIFICATION_TOL` times
+    the norms of both operators (each at least 1).
     """
     h = model.h_int
     if not h.is_hermitian(1e-12) or not model.h_free.is_hermitian(1e-12):
@@ -144,13 +158,24 @@ def _validate(model: ModelInstance, tol: float = 1e-10) -> ModelInstance:
         c = op.diagonal()
         # an exact 0, the usual case, needs no scale
         resid = float(np.linalg.norm(v * c[cols] - c[rows] * v))
-        if resid and resid > tol * max(1.0, h.norm()) * max(1.0, op.norm()):
+        if resid and resid > VERIFICATION_TOL * max(1.0, h.norm()) * max(1.0, op.norm()):
             raise ValueError(f"[h_int, {name}] != 0")
     return model
 
 
-def _coupling_term(g: float, alg: DeformedAlgebra) -> OperatorMatrix:
-    return g * (alg.xplus + alg.xminus)
+def _model(spec: ModelSpec, space: SpaceDescriptor, h_diag: OperatorMatrix, transitions,
+           h_free: OperatorMatrix, conserved, detunings, operators) -> ModelInstance:
+    """The validated model with one coupling term per ``(name, g, detuning,
+    X3, X+, mode)`` in ``transitions``, each on the deformed algebra of
+    ``(X3, X+)``, and ``h_int = h_diag + sum of the couplings`` in that order."""
+    terms = tuple(Interaction(name, g, detuning, build_deformed(name, x3, xplus), mode)
+                  for name, g, detuning, x3, xplus, mode in transitions)
+    h_int = h_diag
+    for term in terms:
+        h_int = h_int + term.coupling
+    return _validate(ModelInstance(
+        spec=spec, space=space, h_free=h_free, h_int=h_int, h_diag=h_diag,
+        interactions=terms, conserved=conserved, detunings=detunings, operators=operators))
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +191,9 @@ def build_spin_in_field(spec: ModelSpec) -> ModelInstance:
     atoms = int(round(2 * spec.spin_j))
     space = enumerate_basis([], EnsembleSpec(levels=2, atoms=atoms))
     s3, sp, _ = hilbert.spin_operators(space)
-    alg = build_deformed("spin", s3, sp)
-    h_diag = spec.omega * s3
-    h_int = h_diag + _coupling_term(spec.g, alg)
-    term = Interaction(name="spin", g=spec.g, detuning=spec.omega, algebra=alg, mode=None)
-    model = ModelInstance(
-        spec=spec, space=space, h_free=hilbert.zero(space), h_int=h_int, h_diag=h_diag,
-        interactions=(term,), conserved={}, detunings={"omega": spec.omega},
-        operators={"S3": s3, "S+": sp, "S-": sp.dag()})
-    return _validate(model)
+    return _model(spec, space, spec.omega * s3, [("spin", spec.g, spec.omega, s3, sp, None)],
+                  hilbert.zero(space), {}, {"omega": spec.omega},
+                  {"S3": s3, "S+": sp, "S-": sp.dag()})
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +210,10 @@ def build_dicke(spec: ModelSpec) -> ModelInstance:
     s3, sp, sm = hilbert.spin_operators(space)
     a = annihilator(space, 0)
     delta = spec.omega0 - spec.omega_field
-    alg = build_deformed("jc", s3, a @ sp)
     n_exc = number_operator(space, 0) + s3
-    h_diag = delta * s3
-    h_int = h_diag + _coupling_term(spec.g, alg)
-    term = Interaction(name="jc", g=spec.g, detuning=delta, algebra=alg)
-    model = ModelInstance(
-        spec=spec, space=space, h_free=spec.omega_field * n_exc, h_int=h_int, h_diag=h_diag,
-        interactions=(term,), conserved={"N": n_exc}, detunings={"delta": delta},
-        operators={"S3": s3, "S+": sp, "S-": sm, "a": a, "n": number_operator(space, 0)})
-    return _validate(model)
+    return _model(spec, space, delta * s3, [("jc", spec.g, delta, s3, a @ sp, 0)],
+                  spec.omega_field * n_exc, {"N": n_exc}, {"delta": delta},
+                  {"S3": s3, "S+": sp, "S-": sm, "a": a, "n": number_operator(space, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +244,11 @@ def build_xi3(spec: ModelSpec) -> ModelInstance:
     a = annihilator(space, 0)
     d12, d23 = e2 - e1 - wf, e3 - e2 - wf
     n_exc = number_operator(space, 0) + ops["S33"] - ops["S11"]
-    alg12 = build_deformed("12", collective_inversion(space, 1, 2), a @ ops["S12"])
-    alg23 = build_deformed("23", collective_inversion(space, 2, 3), a @ ops["S23"])
-    h_diag = (-d12) * ops["S11"] + d23 * ops["S33"]
-    h_int = h_diag + _coupling_term(g12, alg12) + _coupling_term(g23, alg23)
-    h_free = wf * n_exc + (e2 * spec.atoms) * identity(space)
-    terms = (Interaction("12", g12, d12, alg12), Interaction("23", g23, d23, alg23))
-    model = ModelInstance(
-        spec=spec, space=space, h_free=h_free, h_int=h_int, h_diag=h_diag,
-        interactions=terms, conserved={"N": n_exc},
-        detunings={"12": d12, "23": d23},
-        operators={**ops, "a": a, "n": number_operator(space, 0)})
-    return _validate(model)
+    transitions = [("12", g12, d12, collective_inversion(space, 1, 2), a @ ops["S12"], 0),
+                   ("23", g23, d23, collective_inversion(space, 2, 3), a @ ops["S23"], 0)]
+    return _model(spec, space, (-d12) * ops["S11"] + d23 * ops["S33"], transitions,
+                  wf * n_exc + (e2 * spec.atoms) * identity(space), {"N": n_exc},
+                  {"12": d12, "23": d23}, {**ops, "a": a, "n": number_operator(space, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +269,13 @@ def build_lambda3(spec: ModelSpec) -> ModelInstance:
     a = annihilator(space, 0)
     d31, d32 = e3 - e1 - wf, e3 - e2 - wf
     n_exc = number_operator(space, 0) + ops["S33"]
-    alg13 = build_deformed("13", collective_inversion(space, 1, 3), a @ ops["S13"])
-    alg23 = build_deformed("23", collective_inversion(space, 2, 3), a @ ops["S23"])
-    h_diag = (-d31) * ops["S11"] + (-d32) * ops["S22"]
-    h_int = h_diag + _coupling_term(g13, alg13) + _coupling_term(g23, alg23)
-    h_free = wf * n_exc + ((e3 - wf) * spec.atoms) * identity(space)
+    transitions = [("13", g13, d31, collective_inversion(space, 1, 3), a @ ops["S13"], 0),
+                   ("23", g23, d32, collective_inversion(space, 2, 3), a @ ops["S23"], 0)]
     population = ops["S11"] + ops["S22"] + ops["S33"]
-    terms = (Interaction("13", g13, d31, alg13), Interaction("23", g23, d32, alg23))
-    model = ModelInstance(
-        spec=spec, space=space, h_free=h_free, h_int=h_int, h_diag=h_diag,
-        interactions=terms, conserved={"N": n_exc, "population": population},
-        detunings={"31": d31, "32": d32},
-        operators={**ops, "a": a, "n": number_operator(space, 0)})
-    return _validate(model)
+    return _model(spec, space, (-d31) * ops["S11"] + (-d32) * ops["S22"], transitions,
+                  wf * n_exc + ((e3 - wf) * spec.atoms) * identity(space),
+                  {"N": n_exc, "population": population}, {"31": d31, "32": d32},
+                  {**ops, "a": a, "n": number_operator(space, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +293,21 @@ def cascade_detunings(energies, omega_field: float) -> tuple[float, ...]:
     return tuple(e - e1 - j * omega_field for j, e in enumerate(energies))
 
 
-def build_cascade_n(spec: ModelSpec, require_resonance: bool = False,
-                    resonance_tol: float = 1e-9) -> ModelInstance:
+def _chain(space: SpaceDescriptor, ops, n_exc: OperatorMatrix, h_diag: OperatorMatrix, deltas):
+    """``n_exc + sum_i mu_i S3^{i,i+1}`` and ``h_diag + sum_j D_j S^{jj}`` of a cascade chain."""
+    for i, w in enumerate(inversion_weights(space.ensemble.levels), start=1):
+        n_exc = n_exc + w * collective_inversion(space, i, i + 1)
+    for j, d in enumerate(deltas, start=1):
+        h_diag = h_diag + d * ops[f"S{j}{j}"]
+    return n_exc, h_diag
+
+
+def build_cascade_n(spec: ModelSpec, require_resonance: bool = False) -> ModelInstance:
     """N-level cascade chain coupled to one mode on every adjacent transition.
 
     The conserved excitation is ``a^dag a + sum_i mu_i S3^{i,i+1}`` with
     ``mu_i = i (N - i)``.  With ``require_resonance`` the (N-1)-photon
-    condition ``D_N = 0`` is enforced.
+    condition ``D_N = 0`` is enforced, to within :data:`RESONANCE_TOL`.
     """
     nlev = len(spec.energies)
     if nlev < 3:
@@ -308,34 +316,21 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False,
         raise ValueError("need one coupling per adjacent transition")
     wf = spec.omega_field
     deltas = cascade_detunings(spec.energies, wf)
-    if require_resonance and abs(deltas[-1]) > resonance_tol:
+    if require_resonance and abs(deltas[-1]) > RESONANCE_TOL:
         raise ResonanceError(
             f"multiphoton resonance requested but D_{nlev} = {deltas[-1]:.3e}")
     space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=nlev, atoms=spec.atoms))
     ops = _level_ops(space)
     a = annihilator(space, 0)
-    mu = inversion_weights(nlev)
-    n_exc = number_operator(space, 0)
-    for i, w in enumerate(mu, start=1):
-        n_exc = n_exc + w * collective_inversion(space, i, i + 1)
-    h_diag = hilbert.zero(space)
-    for j, d in enumerate(deltas, start=1):
-        h_diag = h_diag + d * ops[f"S{j}{j}"]
-    terms = []
-    h_int = h_diag
-    for i, g in enumerate(spec.couplings, start=1):
-        alg = build_deformed(str(i), collective_inversion(space, i, i + 1),
-                             a @ ops[f"S{i}{i + 1}"])
-        h_int = h_int + _coupling_term(g, alg)
-        terms.append(Interaction(str(i), g, deltas[i] - deltas[i - 1], alg))
+    n_exc, h_diag = _chain(space, ops, number_operator(space, 0), hilbert.zero(space), deltas)
+    transitions = [(str(i), g, deltas[i] - deltas[i - 1], collective_inversion(space, i, i + 1),
+                    a @ ops[f"S{i}{i + 1}"], 0)
+                   for i, g in enumerate(spec.couplings, start=1)]
     e_mid = 0.5 * (spec.energies[-1] + spec.energies[0])
     h_free = wf * n_exc + ((e_mid - 0.5 * deltas[-1]) * spec.atoms) * identity(space)
-    model = ModelInstance(
-        spec=spec, space=space, h_free=h_free, h_int=h_int, h_diag=h_diag,
-        interactions=tuple(terms), conserved={"N": n_exc},
-        detunings={str(j): d for j, d in enumerate(deltas, start=1)},
-        operators={**ops, "a": a, "n": number_operator(space, 0)})
-    return _validate(model)
+    return _model(spec, space, h_diag, transitions, h_free, {"N": n_exc},
+                  {str(j): d for j, d in enumerate(deltas, start=1)},
+                  {**ops, "a": a, "n": number_operator(space, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +338,14 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False,
 # ---------------------------------------------------------------------------
 
 def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
-                        require_positive_gap: bool = False,
-                        resonance_tol: float = 1e-9) -> ModelInstance:
+                        require_positive_gap: bool = False) -> ModelInstance:
     """Four-level cascade driven by two modes a and b on every adjacent transition.
 
     Detunings are taken against mode a, ``D_j = E_j - E_1 - (j-1) omega_a``,
     and the mode gap ``delta = omega_b - omega_a`` enters the diagonal part
     as ``delta * b^dag b``.  ``require_resonance`` enforces the three-photon
-    condition ``E4 - E1 = 3 omega_b``; ``require_positive_gap`` enforces the
-    sign convention ``delta > 0``.
+    condition ``E4 - E1 = 3 omega_b``, to within :data:`RESONANCE_TOL`;
+    ``require_positive_gap`` enforces the sign convention ``delta > 0``.
     """
     if len(spec.energies) != 4:
         raise ValueError("the two-mode model has exactly four levels")
@@ -363,41 +357,27 @@ def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
     gap = wb - wa
     if require_positive_gap and gap <= 0:
         raise GuardViolationError(f"mode gap delta = {gap:.3e} must be positive")
-    if require_resonance and abs(spec.energies[3] - spec.energies[0] - 3 * wb) > resonance_tol:
+    if require_resonance and abs(spec.energies[3] - spec.energies[0] - 3 * wb) > RESONANCE_TOL:
         raise ResonanceError("three-photon resonance E4 - E1 = 3 omega_b requested but violated")
     deltas = cascade_detunings(spec.energies, wa)
     space = enumerate_basis([spec.n_max[0], spec.n_max[1]], EnsembleSpec(levels=4, atoms=spec.atoms))
     ops = _level_ops(space)
     a, b = annihilator(space, 0), annihilator(space, 1)
     na, nb = number_operator(space, 0), number_operator(space, 1)
-    mu = inversion_weights(4)
-    n_exc = na + nb
-    for i, w in enumerate(mu, start=1):
-        n_exc = n_exc + w * collective_inversion(space, i, i + 1)
-    h_diag = gap * nb
-    for j, d in enumerate(deltas, start=1):
-        h_diag = h_diag + d * ops[f"S{j}{j}"]
-    terms = []
-    h_int = h_diag
+    n_exc, h_diag = _chain(space, ops, na + nb, gap * nb, deltas)
+    transitions = []
     for i in range(1, 4):
         s3 = collective_inversion(space, i, i + 1)
         raising = ops[f"S{i}{i + 1}"]
-        alg_a = build_deformed(f"a{i}", s3, a @ raising)
-        alg_b = build_deformed(f"b{i}", s3, b @ raising)
-        ga, gb = spec.couplings[i - 1], spec.couplings_b[i - 1]
-        h_int = h_int + _coupling_term(ga, alg_a) + _coupling_term(gb, alg_b)
         d_step = deltas[i] - deltas[i - 1]
-        terms.append(Interaction(f"a{i}", ga, d_step, alg_a, mode=0))
-        terms.append(Interaction(f"b{i}", gb, d_step - gap, alg_b, mode=1))
+        transitions.append((f"a{i}", spec.couplings[i - 1], d_step, s3, a @ raising, 0))
+        transitions.append((f"b{i}", spec.couplings_b[i - 1], d_step - gap, s3, b @ raising, 1))
     e_mid = 0.5 * (spec.energies[3] + spec.energies[0])
     h_free = wa * n_exc + ((e_mid - 0.5 * deltas[-1]) * spec.atoms) * identity(space)
     detunings = {str(j): d for j, d in enumerate(deltas, start=1)}
     detunings["gap"] = gap
-    model = ModelInstance(
-        spec=spec, space=space, h_free=h_free, h_int=h_int, h_diag=h_diag,
-        interactions=tuple(terms), conserved={"N": n_exc}, detunings=detunings,
-        operators={**ops, "a": a, "b": b, "na": na, "nb": nb})
-    return _validate(model)
+    return _model(spec, space, h_diag, transitions, h_free, {"N": n_exc}, detunings,
+                  {**ops, "a": a, "b": b, "na": na, "nb": nb})
 
 
 _BUILDERS = {
@@ -421,15 +401,15 @@ def build(spec: ModelSpec, **kwargs) -> ModelInstance:
 
 @dataclass(frozen=True)
 class GuardResult:
-    """Dispersive-limit check: ratio A g sqrt(n_max + 1) / |detuning|."""
+    """Dispersive-limit check of one coupling term: its ratio
+    ``A g sqrt(n_max + 1) / |detuning|`` (``|g| / |detuning|`` without a
+    field mode), valid below :data:`DISPERSIVE_LIMIT`."""
 
     ratio: float
     valid: bool
-    limit: float = DISPERSIVE_LIMIT
 
 
-def dispersive_guard(model: ModelInstance, transition: str,
-                     limit: float = DISPERSIVE_LIMIT) -> GuardResult:
+def dispersive_guard(model: ModelInstance, transition: str) -> GuardResult:
     """Evaluate the dispersive condition for one coupling term.
 
     A field coupling uses ``atoms * sqrt(n_max + 1)``, with the retained
@@ -440,13 +420,13 @@ def dispersive_guard(model: ModelInstance, transition: str,
     """
     term = model.interaction(transition)
     if term.detuning == 0:
-        return GuardResult(ratio=math.inf, valid=False, limit=limit)
+        return GuardResult(ratio=math.inf, valid=False)
     if term.mode is None:
         ratio = abs(term.g) / abs(term.detuning)
     else:
         photon_scale = math.sqrt(model.spec.n_max[term.mode] + 1)
         ratio = model.spec.atoms * abs(term.g) * photon_scale / abs(term.detuning)
-    return GuardResult(ratio=ratio, valid=ratio < limit, limit=limit)
+    return GuardResult(ratio=ratio, valid=ratio < DISPERSIVE_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -475,8 +455,7 @@ def conserved_blocks(model: ModelInstance) -> list[Block]:
     keys, group = np.unique(np.round(diags, 9), axis=0, return_inverse=True)
     group = group.reshape(-1)
     members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-    tops = np.array([m.n_max for m in space.modes], dtype=np.int64)
-    at_top = np.any(space._label_array[:, :len(tops)] == tops, axis=1)
+    at_top = ~photon_safe_mask(space, 1)
     return [Block(key=tuple(key.tolist()), indices=tuple(idx.tolist()),
                   touches_truncation=bool(at_top[idx].any()))
             for key, idx in zip(keys, members)]

@@ -39,13 +39,13 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import DeformedAlgebra
+from .algebra import VERIFICATION_TOL, DeformedAlgebra
 from .errors import (AnalysisError, EffhamError, GuardViolationError,
                      ResonanceError)
 from .hilbert import (OperatorMatrix, SpaceDescriptor, collective_operator,
                       commutator, components, identity, number_operator,
                       occupation_sector_mask, photon_safe_mask, unitary_within, zero)
-from .models import ModelInstance, dispersive_guard
+from .models import DISPERSIVE_LIMIT, ModelInstance, dispersive_guard
 
 _log = logging.getLogger(__name__)
 
@@ -153,12 +153,13 @@ def small_rotation(spec: RotationSpec) -> OperatorMatrix:
     return matrix_exponential(spec.generator)
 
 
-def conjugate(h: OperatorMatrix, u: OperatorMatrix, tol: float = 1e-10) -> OperatorMatrix:
+def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
     """Rotated operator ``U H U^dag`` (spectrum preserved), as a dense operator.
 
     It is formed block by block on the connected components of the joint
     nonzero pattern of ``U`` and ``H``, where the result is block diagonal,
-    with +0 outside the blocks.  ``U`` must be unitary at the tolerance of
+    with +0 outside the blocks.  ``U`` must be unitary at
+    :data:`~effham.algebra.VERIFICATION_TOL`, scaled as in
     :meth:`~effham.hilbert.OperatorMatrix.is_unitary`; its defect
     ``||U^dag U - 1||`` is the root of the sum of the squared defects of the
     blocks, every state (an isolated one too) lying in one block.
@@ -167,7 +168,7 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix, tol: float = 1e-10) -> Opera
     stacks = _block_stacks(u, h)
     blocks = [u.block(idx) for idx in stacks]
     defect = _stacked_norm(_adjoint(b) @ b - np.eye(b.shape[-1]) for b in blocks)
-    if not unitary_within(defect, tol, u.dim):
+    if not unitary_within(defect, VERIFICATION_TOL, u.dim):
         raise ValueError("conjugation requires a unitary matrix")
     return _assemble(h, stacks, (b @ h.block(idx) @ _adjoint(b) for idx, b in zip(stacks, blocks)))
 
@@ -207,7 +208,7 @@ def _dispersive_guards(model: ModelInstance, transitions) -> dict[str, float]:
         if not guard.valid:
             raise GuardViolationError(
                 f"dispersive ratio {guard.ratio:.3g} on transition {name} "
-                f"outside validity (< {guard.limit})")
+                f"outside validity (< {DISPERSIVE_LIMIT})")
     return guards
 
 
@@ -470,8 +471,8 @@ def _signature_groups(h: OperatorMatrix):
     """The nonzero entries of ``h`` grouped by transition signature:
     their rows and columns, sorted by signature, the index of each one's
     group, and the distinct ``(dphot, docc)`` signatures."""
-    labels = np.asarray([photons + occ for photons, occ in h.space.labels], dtype=int)
-    rows, cols = np.nonzero(h.matrix)
+    labels = h.space._label_array
+    rows, cols, _ = h.entries()
     # sort the signatures of the nonzero entries; a group of equal ones
     # starts wherever a signature differs from the one before
     order = np.lexsort((labels[rows] - labels[cols]).T)
@@ -505,7 +506,7 @@ def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
     denom = float(np.sum(np.abs(t) ** 2))
     if denom == 0:
         raise AnalysisError("template vanishes on the requested region")
-    return float(np.real(np.sum(np.conj(t) * h.matrix[rows, cols])) / denom)
+    return float(np.real(np.sum(np.conj(t) * h._at(rows, cols))) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +553,10 @@ def _second_order(model: ModelInstance, gen: OperatorMatrix, eliminate, retain=(
     generator G that eliminates the named couplings.
     """
     terms = [model.interaction(name) for name in eliminate]
-    v_elim = _sum(t.g * (t.algebra.xplus + t.algebra.xminus) for t in terms)
+    v_elim = _sum(t.coupling for t in terms)
     h2 = model.h_diag + 0.5 * commutator(gen, v_elim)
     for name in retain:
-        term = model.interaction(name)
-        v = term.g * (term.algebra.xplus + term.algebra.xminus)
+        v = model.interaction(name).coupling
         h2 = h2 + v + commutator(gen, v)
     return h2
 
@@ -939,12 +939,6 @@ class EffectiveForms:
     def selected(self) -> OperatorMatrix:
         return self.printed if self.scenario.form == "printed" else self.corrected
 
-    def printed_in_sector(self) -> OperatorMatrix:
-        return self.printed if self.sector_mask is None else self.printed.project(self.sector_mask)
-
-    def corrected_in_sector(self) -> OperatorMatrix:
-        return self.corrected if self.sector_mask is None else self.corrected.project(self.sector_mask)
-
 
 def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> EffectiveForms:
     """Build the printed and corrected effective Hamiltonians for a scenario.
@@ -990,8 +984,7 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     # deviation is measured away from the Fock cutoff, where the measured
     # structure operators are exact (cutoff-touching blocks are flagged
     # elsewhere and never enter comparisons)
-    dev_mask = photon_safe_mask(model.space, 1) if model.space.modes \
-        else np.ones(model.space.dim, dtype=bool)
+    dev_mask = photon_safe_mask(model.space, 1)
     if sector is not None:
         dev_mask = dev_mask & sector
     # projecting after the subtraction gives the same array, with one

@@ -245,3 +245,28 @@ class TestEffectiveFrequency:
         traj = eh.evolve(m.h_int, psi0, times, observables={"P3": p3})
         freq = eh.effective_frequency(traj, "P3")
         assert freq == pytest.approx(rabi / (2 * math.pi), rel=0.05)
+
+
+class TestObservableSpace:
+    """An observable must live on the evolved operator's space, also when
+    it has the same dimension."""
+
+    def _setup(self):
+        model = eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0,
+                                      g=0.04, atoms=1, n_max=1))
+        spin = eh.build(eh.ModelSpec(kind="spin-in-field", omega=1.0, g=0.1, spin_j=1.5))
+        assert model.space.dim == spin.space.dim == 4
+        forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
+        psi0 = eh.basis_state(model.space, (0,), level=1)
+        return model, forms, psi0, {"S3": spin.operators["S3"]}
+
+    def test_evolve_refuses_a_foreign_observable(self):
+        model, _, psi0, obs = self._setup()
+        with pytest.raises(SpaceMismatchError):
+            eh.evolve(model.h_int, psi0, [0.0, 1.0], observables=obs)
+
+    def test_effective_evolution_refuses_a_foreign_observable(self):
+        _, forms, psi0, obs = self._setup()
+        with pytest.raises(SpaceMismatchError):
+            eh.effective_evolution(forms.corrected, psi0, [0.0, 1.0],
+                                   rotation=forms.rotation, observables=obs)

@@ -370,3 +370,67 @@ def test_validate_reads_the_charge_off_h_int(dicke_model):
     for off in (dicke_model.h_int, dicke_model.operators["S+"] + dicke_model.operators["S-"]):
         with pytest.raises(ValueError, match="not diagonal"):
             models._validate(dataclasses.replace(dicke_model, conserved={"N": n, "H": off}))
+
+
+def _levels(n):
+    return [f"S{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def _steps(spec, omega):
+    """One-photon steps E_{i+1} - E_i - omega of a cascade, written out."""
+    e = spec.energies
+    return [e[i + 1] - e[i] - omega for i in range(len(e) - 1)]
+
+
+#: per fixture: the interactions as (name, mode, detuning), then the keys of
+#: detunings, operators and conserved, in the order a model lists them
+_CONTRACT = {
+    "spin_model": lambda s: ([("spin", None, s.omega)], ["omega"], ["S3", "S+", "S-"], []),
+    "dicke_model": lambda s: ([("jc", 0, s.omega0 - s.omega_field)], ["delta"],
+                              ["S3", "S+", "S-", "a", "n"], ["N"]),
+    "xi_two_photon_model": lambda s: (
+        [(name, 0, d) for name, d in zip(("12", "23"), _steps(s, s.omega_field))],
+        ["12", "23"], _levels(3) + ["a", "n"], ["N"]),
+    "lambda_model": lambda s: (
+        [("13", 0, s.energies[2] - s.energies[0] - s.omega_field),
+         ("23", 0, s.energies[2] - s.energies[1] - s.omega_field)],
+        ["31", "32"], _levels(3) + ["a", "n"], ["N", "population"]),
+    "four_level_model": lambda s: (
+        [(str(i), 0, d) for i, d in enumerate(_steps(s, s.omega_field), start=1)],
+        ["1", "2", "3", "4"], _levels(4) + ["a", "n"], ["N"]),
+    "two_mode_model": lambda s: (
+        [term for i, d in enumerate(_steps(s, s.omega_field), start=1)
+         for term in ((f"a{i}", 0, d), (f"b{i}", 1, d - (s.omega_b - s.omega_field)))],
+        ["1", "2", "3", "4", "gap"], _levels(4) + ["a", "b", "na", "nb"], ["N"]),
+}
+
+
+def test_contract_covers_every_kind(request):
+    kinds = {request.getfixturevalue(name).spec.kind for name in _CONTRACT}
+    assert kinds == set(MODEL_KINDS)
+
+
+@pytest.mark.parametrize("fixture", sorted(_CONTRACT))
+def test_model_data_contract(fixture, request):
+    # scenarios and reports look terms, detunings and operators up by name
+    model = request.getfixturevalue(fixture)
+    interactions, detunings, operators, conserved = _CONTRACT[fixture](model.spec)
+    got = [(t.name, t.mode, t.detuning) for t in model.interactions]
+    assert [(n, m) for n, m, _ in got] == [(n, m) for n, m, _ in interactions]
+    assert [d for _, _, d in got] == pytest.approx([d for _, _, d in interactions], rel=1e-12)
+    assert [t.algebra.name for t in model.interactions] == [t.name for t in model.interactions]
+    assert list(model.detunings) == detunings
+    assert list(model.operators) == operators
+    assert list(model.conserved) == conserved
+
+
+@pytest.mark.parametrize("fixture", sorted(_CONTRACT))
+def test_h_int_is_h_diag_plus_the_couplings_in_order(fixture, request):
+    model = request.getfixturevalue(fixture)
+    total = model.h_diag.matrix
+    for term in model.interactions:
+        alg = term.algebra
+        dense = term.g * (alg.xplus.matrix + alg.xminus.matrix)
+        assert np.array_equal(term.coupling.matrix, dense)
+        total = total + dense
+    assert np.array_equal(model.h_int.matrix, total)
