@@ -57,10 +57,6 @@ class RelationReport:
     def passed(self) -> bool:
         return all(r <= self.tol for r in self.residuals.values())
 
-    def worst(self) -> tuple[str, float]:
-        key = max(self.residuals, key=self.residuals.get)
-        return key, self.residuals[key]
-
 
 def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix) -> DeformedAlgebra:
     """Assemble a deformed algebra from a diagonal generator and a raising operator.

@@ -120,7 +120,12 @@ def _model_spec(section) -> ModelSpec:
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a sectioned key-value config file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        # every value is read here, so a bad interpolation raises here too
+        raw = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "model" not in parser or "analysis" not in parser:
@@ -158,7 +163,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if seed is None:
         seed = ana.getint("seed", 0)
 
-    raw = {name: dict(parser[name]) for name in parser.sections()}
     return RunConfig(
         model=model,
         analysis=analysis,

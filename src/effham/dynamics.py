@@ -77,13 +77,13 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
 
 
 def _expectations(h: OperatorMatrix, states: np.ndarray, observables) -> dict[str, np.ndarray]:
-    """The expectation series of each named observable along ``states``;
-    every observable must live on ``h``'s space."""
+    """The expectation series of each named observable along ``states``, each
+    applied as it is stored; every observable must live on ``h``'s space."""
     obs = {}
     for name, op in (observables or {}).items():
         if op.space != h.space:
             raise SpaceMismatchError(f"observable {name} on a different space")
-        obs[name] = np.real(np.einsum("ti,ij,tj->t", states.conj(), op.matrix, states))
+        obs[name] = np.real(np.einsum("ti,ti->t", states.conj(), op.apply(states.T).T))
     return obs
 
 
@@ -136,16 +136,12 @@ class BlockErrors:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-block eigenvalue errors, plus optional dynamics/scaling attachments."""
+    """Per-block eigenvalue errors and the block leakage of the inputs."""
 
     blocks: tuple[BlockErrors, ...]
     max_error: float
     mean_error: float
     block_leakage: float
-    infidelity: np.ndarray | None = None
-    scaling: "ScalingFit | None" = None
-    deviation: float | None = None
-    guards: dict[str, float] = field(default_factory=dict)
 
 
 def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
@@ -160,13 +156,17 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     beyond ``block_tol`` is an error.  The blocks of one size are
     diagonalised in one stacked ``eigvalsh`` call, each block as on its own;
     degenerate clusters are compared as sorted multisets.  An empty
-    ``blocks`` compares nothing and is an error.
+    ``blocks``, or an empty block in it, compares nothing and is an error.
     """
     h_exact._check(h_eff)
     masks = []
-    for blk in blocks:
+    for b, blk in enumerate(blocks):
+        sel = np.asarray(blk)
         m = np.zeros(h_exact.dim, dtype=bool)
-        m[np.asarray(blk)] = True
+        if sel.size:
+            m[sel] = True
+        if not m.any():
+            raise AnalysisError(f"block {b} is empty")
         masks.append(m)
     if not masks:
         raise AnalysisError("no blocks to compare")

@@ -334,15 +334,12 @@ class OperatorMatrix:
         return unitary_within(float(np.linalg.norm(m.conj().T @ m - np.eye(self.dim))), tol, self.dim)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
+        """``matrix @ vec`` for a state or a ``(dim, k)`` stack of states as columns."""
         v = np.asarray(vec, dtype=complex)
         if self._dense is None:
             t = self._ladder.transpose()
-            return t.values * v[t.rows]
+            return (t.values * v[t.rows].T).T
         return self._dense @ v
-
-    def expect(self, vec: np.ndarray) -> complex:
-        v = np.asarray(vec, dtype=complex)
-        return complex(v.conj() @ self.apply(v))
 
     def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """``matrix[np.ix_(rows, cols)]`` (``cols`` defaults to ``rows``), a

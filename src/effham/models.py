@@ -13,6 +13,11 @@ the excitation number, the transitions and the free part.  One assembler,
 ``h_int`` and validates the result.
 
 All couplings are real, energies are in units with hbar = 1.
+
+Every validity guard lives in the guard section below, one unit-free rule
+per kind: amplitude (:func:`amplitude_guard`), dispersive ratio
+(:func:`dispersive_guard`) and resonance (:func:`resonant`), so no verdict
+depends on the unit of energy.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from .hilbert import (EnsembleSpec, OperatorMatrix, SpaceDescriptor, annihilator
 
 MODEL_KINDS = ("spin-in-field", "dicke", "xi3", "lambda3", "cascade", "two-mode-four")
 
+#: rotation amplitudes and ratios g/Delta are trusted below this magnitude
+AMPLITUDE_LIMIT = 0.3
 #: dimensionless dispersive ratio above which a regime is flagged invalid
 DISPERSIVE_LIMIT = 0.3
-#: largest |detuning| the ``require_resonance`` checks accept as a multiphoton resonance
+#: share of the largest energy it is built from below which a quantity counts as zero
 RESONANCE_TOL = 1e-9
 
 
@@ -307,7 +314,7 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False) -> ModelIn
 
     The conserved excitation is ``a^dag a + sum_i mu_i S3^{i,i+1}`` with
     ``mu_i = i (N - i)``.  With ``require_resonance`` the (N-1)-photon
-    condition ``D_N = 0`` is enforced, to within :data:`RESONANCE_TOL`.
+    condition ``D_N = 0`` is enforced by :func:`resonant`.
     """
     nlev = len(spec.energies)
     if nlev < 3:
@@ -316,7 +323,7 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False) -> ModelIn
         raise ValueError("need one coupling per adjacent transition")
     wf = spec.omega_field
     deltas = cascade_detunings(spec.energies, wf)
-    if require_resonance and abs(deltas[-1]) > RESONANCE_TOL:
+    if require_resonance and not resonant(deltas[-1], *spec.energies, wf):
         raise ResonanceError(
             f"multiphoton resonance requested but D_{nlev} = {deltas[-1]:.3e}")
     space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=nlev, atoms=spec.atoms))
@@ -344,7 +351,7 @@ def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
     Detunings are taken against mode a, ``D_j = E_j - E_1 - (j-1) omega_a``,
     and the mode gap ``delta = omega_b - omega_a`` enters the diagonal part
     as ``delta * b^dag b``.  ``require_resonance`` enforces the three-photon
-    condition ``E4 - E1 = 3 omega_b``, to within :data:`RESONANCE_TOL`;
+    condition ``E4 - E1 = 3 omega_b`` by :func:`resonant`;
     ``require_positive_gap`` enforces the sign convention ``delta > 0``.
     """
     if len(spec.energies) != 4:
@@ -357,7 +364,8 @@ def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
     gap = wb - wa
     if require_positive_gap and gap <= 0:
         raise GuardViolationError(f"mode gap delta = {gap:.3e} must be positive")
-    if require_resonance and abs(spec.energies[3] - spec.energies[0] - 3 * wb) > RESONANCE_TOL:
+    if require_resonance and not resonant(spec.energies[3] - spec.energies[0] - 3 * wb,
+                                          *spec.energies, wa, wb):
         raise ResonanceError("three-photon resonance E4 - E1 = 3 omega_b requested but violated")
     deltas = cascade_detunings(spec.energies, wa)
     space = enumerate_basis([spec.n_max[0], spec.n_max[1]], EnsembleSpec(levels=4, atoms=spec.atoms))
@@ -399,6 +407,24 @@ def build(spec: ModelSpec, **kwargs) -> ModelInstance:
 # guards and block structure
 # ---------------------------------------------------------------------------
 
+def amplitude_guard(what: str, amplitude: float) -> float:
+    """The amplitude rule: a rotation amplitude or a ratio ``g / Delta``
+    is trusted while ``|amplitude| < AMPLITUDE_LIMIT``.  Returns
+    ``|amplitude|``; raises :class:`GuardViolationError` otherwise, a NaN too."""
+    if not abs(amplitude) < AMPLITUDE_LIMIT:
+        raise GuardViolationError(
+            f"rotation amplitude {amplitude:.3g} on {what} exceeds {AMPLITUDE_LIMIT}")
+    return abs(amplitude)
+
+
+def resonant(value: float, *energies: float) -> bool:
+    """The resonance rule: ``value``, built from ``energies`` (detunings,
+    level energies, field frequencies), counts as zero when
+    ``|value| <= RESONANCE_TOL * max|energies|``.  A vanishing denominator
+    and a required resonance that fails both raise :class:`ResonanceError`."""
+    return abs(value) <= RESONANCE_TOL * max(abs(e) for e in energies)
+
+
 @dataclass(frozen=True)
 class GuardResult:
     """Dispersive-limit check of one coupling term: its ratio
@@ -427,6 +453,20 @@ def dispersive_guard(model: ModelInstance, transition: str) -> GuardResult:
         photon_scale = math.sqrt(model.spec.n_max[term.mode] + 1)
         ratio = model.spec.atoms * abs(term.g) * photon_scale / abs(term.detuning)
     return GuardResult(ratio=ratio, valid=ratio < DISPERSIVE_LIMIT)
+
+
+def dispersive_guards(model: ModelInstance, transitions) -> dict[str, float]:
+    """Dispersive ratios of ``(transition, guard name)`` pairs; raises
+    :class:`GuardViolationError` on the first invalid one."""
+    guards = {}
+    for name, key in transitions:
+        guard = dispersive_guard(model, name)
+        guards[key] = guard.ratio
+        if not guard.valid:
+            raise GuardViolationError(
+                f"dispersive ratio {guard.ratio:.3g} on transition {name} "
+                f"outside validity (< {DISPERSIVE_LIMIT})")
+    return guards
 
 
 @dataclass(frozen=True)

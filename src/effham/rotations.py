@@ -30,7 +30,6 @@ reported rather than silently adopted.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -40,17 +39,11 @@ from itertools import chain
 import numpy as np
 
 from .algebra import VERIFICATION_TOL, DeformedAlgebra
-from .errors import (AnalysisError, EffhamError, GuardViolationError,
-                     ResonanceError)
+from .errors import AnalysisError, EffhamError, ResonanceError
 from .hilbert import (OperatorMatrix, SpaceDescriptor, collective_operator,
                       commutator, components, identity, number_operator,
                       occupation_sector_mask, photon_safe_mask, unitary_within, zero)
-from .models import DISPERSIVE_LIMIT, ModelInstance, dispersive_guard
-
-_log = logging.getLogger(__name__)
-
-#: scenarios refuse to build above this expansion-parameter magnitude
-GUARD_LIMIT = 0.3
+from .models import ModelInstance, amplitude_guard, dispersive_guards, resonant
 
 _TAYLOR_ORDER = 20
 _SCALE_TARGET = 0.5  # truncation error of the order-20 series below 1e-26 at this norm
@@ -131,17 +124,13 @@ def _assemble(op: OperatorMatrix, stacks, values) -> OperatorMatrix:
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """A deformed algebra together with the rotation amplitude ``epsilon``."""
+    """A deformed algebra with a rotation amplitude ``epsilon`` the amplitude rule admits."""
 
     algebra: DeformedAlgebra
     epsilon: float
 
     def __post_init__(self):
-        if not abs(self.epsilon) < 1.0:
-            raise GuardViolationError(f"|epsilon| = {abs(self.epsilon):.3g} must be < 1")
-        if abs(self.epsilon) > GUARD_LIMIT:
-            _log.warning("epsilon = %.3g is beyond the trusted range (|eps| <= %s)",
-                         self.epsilon, GUARD_LIMIT)
+        amplitude_guard("the rotation", self.epsilon)
 
     @property
     def generator(self) -> OperatorMatrix:
@@ -189,27 +178,6 @@ def conjugate_stages(h: OperatorMatrix, stages) -> OperatorMatrix:
     for u in stages:
         out = conjugate(out, u)
     return out
-
-
-def _amplitude_guard(what: str, amplitude: float) -> float:
-    """``|amplitude|``; raises outside the trusted range ``|eps| < GUARD_LIMIT``."""
-    if not abs(amplitude) < GUARD_LIMIT:
-        raise GuardViolationError(
-            f"rotation amplitude {amplitude:.3g} on {what} exceeds {GUARD_LIMIT}")
-    return abs(amplitude)
-
-
-def _dispersive_guards(model: ModelInstance, transitions) -> dict[str, float]:
-    """Dispersive ratios of ``(transition, guard name)`` pairs; raises on the first invalid one."""
-    guards = {}
-    for name, key in transitions:
-        guard = dispersive_guard(model, name)
-        guards[key] = guard.ratio
-        if not guard.valid:
-            raise GuardViolationError(
-                f"dispersive ratio {guard.ratio:.3g} on transition {name} "
-                f"outside validity (< {DISPERSIVE_LIMIT})")
-    return guards
 
 
 def _sum(pieces, start: OperatorMatrix | None = None) -> OperatorMatrix | None:
@@ -269,7 +237,7 @@ def effective_su2(alg: DeformedAlgebra, delta: float, g: float) -> OperatorMatri
     Diagonal in the product basis whenever the structure operator is, which
     holds for every built-in deformation.
     """
-    _amplitude_guard("g/delta", g / delta if delta else math.inf)
+    amplitude_guard("g/delta", g / delta if delta else math.inf)
     if not alg.structure.is_diagonal(1e-10):
         raise AnalysisError("structure operator is not diagonal in the product basis")
     return delta * alg.x3 + (g * g / delta) * alg.structure
@@ -316,7 +284,7 @@ def coupling_table(couplings, deltas, max_order: int | None = None) -> CouplingT
     if len(d) != len(g) + 1:
         raise ValueError("need one detuning per level (one more than couplings)")
     steps = [d[i + 1] - d[i] for i in range(len(g))]
-    if any(abs(s) < 1e-14 for s in steps):
+    if any(resonant(s, d[i + 1], d[i]) for i, s in enumerate(steps)):
         raise ResonanceError("one-photon resonance: a detuning step vanishes")
     eps = [gi / si for gi, si in zip(g, steps)]
     n_levels = len(d)
@@ -335,7 +303,7 @@ def four_level_constants(couplings, deltas) -> CouplingTable:
 
     ``alpha2[i-1] = lam_i^(2) / (D_{i+2} - D_i)`` removes the two-photon
     terms; ``beta[(i, j)] = eps_i g_j / (D_{i+1} - D_i + D_j - D_{j+1})``
-    removes the photon-conserving dipole-dipole terms.  Zero denominators
+    removes the photon-conserving dipole-dipole terms.  Vanishing denominators
     are two-photon or dipole-dipole resonances and raise.
     """
     table = coupling_table(couplings, deltas, max_order=3)
@@ -345,7 +313,7 @@ def four_level_constants(couplings, deltas) -> CouplingTable:
     alpha2 = []
     for i in (1, 2):
         den = d[i + 1] - d[i - 1]
-        if abs(den) < 1e-14:
+        if resonant(den, d[i + 1], d[i - 1]):
             raise ResonanceError(f"two-photon resonance between levels {i} and {i + 2}")
         alpha2.append(table.lam_at(i, 2) / den)
     beta: dict[tuple[int, int], float] = {}
@@ -355,7 +323,7 @@ def four_level_constants(couplings, deltas) -> CouplingTable:
             if i == j:
                 continue
             den = (d[i] - d[i - 1]) + (d[j - 1] - d[j])
-            if abs(den) < 1e-14:
+            if resonant(den, d[i], d[i - 1], d[j - 1], d[j]):
                 raise ResonanceError(f"dipole-dipole resonance for step pair ({i}, {j})")
             beta[(i, j)] = table.eps[i - 1] * g[j - 1] / den
     return CouplingTable(eps=table.eps, lam=table.lam, alpha2=tuple(alpha2), beta=beta)
@@ -365,8 +333,8 @@ def two_mode_pair_coupling(couplings_a, couplings_b, deltas) -> float:
     """Printed closed form of the mixed two-mode coupling on the 2-4 transition."""
     d = [float(x) for x in deltas]
     ga, gb = [float(x) for x in couplings_a], [float(x) for x in couplings_b]
-    for den in (d[3] - d[2], d[2] - d[1]):
-        if abs(den) < 1e-14:
+    for hi, lo in ((3, 2), (2, 1)):
+        if resonant(d[hi] - d[lo], d[hi], d[lo]):
             raise ResonanceError("one-photon resonance in the mixed-coupling closed form")
     return ga[2] * gb[1] / (d[3] - d[2]) - gb[2] * ga[1] / (d[2] - d[1])
 
@@ -531,17 +499,18 @@ def eliminating_generator(model: ModelInstance, names=None):
 
     Returns ``(G, eps)`` where ``eps`` maps interaction names to the
     rotation amplitudes ``g / D`` with measured steps D.  Raises on
-    one-photon resonances and on amplitudes outside the trusted range.
+    one-photon resonances (on the scale of ``h_diag``) and on large amplitudes.
     """
     chosen = model.interactions if names is None else [model.interaction(n) for n in names]
     pieces = []
     eps: dict[str, float] = {}
+    scale = float(np.abs(model.h_diag.diagonal()).max())
     for term in chosen:
         d = measured_step(model.h_diag, term.algebra.xplus)
-        if abs(d) < 1e-12:
+        if resonant(d, scale):
             raise ResonanceError(f"one-photon resonance on transition {term.name}")
         e = term.g / d
-        _amplitude_guard(f"transition {term.name}", e)
+        amplitude_guard(f"transition {term.name}", e)
         eps[term.name] = e
         pieces.append(e * (term.algebra.xplus - term.algebra.xminus))
     return _sum(pieces) or zero(model.space), eps
@@ -654,19 +623,19 @@ def cascade_stark_leading(model: ModelInstance) -> OperatorMatrix:
 
 def _prepare_su2(model: ModelInstance):
     omega, g = model.spec.omega, model.spec.g
-    return {"g_over_omega": _amplitude_guard("g/omega", g / omega if omega else math.inf)}, None
+    return {"g_over_omega": amplitude_guard("g/omega", g / omega if omega else math.inf)}, None
 
 
 def _prepare_xi_far_level(model: ModelInstance):
     d12, d23 = model.detunings["12"], model.detunings["23"]
     g12, g23 = model.spec.couplings
     eps13 = g12 * g23 / (d12 * (d12 + d23)) if (d12 + d23) else math.inf
-    return {"eps13": _amplitude_guard("the second-stage 1-3 transition", eps13)}, None
+    return {"eps13": amplitude_guard("the second-stage 1-3 transition", eps13)}, None
 
 
 def _prepare_xi_two_photon(model: ModelInstance):
     d12, d23 = model.detunings["12"], model.detunings["23"]
-    if abs(d12 + d23) > 1e-9 * max(abs(d12), abs(d23), 1e-30):
+    if not resonant(d12 + d23, *model.spec.energies, model.spec.omega_field):
         raise ResonanceError(
             f"two-photon resonance requires D12 = -D23, got {d12:.6g} vs {-d23:.6g}")
     return {}, None
@@ -681,14 +650,8 @@ def _prepare_four_level(model: ModelInstance):
     if model.space.ensemble.levels != 4:
         raise EffhamError("the three-photon scenario needs a four-level cascade")
     deltas = _level_detunings(model)
-    d2, d3 = deltas[1], deltas[2]
-    if abs(deltas[3]) > 1e-9 * max(1.0, abs(d2), abs(d3)):
+    if not resonant(deltas[3], *model.spec.energies, model.spec.omega_field):
         raise ResonanceError(f"three-photon resonance needs D4 = 0, got {deltas[3]:.3e}")
-    scale = max(abs(d2), abs(d3))
-    for den, which in ((d2 + d3, "D2 = -D3"), (2 * d2 - d3, "2 D2 = D3")):
-        if abs(den) < 1e-9 * scale:
-            raise ResonanceError(f"dipole-dipole resonance {which}: the photon-conserving "
-                                 "pair term is resonant and cannot be rotated away")
     table = four_level_constants(model.spec.couplings, deltas)
     guards = {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}
     guards["alpha2_max"] = max(abs(x) for x in table.alpha2)
@@ -951,7 +914,7 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     if model.spec.kind not in info.model_kinds:
         raise EffhamError(
             f"scenario {scenario.identifier!r} does not apply to model kind {model.spec.kind!r}")
-    guards = _dispersive_guards(model, info.dispersive)
+    guards = dispersive_guards(model, info.dispersive)
     table = None
     if info.prepare is not None:
         more, table = info.prepare(model)

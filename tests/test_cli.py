@@ -150,6 +150,23 @@ class TestOtherCommands:
         assert _run(["validate-config", cfg]) == 2
 
 
+#: config files configparser cannot parse, by what is wrong with them
+UNPARSABLE = {
+    "no section header": "kind = dicke\n[analysis]\nkind = spectrum\n",
+    "duplicate key": "[model]\nkind = dicke\nkind = xi3\n[analysis]\nkind = spectrum\n",
+    "bad interpolation": "[model]\nkind = dicke\n[analysis]\nkind = spec%trum\n",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+@pytest.mark.parametrize("defect", list(UNPARSABLE))
+def test_unparsable_config_is_usage_error(tmp_path, capsys, command, defect):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(UNPARSABLE[defect])
+    assert _run([command, cfg]) == 2
+    assert "cannot parse config file" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["dicke_spectrum.cfg", "dicke_scaling.cfg",
                                       "couplings.cfg", "xi_two_photon_evolve.cfg"])

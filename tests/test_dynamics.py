@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import effham as eh
+from effham import hilbert
 from effham.errors import AnalysisError, SpaceMismatchError
 
 
@@ -49,6 +50,24 @@ class TestEvolve:
         times = np.linspace(0.0, 300.0, 120)
         traj = eh.evolve(m.h_int, psi0, times, observables={"N": m.conserved["N"]})
         assert np.ptp(traj.observables["N"]) <= 1e-9
+
+    def test_pattern_only_observables_are_never_materialised(self, monkeypatch):
+        m = eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0,
+                                  g=0.04, atoms=3, n_max=6))
+        observables = {"n": m.operators["n"], "S3": m.operators["S3"], "S+": m.operators["S+"],
+                       "a": m.operators["a"], "N": m.conserved["N"]}
+        assert all(op.ladder is not None for op in observables.values())
+        dense = {name: np.array(op.matrix) for name, op in observables.items()}
+        built = []
+        materialise = hilbert._materialise
+        monkeypatch.setattr(hilbert, "_materialise", lambda p: built.append(p) or materialise(p))
+        psi0 = (eh.basis_state(m.space, (2,), level=1)
+                + eh.basis_state(m.space, (1,), level=2)) / math.sqrt(2)
+        traj = eh.evolve(m.h_int, psi0, np.linspace(0.0, 30.0, 41), observables=observables)
+        assert built == []
+        for name, mat in dense.items():
+            ref = np.real(np.einsum("ti,ij,tj->t", traj.states.conj(), mat, traj.states))
+            assert np.allclose(traj.observables[name], ref, rtol=0, atol=1e-12)
 
     def test_rejects_nonhermitian(self, dicke_model):
         a = dicke_model.operators["a"]
@@ -119,6 +138,17 @@ class TestCompareSpectra:
         # comparing nothing must not read as a zero error
         with pytest.raises(AnalysisError):
             eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, [])
+
+    @pytest.mark.parametrize("empty", ["index list", "mask"])
+    def test_empty_block_rejected(self, dicke_model, empty):
+        # an empty block compares nothing, whichever way it is given
+        dim = dicke_model.space.dim
+        block = [] if empty == "index list" else np.zeros(dim, dtype=bool)
+        with pytest.raises(AnalysisError, match="block 1 is empty"):
+            eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, [[0], block])
+        if empty == "index list":
+            with pytest.raises(AnalysisError, match="block 0 is empty"):
+                eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, [[]])
 
     def test_blocks_carry_compared_eigenvalues(self, dicke_model):
         masks = eh.block_masks(dicke_model)

@@ -2,15 +2,19 @@
 an extended-precision oracle, and the signature filter against its
 per-entry reference loop."""
 
+import dataclasses
 import json
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import effham as eh
 from effham import rotations
+from effham.errors import ResonanceError
 
 #: the small model (dim <= 100) each scenario is pinned on, by fixture name
 FIXTURES = {
@@ -193,3 +197,59 @@ def test_cascade_split_filters_match_per_entry_loop(four_level_model, monkeypatc
     assert len({id(h) for h, _, _ in calls}) == 1
     for h, keep, out in calls:
         assert np.array_equal(out.matrix, _filter_reference(h, keep))
+
+
+def _rescaled(spec, k):
+    """``spec`` with every energy, frequency and coupling multiplied by 10^k."""
+    s = 10.0 ** k
+    scaled = lambda values: tuple(x * s for x in values)  # noqa: E731
+    return dataclasses.replace(
+        spec, energies=scaled(spec.energies), omega_field=spec.omega_field * s,
+        omega_b=spec.omega_b * s, couplings=scaled(spec.couplings),
+        couplings_b=scaled(spec.couplings_b), omega=spec.omega * s, g=spec.g * s,
+        omega0=spec.omega0 * s)
+
+
+def _build_options(spec):
+    # the four-level fixture is built on its three-photon resonance
+    return {"require_resonance": True} if spec.kind == "cascade" else {}
+
+
+@pytest.mark.parametrize("scenario", list(PINNED))
+def test_guards_do_not_depend_on_the_unit_of_energy(scenario, request):
+    """Rescaling every energy, frequency and coupling by 10^k, for k in
+    [-14, 14], leaves the verdict of the build and the scenario, and every
+    guard value within rel 1e-12."""
+    spec = request.getfixturevalue(FIXTURES[scenario]).spec
+    guards = eh.closed_form_effective(eh.build(spec, **_build_options(spec)),
+                                      eh.EffectiveScenario(scenario)).guards
+    drawn = set()
+
+    @given(k=st.integers(-14, 14))
+    def same_verdict(k):
+        drawn.add(k)
+        scaled = _rescaled(spec, k)
+        model = eh.build(scaled, **_build_options(scaled))
+        forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+        assert list(forms.guards) == list(guards)
+        assert forms.guards == pytest.approx(guards, rel=1e-12, abs=0)
+
+    same_verdict()
+    assert drawn == set(range(-14, 15))
+
+
+#: the four-level fixture with E4 = 30.05 instead of 30: D4 = 0.05, off the
+#: three-photon resonance D4 = 0
+_DETUNED_CASCADE = eh.ModelSpec(kind="cascade", energies=(0.0, 11.0, 21.7, 30.05),
+                                omega_field=10.0, couplings=(0.03, 0.03, 0.03),
+                                atoms=1, n_max=4)
+
+
+@given(k=st.integers(-14, 14))
+@example(k=-8)
+def test_detuned_cascade_is_refused_at_every_scale(k):
+    spec = _rescaled(_DETUNED_CASCADE, k)
+    with pytest.raises(ResonanceError):
+        eh.build(spec, require_resonance=True)
+    with pytest.raises(ResonanceError):
+        eh.closed_form_effective(eh.build(spec), eh.EffectiveScenario("four-level-three-photon"))
