@@ -64,15 +64,16 @@ def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix) -> Defo
     ``X-`` is taken as the adjoint of ``X+`` and the structure operator is
     measured as ``[X+, X-]``.  Construction fails if the inputs do not share
     a space, if ``X3`` is not Hermitian, or if the ladder relation
-    ``[X3, X+] = X+`` fails beyond :data:`VERIFICATION_TOL`.
+    ``[X3, X+] = X+`` fails beyond :data:`VERIFICATION_TOL` relative to
+    ``||X+||``, its residual read from the nonzeros.
     """
     if x3.space != xplus.space:
         raise SpaceMismatchError("X3 and X+ live on different spaces")
     if not x3.is_hermitian(CONSTRUCTION_TOL):
         raise LadderRelationError(f"{name}: X3 is not Hermitian")
     # each residual is measured first: an exact 0 needs no scale
-    ladder = (commutator(x3, xplus) - xplus).norm()
-    if ladder and ladder > VERIFICATION_TOL * max(1.0, xplus.norm()):
+    ladder = (commutator(x3, xplus) - xplus).nonzero_norm()
+    if ladder and ladder > VERIFICATION_TOL * xplus.norm():
         raise LadderRelationError(
             f"{name}: [X3, X+] - X+ has norm {ladder:.3e} (tol {VERIFICATION_TOL:.1e})")
     xminus = xplus.dag()

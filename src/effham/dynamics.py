@@ -97,12 +97,21 @@ def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,
     which is directly comparable with the exact evolution.  Without a
     rotation the bare comparison is returned; the frame corrections it
     omits are first order in the rotation amplitude and time independent.
+
+    Only the columns of U that the support of the rotated-frame states
+    reaches can be nonzero in the result, so only those are formed; each
+    still sums over every state, as the full product does.
     """
     psi = np.asarray(psi0, dtype=complex)
     if rotation is None:
         return evolve(h_eff, psi, times, observables)
     inner = evolve(h_eff, rotation.apply(psi), times)
-    states = inner.states @ rotation.matrix.conj()  # row k: (U^dag psi_k)^T = psi_k^T conj(U)
+    every = np.arange(rotation.dim)
+    reached = np.flatnonzero(np.any(inner.states, axis=0))
+    cols = np.flatnonzero(np.any(rotation.block(reached, every), axis=0))
+    states = np.zeros_like(inner.states)
+    # row k: (U^dag psi_k)^T = psi_k^T conj(U)
+    states[:, cols] = inner.states @ rotation.block(every, cols).conj()
     return Trajectory(times=inner.times, states=states,
                       observables=_expectations(h_eff, states, observables))
 

@@ -32,7 +32,9 @@ one entry of each column.  An operator's storage is fixed when it is made:
 ``matrix`` of a pattern-only operator builds the C-ordered dense array on
 each access and does not keep it.  The library's own readers (diagonals,
 blocks, entries, the checks) take the column map; the norms reduce over the
-dense array, so their bits are NumPy's.
+dense array, so their bits are NumPy's.  An operator keeps what it has once
+found about itself: the places of a dense operator's nonzeros, its
+components and its norm.
 
 A pattern-only factor of ``@`` or :func:`commutator` whose partner is dense
 turns the product into a gather of the partner's rows or columns scaled by
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
@@ -232,7 +233,7 @@ class OperatorMatrix:
     the module docstring).
     """
 
-    __slots__ = ("space", "_dense", "_ladder")
+    __slots__ = ("space", "_dense", "_ladder", "_memo")
 
     def __init__(self, space: SpaceDescriptor, matrix: np.ndarray):
         arr = np.array(matrix, dtype=complex)
@@ -249,6 +250,17 @@ class OperatorMatrix:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_ladder", ladder)
+        object.__setattr__(self, "_memo", {})
+
+    def _kept(self, key: str, find):
+        """``find()``, called on the first request for ``key`` and kept: an
+        operator never changes, so its nonzero places, components and norm
+        are found once (two threads at worst find the same value twice).
+        Every new operator starts with nothing kept."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = find()
+        return memo[key]
 
     def _result(self, arr: np.ndarray) -> "OperatorMatrix":
         """A dense operator on this space around ``arr``, a fresh array
@@ -294,10 +306,15 @@ class OperatorMatrix:
         return self._result(self._dense.conj().T)
 
     def norm(self) -> float:
-        """Frobenius norm."""
+        """Frobenius norm of the dense array, found once and kept."""
         if self._dense is None and not np.count_nonzero(self._ladder.values):
             return 0.0
-        return float(np.linalg.norm(self.matrix))
+        return self._kept("norm", lambda: float(np.linalg.norm(self.matrix)))
+
+    def nonzero_norm(self) -> float:
+        """Frobenius norm of :meth:`entries`' values, with no dense array.  Its
+        last bits can differ from :meth:`norm`'s, so it serves checks only."""
+        return float(np.linalg.norm(self.entries()[2]))
 
     def diagonal(self) -> np.ndarray:
         if self._dense is None:
@@ -355,14 +372,19 @@ class OperatorMatrix:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
         order as ``np.nonzero`` lists them: from the column map of a
-        pattern-only operator, from one :func:`_nonzero_places` scan of a
-        dense one."""
+        pattern-only operator, from the kept places of a dense one's
+        nonzeros."""
         if self._dense is None:
             t = self._ladder.transpose()
             rows = np.flatnonzero(t.values)
             return rows, t.rows[rows], t.values[rows]
-        rows, cols = _nonzero_places(self._dense)
+        rows, cols = self._places()
         return rows, cols, self._dense[rows, cols]
+
+    def _places(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and columns of a dense operator's nonzeros, found by one
+        :func:`_nonzero_places` scan and kept."""
+        return self._kept("places", lambda: _frozen(*_nonzero_places(self._dense)))
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The entries at ``(rows[k], cols[k])``, the two index arrays
@@ -406,13 +428,28 @@ class OperatorMatrix:
             out[p.rows[apart], own[apart]] = op(p.values[apart], 0.0)
             out[q.rows, own] = op(out[q.rows, own], q.values)
             return self._result(out)
-        return self._result(op(self.matrix, other.matrix))
+        if self._dense is None or other._dense is None:
+            # op(P, Q) with one operand pattern-only, written into one fresh
+            # array, C-ordered as NumPy orders a result with a C-ordered
+            # operand: the dense operand meets +0 off the pattern's places,
+            # then every place of the pattern holds op of the two entries
+            out, own = np.empty((self.dim, self.dim), dtype=complex), _own(self.dim)
+            if self._dense is None:
+                p, dense = self._ladder, other._dense
+                op(0.0, dense, out=out)
+                out[p.rows, own] = op(p.values, dense[p.rows, own])
+            else:
+                p, dense = other._ladder, self._dense
+                op(dense, 0.0, out=out)
+                out[p.rows, own] = op(dense[p.rows, own], p.values)
+            return self._result(out)
+        return self._result(op(self._dense, other._dense))
 
     def __add__(self, other):
-        return self._entrywise(operator.add, other)
+        return self._entrywise(np.add, other)
 
     def __sub__(self, other):
-        return self._entrywise(operator.sub, other)
+        return self._entrywise(np.subtract, other)
 
     def __neg__(self):
         if self._dense is None:
@@ -617,13 +654,20 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
     the order of their first index.  Every sum and product of the operators,
     their exponential included, is block diagonal in these components with
     exact zeros outside them, whatever the model.  An operator with a ladder
-    pattern gives its nonzeros in O(dim), any other by one scan of its array.
+    pattern gives its nonzeros in O(dim), any other the kept places of its
+    nonzeros.  The components of a single operator are found once and kept.
     """
+    if len(ops) == 1:
+        return list(ops[0]._kept("components", lambda: _components(ops)))
+    return _components(ops)
+
+
+def _components(ops) -> list[np.ndarray]:
     rows, cols = [], []
     for op in ops:
         p = op.ladder
         if p is None:
-            r, c = _nonzero_places(op._dense)
+            r, c = op._places()
         else:
             c = np.flatnonzero(p.values)
             r = p.rows[c]
@@ -644,7 +688,7 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
         while not np.array_equal(root, hooked):
             root, hooked = hooked, hooked[hooked]
     order = np.argsort(root, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+    return list(_frozen(*np.split(order, np.flatnonzero(np.diff(root[order])) + 1)))
 
 
 def _nonzero_places(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -652,6 +696,13 @@ def _nonzero_places(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row-major order: one pass over a boolean array, faster than
     ``np.nonzero`` of a complex one."""
     return np.divmod(np.flatnonzero(m != 0), m.shape[1])
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only in place, so that kept ones can be handed out."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _scan(m: np.ndarray) -> LadderPattern | None:

@@ -482,14 +482,19 @@ def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
 # ---------------------------------------------------------------------------
 
 def measured_step(h_diag: OperatorMatrix, xplus: OperatorMatrix) -> float:
-    """The scalar D with ``[h_diag, X+] = D X+``, measured from the matrices."""
+    """The scalar D with ``[h_diag, X+] = D X+``, measured from the matrices.
+
+    The residual ``||[h_diag, X+] - D X+||``, read from its nonzeros, may be
+    at most 1e-10 of ``||X+|| max|diag(h_diag)|``, the energy scale that
+    :func:`~effham.models.resonant` uses, so the verdict is unit-free.
+    """
     comm = commutator(h_diag, xplus)
     size = xplus.norm()
     if size == 0:
         raise AnalysisError("cannot measure a detuning step against a zero operator")
     d = float(np.real(xplus.inner(comm)) / size ** 2)
-    resid = (comm - d * xplus).norm()
-    if resid > 1e-10 * max(1.0, size) * max(1.0, abs(d)):
+    resid = (comm - d * xplus).nonzero_norm()
+    if resid > 1e-10 * size * float(np.abs(h_diag.diagonal()).max()):
         raise AnalysisError("diagonal part does not scale X+ by a single step")
     return d
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import effham as eh
 from effham.errors import AnalysisError, LadderRelationError, SpaceMismatchError
@@ -194,3 +196,24 @@ def test_ladder_from_structure_rejects_open_chain():
 
     with pytest.raises(ValueError):
         eh.ladder_from_structure("bad", dipping, np.arange(0.0, 4.0))
+
+
+#: wrong X3 for X+ = a S+ (whose X3 is S3), as multiples of the residual
+#: [X3, X+] - X+ they leave: S3 + c n leaves -c X+, 2 S3 leaves X+
+_WRONG_X3 = {"S3 + n": 1.0, "S3 - 0.5 n": -0.5, "S3 + 1e-6 n": 1e-6, "2 S3": None}
+
+
+@given(wrong=st.sampled_from(sorted(_WRONG_X3)))
+def test_ladder_relation_is_relative_to_x_plus(wrong):
+    # the residual scales with X+, so neither verdict may change when X+ is
+    # scaled by 10^k, k in [-14, 14]
+    space = eh.enumerate_basis([6], eh.EnsembleSpec(2, 2))
+    s3, sp, _ = eh.spin_operators(space)
+    xplus = eh.annihilator(space, 0) @ sp
+    c = _WRONG_X3[wrong]
+    x3 = 2.0 * s3 if c is None else s3 + c * eh.number_operator(space, 0)
+    for k in range(-14, 15):
+        scaled = 10.0 ** k * xplus
+        eh.build_deformed("right", s3, scaled)
+        with pytest.raises(LadderRelationError):
+            eh.build_deformed("wrong", x3, scaled)

@@ -148,6 +148,10 @@ def test_operator_matrix_is_immutable():
         op.matrix[0, 0] = 5.0
     with pytest.raises(AttributeError):
         op.matrix = np.zeros((4, 4))
+    op.norm()  # kept on the operator, which still takes no assignment
+    for name in ("_memo", "_dense", "space", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
 
 
 def test_operator_matrix_copies_its_input():

@@ -9,7 +9,10 @@ conjugation run per connected component of the nonzero pattern: they must
 agree with the dense computation too, leave exact zeros off the blocks, and
 let none of their checks miss a block.  The Hermiticity, conservation and
 block-leakage checks read only the nonzero entries: they must decide as the
-dense formulas do and allocate less than one dense array.
+dense formulas do and allocate less than one dense array.  What an operator
+keeps (its nonzero places, components and norm) must equal what a fresh
+copy finds, and the back-rotation of ``effective_evolution`` on the reached
+columns must reproduce the full dense product.
 """
 
 import tracemalloc
@@ -765,3 +768,150 @@ def test_checks_allocate_less_than_one_dense_array(fixture, scenario, request):
     for call in (h.is_hermitian, lambda: models._validate(model),
                  lambda: eh.compare_spectra(h, forms.corrected, masks)):
         assert _peak_bytes(call) < bound
+
+
+# -- what an operator keeps ---------------------------------------------------
+
+def _fresh(op: eh.OperatorMatrix) -> eh.OperatorMatrix:
+    """A copy of ``op`` in the same storage and memory order, built from
+    copied arrays, with nothing kept."""
+    if op._dense is None:
+        p = op.ladder
+        return hilbert._pattern_operator(op.space, hilbert.LadderPattern(p.rows.copy(), p.values.copy()))
+    return _dense_stored(op.space, op._dense)
+
+
+_READS = {"entries": lambda op: op.entries(), "components": lambda op: hilbert.components(op),
+          "norm": lambda op: op.norm()}
+
+
+@st.composite
+def kept_cases(draw):
+    """(operator, order of reads, mask): a dense operator, C- or F-ordered,
+    or a pattern-only one with signed zeros, and reads in any order, repeats
+    included."""
+    dim = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    storage = draw(st.sampled_from(["C", "F", "pattern"]))
+    if storage == "pattern":
+        op = hilbert._pattern_operator(_space(dim), _signed_pattern(rng, dim))
+    else:
+        m = _dense(rng, dim, draw(st.sampled_from([0.1, 0.5])))
+        op = _dense_stored(_space(dim), m if storage == "C" else np.asfortranarray(m))
+    reads = draw(st.lists(st.sampled_from(sorted(_READS)), min_size=1, max_size=6))
+    return op, reads, rng.random(dim) < 0.5
+
+
+@given(kept_cases())
+def test_kept_reads_equal_a_fresh_operators(case):
+    op, reads, mask = case
+    for name in reads:
+        got, ref = _READS[name](op), _READS[name](_fresh(op))
+        if name == "norm":
+            assert got == ref
+        else:
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert _bits(g) == _bits(r)
+    if op._dense is not None and "entries" in reads:
+        assert "places" in op._memo
+        rows, cols, _ = op.entries()
+        assert not rows.flags.writeable and not cols.flags.writeable
+    if "components" in reads:
+        assert all(not part.flags.writeable for part in hilbert.components(op))
+    other = eh.OperatorMatrix(op.space, np.diag(np.arange(op.dim) + 1.0))
+    results = [op + op, op - op, op + other, other - op, -op, 2.0 * op, 1j * op, op @ op,
+               op @ other, other @ op, op.dag(), op.project(mask), eh.commutator(op, other)]
+    assert all(r._memo == {} for r in results)
+
+
+def test_dicke_task_scans_h_int_once(dicke_model, monkeypatch):
+    # one dicke-ladder task body: every reader of h_int's nonzeros (the
+    # Hermiticity and conservation checks of the build, the block leakage,
+    # the Hermiticity check and components of evolve) shares one scan
+    scanned = []
+    real = hilbert._nonzero_places
+
+    def spy(m):
+        scanned.append(m)
+        return real(m)
+
+    monkeypatch.setattr(hilbert, "_nonzero_places", spy)
+    model = eh.build(dicke_model.spec)
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
+    eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model, skip_truncated=True))
+    psi = eh.basis_state(model.space, (3,), level=1)
+    exact = eh.evolve(model.h_int, psi, TIMES)
+    approx = eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
+    assert model.h_int._dense is not None
+    assert sum(m is model.h_int._dense for m in scanned) == 1
+    assert np.max(eh.infidelity_series(exact, approx)) < 1e-3
+
+
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from(["C", "F"]))
+def test_pattern_with_dense_sums_match_dense_bits(dim, seed, order):
+    rng = np.random.default_rng(seed)
+    space = _space(dim)
+    a = hilbert._pattern_operator(space, _signed_pattern(rng, dim))
+    x = np.empty((dim, dim), dtype=complex)
+    x.real = _signed_parts(rng, dim * dim).reshape(dim, dim)
+    x.imag = _signed_parts(rng, dim * dim).reshape(dim, dim)
+    x = np.asfortranarray(x) if order == "F" else x
+    b = _dense_stored(space, x)
+    y = a.matrix
+    for got, ref in ((a + b, y + x), (a - b, y - x), (b + a, x + y), (b - a, x - y)):
+        m = got.matrix
+        assert got._dense is not None and not m.flags.writeable
+        assert (m.flags.c_contiguous, m.flags.f_contiguous) == (ref.flags.c_contiguous,
+                                                                  ref.flags.f_contiguous)
+        assert _bits(m) == _bits(ref)
+
+
+# -- the back-rotation of effective_evolution --------------------------------
+
+def _dense_back_rotation(h_eff, psi, times, rotation) -> np.ndarray:
+    """The rotated-frame states rotated back by the full dense product, the
+    reference the column-wise back-rotation must reproduce."""
+    inner = eh.evolve(h_eff, rotation.apply(psi), times)
+    return inner.states @ rotation.matrix.conj()
+
+
+def _two_blocks(space, *labels) -> np.ndarray:
+    """The normalised sum of the basis states ``(photons, level)`` in ``labels``."""
+    psi = sum(eh.basis_state(space, photons, level=level) for photons, level in labels)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("fixture, scenario, labels", [
+    ("dicke_model", "dicke-dispersive", [((3,), 1)]),
+    ("dicke_model", "dicke-dispersive", [((3,), 1), ((1,), 2)]),
+    ("xi_far_level_model", "xi-far-level", [((3,), 2)]),
+    ("xi_far_level_model", "xi-far-level", [((3,), 2), ((1,), 3)]),
+], ids=["dicke", "dicke two blocks", "xi-far-level", "xi-far-level two blocks"])
+def test_back_rotation_matches_the_dense_product(fixture, scenario, labels, request):
+    # bit for bit wherever the dense product is nonzero; its zeros are
+    # zeros here too, though a zero sum BLAS forms may carry a sign that
+    # the +0 of an unreached column does not
+    model = request.getfixturevalue(fixture)
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    psi = _two_blocks(model.space, *labels)
+    times = np.linspace(0.0, 40.0, 41)
+    got = eh.effective_evolution(forms.corrected, psi, times, rotation=forms.rotation).states
+    ref = _dense_back_rotation(forms.corrected, psi, times, forms.rotation)
+    live = ref != 0
+    assert np.count_nonzero(live.any(axis=0)) < model.space.dim
+    assert _bits(got[live]) == _bits(ref[live])
+    assert not np.any(got[~live])
+
+
+def test_back_rotation_allocates_less_than_one_dense_array():
+    # the dim-124 Dicke model of test_checks_allocate_less_than_one_dense_array,
+    # at few enough times that the (times x dim) states stay far below dim^2
+    model = eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0, g=0.004,
+                                  atoms=3, n_max=30))
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
+    psi = eh.basis_state(model.space, (15,), level=1)
+    bound = model.space.dim ** 2 * 16
+    assert _peak_bytes(lambda: forms.rotation.matrix.conj()) >= bound  # the copy it replaces
+    assert _peak_bytes(lambda: eh.effective_evolution(forms.corrected, psi, TIMES,
+                                                      rotation=forms.rotation)) < bound

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import effham as eh
+from effham import rotations
 from effham.errors import (AnalysisError, EffhamError, GuardViolationError,
                            ResonanceError)
 
@@ -450,3 +453,22 @@ class TestTwoModeScenario:
         assert ta.xi2_ab == tb.xi2_ab == pytest.approx(xi2, rel=1e-15)
         # mode-b amplitudes use the gap-shifted steps
         assert tb.eps[0] == pytest.approx(0.03 / (0.7 - 1.0), rel=1e-12)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_measured_step_is_relative_to_the_energies(seed):
+    # a diagonal part that does not scale X+ by one step is refused, and the
+    # true one accepted with the same D up to the scale, at every energy
+    # scale 10^k, k in [-14, 14] (Dicke X+ at A = 2, n_max = 6)
+    model = eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0,
+                                  g=0.04, atoms=2, n_max=6))
+    xplus = model.interactions[0].algebra.xplus
+    rng = np.random.default_rng(seed)
+    random = eh.OperatorMatrix(model.space, np.diag(rng.normal(size=model.space.dim)))
+    step = rotations.measured_step(model.h_diag, xplus)
+    for k in range(-14, 15):
+        scale = 10.0 ** k
+        assert rotations.measured_step(scale * model.h_diag, xplus) == pytest.approx(
+            scale * step, rel=1e-12, abs=0)
+        with pytest.raises(AnalysisError):
+            rotations.measured_step(scale * random, xplus)

@@ -1,4 +1,4 @@
-"""Time the Dicke model up a ladder of sizes: build, scenario, spectra and evolution.
+"""Time the Dicke model up a ladder of sizes: build, scenario, spectra and evolutions.
 
     python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--repeats 3] [--out OUT.json]
 
@@ -12,6 +12,8 @@ built model:
 * ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``;
 * ``spectra``: ``block_masks`` of the model and ``compare_spectra`` of
   ``h_int`` against the scenario's corrected form on them;
+* ``effective``: ``effective_evolution`` of the corrected form with the
+  scenario's rotation, from the state and at the times of ``evolve``;
 * ``evolve``: ``evolve`` of ``h_int`` from ``|n_max/2 photons, ground>`` at
   41 times over one effective period.
 
@@ -50,7 +52,7 @@ def measure(atoms: int, repeats: int) -> dict:
                         omega0=10.0 + DELTA, g=g)
     n0 = n_max // 2
     times = np.linspace(0.0, 2 * math.pi * DELTA / (g * g * (n0 + 1)), 41)
-    samples = {"build": [], "scenario": [], "spectra": [], "evolve": []}
+    samples = {"build": [], "scenario": [], "spectra": [], "effective": [], "evolve": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = eh.build(spec)
@@ -59,10 +61,13 @@ def measure(atoms: int, repeats: int) -> dict:
         t2 = time.perf_counter()
         eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model))
         t3 = time.perf_counter()
-        del forms
-        eh.evolve(model.h_int, eh.basis_state(model.space, (n0,), level=1), times)
+        psi0 = eh.basis_state(model.space, (n0,), level=1)
+        eh.effective_evolution(forms.corrected, psi0, times, rotation=forms.rotation)
         t4 = time.perf_counter()
-        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        del forms
+        eh.evolve(model.h_int, psi0, times)
+        t5 = time.perf_counter()
+        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             samples[stage].append(seconds)
         del model
     return {"atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
