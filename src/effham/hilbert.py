@@ -197,12 +197,16 @@ def enumerate_basis(modes, ensemble: EnsembleSpec, cap: int = DIMENSION_CAP) -> 
 
 
 class LadderPattern(NamedTuple):
-    """The column map of an operator with at most one nonzero per row and
-    per column: ``matrix[rows[j], j] == values[j]``, every other entry is +0,
-    and no two nonzeros share a row.
+    """A stack of ``k`` column maps, ``rows`` and ``values`` of shape
+    ``(k, dim)``: map ``m`` puts ``values[m, j]`` at ``(rows[m, j], j)``, and
+    every entry off the stack is +0.
 
-    An empty column has value 0 and an arbitrary row, so a pattern is
-    compared by its values and by its rows where the values are nonzero.
+    No two entries of a stack share a place, so each entry is the operator's
+    entry there, a signed zero included.  An unused entry of a stack of
+    several maps has row -1 and value 0: it is nowhere.  A zero column of
+    one map may point at any row (the constructors point it at the
+    diagonal), so a stack is compared by its values and by its rows where
+    the values are nonzero.
     """
 
     rows: np.ndarray
@@ -211,17 +215,18 @@ class LadderPattern(NamedTuple):
     @property
     def is_diagonal(self) -> bool:
         """Every nonzero sits on the diagonal."""
-        return not np.count_nonzero((self.rows != _own(len(self.rows))) & (self.values != 0))
+        return not np.count_nonzero((self.rows != _own(self.rows.shape[1])) & (self.values != 0))
+
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzero entries, map by map."""
+        full = np.flatnonzero(self.values)
+        return self.rows.ravel()[full], full % self.rows.shape[1], self.values.ravel()[full]
 
     def transpose(self) -> "LadderPattern":
-        """The column map of the transpose, which is this pattern's row map:
-        entry ``i`` gives the column and the value of row ``i``'s nonzero,
-        and an empty row points at its own index with value +0."""
-        full = np.flatnonzero(self.values)
-        rows, values = np.arange(len(self.rows)), np.zeros(len(self.rows), dtype=complex)
-        rows[self.rows[full]] = full
-        values[self.rows[full]] = self.values[full]
-        return LadderPattern(rows, values)
+        """The stack of the transpose: map ``m`` holds the ``m``-th nonzero
+        of every row."""
+        rows, cols, values = self.nonzeros()
+        return _stacked(self.rows.shape[1], cols, rows, values)
 
 
 class OperatorMatrix:
@@ -254,7 +259,7 @@ class OperatorMatrix:
 
     def _kept(self, key: str, find):
         """``find()``, called on the first request for ``key`` and kept: an
-        operator never changes, so its nonzero places, components and norm
+        operator never changes, so its nonzero entries, components and norm
         are found once (two threads at worst find the same value twice).
         Every new operator starts with nothing kept."""
         memo = self._memo
@@ -268,6 +273,12 @@ class OperatorMatrix:
         out = object.__new__(OperatorMatrix)
         out._set(self.space, arr, None)
         return out
+
+    def _made(self, product) -> "OperatorMatrix":
+        """An operator on this space around a fresh stack or array."""
+        if isinstance(product, LadderPattern):
+            return _pattern_operator(self.space, product)
+        return self._result(product)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -284,7 +295,7 @@ class OperatorMatrix:
     @property
     def matrix(self) -> np.ndarray:
         """The dense array, read-only.  A pattern-only operator builds it,
-        C-ordered with +0 off its pattern, on each access and does not keep
+        C-ordered with +0 off its stack, on each access and does not keep
         it."""
         if self._dense is not None:
             return self._dense
@@ -294,15 +305,15 @@ class OperatorMatrix:
 
     @property
     def ladder(self) -> LadderPattern | None:
-        """The :class:`LadderPattern` of a pattern-only operator; None for a
-        dense one."""
+        """The :class:`LadderPattern` stack of a pattern-only operator; None
+        for a dense one."""
         return self._ladder
 
     def dag(self) -> "OperatorMatrix":
         """Hermitian adjoint."""
         if self._dense is None:
-            t = self._ladder.transpose()
-            return _pattern_operator(self.space, LadderPattern(t.rows, t.values.conj()))
+            rows, cols, values = self._ladder.nonzeros()
+            return _pattern_operator(self.space, _stacked(self.dim, cols, rows, values.conj()))
         return self._result(self._dense.conj().T)
 
     def norm(self) -> float:
@@ -318,8 +329,8 @@ class OperatorMatrix:
 
     def diagonal(self) -> np.ndarray:
         if self._dense is None:
-            p = self._ladder
-            return np.where(p.rows == _own(self.dim), p.values, 0.0)
+            own = _own(self.dim)
+            return self._at(own, own)
         return self._dense.diagonal().copy()
 
     def offdiagonal_norm(self) -> float:
@@ -330,32 +341,38 @@ class OperatorMatrix:
         return float(np.linalg.norm(m - np.diag(m.diagonal())))
 
     def is_diagonal(self, tol: float) -> bool:
-        """The off-diagonal part is at most ``tol`` relative to the norm (or to 1)."""
-        off = self.offdiagonal_norm()
-        return off == 0.0 or off <= tol * max(1.0, self.norm())
+        """The off-diagonal entries have at most ``tol`` times the norm of all
+        entries, read from the nonzeros; a NaN entry fails."""
+        rows, cols, v = self.entries()
+        off = v[rows != cols]
+        return not off.size or np.linalg.norm(off) <= tol * np.linalg.norm(v)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """``||m - m^dag|| <= tol * max(1, ||m||)`` (Frobenius), read from the
-        nonzero entries only; a NaN entry, or an inf that meets its mirror
-        entry, fails."""
+        """``||m - m^dag|| <= tol * ||m||`` (Frobenius), read from the nonzero
+        entries only; a NaN entry, or an inf that meets its mirror entry,
+        fails."""
         # each nonzero v at (r, c) leaves v - conj(back) there, back the
         # entry at (c, r); where back is 0 it also leaves -conj(v) at (c, r)
         rows, cols, v = self.entries()
         back = self._at(cols, rows)
         diff, lone = v - back.conj(), np.where(back == 0, v, 0.0)
         defect2 = np.vdot(diff, diff).real + np.vdot(lone, lone).real
-        return math.sqrt(defect2) <= tol * max(1.0, math.sqrt(np.vdot(v, v).real))
+        return math.sqrt(defect2) <= tol * math.sqrt(np.vdot(v, v).real)
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         m = self.matrix
         return unitary_within(float(np.linalg.norm(m.conj().T @ m - np.eye(self.dim))), tol, self.dim)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """``matrix @ vec`` for a state or a ``(dim, k)`` stack of states as columns."""
+        """``matrix @ vec`` for a state or a ``(dim, k)`` stack of states as
+        columns: a gather where every row has at most one nonzero, else BLAS's
+        product with the dense array."""
         v = np.asarray(vec, dtype=complex)
         if self._dense is None:
             t = self._ladder.transpose()
-            return (t.values * v[t.rows].T).T
+            if len(t.rows) > 1:
+                return _materialise(self._ladder) @ v
+            return (t.values[0] * v[t.rows[0]].T).T
         return self._dense @ v
 
     def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -371,13 +388,10 @@ class OperatorMatrix:
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
-        order as ``np.nonzero`` lists them: from the column map of a
-        pattern-only operator, from the kept places of a dense one's
-        nonzeros."""
+        order as ``np.nonzero`` lists them, found once and kept: from the
+        stack of a pattern-only operator, from one scan of a dense one."""
         if self._dense is None:
-            t = self._ladder.transpose()
-            rows = np.flatnonzero(t.values)
-            return rows, t.rows[rows], t.values[rows]
+            return self._kept("entries", lambda: _frozen(*_row_major(self.dim, *self._ladder.nonzeros())))
         rows, cols = self._places()
         return rows, cols, self._dense[rows, cols]
 
@@ -391,17 +405,17 @@ class OperatorMatrix:
         broadcast against each other."""
         if self._dense is not None:
             return self._dense[rows, cols]
-        p = self._ladder
-        return np.where(p.rows[cols] == rows, p.values[cols], 0.0)
+        out = 0.0
+        for r, v in zip(*self._ladder):
+            out = np.where(r[cols] == rows, v[cols], out)
+        return out
 
     def inner(self, other: "OperatorMatrix"):
         """``sum(conj(self) * other)`` over all entries, summed as NumPy sums
         the dense product."""
         self._check(other)
         if self._dense is None and other._dense is None:
-            prod = _aligned(_conj_times, self._ladder, other._ladder)
-            if prod is not None:
-                return np.sum(_materialise(prod))
+            return np.sum(_materialise(_combined(_conj_times, self._ladder, other._ladder)))
         return np.sum(np.conj(self.matrix) * other.matrix)
 
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
@@ -415,35 +429,27 @@ class OperatorMatrix:
     # -- arithmetic --------------------------------------------------------
     def _entrywise(self, op, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
-        if self._dense is None and other._dense is None:
-            p, q = self._ladder, other._ladder
-            aligned = _aligned(op, p, q)
-            if aligned is not None:
-                return _pattern_operator(self.space, aligned)
-            # op(P, Q) of the two materialised arrays, written into P's:
-            # P's entries meet +0 where Q's entry sits in another row, and
-            # every entry of Q meets what P holds at its place
-            out, own = _materialise(p), _own(self.dim)
-            apart = q.rows != p.rows
-            out[p.rows[apart], own[apart]] = op(p.values[apart], 0.0)
-            out[q.rows, own] = op(out[q.rows, own], q.values)
-            return self._result(out)
-        if self._dense is None or other._dense is None:
-            # op(P, Q) with one operand pattern-only, written into one fresh
-            # array, C-ordered as NumPy orders a result with a C-ordered
-            # operand: the dense operand meets +0 off the pattern's places,
-            # then every place of the pattern holds op of the two entries
-            out, own = np.empty((self.dim, self.dim), dtype=complex), _own(self.dim)
-            if self._dense is None:
-                p, dense = self._ladder, other._dense
-                op(0.0, dense, out=out)
-                out[p.rows, own] = op(p.values, dense[p.rows, own])
-            else:
-                p, dense = other._ladder, self._dense
-                op(dense, 0.0, out=out)
-                out[p.rows, own] = op(dense[p.rows, own], p.values)
-            return self._result(out)
-        return self._result(op(self._dense, other._dense))
+        p, q = self._ladder, other._ladder
+        if p is not None and q is not None:
+            return _pattern_operator(self.space, _combined(op, p, q))
+        if p is None and q is None:
+            return self._result(op(self._dense, other._dense))
+        # op(P, Q) with one operand a stack, written into one fresh array,
+        # C-ordered as NumPy orders a result with a C-ordered operand: the
+        # dense operand meets +0 off the stack, then every place of a
+        # nonempty entry holds op of the two entries
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        if q is None:
+            dense = other._dense
+            rows, cols, values = _placed(p)
+            op(0.0, dense, out=out)
+            out[rows, cols] = op(values, dense[rows, cols])
+        else:
+            dense = self._dense
+            rows, cols, values = _placed(q)
+            op(dense, 0.0, out=out)
+            out[rows, cols] = op(dense[rows, cols], values)
+        return self._result(out)
 
     def __add__(self, other):
         return self._entrywise(np.add, other)
@@ -466,27 +472,33 @@ class OperatorMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        if self._dense is None and other._dense is None:
-            return _pattern_operator(self.space, _compose(self._ladder, other._ladder))
-        return self._result(_product(self, other))
+        return self._made(_product(self, other))
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
 
 
 def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern) -> OperatorMatrix:
-    """A pattern-only operator with column map ``ladder``."""
+    """A pattern-only operator with stack ``ladder``."""
     out = object.__new__(OperatorMatrix)
     out._set(space, None, ladder)
     return out
 
 
+def _placed(p: LadderPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the entries of ``p`` that are somewhere."""
+    placed = p.rows >= 0
+    return p.rows[placed], np.broadcast_to(_own(p.rows.shape[1]), placed.shape)[placed], p.values[placed]
+
+
 def _materialise(p: LadderPattern) -> np.ndarray:
-    """The dense array of a pattern-only operator, fresh and writable."""
-    d = len(p.rows)
-    out = np.zeros((d, d), dtype=complex)
+    """The dense array of a pattern-only operator, fresh, writable and
+    C-ordered: every entry of the stack written into one more row than the
+    array has, the one an entry with row -1 writes to."""
+    d = p.rows.shape[1]
+    out = np.zeros((d + 1, d), dtype=complex)
     out[p.rows, _own(d)] = p.values
-    return out
+    return out[:d]
 
 
 @lru_cache(maxsize=64)
@@ -501,32 +513,50 @@ def _conj_times(x, y):
     return np.conj(x) * y
 
 
-def _aligned(op, p: LadderPattern, q: LadderPattern) -> LadderPattern | None:
-    """The column map of ``op`` applied entry by entry to the operators with
-    column maps ``p`` and ``q``, or None if that has two nonzeros in one
-    column or in one row.
-
-    Where ``p`` and ``q`` point a column at one row, that row holds ``op``
-    of the two values.  Where they point it at different rows, each value
-    meets +0 from the other operand, as in the dense arrays: ``q``'s row is
-    kept if its value is nonzero, else ``p``'s (``op(0, zero)`` is +0), so
-    every entry has the dense operation's bits except a signed zero
-    ``op(p value, 0)`` beside a nonzero, which the column map cannot hold.
-    An empty column points at an arbitrary row, so the rows of the
-    nonzeros are counted even where the two maps agree.
-    """
-    same = p.rows == q.rows
-    if same.all():
-        rows, values = p.rows, op(p.values, q.values)
+def _stacked(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> LadderPattern:
+    """The stack of the ``d x d`` operator with ``values`` at ``(rows, cols)``,
+    no two at one place: map ``m`` holds the ``m``-th of them in each
+    column.  An unused entry is nowhere, or, in a stack of one map, at the
+    diagonal with value 0."""
+    counts = np.bincount(cols, minlength=d)
+    k = counts.max(initial=1)
+    if k == 1:
+        out_rows, slot = np.arange(d)[None, :], 0
     else:
-        take_q = (q.values != 0) & ~same
-        if (take_q & (p.values != 0)).any():
-            return None
-        at_p = op(p.values, np.where(same, q.values, 0.0))
-        rows, values = np.where(take_q, q.rows, p.rows), np.where(take_q, op(0.0, q.values), at_p)
-    if np.bincount(rows[values != 0], minlength=1).max() > 1:
-        return None
-    return LadderPattern(rows, values)
+        order = np.argsort(cols, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+        out_rows, slot = np.full((k, d), -1), np.arange(len(cols)) - (np.cumsum(counts) - counts)[cols]
+    out_values = np.zeros(out_rows.shape, dtype=complex)
+    out_rows[slot, cols] = rows
+    out_values[slot, cols] = values
+    return LadderPattern(out_rows, out_values)
+
+
+def _row_major(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The entries sorted by row, then column."""
+    order = np.argsort(rows * d + cols)
+    return rows[order], cols[order], values[order]
+
+
+def _combined(op, p: LadderPattern, q: LadderPattern) -> LadderPattern:
+    """The stack of ``op`` applied entry by entry to the operators with
+    stacks ``p`` and ``q``, bit for bit the dense operation's entries.
+
+    Where both hold an entry at one place, ``p``'s map holds ``op`` of the
+    two values and ``q``'s entry goes nowhere.  Every other entry of ``p``
+    meets +0, every other entry of ``q`` meets +0 in ``q``'s map, and off
+    both stacks ``op(+0, +0)`` is +0 as in the dense arrays.
+    """
+    same = p.rows[:, None] == q.rows[None]
+    if len(q.rows) == 1:
+        if len(p.rows) == 1 and same.all():
+            return LadderPattern(p.rows, op(p.values, q.values))
+        met = np.where(same[:, 0], q.values, 0j)
+    else:
+        met = np.where(same.any(axis=1), q.values[same.argmax(axis=1), _own(p.rows.shape[1])], 0j)
+    hit = same[0] if len(p.rows) == 1 else same.any(axis=0)
+    return LadderPattern(np.concatenate([p.rows, np.where(hit, -1, q.rows)]),
+                         np.concatenate([op(p.values, met), np.where(hit, 0j, op(0j, q.values))]))
 
 
 # -- constructors -----------------------------------------------------------
@@ -547,7 +577,7 @@ def _per_space(build):
 def _column_operator(space: SpaceDescriptor, rows: np.ndarray, values) -> OperatorMatrix:
     """The operator whose column ``j`` holds ``values[j]`` in row ``rows[j]``
     and nothing else; a column with value 0 is empty."""
-    return _pattern_operator(space, LadderPattern(rows, np.asarray(values, dtype=complex)))
+    return _pattern_operator(space, LadderPattern(rows[None, :], np.asarray(values, dtype=complex)[None, :]))
 
 
 @_per_space
@@ -632,11 +662,11 @@ def spin_operators(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatr
 def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     """``lhs @ rhs - rhs @ lhs`` on a shared space."""
     lhs._check(rhs)
-    if lhs.ladder is not None and rhs.ladder is not None:
-        return lhs @ rhs - rhs @ lhs
-    out = _product(lhs, rhs)
-    out -= _product(rhs, lhs)
-    return lhs._result(out)
+    ab, ba = _product(lhs, rhs), _product(rhs, lhs)
+    if isinstance(ab, LadderPattern) or isinstance(ba, LadderPattern):
+        return lhs._made(ab) - lhs._made(ba)
+    ab -= ba
+    return lhs._result(ab)
 
 
 def unitary_within(defect: float, tol: float, dim: int) -> bool:
@@ -669,8 +699,7 @@ def _components(ops) -> list[np.ndarray]:
         if p is None:
             r, c = op._places()
         else:
-            c = np.flatnonzero(p.values)
-            r = p.rows[c]
+            r, c, _ = p.nonzeros()
         rows.append(r)
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -722,38 +751,68 @@ def _scan(m: np.ndarray) -> LadderPattern | None:
     full = values != 0
     if np.count_nonzero(full) < n or np.bincount(rows[full], minlength=1).max() > 1:
         return None
+    return LadderPattern(rows[None, :], values[None, :])
+
+
+def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
+    """The stack of ``A @ B``, or None where two nonzero products land on
+    one entry.  Column ``j`` of ``B`` picks, per map, column ``pb.rows[m, j]``
+    of every map of ``A``: where ``B`` has one map, each product lands at a
+    place of its own, as the entries of one column of ``A`` do; else a zero
+    product, the product of an entry of ``B`` that is nowhere included,
+    goes nowhere, so that only nonzero ones can meet.  Each value is
+    the product :func:`_product`'s gathers form, in their operand order,
+    with every zero +0."""
+    d = pa.rows.shape[1]
+    if len(pa.rows) == 1:
+        rows, values = pa.rows[0][pb.rows], pa.values[0][pb.rows] * pb.values + 0.0
+    else:
+        rows = pa.rows[:, pb.rows].reshape(-1, d)
+        values = (pa.values[:, pb.rows] * pb.values + 0.0).reshape(-1, d)
+    if len(pb.rows) > 1:
+        rows = np.where(values != 0, rows, -1)
+        marked = np.where(rows < 0, -1 - np.arange(len(rows))[:, None], rows)
+        marked.sort(axis=0)
+        if (marked[1:] == marked[:-1]).any():
+            return None
     return LadderPattern(rows, values)
 
 
-def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
-    """The pattern of ``A @ B``: column ``j`` of ``B`` picks column
-    ``pb.rows[j]`` of ``A``.  Each value is the product :func:`_product`'s
-    gathers form, in their operand order, with every zero +0."""
-    return LadderPattern(pa.rows[pb.rows], pa.values[pb.rows] * pb.values + 0.0)
+def _product(a: OperatorMatrix, b: OperatorMatrix) -> LadderPattern | np.ndarray:
+    """``a @ b``: the stack of two pattern-only factors where every entry is
+    a single product, else a fresh C-ordered array.
 
-
-def _product(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
-    """``a @ b`` as a fresh C-ordered array.
-
-    If ``a`` is pattern-only, row ``i`` of the product is row ``t.rows[i]``
-    of ``b`` times ``t.values[i]``, ``t`` the transpose of ``a``'s column
-    map; else if ``b`` is, column ``j`` is column ``rows[j]`` of ``a`` times
-    ``values[j]``.  Otherwise it is BLAS's product.  The skipped terms of
-    the dense product are exact zeros, so for real pattern values every
-    entry equals that of ``a @ b``.  Adding 0 turns the -0 of a negative
-    value times 0 into +0, the zero BLAS gives at most sizes (some of its
-    edge kernels give -0), because LAPACK reads the sign of a zero.
+    A single product is formed by NumPy in the operand order: by
+    :func:`_compose` for two stacks; where ``a`` is a stack with at most one
+    nonzero per row, row ``i`` of the product is row ``t.rows[0, i]`` of
+    ``b`` times ``t.values[0, i]``, ``t`` the transpose of ``a``'s stack;
+    where ``b`` is one with at most one nonzero per column, column ``j`` is
+    column ``rows[0, j]`` of ``a`` times ``values[0, j]``.  The skipped terms
+    of the dense product are exact zeros, so for real values every entry
+    equals that of ``a @ b``.  Adding 0 turns the -0 of a negative value
+    times 0 into +0, the zero BLAS gives at most sizes (some of its edge
+    kernels give -0), because LAPACK reads the sign of a zero.  Where two
+    nonzero products may land on one entry, the sum is BLAS's product of
+    the dense arrays, whose order of fused multiply-adds sets its bits.
     """
-    if a.ladder is not None:
-        t = a.ladder.transpose()
-        out = np.ascontiguousarray(b.matrix[t.rows])
-        np.multiply(t.values[:, None], out, out=out)
+    pa, pb = a.ladder, b.ladder
+    if pa is not None and pb is not None:
+        composed = _compose(pa, pb)
+        return composed if composed is not None else _materialise(pa) @ _materialise(pb)
+    if pa is not None:
+        t = pa.transpose()
+        if len(t.rows) > 1:
+            return _materialise(pa) @ b.matrix
+        out = np.ascontiguousarray(b.matrix[t.rows[0]])
+        np.multiply(t.values[0][:, None], out, out=out)
+    elif pb is not None:
+        single = _stacked(b.dim, *pb.nonzeros()) if len(pb.rows) > 1 else pb
+        if len(single.rows) > 1:
+            return a.matrix @ _materialise(pb)
+        out = np.ascontiguousarray(np.take(a.matrix, single.rows[0], axis=1))
+        out *= single.values[0]
     else:
-        pb = b.ladder
-        if pb is None:
-            return a.matrix @ b.matrix
-        out = np.ascontiguousarray(np.take(a.matrix, pb.rows, axis=1))
-        out *= pb.values
+        return a.matrix @ b.matrix
     out += 0.0
     return out
 

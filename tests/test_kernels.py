@@ -223,6 +223,12 @@ def pattern_operands(draw):
     return a, b, rng.random(dim) < 0.7
 
 
+def _same_entries(op, ref: np.ndarray) -> bool:
+    """``op.entries()`` lists the nonzeros of ``ref`` as ``np.nonzero`` does."""
+    r, c, v = op.entries()
+    return bool(np.array_equal(np.stack([r, c]), np.stack(np.nonzero(ref))) and np.array_equal(v, ref[r, c]))
+
+
 def _shared_places(a, b) -> bool:
     live = (a.matrix != 0) | (b.matrix != 0)
     return bool(np.all(live.sum(axis=0) <= 1) and np.all(live.sum(axis=1) <= 1))
@@ -232,24 +238,21 @@ def _shared_places(a, b) -> bool:
 def test_pattern_only_results_match_dense_arithmetic(case):
     a, b, mask = case
     x, y = np.array(a.matrix), np.array(b.matrix)  # dense copies in the same order
-    entrywise = [(a.dag(), x.conj().T, True), (-0.5 * a, x * complex(-0.5), True),
-                 (0.0 * a, x * 0j, False), (-a, -x, True),
-                 (a + b, x + y, _shared_places(a, b)), (a - b, x - y, _shared_places(a, b)),
-                 (a.project(mask), np.where(np.outer(mask, mask), x, 0.0),
-                  a.project(mask)._dense is None)]
-    for got, ref, pattern_only in entrywise:
+    entrywise = [(a.dag(), x.conj().T), (-0.5 * a, x * complex(-0.5)), (0.0 * a, x * 0j), (-a, -x),
+                 (a + b, x + y), (a - b, x - y), (a.project(mask), np.where(np.outer(mask, mask), x, 0.0))]
+    for got, ref in entrywise:
         m = got.matrix
         assert m.dtype == complex and not m.flags.writeable
         assert np.array_equal(m, ref) and m.flags.c_contiguous
-        assert not _negative_zero(m[_off_pattern(*((got,) if got._dense is None else (a, b)))])
-        assert got._dense is None or not pattern_only
-        if got._dense is None:
+        assert got._dense is None and not _negative_zero(m[_off_pattern(got)])
+        assert _same_entries(got, ref)
+        if len(got.ladder.rows) == 1 and _shared_places(a, b):
             assert _same_pattern(got._ladder, _fresh_scan(got))
     for got, ref in ((a @ b, x @ y), (eh.commutator(a, b), x @ y - y @ x)):
         m = got.matrix
         assert m.dtype == complex and not m.flags.writeable and m.flags.c_contiguous
         assert _blas_bits(m, ref)
-        if got._dense is None:
+        if got._dense is None and len(got.ladder.rows) == 1:
             assert _same_pattern(got._ladder, _fresh_scan(got))
     assert (a @ b)._dense is None
 
@@ -275,12 +278,19 @@ def test_pattern_only_readers_match_dense_bits(case):
     assert h.is_hermitian() and h.is_hermitian() == eh.OperatorMatrix(a.space, h.matrix).is_hermitian()
 
 
-def test_sum_with_two_nonzeros_in_one_row_is_dense():
+def test_sum_with_two_nonzeros_in_one_row_is_a_stack():
+    # one map whose two nonzeros share row 0: no row map, so a product
+    # with it as the left factor and its action on a state go through BLAS
     space, eye = _space(2), eh.identity(_space(2))
     a = eh.OperatorMatrix(space, [[1.0, 0.0], [0.0, 0.0]]) @ eye
     b = eh.OperatorMatrix(space, [[0.0, 2.0], [0.0, 0.0]]) @ eye
     total = a + b
-    assert total.ladder is None and np.array_equal(total.matrix, [[1.0, 2.0], [0.0, 0.0]])
+    ref = np.array([[1.0, 2.0], [0.0, 0.0]])
+    assert total._dense is None and len(total.ladder.rows) == 1
+    assert np.array_equal(total.matrix, ref) and len(total.dag().ladder.rows) == 2
+    x = np.array([[0.5, -1.0], [3.0, 0.25]])
+    assert np.array_equal((total @ eh.OperatorMatrix(space, x)).matrix, ref @ x)
+    assert np.array_equal(total.apply(np.array([1.0, 1j])), ref @ np.array([1.0, 1j]))
 
 
 def test_cancelled_entry_keeps_its_place():
@@ -298,12 +308,15 @@ def test_cancelled_entry_keeps_its_place():
 
 def test_hermiticity_from_pattern_counts_each_entry_once():
     # column 1 is empty and its index points at row 0, while row 1 holds
-    # the only nonzero: ||m - m^H|| = 9.9e-13 sits just inside 1e-12
-    space = _space(2)
-    m = np.array([[0.0, 0.0], [7e-13, 0.0]])
+    # the only off-diagonal nonzero beside a unit diagonal entry:
+    # ||m - m^H|| = 9.9e-13 sits just inside 1e-12 of ||m|| = 1, and
+    # counting the lone entry twice would give 1.4e-12
+    space = _space(3)
+    m = np.array([[0.0, 0.0, 0.0], [7e-13, 0.0, 0.0], [0.0, 0.0, 1.0]])
     op = eh.OperatorMatrix(space, m) @ eh.identity(space)
     assert op._dense is None
     assert op.is_hermitian() and eh.OperatorMatrix(space, m).is_hermitian()
+    assert not op.is_hermitian(0.7e-12)
 
 
 @pytest.mark.parametrize("scenario", ["cascade-first-stage", "four-level-three-photon"])
@@ -447,11 +460,14 @@ def test_dicke_effective_evolution_needs_no_eigh(dicke_model, monkeypatch):
 
 
 def test_dicke_model_keeps_patterned_operators_without_arrays(dicke_model):
-    alg = dicke_model.interactions[0].algebra
+    term = dicke_model.interactions[0]
+    alg = term.algebra
     held = [dicke_model.h_free, dicke_model.h_diag, dicke_model.conserved["N"],
-            *dicke_model.operators.values(), alg.x3, alg.xplus, alg.xminus, alg.structure]
+            *dicke_model.operators.values(), alg.x3, alg.xplus, alg.xminus, alg.structure,
+            dicke_model.h_int, term.coupling]
     assert all(op._dense is None for op in held)
-    assert dicke_model.h_int._dense is not None  # two nonzeros per column
+    # diagonal, raising and lowering: up to three nonzeros per column
+    assert len(dicke_model.h_int.ladder.rows) == 3 and len(term.coupling.ladder.rows) == 2
 
 
 def test_dicke_analysis_materialises_no_pattern_only_operator(dicke_model, monkeypatch):
@@ -562,7 +578,7 @@ def _dense_stored(space: SpaceDescriptor, m) -> eh.OperatorMatrix:
 
 
 def _hermitian_reference(m: np.ndarray, tol: float) -> bool:
-    return bool(np.linalg.norm(m - m.conj().T) <= tol * max(1.0, np.linalg.norm(m)))
+    return bool(np.linalg.norm(m - m.conj().T) <= tol * np.linalg.norm(m))
 
 
 _HERMITICITY_CASES = ["hermitian", "lone entry", "lone 0.8 tol", "defect 0.1 tol", "defect 10 tol",
@@ -590,10 +606,10 @@ def hermiticity_cases(draw):
     elif kind == "lone 0.8 tol" and i != j:
         # inside tol on its own, outside once its empty mirror counts too
         h[i, j] = h[j, i] = 0.0
-        h[i, j] = 0.8 * tol * max(1.0, np.linalg.norm(h))
+        h[i, j] = 0.8 * tol * np.linalg.norm(h)
     elif kind.startswith("defect"):
         size = 0.1 if kind == "defect 0.1 tol" else 10.0
-        h[i, j] += size * tol * max(1.0, np.linalg.norm(h)) * (1.0 if i != j else 1j)
+        h[i, j] += size * tol * np.linalg.norm(h) * (1.0 if i != j else 1j)
     elif kind in ("nan", "inf"):
         h[i, j] = np.nan if kind == "nan" else draw(st.sampled_from([np.inf, -np.inf, 1j * np.inf]))
         if draw(st.booleans()):
@@ -693,9 +709,9 @@ def _signed_parts(rng, n: int) -> np.ndarray:
 
 
 def _signed_pattern(rng, dim: int, rows=None) -> hilbert.LadderPattern:
-    """A column map with ±0 parts: nonzeros on a random partial permutation
-    (on ``rows`` when given), and empty columns of +0 or -0 parts pointing
-    at random rows."""
+    """A one-map stack with ±0 parts: nonzeros on a random partial
+    permutation (on ``rows`` when given), and zero columns of +0 or -0
+    parts pointing at random rows."""
     rows = rng.permutation(dim) if rows is None else rows.copy()
     full = rng.random(dim) < 0.75
     rows[~full] = rng.integers(0, dim, size=np.count_nonzero(~full))
@@ -704,7 +720,7 @@ def _signed_pattern(rng, dim: int, rows=None) -> hilbert.LadderPattern:
     values.real[full & (values == 0)] = 1.0
     values[~full] = np.where(rng.random(np.count_nonzero(~full)) < 0.5, 0.0, -0.0) + 0j
     values.imag[~full] = np.where(rng.random(np.count_nonzero(~full)) < 0.5, 0.0, -0.0)
-    return hilbert.LadderPattern(rows, values)
+    return hilbert.LadderPattern(rows[None, :], values[None, :])
 
 
 def _column_map_holds(m: np.ndarray) -> bool:
@@ -718,7 +734,7 @@ def test_pattern_sums_match_dense_bits(dim, seed, share_rows):
     rng = np.random.default_rng(seed)
     space = _space(dim)
     p = _signed_pattern(rng, dim)
-    q = _signed_pattern(rng, dim, p.rows if share_rows else None)
+    q = _signed_pattern(rng, dim, p.rows[0] if share_rows else None)
     a, b = hilbert._pattern_operator(space, p), hilbert._pattern_operator(space, q)
     for got, ref in ((a + b, a.matrix + b.matrix), (a - b, a.matrix - b.matrix)):
         m = got.matrix
@@ -761,7 +777,7 @@ def test_checks_allocate_less_than_one_dense_array(fixture, scenario, request):
     forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
     masks = eh.block_masks(model)
     h = model.h_int
-    assert h._dense is not None
+    assert h._dense is None  # a stack of column maps
     bound = h.dim ** 2 * 16
     m = h.matrix
     assert _peak_bytes(lambda: m - m.conj().T) > bound  # the dense check these replace
@@ -828,23 +844,29 @@ def test_kept_reads_equal_a_fresh_operators(case):
 def test_dicke_task_scans_h_int_once(dicke_model, monkeypatch):
     # one dicke-ladder task body: every reader of h_int's nonzeros (the
     # Hermiticity and conservation checks of the build, the block leakage,
-    # the Hermiticity check and components of evolve) shares one scan
-    scanned = []
-    real = hilbert._nonzero_places
+    # the Hermiticity check and components of evolve) shares one listing
+    # of its stack, and no dense array is scanned
+    scanned, listed = [], []
+    real, real_listing = hilbert._nonzero_places, hilbert._row_major
 
     def spy(m):
         scanned.append(m)
         return real(m)
 
+    def listing(d, *entries):
+        listed.append(entries[0])
+        return real_listing(d, *entries)
+
     monkeypatch.setattr(hilbert, "_nonzero_places", spy)
+    monkeypatch.setattr(hilbert, "_row_major", listing)
     model = eh.build(dicke_model.spec)
     forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
     eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model, skip_truncated=True))
     psi = eh.basis_state(model.space, (3,), level=1)
     exact = eh.evolve(model.h_int, psi, TIMES)
     approx = eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
-    assert model.h_int._dense is not None
-    assert sum(m is model.h_int._dense for m in scanned) == 1
+    assert model.h_int._dense is None and not scanned
+    assert sum(len(rows) == len(model.h_int.entries()[0]) for rows in listed) == 1
     assert np.max(eh.infidelity_series(exact, approx)) < 1e-3
 
 
