@@ -9,8 +9,10 @@ Subcommands:
 A run executes one analysis (algebra-check, spectrum, evolve, couplings,
 scaling or effective) for one model, prints one line per check, and writes
 a machine-readable report.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 config or usage error.  Reports are deterministic: repeated
-runs on the same config are byte identical (no timestamps in the output).
+check failed, 2 config or usage error (an :class:`~effham.errors.EffhamError`,
+or a config or report file that cannot be read or written), 3 internal
+error (any other exception).  Reports are deterministic: repeated runs on
+the same config are byte identical (no timestamps in the output).
 """
 
 from __future__ import annotations
@@ -110,15 +112,26 @@ def _model_spec(section) -> ModelSpec:
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("missing model.kind")
-    kwargs = {key: parse(section[key]) for key, parse in _MODEL_KEYS.items() if key in section}
     try:
+        kwargs = {key: parse(section[key]) for key, parse in _MODEL_KEYS.items() if key in section}
         return ModelSpec(kind=kind, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
+def _build(spec: ModelSpec) -> models.ModelInstance:
+    """``models.build`` of the configured spec; a spec its builder refuses
+    (a wrong number of levels, couplings or truncations) is a config error."""
+    try:
+        return models.build(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad model section: {exc}") from exc
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Read and validate a sectioned key-value config file."""
+    """Read and validate a sectioned key-value config file; every defect,
+    an unreadable file and a value that does not parse included, raises
+    :class:`~effham.errors.ConfigError`."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -159,31 +172,31 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         output = base / output
 
     eps_text = overrides.get("epsilon") or ana.get("epsilons", "0.04 0.02 0.01")
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = ana.getint("seed", 0)
-
-    return RunConfig(
-        model=model,
-        analysis=analysis,
-        scenario=scenario,
-        form=form,
-        epsilons=_parse_floats(eps_text),
-        times=_parse_times(ana.get("times", "0:100:201")),
-        initial_photons=_parse_ints(ana.get("initial_photons", "0")),
-        initial_level=ana.getint("initial_level", 1),
-        initial_occupations=_parse_ints(ana["initial_occupations"])
-        if "initial_occupations" in ana else None,
-        order_threshold=ana.getfloat("order_threshold", 2.6),
-        metric=metric,
-        max_order=ana.getint("max_order", 3),
-        draws=ana.getint("draws", 100),
-        seed=int(seed),
-        max_error=ana.getfloat("max_error") if "max_error" in ana else None,
-        output=output,
-        fmt=fmt,
-        raw=raw,
-    )
+    try:
+        seed = overrides.get("seed")
+        return RunConfig(
+            model=model,
+            analysis=analysis,
+            scenario=scenario,
+            form=form,
+            epsilons=_parse_floats(eps_text),
+            times=_parse_times(ana.get("times", "0:100:201")),
+            initial_photons=_parse_ints(ana.get("initial_photons", "0")),
+            initial_level=ana.getint("initial_level", 1),
+            initial_occupations=_parse_ints(ana["initial_occupations"])
+            if "initial_occupations" in ana else None,
+            order_threshold=ana.getfloat("order_threshold", 2.6),
+            metric=metric,
+            max_order=ana.getint("max_order", 3),
+            draws=ana.getint("draws", 100),
+            seed=int(ana.getint("seed", 0) if seed is None else seed),
+            max_error=ana.getfloat("max_error") if "max_error" in ana else None,
+            output=output,
+            fmt=fmt,
+            raw=raw,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad analysis section: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +207,16 @@ def _initial_state(cfg: RunConfig, model: models.ModelInstance) -> np.ndarray:
     photons = cfg.initial_photons
     if len(photons) != len(model.space.modes):
         raise ConfigError("initial_photons must give one entry per mode")
-    if cfg.initial_occupations is not None:
-        return basis_state(model.space, photons, occupations=cfg.initial_occupations)
-    return basis_state(model.space, photons, level=cfg.initial_level)
+    try:
+        if cfg.initial_occupations is not None:
+            return basis_state(model.space, photons, occupations=cfg.initial_occupations)
+        return basis_state(model.space, photons, level=cfg.initial_level)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"bad initial state: {exc}") from exc
 
 
 def _run_algebra_check(cfg: RunConfig):
-    model = models.build(cfg.model)
+    model = _build(cfg.model)
     checks, rows = [], []
     for name, alg in model.algebras.items():
         rep = ladder_relation_report(alg)
@@ -230,7 +246,7 @@ def _run_algebra_check(cfg: RunConfig):
 
 
 def _run_spectrum(cfg: RunConfig):
-    model = models.build(cfg.model)
+    model = _build(cfg.model)
     forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     h_eff = forms.selected
     if forms.sector_mask is not None:
@@ -269,7 +285,7 @@ def _default_observables(model: models.ModelInstance):
 
 
 def _run_evolve(cfg: RunConfig):
-    model = models.build(cfg.model)
+    model = _build(cfg.model)
     psi0 = _initial_state(cfg, model)
     obs = _default_observables(model)
     traj = dynamics.evolve(model.h_int, psi0, cfg.times, observables=obs)
@@ -331,16 +347,16 @@ def _scaled_model(cfg: RunConfig, eps: float) -> models.ModelInstance:
     """Rebuild the model with couplings scaled so the expansion parameter is eps."""
     spec = cfg.model
     if spec.kind == "spin-in-field":
-        return models.build(ModelSpec(kind=spec.kind, omega=spec.omega,
+        return _build(ModelSpec(kind=spec.kind, omega=spec.omega,
                                       g=eps * abs(spec.omega), spin_j=spec.spin_j))
     if spec.kind == "dicke":
         delta = abs(spec.omega0 - spec.omega_field)
-        return models.build(ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
+        return _build(ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
                                       omega0=spec.omega0, g=eps * delta,
                                       atoms=spec.atoms, n_max=spec.n_max))
-    model0 = models.build(spec)
+    model0 = _build(spec)
     current = max(abs(t.epsilon) for t in model0.interactions if t.detuning != 0)
-    return models.build(models.with_scaled_couplings(spec, eps / current))
+    return _build(models.with_scaled_couplings(spec, eps / current))
 
 
 def _run_scaling(cfg: RunConfig):
@@ -379,7 +395,7 @@ def _run_scaling(cfg: RunConfig):
 
 
 def _run_effective(cfg: RunConfig):
-    model = models.build(cfg.model)
+    model = _build(cfg.model)
     forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     rows = [("deviation_norm", _fmt(forms.deviation_norm)),
             ("deviation_relative", _fmt(forms.deviation_relative))]
@@ -442,14 +458,27 @@ def _write_json(path: Path, cfg: RunConfig, header, rows, checks, extra):
 # entry points
 # ---------------------------------------------------------------------------
 
-def run(config_path: str, overrides: dict | None = None) -> int:
-    """Execute one configured analysis; returns the process exit code."""
+def _classified(call) -> int:
+    """``call()``'s exit code, or the code of the exception it raises: 2 for
+    a config or usage error, 3 for any other, reported as internal."""
     try:
-        cfg = load_config(config_path, overrides)
-        checks, header, rows, extra = _RUNNERS[cfg.analysis](cfg)
-    except (ConfigError, EffhamError, ValueError, KeyError, OSError) as exc:
+        return call()
+    except (EffhamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - every other exception is a defect
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def run(config_path: str, overrides: dict | None = None) -> int:
+    """Execute one configured analysis; returns the process exit code."""
+    return _classified(lambda: _run(config_path, overrides))
+
+
+def _run(config_path: str, overrides: dict | None) -> int:
+    cfg = load_config(config_path, overrides)
+    checks, header, rows, extra = _RUNNERS[cfg.analysis](cfg)
     for chk in checks:
         status = "PASS" if chk.passed else "FAIL"
         parts = [f"[{status}] {chk.name}"]
@@ -482,13 +511,11 @@ def list_scenarios() -> int:
 
 
 def validate_config(config_path: str) -> int:
-    try:
+    def check() -> int:
         load_config(config_path)
-    except (ConfigError, EffhamError, ValueError, OSError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    print(f"config ok: {config_path}")
-    return 0
+        print(f"config ok: {config_path}")
+        return 0
+    return _classified(check)
 
 
 def main(argv=None) -> int:

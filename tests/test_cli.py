@@ -176,3 +176,42 @@ class TestDeterminism:
         assert _run(["run", CONFIGS / name, "--output", out1]) == 0
         assert _run(["run", CONFIGS / name, "--output", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+#: configs whose values do not parse or do not make a model, by what is wrong
+BAD_VALUES = {
+    "model number": "[model]\nkind = dicke\natoms = three\n[analysis]\nkind = algebra-check\n",
+    "model list": "[model]\nkind = dicke\nn_max = 4, x\n[analysis]\nkind = algebra-check\n",
+    "analysis number": "[model]\nkind = dicke\n[analysis]\nkind = algebra-check\nseed = x\n",
+    "time grid": "[model]\nkind = dicke\n[analysis]\nkind = evolve\ntimes = 0:b:5\n",
+    "coupling count": "[model]\nkind = cascade\nenergies = 0, 11, 21.7, 30\nomega_field = 10\n"
+                      "couplings = 0.03\n[analysis]\nkind = algebra-check\n",
+}
+
+
+@pytest.mark.parametrize("defect", list(BAD_VALUES))
+def test_bad_value_is_config_error(tmp_path, capsys, defect):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BAD_VALUES[defect])
+    assert _run(["run", cfg, "--output", tmp_path / "r.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    if defect != "coupling count":  # the builder refuses it, after validation
+        assert _run(["validate-config", cfg]) == 2
+
+
+def test_unwritable_report_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _run(["run", CONFIGS / "dicke_spectrum.cfg", "--output", blocker / "r.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("raised", [ValueError("bug"), KeyError("bug"), ZeroDivisionError()])
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, raised):
+    def broken(cfg):
+        raise raised
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
+    assert _run(["run", CONFIGS / "dicke_spectrum.cfg", "--output", tmp_path / "r.csv"]) == 3
+    assert capsys.readouterr().err.startswith(f"internal error: {type(raised).__name__}")
+    assert not (tmp_path / "r.csv").exists()
