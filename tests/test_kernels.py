@@ -723,26 +723,75 @@ def _signed_pattern(rng, dim: int, rows=None) -> hilbert.LadderPattern:
     return hilbert.LadderPattern(rows[None, :], values[None, :])
 
 
-def _column_map_holds(m: np.ndarray) -> bool:
-    """Every column has at most one entry that is not +0, signed zeros counted."""
-    bits = m.view(np.uint64).reshape(*m.shape, 2).any(axis=-1)
-    return bool(np.all(bits.sum(axis=0) <= 1))
+def _signed_stack(rng, space, maps: int):
+    """(stack, dense array): the sum or difference of ``maps`` signed
+    one-map patterns, as operators and as the same dense arithmetic.  Each
+    later map points its zero columns at the places an earlier one holds,
+    and shares all of its rows with it half of the time."""
+    parts = [_signed_pattern(rng, space.dim)]
+    for _ in range(maps - 1):
+        earlier = parts[rng.integers(len(parts))].rows[0]
+        later = _signed_pattern(rng, space.dim, earlier if rng.random() < 0.5 else None)
+        empty = later.values[0] == 0
+        later.rows[0][empty] = earlier[empty]
+        parts.append(later)
+    op = hilbert._pattern_operator(space, parts[0])
+    ref = np.array(op.matrix)
+    for part in parts[1:]:
+        other = hilbert._pattern_operator(space, part)
+        if rng.random() < 0.5:
+            op, ref = op + other, ref + other.matrix
+        else:
+            op, ref = op - other, ref - other.matrix
+    return op, ref
 
 
-@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_pattern_sums_match_dense_bits(dim, seed, share_rows):
+def _product_close(got: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
+    """``got`` is ``x @ y`` up to the rounding of one complex product per
+    entry."""
+    return bool(np.all(np.abs(got - x @ y) <= 4 * EPS * (np.abs(x) @ np.abs(y))))
+
+
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_pattern_sums_match_dense_bits(dim, maps_a, maps_b, seed):
+    # stacks hold every entry of a sum, signed zeros included, so sums,
+    # projections, blocks, diagonals and sums with a dense operand are the
+    # dense operation bit for bit; a scalar multiple, an adjoint and a
+    # product of single products equal it by value
     rng = np.random.default_rng(seed)
     space = _space(dim)
-    p = _signed_pattern(rng, dim)
-    q = _signed_pattern(rng, dim, p.rows[0] if share_rows else None)
-    a, b = hilbert._pattern_operator(space, p), hilbert._pattern_operator(space, q)
-    for got, ref in ((a + b, a.matrix + b.matrix), (a - b, a.matrix - b.matrix)):
-        m = got.matrix
-        assert got._dense is None or not _shared_places(a, b)
-        if got._dense is not None or _column_map_holds(ref):
-            assert np.array_equal(m.view(np.uint64), ref.view(np.uint64))
-        else:  # a -0 beside the column's nonzero, which a column map cannot hold
-            assert np.array_equal(m, ref)
+    (a, x), (b, y) = _signed_stack(rng, space, maps_a), _signed_stack(rng, space, maps_b)
+    assert a._dense is None and _bits(a.matrix) == _bits(x) and a.matrix.flags.c_contiguous
+    for got, ref in ((a + b, x + y), (a - b, x - y), (b - a, y - x)):
+        assert got._dense is None and _bits(got.matrix) == _bits(ref)
+    for s in (-0.5, 0.3 - 2j, 0.0):
+        got = (s * a).matrix
+        assert (s * a)._dense is None and np.array_equal(got, x * s)
+        assert not _negative_zero(got[_off_pattern(a)])
+    assert np.array_equal(a.dag().matrix, x.conj().T) and _same_entries(a.dag(), x.conj().T)
+    prod = a @ b
+    if prod._dense is None:
+        assert _product_close(prod.matrix, x, y) and not _negative_zero(prod.matrix)
+    else:
+        assert _bits(prod.matrix) == _bits(x @ y)
+    mask = rng.random(dim) < 0.6
+    assert _bits(a.project(mask).matrix) == _bits(np.where(np.outer(mask, mask), x, 0.0))
+    assert _same_entries(a, x) and _bits(a.diagonal()) == _bits(x.diagonal())
+    rows, cols = np.flatnonzero(mask), np.flatnonzero(~mask)
+    assert _bits(a.block(rows)) == _bits(x[np.ix_(rows, rows)])
+    assert _bits(a.block(rows, cols)) == _bits(x[np.ix_(rows, cols)])
+    psi = np.linspace(1.0, 2.0, dim) + 0.5j
+    assert _product_close(a.apply(psi), x, psi)
+    dense = _dense_stored(space, x)
+    assert [tuple(c) for c in hilbert.components(a)] == [tuple(c) for c in hilbert.components(dense)]
+    assert a.inner(b) == np.sum(np.conj(x) * y)
+    assert a.norm() == np.linalg.norm(x) and a.is_hermitian() == dense.is_hermitian()
+    z = np.empty((dim, dim), dtype=complex)
+    z.real = _signed_parts(rng, dim * dim).reshape(dim, dim)
+    z.imag = _signed_parts(rng, dim * dim).reshape(dim, dim)
+    c = _dense_stored(space, z)
+    for got, ref in ((a + c, x + z), (c - a, z - x), (a - c, x - z)):
+        assert got._dense is not None and _bits(got.matrix) == _bits(ref)
 
 
 def test_offdiagonal_residual_labels_match_pairwise_loop(dicke_model):
@@ -784,6 +833,60 @@ def test_checks_allocate_less_than_one_dense_array(fixture, scenario, request):
     for call in (h.is_hermitian, lambda: models._validate(model),
                  lambda: eh.compare_spectra(h, forms.corrected, masks)):
         assert _peak_bytes(call) < bound
+
+
+@st.composite
+def scaled_checks(draw):
+    """(space, array, tol, verdict, kind): a Hermitian or diagonal array,
+    stored dense or with a ladder pattern, with one defect of 0, 0.1 or 10
+    times ``tol`` relative to its own norm, and the verdict the defect
+    implies."""
+    dim = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["hermitian", "diagonal"]))
+    tol = draw(st.sampled_from([1e-12, 1e-10]))
+    if kind == "diagonal":
+        h = np.diag(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    elif draw(st.booleans()):
+        p = _partial_permutation(rng, dim) * np.exp(1j * rng.normal(size=dim))
+        h = p + p.conj().T
+    else:
+        x = _dense(rng, dim, draw(st.sampled_from([0.3, 1.0])))
+        h = x + x.conj().T
+    size = draw(st.sampled_from([0.0, 0.1, 10.0]))
+    i, j = rng.choice(dim, size=2, replace=False)
+    h[i, j] += size * tol * np.linalg.norm(h)
+    return _space(dim), h, tol, size < 1, kind
+
+
+@given(scaled_checks(), st.integers(-14, 14))
+def test_hermiticity_and_diagonality_are_unit_free(case, k):
+    # the checks scale by the operator's own size: the verdict is the same
+    # at every 10^k, where a floor at 1 would pass any defect below 1
+    space, h, tol, verdict, kind = case
+    for m in (h, h * 10.0 ** k):
+        for op in (eh.OperatorMatrix(space, m), _dense_stored(space, m)):
+            check = op.is_hermitian if kind == "hermitian" else op.is_diagonal
+            assert check(tol) == verdict
+
+
+def test_cascade_build_and_generator_hold_no_dense_array():
+    # the 4-level cascade at A = 3, n_max = 16: couplings, h_int and the
+    # generator are stacks; the one dense array alive at a time is the
+    # transient operand of a norm or inner product, which keep NumPy's
+    # dense bits (measured_step materialises X+ for ||X+|| and <X+, [h, X+]>)
+    wf = 10.0
+    spec = eh.ModelSpec(kind="cascade", energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf),
+                        omega_field=wf, couplings=(0.03, 0.03, 0.03), atoms=3, n_max=16)
+
+    def build_and_generator():
+        model = models.build(spec)
+        return model, rotations.eliminating_generator(model)[0]
+
+    model, gen = build_and_generator()
+    held = [model.h_int, gen, *(term.coupling for term in model.interactions)]
+    assert model.space.dim == 340 and all(op._dense is None for op in held)
+    assert _peak_bytes(build_and_generator) < 1.5 * model.space.dim ** 2 * 16
 
 
 # -- what an operator keeps ---------------------------------------------------
