@@ -13,34 +13,39 @@ first, e.g. for two levels and one atom the order is
 ``|n=0;(1,0)>, |n=0;(0,1)>, |n=1;(1,0)>, ...``.
 
 Entries are ``complex128`` and operators are immutable, so values can be
-shared freely between threads.  Most operators the models build have at
-most one nonzero per row and per column: the diagonal ones (populations,
-photon numbers, ``X3``, the structure operators) and the ladder operators
-(``a``, ``S^{ij}``, ``a^k S^{ij}`` and their adjoints).  Such an operator
-is a column map, its :class:`LadderPattern`: the row and the value of the
-one entry of each column.  An operator's storage is fixed when it is made:
+shared freely between threads.  The operators the models build are sums
+of ladder operators: the diagonal ones (populations, photon numbers,
+``X3``, the structure operators) and ``a``, ``S^{ij}``, ``a^k S^{ij}`` and
+their adjoints have at most one nonzero per column, couplings
+``g (X+ + X-)`` and generators ``eps (X+ - X-)`` two, ``h_int`` a few.
+Such an operator is a stack of column maps, its :class:`LadderPattern`.
+An operator's storage is fixed when it is made:
 
-* pattern-only, O(dim): the column map, with +0 at every other entry.  The
-  public constructor stores an array this way when it has a pattern, and
-  an operation that knows its result has one makes one: the constructors
-  below, ``dag``, ``-`` and scalar ``*`` of a pattern-only operator, ``@``
-  and :func:`commutator` of two of them, ``+`` and ``-`` of two whose sum
-  keeps one nonzero per row and column, and :meth:`OperatorMatrix.project`;
+* pattern-only, O(k dim): the stack of ``k`` maps, with +0 at every other
+  entry.  The public constructor stores an array with at most one nonzero
+  per row and column this way, and the constructors below make one.
+  ``dag``, ``project``, ``-`` and scalar ``*`` of a stack are stacks, and so
+  are ``+`` and ``-`` of two stacks, whose entries are the dense
+  operation's bit for bit, signed zeros included;
 * dense, a frozen ``dim x dim`` array.  Every other result is dense, and a
   dense result is not searched for a pattern.
 
+Scalar ``*`` scales the values only, so the zeros off a stack stay +0
+where the dense product has -0 for a negative factor.  ``@`` and
+:func:`commutator` keep a stack where every entry of the product is a
+single product, formed by NumPy in the operand order with every zero +0;
+for real values it equals BLAS's.  Where two products land on one entry,
+the sum is BLAS's product of the dense arrays, as the order of its fused
+multiply-adds sets its bits.  A stack factor whose partner is dense turns
+the product into a gather of the partner's rows or columns under the same
+rule.  Every product is C-ordered like BLAS's output.
+
 ``matrix`` of a pattern-only operator builds the C-ordered dense array on
 each access and does not keep it.  The library's own readers (diagonals,
-blocks, entries, the checks) take the column map; the norms reduce over the
-dense array, so their bits are NumPy's.  An operator keeps what it has once
-found about itself: the places of a dense operator's nonzeros, its
-components and its norm.
-
-A pattern-only factor of ``@`` or :func:`commutator` whose partner is dense
-turns the product into a gather of the partner's rows or columns scaled by
-the pattern values, in place of a dim^3 BLAS product; for real pattern
-values every entry equals the dense product's.  Every product is C-ordered
-like BLAS's output.
+blocks, entries, the checks) take the stack; ``norm``, ``inner`` and
+``offdiagonal_norm`` reduce over the dense array, so their bits are
+NumPy's.  An operator keeps what it has once found about itself: its
+nonzero entries, its components and its norm.
 
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
@@ -786,8 +791,8 @@ def _product(a: OperatorMatrix, b: OperatorMatrix) -> LadderPattern | np.ndarray
     :func:`_compose` for two stacks; where ``a`` is a stack with at most one
     nonzero per row, row ``i`` of the product is row ``t.rows[0, i]`` of
     ``b`` times ``t.values[0, i]``, ``t`` the transpose of ``a``'s stack;
-    where ``b`` is one with at most one nonzero per column, column ``j`` is
-    column ``rows[0, j]`` of ``a`` times ``values[0, j]``.  The skipped terms
+    where ``b`` is a stack of one map, column ``j`` is column ``rows[0, j]``
+    of ``a`` times ``values[0, j]``.  The skipped terms
     of the dense product are exact zeros, so for real values every entry
     equals that of ``a @ b``.  Adding 0 turns the -0 of a negative value
     times 0 into +0, the zero BLAS gives at most sizes (some of its edge
@@ -806,11 +811,10 @@ def _product(a: OperatorMatrix, b: OperatorMatrix) -> LadderPattern | np.ndarray
         out = np.ascontiguousarray(b.matrix[t.rows[0]])
         np.multiply(t.values[0][:, None], out, out=out)
     elif pb is not None:
-        single = _stacked(b.dim, *pb.nonzeros()) if len(pb.rows) > 1 else pb
-        if len(single.rows) > 1:
+        if len(pb.rows) > 1:
             return a.matrix @ _materialise(pb)
-        out = np.ascontiguousarray(np.take(a.matrix, single.rows[0], axis=1))
-        out *= single.values[0]
+        out = np.ascontiguousarray(np.take(a.matrix, pb.rows[0], axis=1))
+        out *= pb.values[0]
     else:
         return a.matrix @ b.matrix
     out += 0.0

@@ -1,11 +1,14 @@
-"""Time the Dicke model up a ladder of sizes: build, scenario, spectra and evolutions.
+"""Time two models up a ladder of sizes: build, scenario, spectra and evolutions.
 
-    python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--repeats 3] [--out OUT.json]
+    python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--cascade 3:16 4:20]
+                                 [--repeats 3] [--out OUT.json]
 
 For each atom count A the Dicke model with ``n_max = 10 A`` (dim 22, 306,
-1111 and 4221 for the defaults) runs in a fresh interpreter with one BLAS
-thread, importing ``effham`` from ``DIR/src`` (default: the checkout this
-file sits in).  Each repeat times three stages of one pass on a freshly
+1111 and 4221 for the defaults), and for each ``A:n_max`` the four-level
+cascade of the benchmark's multiphoton workload (dim 340 and 735 for the
+defaults), runs in a fresh interpreter with one BLAS thread, importing
+``effham`` from ``DIR/src`` (default: the checkout this file sits in).
+Each repeat of a Dicke rung times these stages of one pass on a freshly
 built model:
 
 * ``build``: ``effham.build`` of the model;
@@ -18,9 +21,12 @@ built model:
   41 times over one effective period.
 
 The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
-the coupling sits at a fifth of the dispersive guard.  The median of each
-stage over the repeats and the peak resident memory of the interpreter are
-printed as one JSON line per size and, with ``--out``, written to a file.
+the coupling sits at a fifth of the dispersive guard.  A cascade rung
+times ``build``, ``scenario`` (``four-level-three-photon``, as the
+multiphoton task at variant 0) and ``spectra`` (its corrected form against
+``h_int`` on the blocks).  The median of each stage over the repeats and
+the peak resident memory of the interpreter are printed as one JSON line
+per size and, with ``--out``, written to a file.
 """
 
 from __future__ import annotations
@@ -70,9 +76,34 @@ def measure(atoms: int, repeats: int) -> dict:
         for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             samples[stage].append(seconds)
         del model
-    return {"atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
+    return {"model": "dicke", "atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
             "repeats": repeats,
             **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "samples_s": samples}
+
+
+def measure_cascade(atoms: int, n_max: int, repeats: int) -> dict:
+    """One cascade size, in this interpreter: the median stage times and peak RSS."""
+    import effham as eh
+
+    wf = 10.0
+    spec = eh.ModelSpec(kind="cascade", atoms=atoms, n_max=n_max, omega_field=wf,
+                        energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf), couplings=(0.010, 0.012, 0.014))
+    samples = {"build": [], "scenario": [], "spectra": []}
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        model = eh.build(spec)
+        t1 = time.perf_counter()
+        forms = eh.closed_form_effective(model, eh.EffectiveScenario("four-level-three-photon"))
+        t2 = time.perf_counter()
+        eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model))
+        t3 = time.perf_counter()
+        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2)):
+            samples[stage].append(seconds)
+        del model, forms
+    return {"model": "cascade", "atoms": atoms, "n_max": n_max, "dim": math.comb(atoms + 3, 3) * (n_max + 1),
+            "repeats": repeats, **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "samples_s": samples}
 
@@ -80,21 +111,26 @@ def measure(atoms: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
-    p.add_argument("--atoms", type=int, nargs="+", default=[1, 5, 10, 20])
+    p.add_argument("--atoms", type=int, nargs="*", default=[1, 5, 10, 20])
+    p.add_argument("--cascade", nargs="*", default=["3:16", "4:20"], metavar="A:N_MAX")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", type=Path)
-    p.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     checkout = args.checkout.resolve()
     if args.child is not None:
         sys.path.insert(0, str(checkout / "src"))
-        print(json.dumps(measure(args.child, args.repeats)))
+        if ":" in args.child:
+            atoms, n_max = (int(x) for x in args.child.split(":"))
+            print(json.dumps(measure_cascade(atoms, n_max, args.repeats)))
+        else:
+            print(json.dumps(measure(int(args.child), args.repeats)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sizes = []
-    for atoms in args.atoms:
+    for rung in [str(a) for a in args.atoms] + args.cascade:
         out = subprocess.run([sys.executable, __file__, "--checkout", str(checkout),
-                              "--repeats", str(args.repeats), "--child", str(atoms)],
+                              "--repeats", str(args.repeats), "--child", rung],
                              env=env, check=True, capture_output=True, text=True).stdout
         sizes.append(json.loads(out.splitlines()[-1]))
         print(json.dumps({k: v for k, v in sizes[-1].items() if k != "samples_s"}), flush=True)
