@@ -441,8 +441,8 @@ class OperatorMatrix:
             return self._result(op(self._dense, other._dense))
         # op(P, Q) with one operand a stack, written into one fresh array,
         # C-ordered as NumPy orders a result with a C-ordered operand: the
-        # dense operand meets +0 off the stack, then every place of a
-        # nonempty entry holds op of the two entries
+        # dense operand meets +0 off the stack, then the place of every
+        # entry of the stack that is somewhere holds op of the two entries
         out = np.empty((self.dim, self.dim), dtype=complex)
         if q is None:
             dense = other._dense
