@@ -12,7 +12,11 @@ block-leakage checks read only the nonzero entries: they must decide as the
 dense formulas do and allocate less than one dense array.  What an operator
 keeps (its nonzero places, components and norm) must equal what a fresh
 copy finds, and the back-rotation of ``effective_evolution`` on the reached
-columns must reproduce the full dense product.
+columns must reproduce the full dense product.  Sums of pattern-only
+operators are stacks of column maps: they must hold the dense operation's
+entries bit for bit, and every reader of a stack must agree with the dense
+array.  The Hermiticity and diagonality checks scale by the operator's own
+size, so their verdicts do not depend on the unit.
 """
 
 import tracemalloc
