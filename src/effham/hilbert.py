@@ -410,10 +410,12 @@ class OperatorMatrix:
         broadcast against each other."""
         if self._dense is not None:
             return self._dense[rows, cols]
-        out = 0.0
-        for r, v in zip(*self._ladder):
-            out = np.where(r[cols] == rows, v[cols], out)
-        return out
+        p = self._ladder
+        if len(p.rows) == 1:
+            return np.where(p.rows[0][cols] == rows, p.values[0][cols], 0.0)
+        # one entry at most holds each place: the first map that hits it
+        hit = p.rows[:, cols] == rows
+        return np.where(hit.any(axis=0), p.values[hit.argmax(axis=0), cols], 0.0)
 
     def inner(self, other: "OperatorMatrix"):
         """``sum(conj(self) * other)`` over all entries, summed as NumPy sums
@@ -548,20 +550,31 @@ def _combined(op, p: LadderPattern, q: LadderPattern) -> LadderPattern:
     stacks ``p`` and ``q``, bit for bit the dense operation's entries.
 
     Where both hold an entry at one place, ``p``'s map holds ``op`` of the
-    two values and ``q``'s entry goes nowhere.  Every other entry of ``p``
-    meets +0, every other entry of ``q`` meets +0 in ``q``'s map, and off
-    both stacks ``op(+0, +0)`` is +0 as in the dense arrays.
+    two values and ``q``'s entry goes nowhere (map by map, where the two
+    stacks have the same rows).  Every other entry of ``p`` meets +0, every
+    other entry of ``q`` meets +0 in ``q``'s map, and off
+    both stacks ``op(+0, +0)`` is +0 as in the dense arrays.  A map of ``q``
+    left with zeros only is dropped: ``op(+0, 0)`` is +0 for ``+`` and
+    ``-``, as off the stack, and :meth:`OperatorMatrix.inner` does not see
+    the sign of a zero.
     """
-    same = p.rows[:, None] == q.rows[None]
     if len(q.rows) == 1:
+        same = p.rows == q.rows
         if len(p.rows) == 1 and same.all():
             return LadderPattern(p.rows, op(p.values, q.values))
-        met = np.where(same[:, 0], q.values, 0j)
+        met = np.where(same, q.values, 0j)
+        hit = same if len(p.rows) == 1 else same.any(axis=0, keepdims=True)
     else:
+        if p.rows.shape == q.rows.shape and np.array_equal(p.rows, q.rows):
+            return LadderPattern(p.rows, op(p.values, q.values))
+        same = p.rows[:, None] == q.rows[None]
         met = np.where(same.any(axis=1), q.values[same.argmax(axis=1), _own(p.rows.shape[1])], 0j)
-    hit = same[0] if len(p.rows) == 1 else same.any(axis=0)
-    return LadderPattern(np.concatenate([p.rows, np.where(hit, -1, q.rows)]),
-                         np.concatenate([op(p.values, met), np.where(hit, 0j, op(0j, q.values))]))
+        hit = same.any(axis=0)
+    rows_q, values_q = np.where(hit, -1, q.rows), np.where(hit, 0j, op(0j, q.values))
+    kept = values_q.any(axis=1)
+    if not kept.all():
+        rows_q, values_q = rows_q[kept], values_q[kept]
+    return LadderPattern(np.concatenate([p.rows, rows_q]), np.concatenate([op(p.values, met), values_q]))
 
 
 # -- constructors -----------------------------------------------------------
@@ -763,19 +776,23 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
     """The stack of ``A @ B``, or None where two nonzero products land on
     one entry.  Column ``j`` of ``B`` picks, per map, column ``pb.rows[m, j]``
     of every map of ``A``: where ``B`` has one map, each product lands at a
-    place of its own, as the entries of one column of ``A`` do; else a zero
+    place of its own, as the entries of one column of ``A`` do.  A zero
     product, the product of an entry of ``B`` that is nowhere included,
-    goes nowhere, so that only nonzero ones can meet.  Each value is
-    the product :func:`_product`'s gathers form, in their operand order,
-    with every zero +0."""
+    stands for nothing: it points at the diagonal in a stack of one map, as
+    the constructors' zero columns do, else nowhere, so that only nonzero
+    products can meet.  Each value is the product :func:`_product`'s
+    gathers form, in their operand order, with every zero +0."""
     d = pa.rows.shape[1]
+    if len(pa.rows) == len(pb.rows) == 1:
+        rows, values = pa.rows[0][pb.rows[0]], pa.values[0][pb.rows[0]] * pb.values[0] + 0.0
+        return LadderPattern(np.where(values != 0, rows, _own(d))[None, :], values[None, :])
     if len(pa.rows) == 1:
         rows, values = pa.rows[0][pb.rows], pa.values[0][pb.rows] * pb.values + 0.0
     else:
         rows = pa.rows[:, pb.rows].reshape(-1, d)
         values = (pa.values[:, pb.rows] * pb.values + 0.0).reshape(-1, d)
+    rows = np.where(values != 0, rows, _own(d) if len(rows) == 1 else -1)
     if len(pb.rows) > 1:
-        rows = np.where(values != 0, rows, -1)
         marked = np.where(rows < 0, -1 - np.arange(len(rows))[:, None], rows)
         marked.sort(axis=0)
         if (marked[1:] == marked[:-1]).any():
