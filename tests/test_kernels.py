@@ -311,6 +311,18 @@ def test_cancelled_entry_keeps_its_place():
     assert _bits(got.matrix) == _bits((a.matrix - b.matrix) + c.matrix)
 
 
+def test_zero_products_meet_nothing():
+    # both columns of a point at row 0; b's column 0 holds 1 in row 0 and
+    # an explicit zero in row 1, so a @ b forms 1 * 1 and 1 * 0 at (0, 0):
+    # one nonzero product, which stays a stack, not a BLAS sum
+    space = _space(2)
+    a = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 0]]), np.ones((1, 2)) + 0j))
+    b = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 1], [1, -1]]),
+                                                               np.array([[1.0, 2.0], [0.0, 0.0]]) + 0j))
+    got = a @ b
+    assert got._dense is None and np.array_equal(got.matrix, a.matrix @ b.matrix)
+
+
 def test_hermiticity_from_pattern_counts_each_entry_once():
     # column 1 is empty and its index points at row 0, while row 1 holds
     # the only off-diagonal nonzero beside a unit diagonal entry:
@@ -471,8 +483,10 @@ def test_dicke_model_keeps_patterned_operators_without_arrays(dicke_model):
             *dicke_model.operators.values(), alg.x3, alg.xplus, alg.xminus, alg.structure,
             dicke_model.h_int, term.coupling]
     assert all(op._dense is None for op in held)
-    # diagonal, raising and lowering: up to three nonzeros per column
+    # diagonal, raising and lowering: up to three nonzeros per column; the
+    # structure operator [X+, X-] is diagonal, one map
     assert len(dicke_model.h_int.ladder.rows) == 3 and len(term.coupling.ladder.rows) == 2
+    assert len(alg.structure.ladder.rows) == 1
 
 
 def test_dicke_analysis_materialises_no_pattern_only_operator(dicke_model, monkeypatch):
