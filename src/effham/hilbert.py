@@ -328,8 +328,11 @@ class OperatorMatrix:
         return self._kept("norm", lambda: float(np.linalg.norm(self.matrix)))
 
     def nonzero_norm(self) -> float:
-        """Frobenius norm of :meth:`entries`' values, with no dense array.  Its
-        last bits can differ from :meth:`norm`'s, so it serves checks only."""
+        """Frobenius norm of the nonzero values, with no dense array, a stack's
+        in map order.  Its last bits can differ from :meth:`norm`'s, so it
+        serves checks only."""
+        if self._dense is None:
+            return float(np.linalg.norm(self._ladder.nonzeros()[2]))
         return float(np.linalg.norm(self.entries()[2]))
 
     def diagonal(self) -> np.ndarray:
