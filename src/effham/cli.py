@@ -172,8 +172,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         output = base / output
 
     eps_text = overrides.get("epsilon") or ana.get("epsilons", "0.04 0.02 0.01")
+    seed = overrides.get("seed")
     try:
-        seed = overrides.get("seed")
         return RunConfig(
             model=model,
             analysis=analysis,
