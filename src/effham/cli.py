@@ -119,15 +119,6 @@ def _model_spec(section) -> ModelSpec:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
-def _build(spec: ModelSpec) -> models.ModelInstance:
-    """``models.build`` of the configured spec; a spec its builder refuses
-    (a wrong number of levels, couplings or truncations) is a config error."""
-    try:
-        return models.build(spec)
-    except ValueError as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-
-
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a sectioned key-value config file; every defect,
     an unreadable file and a value that does not parse included, raises
@@ -216,7 +207,7 @@ def _initial_state(cfg: RunConfig, model: models.ModelInstance) -> np.ndarray:
 
 
 def _run_algebra_check(cfg: RunConfig):
-    model = _build(cfg.model)
+    model = models.build(cfg.model)
     checks, rows = [], []
     for name, alg in model.algebras.items():
         rep = ladder_relation_report(alg)
@@ -246,7 +237,7 @@ def _run_algebra_check(cfg: RunConfig):
 
 
 def _run_spectrum(cfg: RunConfig):
-    model = _build(cfg.model)
+    model = models.build(cfg.model)
     forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     h_eff = forms.selected
     if forms.sector_mask is not None:
@@ -285,7 +276,7 @@ def _default_observables(model: models.ModelInstance):
 
 
 def _run_evolve(cfg: RunConfig):
-    model = _build(cfg.model)
+    model = models.build(cfg.model)
     psi0 = _initial_state(cfg, model)
     obs = _default_observables(model)
     traj = dynamics.evolve(model.h_int, psi0, cfg.times, observables=obs)
@@ -347,16 +338,16 @@ def _scaled_model(cfg: RunConfig, eps: float) -> models.ModelInstance:
     """Rebuild the model with couplings scaled so the expansion parameter is eps."""
     spec = cfg.model
     if spec.kind == "spin-in-field":
-        return _build(ModelSpec(kind=spec.kind, omega=spec.omega,
+        return models.build(ModelSpec(kind=spec.kind, omega=spec.omega,
                                       g=eps * abs(spec.omega), spin_j=spec.spin_j))
     if spec.kind == "dicke":
         delta = abs(spec.omega0 - spec.omega_field)
-        return _build(ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
+        return models.build(ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
                                       omega0=spec.omega0, g=eps * delta,
                                       atoms=spec.atoms, n_max=spec.n_max))
-    model0 = _build(spec)
+    model0 = models.build(spec)
     current = max(abs(t.epsilon) for t in model0.interactions if t.detuning != 0)
-    return _build(models.with_scaled_couplings(spec, eps / current))
+    return models.build(models.with_scaled_couplings(spec, eps / current))
 
 
 def _run_scaling(cfg: RunConfig):
@@ -395,7 +386,7 @@ def _run_scaling(cfg: RunConfig):
 
 
 def _run_effective(cfg: RunConfig):
-    model = _build(cfg.model)
+    model = models.build(cfg.model)
     forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     rows = [("deviation_norm", _fmt(forms.deviation_norm)),
             ("deviation_relative", _fmt(forms.deviation_relative))]

@@ -59,7 +59,7 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)
-    if h.ladder is not None and h.ladder.is_diagonal:
+    if h.ladder.is_diagonal:
         # eigh reads only the real part of a Hermitian diagonal
         states = np.exp(-1j * np.outer(t, h.diagonal().real)) * psi
     else:

@@ -13,39 +13,34 @@ first, e.g. for two levels and one atom the order is
 ``|n=0;(1,0)>, |n=0;(0,1)>, |n=1;(1,0)>, ...``.
 
 Entries are ``complex128`` and operators are immutable, so values can be
-shared freely between threads.  The operators the models build are sums
-of ladder operators: the diagonal ones (populations, photon numbers,
-``X3``, the structure operators) and ``a``, ``S^{ij}``, ``a^k S^{ij}`` and
-their adjoints have at most one nonzero per column, couplings
-``g (X+ + X-)`` and generators ``eps (X+ - X-)`` two, ``h_int`` a few.
-Such an operator is a stack of column maps, its :class:`LadderPattern`.
-An operator's storage is fixed when it is made:
+shared freely between threads.  Every operator is a stack of column maps,
+its :class:`LadderPattern`, O(k dim) for ``k`` maps.  The operators the
+models build are sums of ladder operators: the diagonal ones (populations,
+photon numbers, ``X3``, the structure operators) and ``a``, ``S^{ij}``,
+``a^k S^{ij}`` and their adjoints have at most one nonzero per column,
+couplings ``g (X+ + X-)`` and generators ``eps (X+ - X-)`` two, ``h_int`` a
+few.  Rotations and the conjugated and filtered forms are block diagonal,
+so they hold as many maps as their largest block has states.
 
-* pattern-only, O(k dim): the stack of ``k`` maps, with +0 at every other
-  entry.  The public constructor stores an array with at most one nonzero
-  per row and column this way, and the constructors below make one.
-  ``dag``, ``project``, ``-`` and scalar ``*`` of a stack are stacks, and so
-  are ``+`` and ``-`` of two stacks, whose entries are the dense
-  operation's bit for bit, signed zeros included;
-* dense, a frozen ``dim x dim`` array.  Every other result is dense, and a
-  dense result is not searched for a pattern.
+The public constructor keeps every entry of its array that is not +0, a -0
+included, so the stack materialises to that array bit for bit.  ``dag``,
+``project``, ``-`` and scalar ``*`` act on the stack, and ``+`` and ``-``
+of two stacks hold the dense operation's entries bit for bit, signed zeros
+included.  Scalar ``*`` scales the values only, so the zeros off a stack
+stay +0 where the dense product has -0 for a negative factor; a non-finite
+factor multiplies the dense array.  ``@`` and :func:`commutator` keep every
+entry of the product that is a single product, formed by NumPy in the
+operand order with every zero +0; for real values it equals BLAS's.  Where
+two products land on one entry, the product is BLAS's product of the dense
+arrays, as the order of its fused multiply-adds sets its bits, stored as a
+stack as the constructor stores an array.
 
-Scalar ``*`` scales the values only, so the zeros off a stack stay +0
-where the dense product has -0 for a negative factor.  ``@`` and
-:func:`commutator` keep a stack where every entry of the product is a
-single product, formed by NumPy in the operand order with every zero +0;
-for real values it equals BLAS's.  Where two products land on one entry,
-the sum is BLAS's product of the dense arrays, as the order of its fused
-multiply-adds sets its bits.  A stack factor whose partner is dense turns
-the product into a gather of the partner's rows or columns under the same
-rule.  Every product is C-ordered like BLAS's output.
-
-``matrix`` of a pattern-only operator builds the C-ordered dense array on
-each access and does not keep it.  The library's own readers (diagonals,
-blocks, entries, the checks) take the stack; ``norm``, ``inner`` and
-``offdiagonal_norm`` reduce over the dense array, so their bits are
-NumPy's.  An operator keeps what it has once found about itself: its
-nonzero entries, its components and its norm.
+``matrix`` builds the C-ordered dense array on each access and does not
+keep it.  The library's own readers (diagonals, blocks, entries, ``apply``,
+the checks) read the stack; ``norm``, ``inner`` and ``offdiagonal_norm``
+reduce over the transient dense array, so their bits are NumPy's.  An
+operator keeps what it has once found about itself: its nonzero entries,
+its components and its norm.
 
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
@@ -64,7 +59,8 @@ import numpy as np
 
 from .errors import DimensionCapError, SpaceMismatchError
 
-#: Hard cap on the total space dimension for dense matrices.
+#: Hard cap on the total space dimension; ``matrix`` and ``norm`` still
+#: build a transient ``dim x dim`` complex array.
 DIMENSION_CAP = 20000
 
 
@@ -207,11 +203,12 @@ class LadderPattern(NamedTuple):
     every entry off the stack is +0.
 
     No two entries of a stack share a place, so each entry is the operator's
-    entry there, a signed zero included.  An unused entry of a stack of
-    several maps has row -1 and value 0: it is nowhere.  A zero column of
-    one map may point at any row (the constructors point it at the
-    diagonal), so a stack is compared by its values and by its rows where
-    the values are nonzero.
+    entry there, a signed zero included: a stack may hold a zero at a place,
+    as it holds every entry of an array it was made of that is not +0.  An
+    unused entry of a stack of several maps has row -1 and value 0: it is
+    nowhere.  A zero column of one map may point at any row (the
+    constructors point it at the diagonal), so a stack is compared by its
+    values and by its rows where the values are nonzero.
     """
 
     rows: np.ndarray
@@ -229,21 +226,21 @@ class LadderPattern(NamedTuple):
 
     def transpose(self) -> "LadderPattern":
         """The stack of the transpose: map ``m`` holds the ``m``-th nonzero
-        of every row."""
+        of every row, in the order :meth:`nonzeros` lists them."""
         rows, cols, values = self.nonzeros()
         return _stacked(self.rows.shape[1], cols, rows, values)
 
 
 class OperatorMatrix:
-    """Complex operator bound to a :class:`SpaceDescriptor` basis.
+    """Complex operator bound to a :class:`SpaceDescriptor` basis, stored as
+    a :class:`LadderPattern` stack (see the module docstring).
 
     Supports ``+``, ``-``, scalar ``*``, ``@`` and adjoint via :meth:`dag`.
     Operators are immutable; arithmetic returns new instances.  ``matrix``
-    is the read-only dense array whichever way the operator is stored (see
-    the module docstring).
+    is the read-only dense array.
     """
 
-    __slots__ = ("space", "_dense", "_ladder", "_memo")
+    __slots__ = ("space", "_ladder", "_memo")
 
     def __init__(self, space: SpaceDescriptor, matrix: np.ndarray):
         arr = np.array(matrix, dtype=complex)
@@ -251,14 +248,10 @@ class OperatorMatrix:
             raise ValueError("operator matrix must be square")
         if arr.shape[0] != space.dim:
             raise ValueError(f"matrix dimension {arr.shape[0]} != space dimension {space.dim}")
-        ladder = _scan(arr)
-        self._set(space, None if ladder is not None else arr, ladder)
+        self._set(space, _array_stack(arr))
 
-    def _set(self, space: SpaceDescriptor, dense, ladder) -> None:
-        if dense is not None:
-            dense.setflags(write=False)
+    def _set(self, space: SpaceDescriptor, ladder: LadderPattern) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_ladder", ladder)
         object.__setattr__(self, "_memo", {})
 
@@ -271,19 +264,6 @@ class OperatorMatrix:
         if key not in memo:
             memo[key] = find()
         return memo[key]
-
-    def _result(self, arr: np.ndarray) -> "OperatorMatrix":
-        """A dense operator on this space around ``arr``, a fresh array
-        nothing else holds, so it is frozen in place instead of copied."""
-        out = object.__new__(OperatorMatrix)
-        out._set(self.space, arr, None)
-        return out
-
-    def _made(self, product) -> "OperatorMatrix":
-        """An operator on this space around a fresh stack or array."""
-        if isinstance(product, LadderPattern):
-            return _pattern_operator(self.space, product)
-        return self._result(product)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -299,51 +279,41 @@ class OperatorMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense array, read-only.  A pattern-only operator builds it,
-        C-ordered with +0 off its stack, on each access and does not keep
-        it."""
-        if self._dense is not None:
-            return self._dense
+        """The dense array, read-only, C-ordered with +0 off the stack, built
+        on each access and not kept."""
         arr = _materialise(self._ladder)
         arr.setflags(write=False)
         return arr
 
     @property
-    def ladder(self) -> LadderPattern | None:
-        """The :class:`LadderPattern` stack of a pattern-only operator; None
-        for a dense one."""
+    def ladder(self) -> LadderPattern:
+        """The :class:`LadderPattern` stack the operator is stored as."""
         return self._ladder
 
     def dag(self) -> "OperatorMatrix":
         """Hermitian adjoint."""
-        if self._dense is None:
-            rows, cols, values = self._ladder.nonzeros()
-            return _pattern_operator(self.space, _stacked(self.dim, cols, rows, values.conj()))
-        return self._result(self._dense.conj().T)
+        rows, cols, values = self._ladder.nonzeros()
+        return _pattern_operator(self.space, _stacked(self.dim, cols, rows, values.conj()))
 
     def norm(self) -> float:
         """Frobenius norm of the dense array, found once and kept."""
-        if self._dense is None and not np.count_nonzero(self._ladder.values):
+        if not np.count_nonzero(self._ladder.values):
             return 0.0
         return self._kept("norm", lambda: float(np.linalg.norm(self.matrix)))
 
     def nonzero_norm(self) -> float:
-        """Frobenius norm of the nonzero values, with no dense array, a stack's
-        in map order.  Its last bits can differ from :meth:`norm`'s, so it
-        serves checks only."""
-        if self._dense is None:
-            return float(np.linalg.norm(self._ladder.nonzeros()[2]))
-        return float(np.linalg.norm(self.entries()[2]))
+        """Frobenius norm of the nonzero values in map order, with no dense
+        array.  Its last bits can differ from :meth:`norm`'s, so it serves
+        checks only."""
+        return float(np.linalg.norm(self._ladder.nonzeros()[2]))
 
     def diagonal(self) -> np.ndarray:
-        if self._dense is None:
-            own = _own(self.dim)
-            return self._at(own, own)
-        return self._dense.diagonal().copy()
+        own = _own(self.dim)
+        return self._at(own, own)
 
     def offdiagonal_norm(self) -> float:
         """Frobenius norm of the operator with its diagonal set to zero."""
-        if self._dense is None and self._ladder.is_diagonal:
+        if self._ladder.is_diagonal:
             return 0.0
         m = self.matrix
         return float(np.linalg.norm(m - np.diag(m.diagonal())))
@@ -364,8 +334,8 @@ class OperatorMatrix:
         rows, cols, v = self.entries()
         back = self._at(cols, rows)
         diff, lone = v - back.conj(), np.where(back == 0, v, 0.0)
-        defect2 = np.vdot(diff, diff).real + np.vdot(lone, lone).real
-        return math.sqrt(defect2) <= tol * math.sqrt(np.vdot(v, v).real)
+        defect2 = _squares(diff) + _squares(lone)
+        return math.sqrt(defect2) <= tol * math.sqrt(_squares(v))
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         m = self.matrix
@@ -373,46 +343,55 @@ class OperatorMatrix:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """``matrix @ vec`` for a state or a ``(dim, k)`` stack of states as
-        columns: a gather where every row has at most one nonzero, else BLAS's
-        product with the dense array."""
+        columns, with no dense array: each entry sums its row's nonzero
+        products in the order of the transposed stack's maps, a single
+        product where the row holds one nonzero."""
         v = np.asarray(vec, dtype=complex)
-        if self._dense is None:
-            t = self._ladder.transpose()
-            if len(t.rows) > 1:
-                return _materialise(self._ladder) @ v
-            return (t.values[0] * v[t.rows[0]].T).T
-        return self._dense @ v
+        t = self._ladder.transpose()
+        out = (t.values[0] * v[t.rows[0]].T).T
+        for rows, values in zip(t.rows[1:], t.values[1:]):
+            out += (values * v[rows].T).T  # an unused entry adds 0
+        return out
 
     def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """``matrix[np.ix_(rows, cols)]`` (``cols`` defaults to ``rows``), a
-        fresh C-ordered array; a pattern-only operator builds only the block.
+        fresh C-ordered array built from the stack alone.
 
         ``rows`` and ``cols`` may also be stacks of index arrays, shape
         ``(count, size)``, for a stack of ``count`` blocks.
         """
         rows = np.asarray(rows)
         cols = rows if cols is None else np.asarray(cols)
+        p = self._ladder
+        if len(p.rows) > 1 and rows.size and rows.shape[:-1] == cols.shape[:-1]:
+            # each entry of the requested columns looks its row up among
+            # the requested rows: place[i] is 1 + the position of row i in
+            # the flattened blocks, 0 where i is not requested (row -1
+            # reads the extra last slot), so the cost is the stack's entries
+            # in those columns, not each block's size squared
+            r = rows.reshape(-1, rows.shape[-1])
+            c = cols.reshape(len(r), -1)
+            count, n, width = r.shape + c.shape[1:]
+            flat = np.arange(1, r.size + 1)
+            place = np.zeros(self.dim + 1, dtype=np.intp)
+            place[r.ravel()] = flat
+            if (place[r.ravel()] == flat).all():  # no row is asked for twice
+                at = place[p.rows[:, c]] - 1
+                hit = at // n == np.arange(count)[:, None]
+                out = np.zeros(r.size * width, dtype=complex)
+                out[(at * width + np.arange(width))[hit]] = p.values[:, c][hit]
+                return out.reshape(rows.shape[:-1] + (n, width))
         return self._at(rows[..., :, None], cols[..., None, :])
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
-        order as ``np.nonzero`` lists them, found once and kept: from the
-        stack of a pattern-only operator, from one scan of a dense one."""
-        if self._dense is None:
-            return self._kept("entries", lambda: _frozen(*_row_major(self.dim, *self._ladder.nonzeros())))
-        rows, cols = self._places()
-        return rows, cols, self._dense[rows, cols]
-
-    def _places(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and columns of a dense operator's nonzeros, found by one
-        :func:`_nonzero_places` scan and kept."""
-        return self._kept("places", lambda: _frozen(*_nonzero_places(self._dense)))
+        order as ``np.nonzero`` lists them, read from the stack once and
+        kept."""
+        return self._kept("entries", lambda: _frozen(*_row_major(self.dim, *self._ladder.nonzeros())))
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The entries at ``(rows[k], cols[k])``, the two index arrays
         broadcast against each other."""
-        if self._dense is not None:
-            return self._dense[rows, cols]
         p = self._ladder
         if len(p.rows) == 1:
             return np.where(p.rows[0][cols] == rows, p.values[0][cols], 0.0)
@@ -424,42 +403,18 @@ class OperatorMatrix:
         """``sum(conj(self) * other)`` over all entries, summed as NumPy sums
         the dense product."""
         self._check(other)
-        if self._dense is None and other._dense is None:
-            return np.sum(_materialise(_combined(_conj_times, self._ladder, other._ladder)))
-        return np.sum(np.conj(self.matrix) * other.matrix)
+        return np.sum(_materialise(_combined(_conj_times, self._ladder, other._ladder)))
 
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
         """Compress to the subspace selected by the boolean ``mask`` (P A P)."""
         m = np.asarray(mask, dtype=bool)
-        if self._dense is None:
-            rows, values = self._ladder
-            return _pattern_operator(self.space, LadderPattern(rows, np.where(m[rows] & m, values, 0.0)))
-        return self._result(np.where(np.outer(m, m), self._dense, 0.0))
+        rows, values = self._ladder
+        return _pattern_operator(self.space, LadderPattern(rows, np.where(m[rows] & m, values, 0.0)))
 
     # -- arithmetic --------------------------------------------------------
     def _entrywise(self, op, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
-        p, q = self._ladder, other._ladder
-        if p is not None and q is not None:
-            return _pattern_operator(self.space, _combined(op, p, q))
-        if p is None and q is None:
-            return self._result(op(self._dense, other._dense))
-        # op(P, Q) with one operand a stack, written into one fresh array,
-        # C-ordered as NumPy orders a result with a C-ordered operand: the
-        # dense operand meets +0 off the stack, then the place of every
-        # entry of the stack that is somewhere holds op of the two entries
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        if q is None:
-            dense = other._dense
-            rows, cols, values = _placed(p)
-            op(0.0, dense, out=out)
-            out[rows, cols] = op(values, dense[rows, cols])
-        else:
-            dense = self._dense
-            rows, cols, values = _placed(q)
-            op(dense, 0.0, out=out)
-            out[rows, cols] = op(dense[rows, cols], values)
-        return self._result(out)
+        return _pattern_operator(self.space, _combined(op, self._ladder, other._ladder))
 
     def __add__(self, other):
         return self._entrywise(np.add, other)
@@ -468,47 +423,57 @@ class OperatorMatrix:
         return self._entrywise(np.subtract, other)
 
     def __neg__(self):
-        if self._dense is None:
-            return _pattern_operator(self.space, LadderPattern(self._ladder.rows, -self._ladder.values))
-        return self._result(-self._dense)
+        return _pattern_operator(self.space, LadderPattern(self._ladder.rows, -self._ladder.values))
 
     def __mul__(self, scalar):
         s = complex(scalar)
-        if self._dense is None and cmath.isfinite(s):
+        if cmath.isfinite(s):
             return _pattern_operator(self.space, LadderPattern(self._ladder.rows, self._ladder.values * s))
-        return self._result(self.matrix * s)
+        return _pattern_operator(self.space, _array_stack(self.matrix * s))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._check(other)
-        return self._made(_product(self, other))
+        return _pattern_operator(self.space, _product(self._ladder, other._ladder))
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
 
 
 def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern) -> OperatorMatrix:
-    """A pattern-only operator with stack ``ladder``."""
+    """An operator with stack ``ladder``."""
     out = object.__new__(OperatorMatrix)
-    out._set(space, None, ladder)
+    out._set(space, ladder)
     return out
 
 
-def _placed(p: LadderPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the entries of ``p`` that are somewhere."""
-    placed = p.rows >= 0
-    return p.rows[placed], np.broadcast_to(_own(p.rows.shape[1]), placed.shape)[placed], p.values[placed]
-
-
 def _materialise(p: LadderPattern) -> np.ndarray:
-    """The dense array of a pattern-only operator, fresh, writable and
-    C-ordered: every entry of the stack written into one more row than the
-    array has, the one an entry with row -1 writes to."""
+    """The dense array of a stack, fresh, writable and C-ordered: every
+    entry of the stack written into one more row than the array has, the
+    one an entry with row -1 writes to."""
     d = p.rows.shape[1]
     out = np.zeros((d + 1, d), dtype=complex)
     out[p.rows, _own(d)] = p.values
     return out[:d]
+
+
+def _squares(x: np.ndarray) -> float:
+    """The sum of the squared real and imaginary parts of the contiguous
+    complex ``x``, summed as reals: the complex product of an inf with its
+    conjugate has a NaN part."""
+    parts = x.view(np.float64)
+    return float(np.dot(parts, parts))
+
+
+def _array_stack(arr: np.ndarray) -> LadderPattern:
+    """The stack of the square complex array ``arr``: every entry whose bits
+    are not those of +0, a -0 part included, so that it materialises to
+    ``arr`` bit for bit."""
+    d = arr.shape[0]
+    bits = np.ascontiguousarray(arr).view(np.uint64).reshape(d, d, 2)
+    rows, cols = np.divmod(np.flatnonzero(bits.any(axis=2)), d)
+    return _stacked(d, rows, cols, arr[rows, cols])
 
 
 @lru_cache(maxsize=64)
@@ -683,11 +648,7 @@ def spin_operators(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatr
 def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     """``lhs @ rhs - rhs @ lhs`` on a shared space."""
     lhs._check(rhs)
-    ab, ba = _product(lhs, rhs), _product(rhs, lhs)
-    if isinstance(ab, LadderPattern) or isinstance(ba, LadderPattern):
-        return lhs._made(ab) - lhs._made(ba)
-    ab -= ba
-    return lhs._result(ab)
+    return lhs @ rhs - rhs @ lhs
 
 
 def unitary_within(defect: float, tol: float, dim: int) -> bool:
@@ -704,9 +665,9 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
     of its own.  Each component is a sorted index array, and they come in
     the order of their first index.  Every sum and product of the operators,
     their exponential included, is block diagonal in these components with
-    exact zeros outside them, whatever the model.  An operator with a ladder
-    pattern gives its nonzeros in O(dim), any other the kept places of its
-    nonzeros.  The components of a single operator are found once and kept.
+    exact zeros outside them, whatever the model.  The nonzeros are read
+    from the stacks; the components of a single operator are found once
+    and kept.
     """
     if len(ops) == 1:
         return list(ops[0]._kept("components", lambda: _components(ops)))
@@ -716,11 +677,7 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
 def _components(ops) -> list[np.ndarray]:
     rows, cols = [], []
     for op in ops:
-        p = op.ladder
-        if p is None:
-            r, c = op._places()
-        else:
-            r, c, _ = p.nonzeros()
+        r, c, _ = op.ladder.nonzeros()
         rows.append(r)
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -741,38 +698,11 @@ def _components(ops) -> list[np.ndarray]:
     return list(_frozen(*np.split(order, np.flatnonzero(np.diff(root[order])) + 1)))
 
 
-def _nonzero_places(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the nonzero entries of the square array ``m``, in
-    row-major order: one pass over a boolean array, faster than
-    ``np.nonzero`` of a complex one."""
-    return np.divmod(np.flatnonzero(m != 0), m.shape[1])
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """``arrays``, made read-only in place, so that kept ones can be handed out."""
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _scan(m: np.ndarray) -> LadderPattern | None:
-    """The ladder pattern of the square array ``m``, or None.
-
-    More nonzeros than rows rule a pattern out after one count.  Otherwise
-    the first nonzero of every column is located; the array is a pattern if
-    these are all of its nonzeros and no two of them share a row.
-    """
-    d = m.shape[0]
-    nonzero = m != 0
-    n = np.count_nonzero(nonzero)
-    if n > d:
-        return None
-    rows = nonzero.argmax(axis=0)
-    values = m[rows, np.arange(d)]
-    full = values != 0
-    if np.count_nonzero(full) < n or np.bincount(rows[full], minlength=1).max() > 1:
-        return None
-    return LadderPattern(rows[None, :], values[None, :])
 
 
 def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
@@ -783,8 +713,8 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
     product, the product of an entry of ``B`` that is nowhere included,
     stands for nothing: it points at the diagonal in a stack of one map, as
     the constructors' zero columns do, else nowhere, so that only nonzero
-    products can meet.  Each value is the product :func:`_product`'s
-    gathers form, in their operand order, with every zero +0."""
+    products can meet, and a map of zero products only is dropped.  Each
+    value is ``A``'s entry times ``B``'s, with every zero +0."""
     d = pa.rows.shape[1]
     if len(pa.rows) == len(pb.rows) == 1:
         rows, values = pa.rows[0][pb.rows[0]], pa.values[0][pb.rows[0]] * pb.values[0] + 0.0
@@ -794,7 +724,11 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
     else:
         rows = pa.rows[:, pb.rows].reshape(-1, d)
         values = (pa.values[:, pb.rows] * pb.values + 0.0).reshape(-1, d)
-    rows = np.where(values != 0, rows, _own(d) if len(rows) == 1 else -1)
+    full = values != 0
+    kept = full.any(axis=1)
+    kept[0] |= not kept.any()  # a stack keeps one map at least
+    rows, values, full = rows[kept], values[kept], full[kept]
+    rows = np.where(full, rows, _own(d) if len(rows) == 1 else -1)
     if len(pb.rows) > 1:
         marked = np.where(rows < 0, -1 - np.arange(len(rows))[:, None], rows)
         marked.sort(axis=0)
@@ -803,42 +737,25 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
     return LadderPattern(rows, values)
 
 
-def _product(a: OperatorMatrix, b: OperatorMatrix) -> LadderPattern | np.ndarray:
-    """``a @ b``: the stack of two pattern-only factors where every entry is
-    a single product, else a fresh C-ordered array.
+def _product(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
+    """The stack of ``A @ B`` for the stacks ``pa`` and ``pb``.
 
-    A single product is formed by NumPy in the operand order: by
-    :func:`_compose` for two stacks; where ``a`` is a stack with at most one
-    nonzero per row, row ``i`` of the product is row ``t.rows[0, i]`` of
-    ``b`` times ``t.values[0, i]``, ``t`` the transpose of ``a``'s stack;
-    where ``b`` is a stack of one map, column ``j`` is column ``rows[0, j]``
-    of ``a`` times ``values[0, j]``.  The skipped terms
-    of the dense product are exact zeros, so for real values every entry
-    equals that of ``a @ b``.  Adding 0 turns the -0 of a negative value
-    times 0 into +0, the zero BLAS gives at most sizes (some of its edge
-    kernels give -0), because LAPACK reads the sign of a zero.  Where two
-    nonzero products may land on one entry, the sum is BLAS's product of
-    the dense arrays, whose order of fused multiply-adds sets its bits.
+    Where every entry of the product is a single product, :func:`_compose`
+    forms it by NumPy in the operand order; the skipped terms of the dense
+    product are exact zeros, so for real values every entry equals that of
+    BLAS's product.  Adding 0 turns the -0 of a negative value times 0 into
+    +0, the zero BLAS gives at most sizes (some of its edge kernels give
+    -0), because LAPACK reads the sign of a zero.  Where two nonzero
+    products land on one entry, the product is :func:`_blas_product`.
     """
-    pa, pb = a.ladder, b.ladder
-    if pa is not None and pb is not None:
-        composed = _compose(pa, pb)
-        return composed if composed is not None else _materialise(pa) @ _materialise(pb)
-    if pa is not None:
-        t = pa.transpose()
-        if len(t.rows) > 1:
-            return _materialise(pa) @ b.matrix
-        out = np.ascontiguousarray(b.matrix[t.rows[0]])
-        np.multiply(t.values[0][:, None], out, out=out)
-    elif pb is not None:
-        if len(pb.rows) > 1:
-            return a.matrix @ _materialise(pb)
-        out = np.ascontiguousarray(np.take(a.matrix, pb.rows[0], axis=1))
-        out *= pb.values[0]
-    else:
-        return a.matrix @ b.matrix
-    out += 0.0
-    return out
+    composed = _compose(pa, pb)
+    return composed if composed is not None else _blas_product(pa, pb)
+
+
+def _blas_product(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
+    """BLAS's product of the dense arrays of ``pa`` and ``pb``, whose order
+    of fused multiply-adds sets the bits of a sum, as a stack."""
+    return _array_stack(_materialise(pa) @ _materialise(pb))
 
 
 def photon_safe_mask(space: SpaceDescriptor, margin: int = 1) -> np.ndarray:

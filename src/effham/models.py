@@ -58,6 +58,10 @@ class ModelSpec:
     couplings_b     mode-b couplings (two-mode kind)
     omega, g, spin_j   spin-in-field parameters
     omega0          atomic transition frequency (dicke)
+
+    The record refuses, with a ``ValueError`` naming the rule, a number that
+    is not finite and every level, coupling or truncation count the kind's
+    builder cannot take.
     """
 
     kind: str
@@ -83,20 +87,51 @@ class ModelSpec:
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
         object.__setattr__(self, "couplings_b", tuple(float(g) for g in self.couplings_b))
+        for name, value in vars(self).items():
+            numbers = value if isinstance(value, tuple) else (value,)
+            if name != "kind" and not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.atoms < 1:
             raise ValueError("atoms must be >= 1")
+        _check_shape(self)
         if self.kind != "spin-in-field" and any(n < 1 for n in self.n_max):
             raise ValueError("field truncations must be positive")
-        if self.kind in ("xi3", "cascade", "two-mode-four") and self.energies:
+        if self.kind in ("xi3", "cascade", "two-mode-four"):
             if any(b <= a for a, b in zip(self.energies, self.energies[1:])):
                 raise ValueError("cascade level energies must be strictly increasing")
-        if self.kind == "lambda3" and self.energies:
+        if self.kind == "lambda3":
             if self.energies[2] <= max(self.energies[0], self.energies[1]):
                 raise ValueError("the shared level of a Lambda system must lie highest")
         if self.kind == "spin-in-field":
             a2 = 2 * self.spin_j
             if abs(a2 - round(a2)) > 1e-12 or round(a2) < 1:
                 raise ValueError("spin_j must be a positive integer or half-integer")
+
+
+#: level energies each kind's builder reads; a cascade reads at least this many
+_LEVELS = {"xi3": 3, "lambda3": 3, "cascade": 3, "two-mode-four": 4}
+
+
+def _check_shape(spec: ModelSpec) -> None:
+    """Refuse a level, coupling or truncation count the kind's builder
+    cannot take: one coupling per transition (two-mode: per mode), and one
+    truncation per mode of the two-mode chain."""
+    if spec.kind not in _LEVELS:
+        return
+    n, levels, least = len(spec.energies), _LEVELS[spec.kind], spec.kind == "cascade"
+    if n < levels if least else n != levels:
+        raise ValueError(f"a {spec.kind} model needs {'at least ' * least}{levels} "
+                         f"level energies, got {n}")
+    if len(spec.couplings) != n - 1:
+        raise ValueError(f"a {spec.kind} model needs one coupling per transition "
+                         f"({n - 1}), got {len(spec.couplings)}")
+    if spec.kind == "two-mode-four":
+        if len(spec.couplings_b) != n - 1:
+            raise ValueError(f"a two-mode-four model needs one mode-b coupling per transition "
+                             f"({n - 1}), got {len(spec.couplings_b)}")
+        if len(spec.n_max) != 2:
+            raise ValueError(f"a two-mode-four model needs one truncation per mode (2), "
+                             f"got {len(spec.n_max)}")
 
 
 @dataclass(frozen=True)
@@ -317,10 +352,6 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False) -> ModelIn
     condition ``D_N = 0`` is enforced by :func:`resonant`.
     """
     nlev = len(spec.energies)
-    if nlev < 3:
-        raise ValueError("a cascade chain needs at least three levels")
-    if len(spec.couplings) != nlev - 1:
-        raise ValueError("need one coupling per adjacent transition")
     wf = spec.omega_field
     deltas = cascade_detunings(spec.energies, wf)
     if require_resonance and not resonant(deltas[-1], *spec.energies, wf):
@@ -354,12 +385,6 @@ def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
     condition ``E4 - E1 = 3 omega_b`` by :func:`resonant`;
     ``require_positive_gap`` enforces the sign convention ``delta > 0``.
     """
-    if len(spec.energies) != 4:
-        raise ValueError("the two-mode model has exactly four levels")
-    if len(spec.couplings) != 3 or len(spec.couplings_b) != 3:
-        raise ValueError("need three couplings per mode")
-    if len(spec.n_max) != 2:
-        raise ValueError("need one truncation per mode")
     wa, wb = spec.omega_field, spec.omega_b
     gap = wb - wa
     if require_positive_gap and gap <= 0:

@@ -40,9 +40,10 @@ import numpy as np
 
 from .algebra import VERIFICATION_TOL, DeformedAlgebra
 from .errors import AnalysisError, EffhamError, ResonanceError
-from .hilbert import (OperatorMatrix, SpaceDescriptor, collective_operator,
+from .hilbert import (LadderPattern, OperatorMatrix, SpaceDescriptor, collective_operator,
                       commutator, components, identity, number_operator,
-                      occupation_sector_mask, photon_safe_mask, unitary_within, zero)
+                      occupation_sector_mask, photon_safe_mask, unitary_within, zero,
+                      _pattern_operator)
 from .models import ModelInstance, amplitude_guard, dispersive_guards, resonant
 
 _TAYLOR_ORDER = 20
@@ -54,18 +55,18 @@ _SCALE_TARGET = 0.5  # truncation error of the order-20 series below 1e-26 at th
 # ---------------------------------------------------------------------------
 
 def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
-    """Dense ``exp(A)``, formed block by block.
+    """``exp(A)``, formed block by block.
 
     ``exp(A)`` is block diagonal on the connected components of the nonzero
     pattern of A (:func:`~effham.hilbert.components`), whatever A is, so
     each block is exponentiated on its own: the cost is the sum of the block
-    sizes cubed, not dim^3, and every entry outside the blocks is +0.  A
-    block goes through scaling and squaring of the series of ``exp(B) - 1``
-    (order 20, scaled 1-norm at most 1/2, where the remainder is ~1e-26,
-    far below double-precision roundoff), and 1 is added once at the end.
-    The entries of ``U - 1`` of a small rotation thereby keep their relative
-    precision, and rotations are unitary to machine precision.  Non-finite
-    entries raise.
+    sizes cubed, not dim^3, and every entry outside the blocks is +0 (see
+    :func:`_assemble`).  A block goes through scaling and squaring of the
+    series of ``exp(B) - 1`` (order 20, scaled 1-norm at most 1/2, where the
+    remainder is ~1e-26, far below double-precision roundoff), and 1 is
+    added once at the end.  The entries of ``U - 1`` of a small rotation
+    thereby keep their relative precision, and rotations are unitary to
+    machine precision.  Non-finite entries raise.
     """
     stacks = _block_stacks(op)
     blocks = [op.block(idx) for idx in stacks]
@@ -110,12 +111,20 @@ def _block_stacks(*ops: OperatorMatrix) -> list[np.ndarray]:
 
 
 def _assemble(op: OperatorMatrix, stacks, values) -> OperatorMatrix:
-    """A dense operator on ``op``'s space holding each stack of ``values``
-    on the blocks of the matching index stack, and +0 everywhere else."""
-    out = np.zeros((op.dim, op.dim), dtype=complex)
+    """The operator on ``op``'s space holding each stack of ``values`` on
+    the blocks of the matching index stack, and +0 everywhere else: a stack
+    of as many maps as the largest block has states, where map ``m`` of
+    column ``idx[c, j]`` holds row ``idx[c, m]`` and value
+    ``value[c, m, j]``.  Every entry inside a block is kept, a zero and its
+    sign too, since LAPACK reads that sign; an unused entry is nowhere."""
+    size = stacks[-1].shape[1]  # the stacks come sorted by block size
+    rows = np.full((size, op.dim), -1)
+    entries = np.zeros((size, op.dim), dtype=complex)
     for idx, value in zip(stacks, values):
-        out[idx[:, :, None], idx[:, None, :]] = value
-    return op._result(out)
+        s = idx.shape[1]
+        rows[:s, idx] = idx.T[:, :, None]
+        entries[:s, idx] = value.transpose(1, 0, 2)
+    return _pattern_operator(op.space, LadderPattern(rows, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +152,7 @@ def small_rotation(spec: RotationSpec) -> OperatorMatrix:
 
 
 def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
-    """Rotated operator ``U H U^dag`` (spectrum preserved), as a dense operator.
+    """Rotated operator ``U H U^dag`` (spectrum preserved).
 
     It is formed block by block on the connected components of the joint
     nonzero pattern of ``U`` and ``H``, where the result is block diagonal,
@@ -376,21 +385,16 @@ def offdiagonal_residual(h: OperatorMatrix, labels=None) -> float:
     return float(np.linalg.norm(np.where(same, 0.0, h.matrix))) / total
 
 
-def cancellation_residual(h: OperatorMatrix, u: OperatorMatrix, labels=None) -> float:
+def cancellation_residual(h: OperatorMatrix, u: OperatorMatrix) -> float:
     """Surviving off-diagonal fraction after rotating ``h`` by ``u``.
 
     Normalized to the off-diagonal norm of the unrotated operator, so a
     first-order-cancelling rotation gives a value of order epsilon^2.
     """
-    def offpart(op: OperatorMatrix) -> float:
-        if labels is None:
-            return op.offdiagonal_norm()
-        return offdiagonal_residual(op, labels) * op.norm()
-
-    before = offpart(h)
+    before = h.offdiagonal_norm()
     if before == 0:
         return 0.0
-    return offpart(conjugate(h, u)) / before
+    return conjugate(h, u).offdiagonal_norm() / before
 
 
 def corrected_eigenstate(generator: OperatorMatrix, m: int, order="exact") -> np.ndarray:
@@ -458,9 +462,11 @@ def _keep_signatures(h: OperatorMatrix, groups, keep) -> OperatorMatrix:
     rows, cols, group, signatures = groups
     kept = np.array([bool(keep(dph, docc)) for dph, docc in signatures], dtype=bool)
     drop = ~kept[group]
-    out = np.array(h.matrix)
-    out[rows[drop], cols[drop]] = 0.0
-    return h._result(out)
+    rows, cols = rows[drop], cols[drop]
+    p = h.ladder
+    values = p.values.copy()
+    values[(p.rows[:, cols] == rows).argmax(axis=0), cols] = 0.0  # the map holding each
+    return _pattern_operator(h.space, LadderPattern(p.rows, values))
 
 
 def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
@@ -593,7 +599,8 @@ def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
     u = matrix_exponential(gen)
     transformed = conjugate(model.h_int, u)
 
-    diag = OperatorMatrix(model.space, np.diag(transformed.diagonal()))
+    diag = _pattern_operator(model.space, LadderPattern(np.arange(transformed.dim)[None, :],
+                                                        transformed.diagonal()[None, :]))
     h_d = diag - model.h_diag
     groups = _signature_groups(transformed)
     h_nd = _keep_signatures(transformed, groups, lambda dph, docc: sum(dph) == 0 and any(docc))
@@ -926,8 +933,7 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
         guards.update(more)
 
     gen, eps = eliminating_generator(model, info.eliminate)
-    # the printed forms divide by the one-photon steps checked above; built
-    # before the dim x dim exponentials, they leave the memory peak lower
+    # the printed forms divide by the one-photon steps checked above
     printed = info.printed(model, table)
     if info.amplitude_key is not None:
         guards.update((info.amplitude_key.format(name), abs(e)) for name, e in eps.items())
@@ -943,7 +949,6 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
         corrected = _second_order(model, gen, info.eliminate, info.retain)
     else:
         corrected = conjugate_stages(model.h_int, stages)
-    del gen, stages  # memory peaks in the deviation below
     if info.keep is not None:
         corrected = filter_signatures(corrected, info.keep)
 
@@ -955,8 +960,8 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     dev_mask = photon_safe_mask(model.space, 1)
     if sector is not None:
         dev_mask = dev_mask & sector
-    # projecting after the subtraction gives the same array, with one
-    # dim x dim temporary less where the forms are dense
+    # projecting after the subtraction gives the same entries as
+    # projecting both forms
     diff = (printed - corrected).project(dev_mask).norm()
     ref = corrected.project(dev_mask).norm()
     return EffectiveForms(

@@ -4,7 +4,7 @@ import sys
 import jsonschema
 import pytest
 
-from effham import cli
+from effham import cli, models
 from tests.conftest import REPO_ROOT
 
 CONFIGS = REPO_ROOT / "configs"
@@ -178,25 +178,63 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-#: configs whose values do not parse or do not make a model, by what is wrong
+_TWO_MODE = ("[model]\nkind = two-mode-four\nomega_field = 10\nomega_b = 11\n"
+             "energies = 0, 10.5, 22.2, 31.5\ncouplings = 0.01, 0.012, 0.014\n")
+
+#: configs whose values do not parse or do not make a model, by what is
+#: wrong, with the words of the error that name the rule
 BAD_VALUES = {
-    "model number": "[model]\nkind = dicke\natoms = three\n[analysis]\nkind = algebra-check\n",
-    "model list": "[model]\nkind = dicke\nn_max = 4, x\n[analysis]\nkind = algebra-check\n",
-    "analysis number": "[model]\nkind = dicke\n[analysis]\nkind = algebra-check\nseed = x\n",
-    "time grid": "[model]\nkind = dicke\n[analysis]\nkind = evolve\ntimes = 0:b:5\n",
-    "coupling count": "[model]\nkind = cascade\nenergies = 0, 11, 21.7, 30\nomega_field = 10\n"
-                      "couplings = 0.03\n[analysis]\nkind = algebra-check\n",
+    "model number": ("[model]\nkind = dicke\natoms = three\n[analysis]\nkind = algebra-check\n",
+                     "invalid literal"),
+    "model list": ("[model]\nkind = dicke\nn_max = 4, x\n[analysis]\nkind = algebra-check\n",
+                   "invalid literal"),
+    "analysis number": ("[model]\nkind = dicke\n[analysis]\nkind = algebra-check\nseed = x\n",
+                        "invalid literal"),
+    "time grid": ("[model]\nkind = dicke\n[analysis]\nkind = evolve\ntimes = 0:b:5\n",
+                  "could not convert"),
+    "coupling count": ("[model]\nkind = cascade\nenergies = 0, 11, 21.7, 30\nomega_field = 10\n"
+                       "couplings = 0.03\n[analysis]\nkind = algebra-check\n",
+                       "needs one coupling per transition (3), got 1"),
+    "xi3 levels": ("[model]\nkind = xi3\nenergies = 0, 11\nomega_field = 10\ncouplings = 0.02\n"
+                   "[analysis]\nkind = algebra-check\n", "needs 3 level energies, got 2"),
+    "lambda3 couplings": ("[model]\nkind = lambda3\nenergies = 0, 0.1, 11\nomega_field = 10\n"
+                          "couplings = 0.02\n[analysis]\nkind = algebra-check\n",
+                          "needs one coupling per transition (2), got 1"),
+    "two-mode levels": ("[model]\nkind = two-mode-four\nomega_field = 10\nomega_b = 11\n"
+                        "energies = 0, 10.5, 22.2\ncouplings = 0.01, 0.012\n"
+                        "couplings_b = 0.012, 0.014\nn_max = 3, 3\n[analysis]\nkind = algebra-check\n",
+                        "needs 4 level energies, got 3"),
+    "two-mode couplings": (_TWO_MODE + "couplings_b = 0.012, 0.014\nn_max = 3, 3\n"
+                           "[analysis]\nkind = algebra-check\n",
+                           "needs one mode-b coupling per transition (3), got 2"),
+    "two-mode truncations": (_TWO_MODE + "couplings_b = 0.012, 0.014, 0.01\nn_max = 3\n"
+                             "[analysis]\nkind = algebra-check\n",
+                             "needs one truncation per mode (2), got 1"),
+    "g nan": ("[model]\nkind = dicke\ng = nan\n[analysis]\nkind = algebra-check\n",
+              "g must be finite, got nan"),
 }
 
 
 @pytest.mark.parametrize("defect", list(BAD_VALUES))
 def test_bad_value_is_config_error(tmp_path, capsys, defect):
+    text, rule = BAD_VALUES[defect]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(BAD_VALUES[defect])
-    assert _run(["run", cfg, "--output", tmp_path / "r.csv"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    if defect != "coupling count":  # the builder refuses it, after validation
-        assert _run(["validate-config", cfg]) == 2
+    cfg.write_text(text)
+    for command in (["run", cfg, "--output", tmp_path / "r.csv"], ["validate-config", cfg]):
+        assert _run(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and rule in err
+
+
+def test_failed_model_validation_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a built model that fails its own checks is a defect of the library,
+    # not of the config
+    def broken(model):
+        raise ValueError("constructed Hamiltonian is not Hermitian")
+
+    monkeypatch.setattr(models, "_validate", broken)
+    assert _run(["run", CONFIGS / "dicke_spectrum.cfg", "--output", tmp_path / "r.csv"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ValueError")
 
 
 def test_unwritable_report_is_usage_error(tmp_path, capsys):

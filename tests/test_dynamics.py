@@ -56,7 +56,7 @@ class TestEvolve:
                                   g=0.04, atoms=3, n_max=6))
         observables = {"n": m.operators["n"], "S3": m.operators["S3"], "S+": m.operators["S+"],
                        "a": m.operators["a"], "N": m.conserved["N"]}
-        assert all(op.ladder is not None for op in observables.values())
+        assert all(len(op.ladder.rows) == 1 for op in observables.values())
         dense = {name: np.array(op.matrix) for name, op in observables.items()}
         built = []
         materialise = hilbert._materialise

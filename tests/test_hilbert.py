@@ -149,7 +149,7 @@ def test_operator_matrix_is_immutable():
     with pytest.raises(AttributeError):
         op.matrix = np.zeros((4, 4))
     op.norm()  # kept on the operator, which still takes no assignment
-    for name in ("_memo", "_dense", "space", "anything"):
+    for name in ("_memo", "_ladder", "space", "anything"):
         with pytest.raises(AttributeError):
             setattr(op, name, None)
 

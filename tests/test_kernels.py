@@ -1,24 +1,25 @@
 """Property tests for the structure-aware kernels.
 
-A factor of ``@`` or ``commutator`` with at most one nonzero per row and
-column (a ladder pattern, the diagonal included) turns the product into a
-gather of the other factor's rows or columns instead of a BLAS call, and
-``evolve`` diagonalises only the subspace the initial state can reach; both
-must agree with the plain dense computation.  The exponential and the
-conjugation run per connected component of the nonzero pattern: they must
-agree with the dense computation too, leave exact zeros off the blocks, and
-let none of their checks miss a block.  The Hermiticity, conservation and
+Every operator is a stack of column maps.  A product of two stacks whose
+entries are single products is composed from the stacks instead of calling
+BLAS, and ``evolve`` diagonalises only the subspace the initial state can
+reach; both must agree with the plain dense computation.  The exponential
+and the conjugation run per connected component of the nonzero pattern:
+they must agree with the dense computation too, hold the dense assembly of
+their blocks bit for bit, leave exact zeros off the blocks, and let none
+of their checks miss a block.  The Hermiticity, conservation and
 block-leakage checks read only the nonzero entries: they must decide as the
 dense formulas do and allocate less than one dense array.  What an operator
-keeps (its nonzero places, components and norm) must equal what a fresh
+keeps (its nonzero entries, components and norm) must equal what a fresh
 copy finds, and the back-rotation of ``effective_evolution`` on the reached
-columns must reproduce the full dense product.  Sums of pattern-only
-operators are stacks of column maps: they must hold the dense operation's
-entries bit for bit, and every reader of a stack must agree with the dense
-array.  The Hermiticity and diagonality checks scale by the operator's own
+columns must reproduce the full dense product.  Sums of stacks must hold
+the dense operation's entries bit for bit, an array made into a stack must
+materialise to itself, and every reader of a stack must agree with the
+dense array.  The Hermiticity and diagonality checks scale by the operator's own
 size, so their verdicts do not depend on the unit.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -136,8 +137,21 @@ def _negative_zero(m: np.ndarray) -> bool:
     return any(np.signbit(part[part == 0]).any() for part in (m.real, m.imag))
 
 
-def _fresh_scan(op):
+def _fresh_stack(op):
+    """The stack the public constructor makes of ``op``'s dense array."""
     return eh.OperatorMatrix(op.space, op.matrix).ladder
+
+
+@contextlib.contextmanager
+def _blas_calls():
+    """The operand pairs of every product BLAS forms while the block runs."""
+    calls = []
+    real = hilbert._blas_product
+    hilbert._blas_product = lambda pa, pb: calls.append((pa, pb)) or real(pa, pb)
+    try:
+        yield calls
+    finally:
+        hilbert._blas_product = real
 
 
 def _same_pattern(carried, scanned) -> bool:
@@ -162,27 +176,31 @@ def test_ladder_factor_matches_blas_bits(case):
 
 @given(ladder_products(), st.sampled_from([2.0, -0.5, 1j, 0.0]))
 def test_carried_pattern_equals_fresh_scan(case, scalar):
+    # a stack carried through arithmetic equals the one the constructor
+    # makes of its dense array: map by map where both have one map, else
+    # entry by entry
     space, p, x, left = case
     a, b = eh.OperatorMatrix(space, p), eh.OperatorMatrix(space, x)
-    assert a.ladder is not None
-    carried = [a.dag(), scalar * a, (scalar * a @ a).dag()]
-    if b.ladder is not None:
-        carried.append(a @ b if left else b @ a)
-    for op in carried:
-        assert isinstance(op._ladder, hilbert.LadderPattern)  # set without a scan
-        assert _same_pattern(op._ladder, _fresh_scan(op))
+    assert len(a.ladder.rows) == 1
+    for op in (a.dag(), scalar * a, (scalar * a @ a).dag(), a @ b if left else b @ a):
+        fresh = _fresh_stack(op)
+        if len(op.ladder.rows) == len(fresh.rows) == 1:
+            assert _same_pattern(op.ladder, fresh)
+        assert _same_entries(op, hilbert._materialise(fresh))
 
 
 @given(ladder_products())
 def test_transpose_is_the_scan_of_the_transpose(case):
     space, p, x, left = case
+    # map by map where the transpose has one map; the order of the nonzeros
+    # of a row with several is the stack's, so entry by entry there
     for m in (p, x):
         op = eh.OperatorMatrix(space, m)
-        if op.ladder is None:
-            continue
-        t = op.ladder.transpose()
-        assert _same_pattern(t, hilbert._scan(np.array(m.T, dtype=complex)))
-        assert _same_pattern(t.transpose(), op.ladder)
+        t, fresh = op.ladder.transpose(), eh.OperatorMatrix(space, m.T)
+        if len(t.rows) == 1:
+            assert _same_pattern(t, fresh.ladder) and _same_pattern(t.transpose(), op.ladder)
+        assert _same_entries(fresh, hilbert._materialise(t))
+        assert _same_entries(op, hilbert._materialise(t.transpose()))
 
 
 def _bits(m: np.ndarray) -> bytes:
@@ -191,14 +209,16 @@ def _bits(m: np.ndarray) -> bytes:
 
 
 def _off_pattern(*ops) -> np.ndarray:
-    """The entries off the patterns of every one of the pattern-only ``ops``."""
+    """The entries off the stacks of every one of ``ops``."""
     off = np.ones((ops[0].dim, ops[0].dim), dtype=bool)
     for op in ops:
-        off[op.ladder.rows, np.arange(op.dim)] = False
+        rows = op.ladder.rows
+        placed = rows >= 0  # an unused entry is nowhere
+        off[rows[placed], np.broadcast_to(np.arange(op.dim), rows.shape)[placed]] = False
     return off
 
 
-#: unary steps that keep an operator pattern-only but change the signs and
+#: unary steps that keep an operator one map but change the signs and
 #: the places of its values
 _SHAPES = {"neg": lambda op: -op, "dag": lambda op: op.dag(), "times -0.5": lambda op: -0.5 * op,
            "times 1j": lambda op: 1j * op, "times 2": lambda op: 2.0 * op}
@@ -206,7 +226,7 @@ _SHAPES = {"neg": lambda op: -op, "dag": lambda op: op.dag(), "times -0.5": lamb
 
 @st.composite
 def pattern_operands(draw):
-    """(a, b, mask): pattern-only operators made from random partial
+    """(a, b, mask): one-map stacks made from random partial
     permutations with real values, zeros and negatives included, by the
     same unary steps; b has its nonzeros where a has (or at a subset of
     those places) half of the time."""
@@ -215,7 +235,8 @@ def pattern_operands(draw):
     space = _space(dim)
     p = _partial_permutation(rng, dim)
     if draw(st.booleans()):
-        q = np.where(rng.random((dim, dim)) < 0.8, p * rng.normal(size=(dim, dim)), 0.0)
+        # + 0.0 makes every zero +0, which the constructor does not hold
+        q = np.where(rng.random((dim, dim)) < 0.8, p * rng.normal(size=(dim, dim)), 0.0) + 0.0
     else:
         q = _partial_permutation(rng, dim)
     eye = eh.identity(space)
@@ -223,7 +244,7 @@ def pattern_operands(draw):
     for step in draw(st.lists(st.sampled_from(sorted(_SHAPES)), max_size=3)):
         a, b = _SHAPES[step](a), _SHAPES[step](b)
     b = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))](b)
-    assert a._dense is None and b._dense is None
+    assert len(a.ladder.rows) == len(b.ladder.rows) == 1
     return a, b, rng.random(dim) < 0.7
 
 
@@ -248,17 +269,19 @@ def test_pattern_only_results_match_dense_arithmetic(case):
         m = got.matrix
         assert m.dtype == complex and not m.flags.writeable
         assert np.array_equal(m, ref) and m.flags.c_contiguous
-        assert got._dense is None and not _negative_zero(m[_off_pattern(got)])
+        assert not _negative_zero(m[_off_pattern(got)])
         assert _same_entries(got, ref)
         if len(got.ladder.rows) == 1 and _shared_places(a, b):
-            assert _same_pattern(got._ladder, _fresh_scan(got))
-    for got, ref in ((a @ b, x @ y), (eh.commutator(a, b), x @ y - y @ x)):
+            assert _same_pattern(got.ladder, _fresh_stack(got))
+    with _blas_calls() as calls:  # single products only: composed, not BLAS
+        products = ((a @ b, x @ y), (eh.commutator(a, b), x @ y - y @ x))
+    assert not calls
+    for got, ref in products:
         m = got.matrix
         assert m.dtype == complex and not m.flags.writeable and m.flags.c_contiguous
         assert _blas_bits(m, ref)
-        if got._dense is None and len(got.ladder.rows) == 1:
-            assert _same_pattern(got._ladder, _fresh_scan(got))
-    assert (a @ b)._dense is None
+        if len(got.ladder.rows) == 1:
+            assert _same_pattern(got.ladder, _fresh_stack(got))
 
 
 @given(pattern_operands())
@@ -283,18 +306,22 @@ def test_pattern_only_readers_match_dense_bits(case):
 
 
 def test_sum_with_two_nonzeros_in_one_row_is_a_stack():
-    # one map whose two nonzeros share row 0: no row map, so a product
-    # with it as the left factor and its action on a state go through BLAS
+    # one map whose two nonzeros share row 0: a product with it as the left
+    # factor sums two products at (0, j), so BLAS forms it, and its action
+    # on a state sums the row
     space = _space(2)
-    a = eh.OperatorMatrix(space, [[1.0, 0.0], [0.0, 0.0]])
+    a = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 0]]),
+                                                               np.array([[1.0 + 0j, 0.0]])))
     b = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[1, 0]]),
                                                                np.array([[0.0, 2.0 + 0j]])))
     total = a + b
     ref = np.array([[1.0, 2.0], [0.0, 0.0]])
-    assert total._dense is None and len(total.ladder.rows) == 1
+    assert len(total.ladder.rows) == 1
     assert np.array_equal(total.matrix, ref) and len(total.dag().ladder.rows) == 2
     x = np.array([[0.5, -1.0], [3.0, 0.25]])
-    assert np.array_equal((total @ eh.OperatorMatrix(space, x)).matrix, ref @ x)
+    with _blas_calls() as calls:
+        assert np.array_equal((total @ eh.OperatorMatrix(space, x)).matrix, ref @ x)
+    assert len(calls) == 1
     assert np.array_equal(total.apply(np.array([1.0, 1j])), ref @ np.array([1.0, 1j]))
 
 
@@ -319,8 +346,12 @@ def test_zero_products_meet_nothing():
     a = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 0]]), np.ones((1, 2)) + 0j))
     b = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 1], [1, -1]]),
                                                                np.array([[1.0, 2.0], [0.0, 0.0]]) + 0j))
-    got = a @ b
-    assert got._dense is None and np.array_equal(got.matrix, a.matrix @ b.matrix)
+    with _blas_calls() as calls:
+        got = a @ b
+    assert not calls and np.array_equal(got.matrix, a.matrix @ b.matrix)
+    # where every product is zero, one map is left, and the product reads as 0
+    c = eh.OperatorMatrix(space, [[1.0, 0.0], [1.0, 0.0]]) @ eh.OperatorMatrix(space, [[0.0, 0.0], [0.0, 1.0]])
+    assert len(c.ladder.rows) == 1 and not c.matrix.any() and not c.apply(np.ones(2)).any()
 
 
 def test_hermiticity_from_pattern_counts_each_entry_once():
@@ -331,23 +362,23 @@ def test_hermiticity_from_pattern_counts_each_entry_once():
     space = _space(3)
     m = np.array([[0.0, 0.0, 0.0], [7e-13, 0.0, 0.0], [0.0, 0.0, 1.0]])
     op = eh.OperatorMatrix(space, m) @ eh.identity(space)
-    assert op._dense is None
+    assert len(op.ladder.rows) == 1
     assert op.is_hermitian() and eh.OperatorMatrix(space, m).is_hermitian()
     assert not op.is_hermitian(0.7e-12)
 
 
 @pytest.mark.parametrize("scenario", ["cascade-first-stage", "four-level-three-photon"])
 def test_build_and_closed_form_scan_no_array(four_level_model, scenario, monkeypatch):
-    # only the public constructor looks for a pattern; the library builds
-    # its operators knowing their storage
+    # only the public constructor turns an array into a stack; the library
+    # builds its stacks knowing their entries
     scanned = []
-    real_scan = hilbert._scan
+    real_scan = hilbert._array_stack
 
     def spy(m):
         scanned.append(m.shape)
         return real_scan(m)
 
-    monkeypatch.setattr(hilbert, "_scan", spy)
+    monkeypatch.setattr(hilbert, "_array_stack", spy)
     model = eh.build(four_level_model.spec, require_resonance=True)
     eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
     assert scanned == []
@@ -356,6 +387,8 @@ def test_build_and_closed_form_scan_no_array(four_level_model, scenario, monkeyp
 
 
 def test_ladder_scan_sees_every_second_nonzero():
+    # the constructor keeps both nonzeros: two maps where they share a
+    # column, one map where they share a row
     space = _space(4)
     for j in range(4):
         for i in range(4):
@@ -364,8 +397,11 @@ def test_ladder_scan_sees_every_second_nonzero():
                     continue
                 m = np.zeros((4, 4))
                 m[i, j], m[k, j] = 1.0, 1e-300  # two nonzeros in column j
-                for arr in (m, m.T, np.asfortranarray(m), np.asfortranarray(m.T)):
-                    assert eh.OperatorMatrix(space, arr).ladder is None
+                for arr, maps in ((m, 2), (m.T, 1), (np.asfortranarray(m), 2),
+                                  (np.asfortranarray(m.T), 1)):
+                    op = eh.OperatorMatrix(space, arr)
+                    assert len(op.ladder.rows) == maps and len(op.entries()[0]) == 2
+                    assert _bits(op.matrix) == _bits(np.array(arr, dtype=complex))
 
 
 @st.composite
@@ -482,7 +518,7 @@ def test_dicke_model_keeps_patterned_operators_without_arrays(dicke_model):
     held = [dicke_model.h_free, dicke_model.h_diag, dicke_model.conserved["N"],
             *dicke_model.operators.values(), alg.x3, alg.xplus, alg.xminus, alg.structure,
             dicke_model.h_int, term.coupling]
-    assert all(op._dense is None for op in held)
+    assert all(len(op.ladder.rows) <= 3 for op in held)
     # diagonal, raising and lowering: up to three nonzeros per column; the
     # structure operator [X+, X-] is diagonal, one map
     assert len(dicke_model.h_int.ladder.rows) == 3 and len(term.coupling.ladder.rows) == 2
@@ -491,7 +527,7 @@ def test_dicke_model_keeps_patterned_operators_without_arrays(dicke_model):
 
 def test_dicke_analysis_materialises_no_pattern_only_operator(dicke_model, monkeypatch):
     forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
-    assert forms.corrected._dense is None
+    assert len(forms.corrected.ladder.rows) == 1
     built = []
     real = hilbert._materialise
 
@@ -518,25 +554,41 @@ def test_blockwise_exponential_and_conjugation_match_dense(case, size, anti, see
     a = size * h / np.linalg.norm(h) * (1j if anti else 1.0)
     w, v = np.linalg.eigh(-1j * a if anti else a)
     ref = (v * np.exp(1j * w if anti else w)) @ v.conj().T
-    parts = hilbert.components(eh.OperatorMatrix(space, a))
+    op = eh.OperatorMatrix(space, a)
+    parts = hilbert.components(op)
     assert [tuple(p) for p in parts] == sorted(tuple(np.flatnonzero(k)) for k in masks)
-    got = eh.matrix_exponential(eh.OperatorMatrix(space, a))
+    got = eh.matrix_exponential(op)
     m = got.matrix
     assert np.max(np.abs(m - ref)) <= 1e-13 * max(1.0, np.linalg.norm(a))
+    # the stack holds the dense assembly of the blocks bit for bit, the
+    # signs of its zeros included, in as many maps as the largest block
+    assert _bits(m) == _bits(_assembled(op, [op], lambda b: rotations._expm1(b[0]) + np.eye(b.shape[-1])))
+    assert len(got.ladder.rows) == max(len(p) for p in parts)
     off = m[~_same_block(masks)]
     assert np.all(off == 0) and not np.signbit(off.real).any() and not np.signbit(off.imag).any()
     if not anti:
         return
     assert got.is_unitary(1e-12)
     rng = np.random.default_rng(seed)
-    if patterned:  # a pattern-only operand, read through its pattern
+    if patterned:  # a one-map operand
         x = eh.OperatorMatrix(space, _partial_permutation(rng, space.dim)) @ eh.identity(space)
-        assert x._dense is None
+        assert len(x.ladder.rows) == 1
     else:  # its own sparse pattern joins blocks of u
         x = _dense(rng, space.dim, 0.05)
         x = eh.OperatorMatrix(space, x + x.conj().T)
     out = eh.conjugate(x, got).matrix
     assert np.max(np.abs(out - m @ x.matrix @ m.conj().T)) <= 1e-13 * max(1.0, x.norm())
+    assert _bits(out) == _bits(_assembled(x, [got, x], lambda b: b[0] @ b[1] @ rotations._adjoint(b[0])))
+
+
+def _assembled(op, ops, form) -> np.ndarray:
+    """The dense reference of a block-wise result: ``form`` of the blocks of
+    ``ops`` on each stack of components of their joint pattern, written
+    into an array of +0."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for idx in rotations._block_stacks(*ops):
+        out[idx[:, :, None], idx[:, None, :]] = form(np.array([o.block(idx) for o in ops]))
+    return out
 
 
 def _with_one_bad_block(dicke_model, bad):
@@ -591,11 +643,6 @@ def test_nonfinite_entry_in_any_block_raises(bad, where):
 
 # -- checks that read the nonzeros --------------------------------------------
 
-def _dense_stored(space: SpaceDescriptor, m) -> eh.OperatorMatrix:
-    """``m`` stored dense, whether or not it has a ladder pattern."""
-    return eh.zero(space)._result(np.array(m, dtype=complex))
-
-
 def _hermitian_reference(m: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(m - m.conj().T) <= tol * np.linalg.norm(m))
 
@@ -641,18 +688,17 @@ def hermiticity_cases(draw):
 @given(hermiticity_cases())
 def test_hermiticity_from_nonzeros_matches_dense_reference(case):
     space, m, tol = case
-    ref = _hermitian_reference(m, tol)
-    assert _dense_stored(space, m).is_hermitian(tol) == ref
-    if hilbert._scan(np.array(m, dtype=complex)) is not None:
-        op = eh.OperatorMatrix(space, m)
-        assert op._dense is None and op.is_hermitian(tol) == ref
+    # one map for the arrays with a ladder pattern, several for the others
+    assert eh.OperatorMatrix(space, m).is_hermitian(tol) == _hermitian_reference(m, tol)
 
 
 def test_entries_scan_lists_nonzeros_in_nonzero_order():
     m = _dense(np.random.default_rng(5), 9, 0.4)
-    m[2, 3] = -0.0  # a signed zero is no entry
+    m[2, 3] = -0.0  # a signed zero is no entry, though the stack holds it
     for arr in (m, np.asfortranarray(m), m.T):
-        r, c, v = _dense_stored(_space(9), arr).entries()
+        op = eh.OperatorMatrix(_space(9), arr)
+        assert _bits(op.matrix) == _bits(arr)
+        r, c, v = op.entries()
         assert np.array_equal(np.stack([r, c]), np.stack(np.nonzero(arr)))
         assert np.array_equal(v, arr[r, c])
 
@@ -780,16 +826,17 @@ def test_pattern_sums_match_dense_bits(dim, maps_a, maps_b, seed):
     rng = np.random.default_rng(seed)
     space = _space(dim)
     (a, x), (b, y) = _signed_stack(rng, space, maps_a), _signed_stack(rng, space, maps_b)
-    assert a._dense is None and _bits(a.matrix) == _bits(x) and a.matrix.flags.c_contiguous
+    assert _bits(a.matrix) == _bits(x) and a.matrix.flags.c_contiguous
     for got, ref in ((a + b, x + y), (a - b, x - y), (b - a, y - x)):
-        assert got._dense is None and _bits(got.matrix) == _bits(ref)
+        assert _bits(got.matrix) == _bits(ref)
     for s in (-0.5, 0.3 - 2j, 0.0):
         got = (s * a).matrix
-        assert (s * a)._dense is None and np.array_equal(got, x * s)
+        assert np.array_equal(got, x * s)
         assert not _negative_zero(got[_off_pattern(a)])
     assert np.array_equal(a.dag().matrix, x.conj().T) and _same_entries(a.dag(), x.conj().T)
-    prod = a @ b
-    if prod._dense is None:
+    with _blas_calls() as calls:
+        prod = a @ b
+    if not calls:
         assert _product_close(prod.matrix, x, y) and not _negative_zero(prod.matrix)
     else:
         assert _bits(prod.matrix) == _bits(x @ y)
@@ -799,18 +846,26 @@ def test_pattern_sums_match_dense_bits(dim, maps_a, maps_b, seed):
     rows, cols = np.flatnonzero(mask), np.flatnonzero(~mask)
     assert _bits(a.block(rows)) == _bits(x[np.ix_(rows, rows)])
     assert _bits(a.block(rows, cols)) == _bits(x[np.ix_(rows, cols)])
+    # rows in any order, one asked for twice, and stacks of two blocks that
+    # share states or not
+    shuffled, half = rng.permutation(dim), dim // 2
+    apart = np.stack([shuffled[:half], shuffled[half:2 * half]])
+    for r, c in ((shuffled, rows), (np.append(shuffled, shuffled[0]), shuffled),
+                 (np.stack([shuffled, shuffled[::-1]]), np.stack([shuffled[::-1], shuffled])),
+                 (apart, apart), (apart, apart[::-1])):
+        assert _bits(a.block(r, c)) == _bits(x[r[..., :, None], c[..., None, :]])
     psi = np.linspace(1.0, 2.0, dim) + 0.5j
     assert _product_close(a.apply(psi), x, psi)
-    dense = _dense_stored(space, x)
+    dense = eh.OperatorMatrix(space, x)
     assert [tuple(c) for c in hilbert.components(a)] == [tuple(c) for c in hilbert.components(dense)]
     assert a.inner(b) == np.sum(np.conj(x) * y)
     assert a.norm() == np.linalg.norm(x) and a.is_hermitian() == dense.is_hermitian()
     z = np.empty((dim, dim), dtype=complex)
     z.real = _signed_parts(rng, dim * dim).reshape(dim, dim)
     z.imag = _signed_parts(rng, dim * dim).reshape(dim, dim)
-    c = _dense_stored(space, z)
+    c = eh.OperatorMatrix(space, z)
     for got, ref in ((a + c, x + z), (c - a, z - x), (a - c, x - z)):
-        assert got._dense is not None and _bits(got.matrix) == _bits(ref)
+        assert _bits(got.matrix) == _bits(ref)
 
 
 def test_offdiagonal_residual_labels_match_pairwise_loop(dicke_model):
@@ -845,7 +900,9 @@ def test_checks_allocate_less_than_one_dense_array(fixture, scenario, request):
     forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
     masks = eh.block_masks(model)
     h = model.h_int
-    assert h._dense is None  # a stack of column maps
+    # a stack of column maps: the diagonal, and a raising and a lowering
+    # map per transition
+    assert len(h.ladder.rows) <= 1 + 2 * len(model.interactions)
     bound = h.dim ** 2 * 16
     m = h.matrix
     assert _peak_bytes(lambda: m - m.conj().T) > bound  # the dense check these replace
@@ -857,7 +914,7 @@ def test_checks_allocate_less_than_one_dense_array(fixture, scenario, request):
 @st.composite
 def scaled_checks(draw):
     """(space, array, tol, verdict, kind): a Hermitian or diagonal array,
-    stored dense or with a ladder pattern, with one defect of 0, 0.1 or 10
+    with or without a ladder pattern, with one defect of 0, 0.1 or 10
     times ``tol`` relative to its own norm, and the verdict the defect
     implies."""
     dim = draw(st.integers(2, 12))
@@ -884,39 +941,65 @@ def test_hermiticity_and_diagonality_are_unit_free(case, k):
     # at every 10^k, where a floor at 1 would pass any defect below 1
     space, h, tol, verdict, kind = case
     for m in (h, h * 10.0 ** k):
-        for op in (eh.OperatorMatrix(space, m), _dense_stored(space, m)):
-            check = op.is_hermitian if kind == "hermitian" else op.is_diagonal
-            assert check(tol) == verdict
+        op = eh.OperatorMatrix(space, m)
+        check = op.is_hermitian if kind == "hermitian" else op.is_diagonal
+        assert check(tol) == verdict
+
+
+#: the 4-level cascade at A = 3, n_max = 16 (dim 340) on three-photon resonance
+CASCADE_340 = eh.ModelSpec(kind="cascade", energies=(0.0, 11.0, 21.7, 30.0), omega_field=10.0,
+                           couplings=(0.03, 0.03, 0.03), atoms=3, n_max=16)
 
 
 def test_cascade_build_and_generator_hold_no_dense_array():
-    # the 4-level cascade at A = 3, n_max = 16: couplings, h_int and the
-    # generator are stacks; the one dense array alive at a time is the
-    # transient operand of a norm or inner product, which keep NumPy's
-    # dense bits (measured_step materialises X+ for ||X+|| and <X+, [h, X+]>)
-    wf = 10.0
-    spec = eh.ModelSpec(kind="cascade", energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf),
-                        omega_field=wf, couplings=(0.03, 0.03, 0.03), atoms=3, n_max=16)
-
+    # couplings, h_int and the generator are stacks; the one dense array
+    # alive at a time is the transient operand of a norm or inner product,
+    # which keep NumPy's dense bits (measured_step materialises X+ for
+    # ||X+|| and <X+, [h, X+]>)
     def build_and_generator():
-        model = models.build(spec)
+        model = models.build(CASCADE_340)
         return model, rotations.eliminating_generator(model)[0]
 
     model, gen = build_and_generator()
     held = [model.h_int, gen, *(term.coupling for term in model.interactions)]
-    assert model.space.dim == 340 and all(op._dense is None for op in held)
+    assert model.space.dim == 340
+    assert [len(op.ladder.rows) for op in held] == [7, 6, 2, 2, 2]
     assert _peak_bytes(build_and_generator) < 1.5 * model.space.dim ** 2 * 16
+
+
+@pytest.mark.parametrize("scenario", ["four-level-three-photon", "cascade-first-stage"])
+def test_closed_form_holds_stacks_no_taller_than_a_block(scenario):
+    # the rotation and the conjugated and filtered forms hold as many maps
+    # as the largest block they were formed on, not dim; the memory peak is
+    # the transient dense array of a deviation norm and the copy of its
+    # real part that np.linalg.norm makes (a dense rotation, conjugation
+    # and filter held several arrays at once)
+    model = eh.build(CASCADE_340, require_resonance=True)
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    largest = max(len(part) for part in hilbert.components(forms.rotation, model.h_int))
+    assert largest == 20 < model.space.dim
+    assert len(forms.rotation.ladder.rows) == largest
+    assert all(len(op.ladder.rows) <= largest for op in (forms.printed, forms.corrected))
+    bound = 2 * model.space.dim ** 2 * 16
+    assert _peak_bytes(lambda: eh.closed_form_effective(model, eh.EffectiveScenario(scenario))) < bound
+
+
+def test_cascade_decomposition_holds_stacks_no_taller_than_a_block():
+    model = eh.build(CASCADE_340)
+    deco = eh.cascade_first_stage(model)
+    largest = max(len(part) for part in hilbert.components(deco.rotation, model.h_int))
+    assert largest == 20 < model.space.dim
+    held = [deco.transformed, deco.h0, deco.h_d, deco.h_nd, deco.rotation, *deco.multiphoton.values()]
+    assert all(len(op.ladder.rows) <= largest for op in held)
+    assert len(deco.h_d.ladder.rows) == 1  # a diagonal: one map
 
 
 # -- what an operator keeps ---------------------------------------------------
 
 def _fresh(op: eh.OperatorMatrix) -> eh.OperatorMatrix:
-    """A copy of ``op`` in the same storage and memory order, built from
-    copied arrays, with nothing kept."""
-    if op._dense is None:
-        p = op.ladder
-        return hilbert._pattern_operator(op.space, hilbert.LadderPattern(p.rows.copy(), p.values.copy()))
-    return _dense_stored(op.space, op._dense)
+    """A copy of ``op`` built from copies of its stack, with nothing kept."""
+    p = op.ladder
+    return hilbert._pattern_operator(op.space, hilbert.LadderPattern(p.rows.copy(), p.values.copy()))
 
 
 _READS = {"entries": lambda op: op.entries(), "components": lambda op: hilbert.components(op),
@@ -925,9 +1008,9 @@ _READS = {"entries": lambda op: op.entries(), "components": lambda op: hilbert.c
 
 @st.composite
 def kept_cases(draw):
-    """(operator, order of reads, mask): a dense operator, C- or F-ordered,
-    or a pattern-only one with signed zeros, and reads in any order, repeats
-    included."""
+    """(operator, order of reads, mask): an operator made of an array, C- or
+    F-ordered, or a one-map stack with signed zeros, and reads in any order,
+    repeats included."""
     dim = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     storage = draw(st.sampled_from(["C", "F", "pattern"]))
@@ -935,7 +1018,7 @@ def kept_cases(draw):
         op = hilbert._pattern_operator(_space(dim), _signed_pattern(rng, dim))
     else:
         m = _dense(rng, dim, draw(st.sampled_from([0.1, 0.5])))
-        op = _dense_stored(_space(dim), m if storage == "C" else np.asfortranarray(m))
+        op = eh.OperatorMatrix(_space(dim), m if storage == "C" else np.asfortranarray(m))
     reads = draw(st.lists(st.sampled_from(sorted(_READS)), min_size=1, max_size=6))
     return op, reads, rng.random(dim) < 0.5
 
@@ -951,8 +1034,8 @@ def test_kept_reads_equal_a_fresh_operators(case):
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
                 assert _bits(g) == _bits(r)
-    if op._dense is not None and "entries" in reads:
-        assert "places" in op._memo
+    if "entries" in reads:
+        assert "entries" in op._memo
         rows, cols, _ = op.entries()
         assert not rows.flags.writeable and not cols.flags.writeable
     if "components" in reads:
@@ -967,9 +1050,9 @@ def test_dicke_task_scans_h_int_once(dicke_model, monkeypatch):
     # one dicke-ladder task body: every reader of h_int's nonzeros (the
     # Hermiticity and conservation checks of the build, the block leakage,
     # the Hermiticity check and components of evolve) shares one listing
-    # of its stack, and no dense array is scanned
+    # of its stack, and no dense array is scanned into a stack
     scanned, listed = [], []
-    real, real_listing = hilbert._nonzero_places, hilbert._row_major
+    real, real_listing = hilbert._array_stack, hilbert._row_major
 
     def spy(m):
         scanned.append(m)
@@ -979,7 +1062,7 @@ def test_dicke_task_scans_h_int_once(dicke_model, monkeypatch):
         listed.append(entries[0])
         return real_listing(d, *entries)
 
-    monkeypatch.setattr(hilbert, "_nonzero_places", spy)
+    monkeypatch.setattr(hilbert, "_array_stack", spy)
     monkeypatch.setattr(hilbert, "_row_major", listing)
     model = eh.build(dicke_model.spec)
     forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
@@ -987,7 +1070,7 @@ def test_dicke_task_scans_h_int_once(dicke_model, monkeypatch):
     psi = eh.basis_state(model.space, (3,), level=1)
     exact = eh.evolve(model.h_int, psi, TIMES)
     approx = eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
-    assert model.h_int._dense is None and not scanned
+    assert not scanned
     assert sum(len(rows) == len(model.h_int.entries()[0]) for rows in listed) == 1
     assert np.max(eh.infidelity_series(exact, approx)) < 1e-3
 
@@ -1001,13 +1084,11 @@ def test_pattern_with_dense_sums_match_dense_bits(dim, seed, order):
     x.real = _signed_parts(rng, dim * dim).reshape(dim, dim)
     x.imag = _signed_parts(rng, dim * dim).reshape(dim, dim)
     x = np.asfortranarray(x) if order == "F" else x
-    b = _dense_stored(space, x)
+    b = eh.OperatorMatrix(space, x)  # every entry of x that is not +0 held
     y = a.matrix
     for got, ref in ((a + b, y + x), (a - b, y - x), (b + a, x + y), (b - a, x - y)):
         m = got.matrix
-        assert got._dense is not None and not m.flags.writeable
-        assert (m.flags.c_contiguous, m.flags.f_contiguous) == (ref.flags.c_contiguous,
-                                                                  ref.flags.f_contiguous)
+        assert not m.flags.writeable and m.flags.c_contiguous
         assert _bits(m) == _bits(ref)
 
 
