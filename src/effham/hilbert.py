@@ -472,7 +472,7 @@ def _array_stack(arr: np.ndarray) -> LadderPattern:
     ``arr`` bit for bit."""
     d = arr.shape[0]
     bits = np.ascontiguousarray(arr).view(np.uint64).reshape(d, d, 2)
-    rows, cols = np.divmod(np.flatnonzero(bits.any(axis=2)), d)
+    rows, cols = np.divmod(np.flatnonzero(bits[..., 0] | bits[..., 1]), d)
     return _stacked(d, rows, cols, arr[rows, cols])
 
 
