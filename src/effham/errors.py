@@ -10,7 +10,7 @@ class SpaceMismatchError(EffhamError):
 
 
 class DimensionCapError(EffhamError):
-    """Requested space exceeds the dense-matrix dimension cap."""
+    """Requested space exceeds the dimension cap."""
 
 
 class LadderRelationError(EffhamError):
