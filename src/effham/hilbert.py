@@ -37,10 +37,14 @@ stack as the constructor stores an array.
 
 ``matrix`` builds the C-ordered dense array on each access and does not
 keep it.  The library's own readers (diagonals, blocks, entries, ``apply``,
-the checks) read the stack; ``norm``, ``inner`` and ``offdiagonal_norm``
-reduce over the transient dense array, so their bits are NumPy's.  An
-operator keeps what it has once found about itself: its nonzero entries,
-its components and its norm.
+the checks) read the stack.  ``norm``, ``offdiagonal_norm`` and ``inner``
+give the bits of NumPy's reductions of the dense array (``np.linalg.norm``
+on one BLAS thread, ``np.sum``): at small dimensions they reduce over a
+transient dense array, and from :data:`_STACK_NORM_DIM` and
+:data:`_STACK_SUM_DIM` up over the stack's nonzero entries in the dense
+reductions' order (:func:`_frobenius`, :func:`_pairwise_sum`), with no
+dim^2 array.  An operator keeps what it has once found about itself: its
+nonzero entries, its components and its norm.
 
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
@@ -59,9 +63,26 @@ import numpy as np
 
 from .errors import DimensionCapError, SpaceMismatchError
 
-#: Hard cap on the total space dimension; ``matrix`` and ``norm`` still
-#: build a transient ``dim x dim`` complex array.
+#: Hard cap on the total space dimension.  Only ``matrix``, a product
+#: where two products meet on one entry, and the reductions at small
+#: dimensions build a ``dim x dim`` array.
 DIMENSION_CAP = 20000
+
+#: From these dimensions up ``norm`` and ``offdiagonal_norm``, and
+#: ``inner``, reduce over the stack; below them over a transient dense
+#: array, which is as fast there (at most 1 and 4 MB; measured on the Dicke
+#: operators, the stack is the faster from dim ~200 and ~550 up).  Both
+#: ways give the same bits.
+_STACK_NORM_DIM = 256
+_STACK_SUM_DIM = 512
+
+#: The entries of an aligned group that :func:`_frobenius` keeps or drops
+#: as a whole: a multiple of the four lanes of BLAS's strided ``ddot``.
+_GROUP = 64
+
+#: The longest run NumPy's pairwise sum of a complex array adds as a leaf:
+#: 128 doubles.
+_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -296,27 +317,25 @@ class OperatorMatrix:
         return _pattern_operator(self.space, _stacked(self.dim, cols, rows, values.conj()))
 
     def norm(self) -> float:
-        """Frobenius norm of the dense array, found once and kept."""
-        if not np.count_nonzero(self._ladder.values):
-            return 0.0
-        return self._kept("norm", lambda: float(np.linalg.norm(self.matrix)))
-
-    def nonzero_norm(self) -> float:
-        """Frobenius norm of the nonzero values in map order, with no dense
-        array.  Its last bits can differ from :meth:`norm`'s, so it serves
-        checks only."""
-        return float(np.linalg.norm(self._ladder.nonzeros()[2]))
+        """Frobenius norm, ``np.linalg.norm(self.matrix)`` bit for bit on one
+        BLAS thread (:func:`_frobenius`), found once and kept."""
+        return self._kept("norm", lambda: _frobenius(self.dim, *self._ladder.nonzeros()))
 
     def diagonal(self) -> np.ndarray:
         own = _own(self.dim)
         return self._at(own, own)
 
-    def offdiagonal_norm(self) -> float:
-        """Frobenius norm of the operator with its diagonal set to zero."""
-        if self._ladder.is_diagonal:
-            return 0.0
-        m = self.matrix
-        return float(np.linalg.norm(m - np.diag(m.diagonal())))
+    def offdiagonal_norm(self, groups: np.ndarray | None = None) -> float:
+        """Frobenius norm of ``m - diag(m.diagonal())``, or, with ``groups``
+        (one integer per basis state), of ``m`` with every entry between two
+        states of one group set to 0, as :meth:`norm` gives it."""
+        rows, cols, v = self._ladder.nonzeros()
+        if groups is None:
+            v = np.where(rows == cols, v - v, v)  # 0, or NaN where v is not finite
+        else:
+            apart = groups[rows] != groups[cols]
+            rows, cols, v = rows[apart], cols[apart], v[apart]
+        return _frobenius(self.dim, rows, cols, v)
 
     def is_diagonal(self, tol: float) -> bool:
         """The off-diagonal entries have at most ``tol`` times the norm of all
@@ -400,10 +419,16 @@ class OperatorMatrix:
         return np.where(hit.any(axis=0), p.values[hit.argmax(axis=0), cols], 0.0)
 
     def inner(self, other: "OperatorMatrix"):
-        """``sum(conj(self) * other)`` over all entries, summed as NumPy sums
-        the dense product."""
+        """``np.sum(self.matrix.conj() * other.matrix)`` bit for bit
+        (:func:`_pairwise_sum`)."""
         self._check(other)
-        return np.sum(_materialise(_combined(_conj_times, self._ladder, other._ladder)))
+        product = _combined(_conj_times, self._ladder, other._ladder)
+        if self.dim < _STACK_SUM_DIM:
+            return np.sum(_materialise(product))
+        rows, cols, values = product.nonzeros()
+        flat = rows * self.dim + cols
+        order = np.argsort(flat)
+        return _pairwise_sum(self.dim ** 2, flat[order], values[order])
 
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
         """Compress to the subspace selected by the boolean ``mask`` (P A P)."""
@@ -456,6 +481,83 @@ def _materialise(p: LadderPattern) -> np.ndarray:
     out = np.zeros((d + 1, d), dtype=complex)
     out[p.rows, _own(d)] = p.values
     return out[:d]
+
+
+def _frobenius(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> float:
+    """``np.linalg.norm`` of the ``d x d`` array with ``values`` at
+    ``(rows, cols)``, no two at one place, and +0 elsewhere, bit for bit,
+    with no dim^2 array from :data:`_STACK_NORM_DIM` up.
+
+    NumPy's norm of a complex array is two strided BLAS ``ddot`` calls,
+    over the real and over the imaginary parts.  On one thread each adds
+    the squares of every aligned group of four entries into fixed lanes,
+    in order, then the last ``n mod 4`` one by one.  A group of zeros adds
+    exact zeros to sums that are never -0, so the norm of the row-major
+    array with every aligned group of :data:`_GROUP` entries that holds no
+    nonzero dropped, and the last ``d^2 mod _GROUP`` entries kept as they
+    are, has the same bits.  On more threads ``ddot`` splits its vector
+    among them by length, so the dense norm's own bits depend on the
+    thread count from ``d^2 > 10^4`` up, and the short vector's may differ.
+    """
+    if not values.any():
+        return 0.0
+    if d < _STACK_NORM_DIM:
+        dense = np.zeros((d, d), dtype=complex)
+        dense[rows, cols] = values
+        return float(np.linalg.norm(dense))
+    n, flat = d * d, rows * d + cols
+    whole = n - n % _GROUP
+    head = flat < whole
+    kept, slot = np.unique(flat[head] // _GROUP, return_inverse=True)
+    short = np.zeros(len(kept) * _GROUP + n - whole, dtype=complex)
+    short[slot * _GROUP + flat[head] % _GROUP] = values[head]
+    short[len(kept) * _GROUP + flat[~head] - whole] = values[~head]
+    return float(np.linalg.norm(short))
+
+
+def _pairwise_sum(n: int, places: np.ndarray, values: np.ndarray) -> complex:
+    """``np.sum`` of the complex vector of length ``n`` holding ``values``
+    at the sorted ``places`` and 0 elsewhere, bit for bit, from the entries
+    alone.
+
+    NumPy sums a run of at most :data:`_LEAF` entries as a leaf: entry
+    ``i`` goes to lane ``i % 4`` in order, the lanes are added as
+    ``(r0 + r1) + (r2 + r3)``, then the last ``length % 4`` entries one by
+    one (every entry, in a leaf of fewer than four).  A longer run is split
+    after ``length // 8 * 4`` entries and the sums of its halves added.
+    The result is ``0 +`` the root's sum.  Adding an exact zero changes no
+    sum but the sign of a zero one, and the result never keeps a -0, so
+    only the leaves that hold an entry are summed and only the nodes above
+    them add.  Each entry walks down the tree to its leaf, keeping the
+    turns it took as the bits of ``path``; two neighbours part at the node
+    given by the highest bit in which their paths differ, and neighbouring
+    sums are added deepest parting node first.
+    """
+    if not len(places):
+        return np.complex128(0)
+    rel, length = places.copy(), np.full(len(places), n)
+    path = np.zeros(len(places), dtype=np.int64)
+    while length.max() > _LEAF:
+        half = np.where(length > _LEAF, length >> 3 << 2, length)  # a leaf stays put
+        right = rel >= half
+        rel -= half * right
+        length = np.where(right, length - half, half)
+        path = path << 1 | right
+    part = np.frexp(path[1:] ^ path[:-1])[1]  # 0 within a leaf
+    new = part > 0
+    leaf = np.concatenate([[0], np.cumsum(new)])
+    lane = rel < np.where(length < 4, 0, length & -4)
+    lanes = np.zeros((leaf[-1] + 1, 4), dtype=complex)
+    np.add.at(lanes, (leaf[lane], rel[lane] & 3), values[lane])  # in order
+    sums = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
+    np.add.at(sums, leaf[~lane], values[~lane])
+    part = part[new]
+    for depth in np.unique(part):  # the deepest parting node first
+        last = part == depth
+        sums[:-1][last] += sums[1:][last]
+        sums = sums[np.concatenate([[True], ~last])]
+        part = part[~last]
+    return 0j + sums[0]
 
 
 def _squares(x: np.ndarray) -> float:
@@ -646,9 +748,19 @@ def spin_operators(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatr
 
 
 def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
-    """``lhs @ rhs - rhs @ lhs`` on a shared space."""
+    """``lhs @ rhs - rhs @ lhs`` on a shared space.  Where products meet on
+    one entry in both orders, BLAS forms both products of the dense arrays
+    and their difference is stored once, as the constructor stores an
+    array."""
     lhs._check(rhs)
-    return lhs @ rhs - rhs @ lhs
+    p, q = lhs._ladder, rhs._ladder
+    pq, qp = _compose(p, q), _compose(q, p)
+    if pq is None and qp is None:
+        a, b = _materialise(p), _materialise(q)
+        return _pattern_operator(lhs.space, _array_stack(a @ b - b @ a))
+    pq = _blas_product(p, q) if pq is None else pq
+    qp = _blas_product(q, p) if qp is None else qp
+    return _pattern_operator(lhs.space, _combined(np.subtract, pq, qp))
 
 
 def unitary_within(defect: float, tol: float, dim: int) -> bool:

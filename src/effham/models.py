@@ -187,7 +187,8 @@ def _validate(model: ModelInstance) -> ModelInstance:
     ``v c[j] - c[i] v`` at each nonzero ``v`` at ``(i, j)``, the entries the
     dense products would form, so the residual reads ``h_int``'s nonzeros.
     Its norm may be at most :data:`~effham.algebra.VERIFICATION_TOL` times
-    the norms of both operators (each at least 1).
+    the norms of both operators, with no floor, so the verdict does not
+    depend on their units.
     """
     h = model.h_int
     if not h.is_hermitian(1e-12) or not model.h_free.is_hermitian(1e-12):
@@ -200,7 +201,7 @@ def _validate(model: ModelInstance) -> ModelInstance:
         c = op.diagonal()
         # an exact 0, the usual case, needs no scale
         resid = float(np.linalg.norm(v * c[cols] - c[rows] * v))
-        if resid and resid > VERIFICATION_TOL * max(1.0, h.norm()) * max(1.0, op.norm()):
+        if resid and resid > VERIFICATION_TOL * h.norm() * op.norm():
             raise ValueError(f"[h_int, {name}] != 0")
     return model
 

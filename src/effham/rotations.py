@@ -380,9 +380,7 @@ def offdiagonal_residual(h: OperatorMatrix, labels=None) -> float:
     if len(lab) != h.dim:
         raise ValueError("labels must cover the basis")
     codes: dict = {}
-    code = np.array([codes.setdefault(a, len(codes)) for a in lab])
-    same = code[:, None] == code[None, :]
-    return float(np.linalg.norm(np.where(same, 0.0, h.matrix))) / total
+    return h.offdiagonal_norm(np.array([codes.setdefault(a, len(codes)) for a in lab])) / total
 
 
 def cancellation_residual(h: OperatorMatrix, u: OperatorMatrix) -> float:
@@ -490,8 +488,8 @@ def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
 def measured_step(h_diag: OperatorMatrix, xplus: OperatorMatrix) -> float:
     """The scalar D with ``[h_diag, X+] = D X+``, measured from the matrices.
 
-    The residual ``||[h_diag, X+] - D X+||``, read from its nonzeros, may be
-    at most 1e-10 of ``||X+|| max|diag(h_diag)|``, the energy scale that
+    The residual ``||[h_diag, X+] - D X+||`` may be at most 1e-10 of
+    ``||X+|| max|diag(h_diag)|``, the energy scale that
     :func:`~effham.models.resonant` uses, so the verdict is unit-free.
     """
     comm = commutator(h_diag, xplus)
@@ -499,7 +497,7 @@ def measured_step(h_diag: OperatorMatrix, xplus: OperatorMatrix) -> float:
     if size == 0:
         raise AnalysisError("cannot measure a detuning step against a zero operator")
     d = float(np.real(xplus.inner(comm)) / size ** 2)
-    resid = (comm - d * xplus).nonzero_norm()
+    resid = (comm - d * xplus).norm()
     if resid > 1e-10 * size * float(np.abs(h_diag.diagonal()).max()):
         raise AnalysisError("diagonal part does not scale X+ by a single step")
     return d

@@ -217,3 +217,21 @@ def test_ladder_relation_is_relative_to_x_plus(wrong):
         eh.build_deformed("right", s3, scaled)
         with pytest.raises(LadderRelationError):
             eh.build_deformed("wrong", x3, scaled)
+
+
+def test_structure_check_is_relative_to_the_structure():
+    # X3 = S3 + 1e-10 (|0><1| + |1><0|) passes the ladder relation (its
+    # residual is 1.5e-11 of ||X+||) but [S, X3] is 9.4e-12 of ||S||, S =
+    # [X+, X-]: refused at every scale 10^k of X+, where a floor at 1 let it
+    # pass once ||S|| < 1
+    space = eh.enumerate_basis([6], eh.EnsembleSpec(2, 2))
+    s3, sp, _ = eh.spin_operators(space)
+    xplus = eh.annihilator(space, 0) @ sp
+    tilt = np.zeros((space.dim, space.dim))
+    tilt[0, 1] = tilt[1, 0] = 1e-10
+    x3 = s3 + eh.OperatorMatrix(space, tilt)
+    for k in range(-14, 15):
+        scaled = 10.0 ** k * xplus
+        eh.build_deformed("right", s3, scaled)
+        with pytest.raises(LadderRelationError, match="does not commute with X3"):
+            eh.build_deformed("wrong", x3, scaled)

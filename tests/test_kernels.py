@@ -16,16 +16,19 @@ columns must reproduce the full dense product.  Sums of stacks must hold
 the dense operation's entries bit for bit, an array made into a stack must
 materialise to itself, and every reader of a stack must agree with the
 dense array.  The Hermiticity and diagonality checks scale by the operator's own
-size, so their verdicts do not depend on the unit.
+size, so their verdicts do not depend on the unit.  Norms and inner
+products read from the stack must have the bits of NumPy's dense
+reductions, and hold no dense array.
 """
 
 import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effham as eh
@@ -868,6 +871,83 @@ def test_pattern_sums_match_dense_bits(dim, maps_a, maps_b, seed):
         assert _bits(got.matrix) == _bits(ref)
 
 
+def _nonfinite_pattern(rng, dim: int) -> hilbert.LadderPattern:
+    """A one-map stack with inf, -inf, NaN or 1 parts in about a tenth of
+    its columns, on a random permutation, and +0 in the others."""
+    hit = rng.random(dim) < 0.1
+    values = np.zeros(dim, dtype=complex)
+    parts = np.array([np.inf, -np.inf, np.nan, 1.0])
+    values.real[hit] = rng.choice(parts, np.count_nonzero(hit))
+    values.imag[hit] = rng.choice(parts, np.count_nonzero(hit))
+    return hilbert.LadderPattern(rng.permutation(dim)[None, :], values[None, :])
+
+
+def _hex(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _reductions(a, b, labels) -> tuple:
+    """The bits of every reduction of ``a`` (and ``b``), read afresh."""
+    a = _fresh(a)
+    return (a.norm().hex(), a.offdiagonal_norm().hex(), _hex(a.inner(b)), _hex(a.inner(a + b)),
+            rotations.offdiagonal_residual(a, labels).hex())
+
+
+#: dims 65-96 give every residue of dim^2 mod hilbert._GROUP (64); dims
+#: 1-3 and 8 hold at most one group, and one leaf of NumPy's pairwise sum
+_REDUCTION_DIMS = [1, 2, 3, 8, *range(65, 97)]
+
+
+@pytest.mark.parametrize("dim", _REDUCTION_DIMS)
+@settings(max_examples=12)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.booleans())
+def test_stack_reductions_are_the_dense_bits(dim, maps_a, maps_b, seed, diagonal, nonfinite):
+    """``norm``, ``offdiagonal_norm``, ``inner`` and the labelled
+    ``offdiagonal_residual`` of stacks of 1-4 maps with signed zeros, a
+    full diagonal or not, and inf and NaN parts or not, have the bits of
+    the dense reductions, read from the stack (both size thresholds at 0)
+    and at the default thresholds.  The inner product with ``a + b`` meets
+    every nonzero of ``a``, so that the order of its sum shows.
+
+    Kept at dim <= 100, where OpenBLAS runs ``ddot`` on one thread.  Above
+    that it splits the vector among its threads, and the dense norm's own
+    bits depend on the thread count: 102 of 200 random stacks of dims
+    105-299 read differently on 1 and 2 threads (OpenBLAS 0.3.31, 2-core
+    x86-64).  The stack's reductions equal the dense ones on one thread.
+    """
+    rng = np.random.default_rng(seed)
+    space = _space(dim)
+    (a, x), (b, y) = _signed_stack(rng, space, maps_a), _signed_stack(rng, space, maps_b)
+    extras = [np.diag(rng.normal(size=dim) + 1j * rng.normal(size=dim))] if diagonal else []
+    if nonfinite:
+        extras.append(hilbert._pattern_operator(space, _nonfinite_pattern(rng, dim)).matrix)
+    for m in extras:
+        a, x = a + eh.OperatorMatrix(space, m), x + m
+    labels = rng.integers(0, 3, size=dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = np.linalg.norm(x)
+        apart = np.linalg.norm(np.where(labels[:, None] == labels[None, :], 0.0, x))
+        expected = (total.hex(), np.linalg.norm(x - np.diag(x.diagonal())).hex(),
+                    _hex(np.sum(x.conj() * y)), _hex(np.sum(x.conj() * (x + y))),
+                    (0.0 if total == 0 else apart / total).hex())
+        with mock.patch.multiple(hilbert, _STACK_NORM_DIM=0, _STACK_SUM_DIM=0):
+            assert _reductions(a, b, labels) == expected
+        assert _reductions(a, b, labels) == expected
+
+
+def test_dicke_closed_form_peaks_below_a_quarter_dense_array():
+    # at dim 600, above hilbert._STACK_SUM_DIM, neither the norms nor the
+    # inner product of measured_step build a dense array
+    model = eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=10.6, g=0.0024,
+                                  atoms=5, n_max=99))
+    assert model.space.dim == 600
+    scenario = eh.EffectiveScenario("dicke-dispersive")
+    peak = _peak_bytes(lambda: eh.closed_form_effective(model, scenario))
+    assert peak < model.space.dim ** 2 * 16 / 4
+
+
 def test_offdiagonal_residual_labels_match_pairwise_loop(dicke_model):
     h, rng = dicke_model.h_int, np.random.default_rng(3)
     for labels in ([lab[0][0] % 3 for lab in dicke_model.space.labels],  # repeating ints
@@ -953,9 +1033,8 @@ CASCADE_340 = eh.ModelSpec(kind="cascade", energies=(0.0, 11.0, 21.7, 30.0), ome
 
 def test_cascade_build_and_generator_hold_no_dense_array():
     # couplings, h_int and the generator are stacks; the one dense array
-    # alive at a time is the transient operand of a norm or inner product,
-    # which keep NumPy's dense bits (measured_step materialises X+ for
-    # ||X+|| and <X+, [h, X+]>)
+    # alive at a time is the transient operand of the inner product
+    # <X+, [h, X+]> of measured_step, below hilbert._STACK_SUM_DIM
     def build_and_generator():
         model = models.build(CASCADE_340)
         return model, rotations.eliminating_generator(model)[0]
@@ -970,10 +1049,8 @@ def test_cascade_build_and_generator_hold_no_dense_array():
 @pytest.mark.parametrize("scenario", ["four-level-three-photon", "cascade-first-stage"])
 def test_closed_form_holds_stacks_no_taller_than_a_block(scenario):
     # the rotation and the conjugated and filtered forms hold as many maps
-    # as the largest block they were formed on, not dim; the memory peak is
-    # the transient dense array of a deviation norm and the copy of its
-    # real part that np.linalg.norm makes (a dense rotation, conjugation
-    # and filter held several arrays at once)
+    # as the largest block they were formed on, not dim (a dense rotation,
+    # conjugation and filter held several arrays at once)
     model = eh.build(CASCADE_340, require_resonance=True)
     forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
     largest = max(len(part) for part in hilbert.components(forms.rotation, model.h_int))

@@ -372,6 +372,21 @@ def test_validate_reads_the_charge_off_h_int(dicke_model):
             models._validate(dataclasses.replace(dicke_model, conserved={"N": n, "H": off}))
 
 
+def test_validate_is_relative_to_both_norms(dicke_model):
+    # an h_int that changes the excitation number by 1e-6 (a + a^dag) is
+    # refused at every scale 10^k of h_int and of N, where a floor at 1 let
+    # it pass once ||h_int|| or ||N|| fell below 1
+    a, n = dicke_model.operators["a"], dicke_model.conserved["N"]
+    broken = dicke_model.h_int + 1e-6 * (a + a.dag())
+    for k in range(-14, 15):
+        scale = 10.0 ** k
+        for h, charge in ((scale * dicke_model.h_int, n), (dicke_model.h_int, scale * n)):
+            assert models._validate(dataclasses.replace(dicke_model, h_int=h, conserved={"N": charge}))
+        for h, charge in ((scale * broken, n), (broken, scale * n)):
+            with pytest.raises(ValueError, match=r"\[h_int, N\]"):
+                models._validate(dataclasses.replace(dicke_model, h_int=h, conserved={"N": charge}))
+
+
 def _levels(n):
     return [f"S{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
 
