@@ -214,7 +214,7 @@ def ladder_from_structure(name: str, phi, y0_values) -> DeformedAlgebra:
         raise ValueError("y0 values must be consecutive with unit spacing")
     base = phi(y0[0])
     top = phi(y0[-1] + 1.0)
-    scale = max(1.0, abs(base), *(abs(phi(v)) for v in y0))
+    scale = max(abs(base), *(abs(phi(v)) for v in y0))
     if abs(top - base) > 1e-9 * scale:
         raise ValueError(
             "structure function does not close the chain: need phi(y_top + 1) = phi(y_0) "

@@ -43,8 +43,6 @@ SCALING_METRICS = ("eigenvalue-error", "infidelity", "offdiag-residual")
 
 def _fmt(x) -> str:
     """Scientific notation with 15 significant digits (deterministic)."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.14e}"
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, SpaceMismatchError
-from .hilbert import OperatorMatrix, components
+from .hilbert import OperatorMatrix, components, size_groups
 
 NORM_TOL = 1e-10
 #: metric values at or below this are taken as roundoff and left out of a scaling fit
@@ -59,7 +59,7 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)
-    if h.ladder.is_diagonal:
+    if h.is_diagonal(0.0):
         # eigh reads only the real part of a Hermitian diagonal
         states = np.exp(-1j * np.outer(t, h.diagonal().real)) * psi
     else:
@@ -183,12 +183,8 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     if leakage > block_tol:
         raise AnalysisError(f"operators leak between blocks (relative norm {leakage:.3e})")
     idx = [np.flatnonzero(m) for m in masks]
-    by_size: dict[int, list[int]] = {}
-    for b, i in enumerate(idx):
-        by_size.setdefault(len(i), []).append(b)
     spectra = {}
-    for members in by_size.values():
-        stack = np.array([idx[b] for b in members])
+    for members, stack in size_groups(idx):
         pairs = zip(np.linalg.eigvalsh(h_exact.block(stack)), np.linalg.eigvalsh(h_eff.block(stack)))
         spectra.update(zip(members, pairs))
     per_block = []

@@ -48,13 +48,18 @@ nonzero entries, its components and its norm.
 
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
-in, which the exponential, the conjugation and the evolution run on.
+in, which the evolution runs on.  :func:`blockwise` is the one writer of
+block stacks: it reads the blocks of its operands, grouped by size, and
+writes a kernel's blocks into one stack.  The exponential, the conjugation
+and the product of rotation stages are one call of it each, so no other
+module reads or writes a stack.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
@@ -149,10 +154,6 @@ class SpaceDescriptor:
         return len(self.labels)
 
     @cached_property
-    def _index(self) -> dict[Label, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
     def _label_array(self) -> np.ndarray:
         """The labels as integers, one row per state: photons, then occupations."""
         return np.array([p + o for p, o in self.labels], dtype=np.int64).reshape(self.dim, -1)
@@ -184,10 +185,10 @@ class SpaceDescriptor:
     def index(self, photons, occupations) -> int:
         """Basis index of the state with the given photon numbers and occupations."""
         key = (tuple(int(n) for n in photons), tuple(int(k) for k in occupations))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"no basis state with label {key}") from None
+        if tuple(map(len, key)) == (len(self.modes), self.ensemble.levels):
+            with suppress(ValueError, OverflowError):
+                return int(self._lookup(np.array([key[0] + key[1]], dtype=np.int64))[0])
+        raise ValueError(f"no basis state with label {key}")
 
     def photons(self, i: int) -> tuple[int, ...]:
         return self.labels[i][0]
@@ -234,11 +235,6 @@ class LadderPattern(NamedTuple):
 
     rows: np.ndarray
     values: np.ndarray
-
-    @property
-    def is_diagonal(self) -> bool:
-        """Every nonzero sits on the diagonal."""
-        return not np.count_nonzero((self.rows != _own(self.rows.shape[1])) & (self.values != 0))
 
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, map by map."""
@@ -430,6 +426,14 @@ class OperatorMatrix:
         order = np.argsort(flat)
         return _pairwise_sum(self.dim ** 2, flat[order], values[order])
 
+    def zeroed(self, rows: np.ndarray, cols: np.ndarray) -> "OperatorMatrix":
+        """The operator with its nonzero entries at ``(rows[k], cols[k])`` set
+        to 0 in the map that holds each, every other entry as it is."""
+        p = self._ladder
+        values = p.values.copy()
+        values[(p.rows[:, cols] == rows).argmax(axis=0), cols] = 0.0
+        return _pattern_operator(self.space, LadderPattern(p.rows, values))
+
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
         """Compress to the subspace selected by the boolean ``mask`` (P A P)."""
         m = np.asarray(mask, dtype=bool)
@@ -620,8 +624,8 @@ def _combined(op, p: LadderPattern, q: LadderPattern) -> LadderPattern:
     stacks ``p`` and ``q``, bit for bit the dense operation's entries.
 
     Where both hold an entry at one place, ``p``'s map holds ``op`` of the
-    two values and ``q``'s entry goes nowhere (map by map, where the two
-    stacks have the same rows).  Every other entry of ``p`` meets +0, every
+    two values and ``q``'s entry goes nowhere (map by map, where two stacks
+    of one map have the same rows).  Every other entry of ``p`` meets +0, every
     other entry of ``q`` meets +0 in ``q``'s map, and off
     both stacks ``op(+0, +0)`` is +0 as in the dense arrays.  A map of ``q``
     left with zeros only is dropped: ``op(+0, 0)`` is +0 for ``+`` and
@@ -635,8 +639,6 @@ def _combined(op, p: LadderPattern, q: LadderPattern) -> LadderPattern:
         met = np.where(same, q.values, 0j)
         hit = same if len(p.rows) == 1 else same.any(axis=0, keepdims=True)
     else:
-        if p.rows.shape == q.rows.shape and np.array_equal(p.rows, q.rows):
-            return LadderPattern(p.rows, op(p.values, q.values))
         same = p.rows[:, None] == q.rows[None]
         met = np.where(same.any(axis=1), q.values[same.argmax(axis=1), _own(p.rows.shape[1])], 0j)
         hit = same.any(axis=0)
@@ -668,14 +670,19 @@ def _column_operator(space: SpaceDescriptor, rows: np.ndarray, values) -> Operat
     return _pattern_operator(space, LadderPattern(rows[None, :], np.asarray(values, dtype=complex)[None, :]))
 
 
+def diagonal_operator(space: SpaceDescriptor, values) -> OperatorMatrix:
+    """The operator with ``values`` on its diagonal and nothing else."""
+    return _column_operator(space, _own(space.dim), values)
+
+
 @_per_space
 def identity(space: SpaceDescriptor) -> OperatorMatrix:
-    return _column_operator(space, _own(space.dim), np.ones(space.dim))
+    return diagonal_operator(space, np.ones(space.dim))
 
 
 @_per_space
 def zero(space: SpaceDescriptor) -> OperatorMatrix:
-    return _column_operator(space, _own(space.dim), np.zeros(space.dim))
+    return diagonal_operator(space, np.zeros(space.dim))
 
 
 @_per_space
@@ -706,7 +713,7 @@ def creator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
 def number_operator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     if not 0 <= mode_index < len(space.modes):
         raise ValueError(f"mode index {mode_index} out of range")
-    return _column_operator(space, _own(space.dim), space._label_array[:, mode_index])
+    return diagonal_operator(space, space._label_array[:, mode_index])
 
 
 @_per_space
@@ -723,7 +730,7 @@ def collective_operator(space: SpaceDescriptor, i: int, j: int) -> OperatorMatri
     labels = space._label_array
     ii, jj = len(space.modes) + i - 1, len(space.modes) + j - 1
     if i == j:
-        return _column_operator(space, _own(space.dim), labels[:, ii])
+        return diagonal_operator(space, labels[:, ii])
     able = labels[:, ii] > 0
     moved = labels[able]
     moved[:, ii] -= 1
@@ -789,7 +796,7 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
 def _components(ops) -> list[np.ndarray]:
     rows, cols = [], []
     for op in ops:
-        r, c, _ = op.ladder.nonzeros()
+        r, c, _ = op._ladder.nonzeros()
         rows.append(r)
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -808,6 +815,42 @@ def _components(ops) -> list[np.ndarray]:
             root, hooked = hooked, hooked[hooked]
     order = np.argsort(root, kind="stable")
     return list(_frozen(*np.split(order, np.flatnonzero(np.diff(root[order])) + 1)))
+
+
+def size_groups(parts) -> list[tuple[list[int], np.ndarray]]:
+    """The index arrays ``parts`` grouped by length, shortest first: for
+    each length, the positions in ``parts`` of the arrays of that length and
+    their ``(count, length)`` stack, for stacked kernels."""
+    by_size: dict[int, list[int]] = {}
+    for k, part in enumerate(parts):
+        by_size.setdefault(len(part), []).append(k)
+    return [(members, np.array([parts[k] for k in members])) for _, members in sorted(by_size.items())]
+
+
+def blockwise(kernel, *ops: OperatorMatrix) -> OperatorMatrix:
+    """The operator that holds ``kernel`` of the blocks of ``ops`` on the
+    joint components of ``ops`` (:func:`components`), and +0 everywhere else.
+
+    The components are grouped by size (:func:`size_groups`).  For each
+    size ``kernel`` gets one ``(count, size, size)`` stack of blocks per
+    operand, in the order of ``ops``, and returns the result's blocks as one
+    such stack.  They are written into a stack of as many maps as the
+    largest block has states, where map ``m`` of column ``idx[c, j]`` holds
+    row ``idx[c, m]`` and value ``blocks[c, m, j]``.  Every entry inside a
+    block is kept, a zero and its sign too, since LAPACK reads that sign;
+    an unused entry is nowhere.  This is the one writer of block stacks.
+    """
+    for op in ops[1:]:
+        ops[0]._check(op)
+    stacks = [idx for _, idx in size_groups(components(*ops))]
+    size = stacks[-1].shape[1]
+    rows = np.full((size, ops[0].dim), -1)
+    values = np.zeros((size, ops[0].dim), dtype=complex)
+    for idx in stacks:
+        s = idx.shape[1]
+        rows[:s, idx] = idx.T[:, :, None]
+        values[:s, idx] = kernel(*(op.block(idx) for op in ops)).transpose(1, 0, 2)
+    return _pattern_operator(ops[0].space, LadderPattern(rows, values))
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -831,11 +874,8 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
     if len(pa.rows) == len(pb.rows) == 1:
         rows, values = pa.rows[0][pb.rows[0]], pa.values[0][pb.rows[0]] * pb.values[0] + 0.0
         return LadderPattern(np.where(values != 0, rows, _own(d))[None, :], values[None, :])
-    if len(pa.rows) == 1:
-        rows, values = pa.rows[0][pb.rows], pa.values[0][pb.rows] * pb.values + 0.0
-    else:
-        rows = pa.rows[:, pb.rows].reshape(-1, d)
-        values = (pa.values[:, pb.rows] * pb.values + 0.0).reshape(-1, d)
+    rows = pa.rows[:, pb.rows].reshape(-1, d)
+    values = (pa.values[:, pb.rows] * pb.values + 0.0).reshape(-1, d)
     full = values != 0
     kept = full.any(axis=1)
     kept[0] |= not kept.any()  # a stack keeps one map at least

@@ -40,10 +40,9 @@ import numpy as np
 
 from .algebra import VERIFICATION_TOL, DeformedAlgebra
 from .errors import AnalysisError, EffhamError, ResonanceError
-from .hilbert import (LadderPattern, OperatorMatrix, SpaceDescriptor, collective_operator,
-                      commutator, components, identity, number_operator,
-                      occupation_sector_mask, photon_safe_mask, unitary_within, zero,
-                      _pattern_operator)
+from .hilbert import (OperatorMatrix, SpaceDescriptor, blockwise, collective_operator,
+                      commutator, diagonal_operator, identity, number_operator,
+                      occupation_sector_mask, photon_safe_mask, unitary_within, zero)
 from .models import ModelInstance, amplitude_guard, dispersive_guards, resonant
 
 _TAYLOR_ORDER = 20
@@ -61,18 +60,18 @@ def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
     pattern of A (:func:`~effham.hilbert.components`), whatever A is, so
     each block is exponentiated on its own: the cost is the sum of the block
     sizes cubed, not dim^3, and every entry outside the blocks is +0 (see
-    :func:`_assemble`).  A block goes through scaling and squaring of the
-    series of ``exp(B) - 1`` (order 20, scaled 1-norm at most 1/2, where the
-    remainder is ~1e-26, far below double-precision roundoff), and 1 is
-    added once at the end.  The entries of ``U - 1`` of a small rotation
-    thereby keep their relative precision, and rotations are unitary to
-    machine precision.  Non-finite entries raise.
+    :func:`~effham.hilbert.blockwise`).  A block goes through scaling and
+    squaring of the series of ``exp(B) - 1`` (order 20, scaled 1-norm at
+    most 1/2, where the remainder is ~1e-26, far below double-precision
+    roundoff), and 1 is added once at the end.  The entries of ``U - 1`` of
+    a small rotation thereby keep their relative precision, and rotations
+    are unitary to machine precision.  Non-finite entries raise.
     """
-    stacks = _block_stacks(op)
-    blocks = [op.block(idx) for idx in stacks]
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise ValueError("matrix exponential of a non-finite matrix")
-    return _assemble(op, stacks, (_expm1(b) + np.eye(b.shape[-1]) for b in blocks))
+    def kernel(b):
+        if not np.isfinite(b).all():
+            raise ValueError("matrix exponential of a non-finite matrix")
+        return _expm1(b) + np.eye(b.shape[-1])
+    return blockwise(kernel, op)
 
 
 def _expm1(b: np.ndarray) -> np.ndarray:
@@ -94,37 +93,6 @@ def _expm1(b: np.ndarray) -> np.ndarray:
 
 def _adjoint(b: np.ndarray) -> np.ndarray:
     return b.conj().swapaxes(-1, -2)
-
-
-def _stacked_norm(parts) -> float:
-    """Frobenius norm of the whole operator whose nonzero blocks are ``parts``."""
-    return math.hypot(*(float(np.linalg.norm(p)) for p in parts))
-
-
-def _block_stacks(*ops: OperatorMatrix) -> list[np.ndarray]:
-    """The components of the joint nonzero pattern of ``ops``, grouped by
-    size: one ``(count, size)`` index array per size, for stacked kernels."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for part in components(*ops):
-        by_size.setdefault(len(part), []).append(part)
-    return [np.array(parts) for _, parts in sorted(by_size.items())]
-
-
-def _assemble(op: OperatorMatrix, stacks, values) -> OperatorMatrix:
-    """The operator on ``op``'s space holding each stack of ``values`` on
-    the blocks of the matching index stack, and +0 everywhere else: a stack
-    of as many maps as the largest block has states, where map ``m`` of
-    column ``idx[c, j]`` holds row ``idx[c, m]`` and value
-    ``value[c, m, j]``.  Every entry inside a block is kept, a zero and its
-    sign too, since LAPACK reads that sign; an unused entry is nowhere."""
-    size = stacks[-1].shape[1]  # the stacks come sorted by block size
-    rows = np.full((size, op.dim), -1)
-    entries = np.zeros((size, op.dim), dtype=complex)
-    for idx, value in zip(stacks, values):
-        s = idx.shape[1]
-        rows[:s, idx] = idx.T[:, :, None]
-        entries[:s, idx] = value.transpose(1, 0, 2)
-    return _pattern_operator(op.space, LadderPattern(rows, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +130,15 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
     ``||U^dag U - 1||`` is the root of the sum of the squared defects of the
     blocks, every state (an isolated one too) lying in one block.
     """
-    h._check(u)
-    stacks = _block_stacks(u, h)
-    blocks = [u.block(idx) for idx in stacks]
-    defect = _stacked_norm(_adjoint(b) @ b - np.eye(b.shape[-1]) for b in blocks)
-    if not unitary_within(defect, VERIFICATION_TOL, u.dim):
+    defects = []
+
+    def kernel(hb, b):
+        defects.append(float(np.linalg.norm(_adjoint(b) @ b - np.eye(b.shape[-1]))))
+        return b @ hb @ _adjoint(b)
+    out = blockwise(kernel, h, u)
+    if not unitary_within(math.hypot(*defects), VERIFICATION_TOL, u.dim):
         raise ValueError("conjugation requires a unitary matrix")
-    return _assemble(h, stacks, (b @ h.block(idx) @ _adjoint(b) for idx, b in zip(stacks, blocks)))
+    return out
 
 
 def _stage_product(stages) -> OperatorMatrix:
@@ -176,9 +146,7 @@ def _stage_product(stages) -> OperatorMatrix:
     block by block on the components of the stages' joint nonzero pattern."""
     if len(stages) == 1:
         return stages[0]
-    stacks = _block_stacks(*stages)
-    return _assemble(stages[0], stacks, (reduce(np.matmul, [u.block(idx) for u in reversed(stages)])
-                                         for idx in stacks))
+    return blockwise(lambda *blocks: reduce(np.matmul, reversed(blocks)), *stages)
 
 
 def conjugate_stages(h: OperatorMatrix, stages) -> OperatorMatrix:
@@ -416,9 +384,8 @@ def corrected_eigenstate(generator: OperatorMatrix, m: int, order="exact") -> np
         raise ValueError("order must be 'exact' or a non-negative integer")
     out = vec.copy()
     term = vec.copy()
-    gmat = generator.matrix
     for k in range(1, n + 1):
-        term = (-gmat @ term) / k
+        term = -generator.apply(term) / k
         out = out + term
     return out
 
@@ -460,11 +427,7 @@ def _keep_signatures(h: OperatorMatrix, groups, keep) -> OperatorMatrix:
     rows, cols, group, signatures = groups
     kept = np.array([bool(keep(dph, docc)) for dph, docc in signatures], dtype=bool)
     drop = ~kept[group]
-    rows, cols = rows[drop], cols[drop]
-    p = h.ladder
-    values = p.values.copy()
-    values[(p.rows[:, cols] == rows).argmax(axis=0), cols] = 0.0  # the map holding each
-    return _pattern_operator(h.space, LadderPattern(p.rows, values))
+    return h.zeroed(rows[drop], cols[drop])
 
 
 def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
@@ -597,9 +560,7 @@ def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
     u = matrix_exponential(gen)
     transformed = conjugate(model.h_int, u)
 
-    diag = _pattern_operator(model.space, LadderPattern(np.arange(transformed.dim)[None, :],
-                                                        transformed.diagonal()[None, :]))
-    h_d = diag - model.h_diag
+    h_d = diagonal_operator(model.space, transformed.diagonal()) - model.h_diag
     groups = _signature_groups(transformed)
     h_nd = _keep_signatures(transformed, groups, lambda dph, docc: sum(dph) == 0 and any(docc))
     multi = {k: _keep_signatures(transformed, groups,

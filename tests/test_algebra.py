@@ -198,6 +198,18 @@ def test_ladder_from_structure_rejects_open_chain():
         eh.ladder_from_structure("bad", dipping, np.arange(0.0, 4.0))
 
 
+def test_chain_closure_is_relative_to_the_structure_function():
+    # phi(y) = c (2y(4-y) + 7) closes the chain 0..3; a tilt of 1e-4 c y
+    # leaves phi(4) - phi(0) = 4e-4 c, refused at every scale 10^k, where a
+    # floor at 1 let it pass once c < 1e-5
+    y0 = np.arange(0.0, 4.0)
+    for k in range(-14, 15):
+        c = 10.0 ** k
+        eh.ladder_from_structure("closed", lambda y: c * (2 * y * (4 - y) + 7), y0)
+        with pytest.raises(ValueError, match="does not close the chain"):
+            eh.ladder_from_structure("open", lambda y: c * (2 * y * (4 - y) + 7) + c * 1e-4 * y, y0)
+
+
 #: wrong X3 for X+ = a S+ (whose X3 is S3), as multiples of the residual
 #: [X3, X+] - X+ they leave: S3 + c n leaves -c X+, 2 S3 leaves X+
 _WRONG_X3 = {"S3 + n": 1.0, "S3 - 0.5 n": -0.5, "S3 + 1e-6 n": 1e-6, "2 S3": None}

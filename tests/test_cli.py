@@ -107,6 +107,31 @@ path = r.csv
         assert header.split(",")[0] == "time"
         assert "infidelity" in header
 
+    def test_evolve_from_occupations_on_listed_times(self, tmp_path):
+        # initial_occupations names the same state as initial_level, and an
+        # explicit times list gives one row per listed time
+        text = ("[model]\nkind = dicke\natoms = 2\nn_max = 4\nomega_field = 10.0\n"
+                "omega0 = 11.0\ng = 0.04\n[analysis]\nkind = evolve\ntimes = 0, 0.5, 2.5\n"
+                "initial_photons = 1\n")
+        reports = {}
+        for name, state in (("level", "initial_level = 1"), ("occupations", "initial_occupations = 2, 0"),
+                            ("mixed", "initial_occupations = 1, 1")):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_text(text + state + "\n")
+            assert _run(["run", cfg, "--output", out]) == 0
+            reports[name] = out.read_bytes()
+        assert reports["occupations"] == reports["level"] != reports["mixed"]
+        rows = [l for l in reports["mixed"].decode().splitlines() if l[:1].isdigit()]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.5, 2.5]
+
+    def test_initial_occupations_off_the_basis_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[model]\nkind = dicke\natoms = 2\nn_max = 4\nomega_field = 10.0\n"
+                       "omega0 = 11.0\ng = 0.04\n[analysis]\nkind = evolve\n"
+                       "initial_occupations = 3, 0\n")
+        assert _run(["run", cfg, "--output", tmp_path / "r.csv"]) == 2
+        assert "no basis state with label ((0,), (3, 0))" in capsys.readouterr().err
+
     def test_algebra_check_run(self, tmp_path):
         cfg = tmp_path / "alg.cfg"
         cfg.write_text("""

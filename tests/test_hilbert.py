@@ -1,9 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import effham as eh
+from effham import rotations
 from effham.errors import DimensionCapError, SpaceMismatchError
 
 
@@ -36,6 +39,23 @@ def test_basis_roundtrip_is_bijection():
         assert space.index(photons, occ) == i
         seen.add((photons, occ))
     assert len(seen) == space.dim
+
+
+@pytest.mark.parametrize("photons, occupations", [
+    ((3, 0), (2, 0, 0)),  # photons above the cutoff of the first mode
+    ((-1, 0), (2, 0, 0)),
+    ((2 ** 70, 0), (2, 0, 0)),
+    ((0, 0), (1, 0, 0)),  # occupations that do not sum to the atom count
+    ((0, 0), (3, -1, 0)),
+    ((0,), (2, 0, 0)),  # one photon number short
+    ((0, 0, 0), (2, 0)),  # the right count of numbers, split at the wrong place
+    ((0, 0), (2, 0, 0, 0)),
+])
+def test_index_of_a_label_off_the_basis_names_it(photons, occupations):
+    space = eh.enumerate_basis([2, 3], eh.EnsembleSpec(3, 2))
+    label = re.escape(str((photons, occupations)))
+    with pytest.raises(ValueError, match=f"no basis state with label {label}"):
+        space.index(photons, occupations)
 
 
 def test_basis_order_modes_slowest():
@@ -161,7 +181,7 @@ def test_operator_matrix_copies_its_input():
     arr[0, 1] = 5.0
     assert arr.flags.writeable
     assert np.array_equal(op.matrix, np.eye(space.dim))
-    assert op.ladder.is_diagonal
+    assert op.is_diagonal(0.0)
 
 
 def test_commutator_with_self_vanishes(rng):
@@ -238,3 +258,14 @@ def test_constructor_rejects_label_outside_the_basis():
                                labels=(((0,), (1, 0)), ((2,), (1, 0))))
     with pytest.raises(ValueError):
         eh.annihilator(space, 0)
+
+
+def test_only_hilbert_knows_the_stack():
+    # every other module reads and writes operators through OperatorMatrix
+    # and hilbert's functions, so the stack layout can change in one place
+    package = Path(eh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "hilbert.py":
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"LadderPattern|_pattern_operator|\.ladder\b", text), path.name
+    assert not any(hasattr(rotations, name) for name in ("_block_stacks", "_assemble", "_stacked_norm"))

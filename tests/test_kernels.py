@@ -211,6 +211,17 @@ def _bits(m: np.ndarray) -> bytes:
     return np.ascontiguousarray(m).tobytes()
 
 
+@pytest.mark.parametrize("scalar", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0)])
+def test_nonfinite_scalar_product_is_the_dense_product(scalar):
+    # a non-finite factor meets every +0 off the stack, as in the dense array
+    rng = np.random.default_rng(7)
+    space = _space(9)
+    for op in (eh.OperatorMatrix(space, _dense(rng, 9, 0.3)), eh.annihilator(space)):
+        with np.errstate(invalid="ignore"):
+            ref = _bits(op.matrix * scalar)
+            assert _bits((op * scalar).matrix) == ref and _bits((scalar * op).matrix) == ref
+
+
 def _off_pattern(*ops) -> np.ndarray:
     """The entries off the stacks of every one of ``ops``."""
     off = np.ones((ops[0].dim, ops[0].dim), dtype=bool)
@@ -589,7 +600,7 @@ def _assembled(op, ops, form) -> np.ndarray:
     ``ops`` on each stack of components of their joint pattern, written
     into an array of +0."""
     out = np.zeros((op.dim, op.dim), dtype=complex)
-    for idx in rotations._block_stacks(*ops):
+    for _, idx in hilbert.size_groups(hilbert.components(*ops)):
         out[idx[:, :, None], idx[:, None, :]] = form(np.array([o.block(idx) for o in ops]))
     return out
 

@@ -351,7 +351,7 @@ def test_smallest_cutoff_cases_cover_every_kind():
 def test_conserved_operators_are_diagonal_patterns(name):
     model = eh.build(eh.ModelSpec(kind=name.split(",")[0], **_SMALLEST[name]))
     for op in model.conserved.values():
-        assert len(op.ladder.rows) == 1 and op.ladder.is_diagonal
+        assert len(op.ladder.rows) == 1 and op.is_diagonal(0.0)
 
 
 def test_validate_reads_the_charge_off_h_int(dicke_model):

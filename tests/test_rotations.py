@@ -421,6 +421,30 @@ class TestCascadeFirstStage:
         with pytest.raises(EffhamError):
             eh.cascade_first_stage(dicke_model)
 
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_printed_form_on_su_n_chains(self, levels):
+        # the paper's su(N) chain: away from four levels the printed
+        # dipole-dipole part lists every pair of steps, with no note
+        wf = 10.0
+        energies = (0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf + 0.4, 4 * wf + 2.3)[:levels]
+        spec = eh.ModelSpec(kind="cascade", energies=energies, omega_field=wf,
+                            couplings=(0.01,) * (levels - 1), atoms=2, n_max=8)
+        m = eh.build(spec)
+        forms = eh.closed_form_effective(m, eh.EffectiveScenario("cascade-first-stage"))
+        assert forms.notes == ()
+        assert forms.deviation_relative <= 5e-6
+        report = eh.compare_spectra(m.h_int, forms.corrected, eh.block_masks(m, skip_truncated=True))
+        assert report.max_error <= 1e-8
+        # without the pairs the printed form is more than ten times further off
+        eps = eh.coupling_table(spec.couplings, [m.detunings[str(j)] for j in range(1, levels + 1)]).eps
+        pairs = eh.zero(m.space)
+        for i in range(1, levels):
+            for j in range(i + 1, levels):
+                cross = eh.collective_operator(m.space, i, i + 1) @ eh.collective_operator(m.space, j + 1, j)
+                pairs = pairs + 0.005 * (eps[i - 1] + eps[j - 1]) * (cross + cross.dag())
+        safe = eh.photon_safe_mask(m.space, 1)
+        assert (forms.printed - pairs - forms.corrected).project(safe).norm() > 10 * forms.deviation_norm
+
 
 class TestTwoModeScenario:
     def _model(self):

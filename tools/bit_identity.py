@@ -9,11 +9,12 @@ task ``workloads.all_variants`` yields at full size for each workload, once,
 with one BLAS thread, and writes the results with floats as hex strings, so
 equal records mean bit-identical results.  It also runs ``effham run`` on
 each ``configs/*.cfg`` with csv and with json reports and records their
-sha256.  Reports and configs go to a temporary directory; nothing under the
-checkout is written.
+sha256, and the sha256 of what ``effham list-scenarios`` prints.  Reports
+and configs go to a temporary directory; nothing under the checkout is
+written.
 
-``diff`` prints every task or report that differs between two records and
-exits 1 if any does, 0 if the records agree.
+``diff`` prints every task, report or listing that differs between two
+records and exits 1 if any does, 0 if the records agree.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def record(checkout: Path, out: Path) -> int:
     import workloads as wl
     from effham import cli
 
-    doc = {"checkout": str(checkout), "tasks": {}, "reports": {}}
+    doc = {"checkout": str(checkout), "tasks": {}, "reports": {}, "listings": {}}
     workdir = Path(tempfile.mkdtemp(prefix="bit-identity-"))
     try:
         for workload in wl.WORKLOADS:
@@ -61,6 +62,10 @@ def record(checkout: Path, out: Path) -> int:
                 digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.is_file() else None
                 doc["reports"][f"{cfg.name}:{fmt}"] = {"exit_code": code, "sha256": digest}
         print(f"configs: {len(doc['reports'])} reports", flush=True)
+        with contextlib.redirect_stdout(io.StringIO()) as listing:
+            code = cli.main(["list-scenarios"])
+        digest = hashlib.sha256(listing.getvalue().encode("utf-8")).hexdigest()
+        doc["listings"]["list-scenarios"] = {"exit_code": code, "sha256": digest}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -71,13 +76,14 @@ def diff(before: Path, after: Path) -> int:
     a = json.loads(before.read_text(encoding="utf-8"))
     b = json.loads(after.read_text(encoding="utf-8"))
     differing = 0
-    for section in ("tasks", "reports"):
-        for key in sorted(set(a[section]) | set(b[section])):
-            x, y = a[section].get(key), b[section].get(key)
+    for section in ("tasks", "reports", "listings"):
+        x_section, y_section = a.get(section, {}), b.get(section, {})
+        for key in sorted(set(x_section) | set(y_section)):
+            x, y = x_section.get(key), y_section.get(key)
             if x != y:
                 differing += 1
                 print(f"{section} {key}:\n  before {x}\n  after  {y}")
-        print(f"{section}: {len(b[section])} compared")
+        print(f"{section}: {len(y_section)} compared")
     print("identical" if not differing else f"{differing} differ")
     return 1 if differing else 0
 
