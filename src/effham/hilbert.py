@@ -335,10 +335,11 @@ class OperatorMatrix:
 
     def is_diagonal(self, tol: float) -> bool:
         """The off-diagonal entries have at most ``tol`` times the norm of all
-        entries, read from the nonzeros; a NaN entry fails."""
+        entries, read from the nonzeros; a NaN entry fails.  At ``tol`` 0 any
+        off-diagonal nonzero fails, also one whose square underflows."""
         rows, cols, v = self.entries()
         off = v[rows != cols]
-        return not off.size or np.linalg.norm(off) <= tol * np.linalg.norm(v)
+        return not off.size or (tol > 0 and np.linalg.norm(off) <= tol * np.linalg.norm(v))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """``||m - m^dag|| <= tol * ||m||`` (Frobenius), read from the nonzero

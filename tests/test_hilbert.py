@@ -184,6 +184,16 @@ def test_operator_matrix_copies_its_input():
     assert op.is_diagonal(0.0)
 
 
+def test_tiny_offdiagonal_is_not_exactly_diagonal():
+    # the squares of 1e-170 underflow, so only the count of off-diagonal
+    # nonzeros can tell that the operator is not diagonal at tol 0
+    space = eh.enumerate_basis([1], eh.EnsembleSpec(2, 1))
+    m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    m[0, 1] = m[1, 0] = 1e-170
+    op = eh.OperatorMatrix(space, m)
+    assert not op.is_diagonal(0.0) and op.is_diagonal(1e-12)
+
+
 def test_commutator_with_self_vanishes(rng):
     space = eh.enumerate_basis([2], eh.EnsembleSpec(2, 1))
     mat = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
