@@ -31,9 +31,9 @@ stay +0 where the dense product has -0 for a negative factor; a non-finite
 factor multiplies the dense array.  ``@`` and :func:`commutator` keep every
 entry of the product that is a single product, formed by NumPy in the
 operand order with every zero +0; for real values it equals BLAS's.  Where
-two products land on one entry, the product is BLAS's product of the dense
-arrays, as the order of its fused multiply-adds sets its bits, stored as a
-stack as the constructor stores an array.
+two products land on one entry, the product is formed block by block on
+the joint components of the factors (:func:`blockwise`), where it is block
+diagonal, with +0 off the blocks, so no product builds a dim^2 array.
 
 ``matrix`` builds the C-ordered dense array on each access and does not
 keep it.  The library's own readers (diagonals, blocks, entries, ``apply``,
@@ -49,10 +49,11 @@ nonzero entries, its components and its norm.
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
 in, which the evolution runs on.  :func:`blockwise` is the one writer of
-block stacks: it reads the blocks of its operands, grouped by size, and
-writes a kernel's blocks into one stack.  The exponential, the conjugation
-and the product of rotation stages are one call of it each, so no other
-module reads or writes a stack.
+block stacks: it gathers the blocks of each operand, grouped by size, in
+one pass over the operand's stack and writes a kernel's blocks into one
+stack.  The exponential, the conjugation, the product of rotation stages,
+the unitarity check and every product whose terms collide are one call of
+it each, so no other module reads or writes a stack.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ import numpy as np
 
 from .errors import DimensionCapError, SpaceMismatchError
 
-#: Hard cap on the total space dimension.  Only ``matrix``, a product
-#: where two products meet on one entry, and the reductions at small
-#: dimensions build a ``dim x dim`` array.
+#: Hard cap on the total space dimension.  Only ``matrix`` and the
+#: reductions at small dimensions build a ``dim x dim`` array.
 DIMENSION_CAP = 20000
 
 #: From these dimensions up ``norm`` and ``offdiagonal_norm``, and
@@ -336,26 +336,37 @@ class OperatorMatrix:
     def is_diagonal(self, tol: float) -> bool:
         """The off-diagonal entries have at most ``tol`` times the norm of all
         entries, read from the nonzeros; a NaN entry fails.  At ``tol`` 0 any
-        off-diagonal nonzero fails, also one whose square underflows."""
+        off-diagonal nonzero fails, also one whose square underflows.  Both
+        norms are taken of the entries scaled by :func:`_unit_exponent`, so
+        no square underflows or overflows."""
         rows, cols, v = self.entries()
         off = v[rows != cols]
-        return not off.size or (tol > 0 and np.linalg.norm(off) <= tol * np.linalg.norm(v))
+        if not off.size:
+            return True
+        e = _unit_exponent(v)
+        return tol > 0 and np.linalg.norm(_scaled(off, e)) <= tol * np.linalg.norm(_scaled(v, e))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """``||m - m^dag|| <= tol * ||m||`` (Frobenius), read from the nonzero
-        entries only; a NaN entry, or an inf that meets its mirror entry,
-        fails."""
+        entries only, scaled as :meth:`is_diagonal` scales them; a NaN
+        entry, or an inf that meets its mirror entry, fails."""
         # each nonzero v at (r, c) leaves v - conj(back) there, back the
         # entry at (c, r); where back is 0 it also leaves -conj(v) at (c, r)
         rows, cols, v = self.entries()
-        back = self._at(cols, rows)
+        e = _unit_exponent(v)
+        v, back = _scaled(v, e), _scaled(self._at(cols, rows), e)
         diff, lone = v - back.conj(), np.where(back == 0, v, 0.0)
         defect2 = _squares(diff) + _squares(lone)
         return math.sqrt(defect2) <= tol * math.sqrt(_squares(v))
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
-        m = self.matrix
-        return unitary_within(float(np.linalg.norm(m.conj().T @ m - np.eye(self.dim))), tol, self.dim)
+        """``||m^dag m - 1||`` (Frobenius) passes :func:`unitary_within` at
+        ``tol``; the defect is summed block by block on the components of
+        ``m``, where ``m^dag m`` is block diagonal, as
+        :func:`~effham.rotations.conjugate` sums it."""
+        defects = []
+        blockwise(lambda b: defects.append(unitarity_defect(b)) or b, self)
+        return unitary_within(math.hypot(*defects), tol, self.dim)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """``matrix @ vec`` for a state or a ``(dim, k)`` stack of states as
@@ -464,8 +475,14 @@ class OperatorMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """The product: :func:`_compose` of the stacks where every entry is a
+        single product, else NumPy's products of the blocks on the joint
+        components of the factors (:func:`blockwise`)."""
         self._check(other)
-        return _pattern_operator(self.space, _product(self._ladder, other._ladder))
+        composed = _compose(self._ladder, other._ladder)
+        if composed is None:
+            return blockwise(np.matmul, self, other)
+        return _pattern_operator(self.space, composed)
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
@@ -571,6 +588,23 @@ def _squares(x: np.ndarray) -> float:
     conjugate has a NaN part."""
     parts = x.view(np.float64)
     return float(np.dot(parts, parts))
+
+
+def _unit_exponent(v: np.ndarray) -> int:
+    """The exponent ``e`` of the largest real or imaginary part of ``v``,
+    which lies in ``[2^(e-1), 2^e)``; 0 where that part is 0 or not finite.
+    Scaled by ``2^-e`` (:func:`_scaled`), the squares of the parts sum to at
+    most the part count and lose to underflow only parts below 2^-511 of
+    the largest.  A power of two scales exactly, so a ratio of norms, and
+    the verdict of a check on it, keeps its bits wherever the entries and
+    their squares are normal numbers."""
+    top = float(np.abs(np.ascontiguousarray(v).view(np.float64)).max(initial=0.0))
+    return math.frexp(top)[1] if math.isfinite(top) else 0
+
+
+def _scaled(v: np.ndarray, e: int) -> np.ndarray:
+    """The complex ``v`` times ``2^-e``, part by part."""
+    return np.ldexp(np.ascontiguousarray(v).view(np.float64), -e).view(complex)
 
 
 def _array_stack(arr: np.ndarray) -> LadderPattern:
@@ -757,17 +791,14 @@ def spin_operators(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatr
 
 def commutator(lhs: OperatorMatrix, rhs: OperatorMatrix) -> OperatorMatrix:
     """``lhs @ rhs - rhs @ lhs`` on a shared space.  Where products meet on
-    one entry in both orders, BLAS forms both products of the dense arrays
-    and their difference is stored once, as the constructor stores an
-    array."""
+    one entry in either order, both products and their difference are
+    formed block by block on the joint components of the factors
+    (:func:`blockwise`), with +0 off the blocks."""
     lhs._check(rhs)
     p, q = lhs._ladder, rhs._ladder
     pq, qp = _compose(p, q), _compose(q, p)
-    if pq is None and qp is None:
-        a, b = _materialise(p), _materialise(q)
-        return _pattern_operator(lhs.space, _array_stack(a @ b - b @ a))
-    pq = _blas_product(p, q) if pq is None else pq
-    qp = _blas_product(q, p) if qp is None else qp
+    if pq is None or qp is None:
+        return blockwise(lambda a, b: a @ b - b @ a, lhs, rhs)
     return _pattern_operator(lhs.space, _combined(np.subtract, pq, qp))
 
 
@@ -775,6 +806,12 @@ def unitary_within(defect: float, tol: float, dim: int) -> bool:
     """Whether a unitarity defect ``||U^dag U - 1||`` (Frobenius) passes at
     ``tol``, scaled by ``max(1, sqrt(dim))``; a NaN defect never passes."""
     return defect <= tol * max(1.0, math.sqrt(dim))
+
+
+def unitarity_defect(blocks: np.ndarray) -> float:
+    """``||B^dag B - 1||`` (Frobenius) over a ``(count, size, size)`` stack
+    of blocks ``B``."""
+    return float(np.linalg.norm(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(blocks.shape[-1])))
 
 
 def components(*ops: OperatorMatrix) -> list[np.ndarray]:
@@ -835,23 +872,58 @@ def blockwise(kernel, *ops: OperatorMatrix) -> OperatorMatrix:
     The components are grouped by size (:func:`size_groups`).  For each
     size ``kernel`` gets one ``(count, size, size)`` stack of blocks per
     operand, in the order of ``ops``, and returns the result's blocks as one
-    such stack.  They are written into a stack of as many maps as the
-    largest block has states, where map ``m`` of column ``idx[c, j]`` holds
-    row ``idx[c, m]`` and value ``blocks[c, m, j]``.  Every entry inside a
-    block is kept, a zero and its sign too, since LAPACK reads that sign;
-    an unused entry is nowhere.  This is the one writer of block stacks.
+    such stack.  The blocks of an operand are those :meth:`OperatorMatrix.block`
+    gives, gathered for every size in one pass over its stack
+    (:func:`_gathered`).  The result's blocks are written into a stack of
+    as many maps as the largest block has states, where map ``m`` of column
+    ``idx[c, j]`` holds row ``idx[c, m]`` and value ``blocks[c, m, j]``.
+    Every entry inside a block is kept, a zero and its sign too, since
+    LAPACK reads that sign; an unused entry is nowhere.  This is the one
+    writer of block stacks.
     """
     for op in ops[1:]:
         ops[0]._check(op)
     stacks = [idx for _, idx in size_groups(components(*ops))]
+    gathered = [_gathered(op._ladder, stacks) for op in ops]
     size = stacks[-1].shape[1]
     rows = np.full((size, ops[0].dim), -1)
     values = np.zeros((size, ops[0].dim), dtype=complex)
-    for idx in stacks:
+    for g, idx in enumerate(stacks):
         s = idx.shape[1]
         rows[:s, idx] = idx.T[:, :, None]
-        values[:s, idx] = kernel(*(op.block(idx) for op in ops)).transpose(1, 0, 2)
+        values[:s, idx] = kernel(*(blocks[g] for blocks in gathered)).transpose(1, 0, 2)
     return _pattern_operator(ops[0].space, LadderPattern(rows, values))
+
+
+def _gathered(p: LadderPattern, stacks) -> list[np.ndarray]:
+    """The ``(count, size, size)`` block stack of the stack ``p`` on each of
+    the ``(count, size)`` index stacks ``stacks``, which cover every state
+    once: ``block(idx)`` of each, bit for bit, from one pass over ``p``.
+
+    Each entry of ``p`` whose row lies in its column's block goes to its
+    place in that block, a stored zero with its sign too, and every other
+    place of a block is +0.  The blocks of all sizes lie one after another
+    in one array; an unused entry's row -1 reads the extra last state,
+    which lies in no block."""
+    d = p.rows.shape[1]
+    block = np.full(d + 1, -1)  # the block of each state, counted over all sizes
+    start = np.empty(d, dtype=np.intp)  # where its block starts in the array
+    pos = np.empty(d + 1, dtype=np.intp)  # its place in its block
+    width = np.empty(d, dtype=np.intp)  # its block's size
+    blocks = offset = 0
+    for idx in stacks:
+        count, s = idx.shape
+        block[idx] = np.arange(blocks, blocks + count)[:, None]
+        start[idx] = (offset + s * s * np.arange(count))[:, None]
+        pos[idx] = np.arange(s)
+        width[idx] = s
+        blocks, offset = blocks + count, offset + count * s * s
+    inside = block[p.rows] == block[:d]
+    flat = start + pos[p.rows] * width + pos[:d]
+    out = np.zeros(offset, dtype=complex)
+    out[flat[inside]] = p.values[inside]
+    ends = np.cumsum([idx.size * idx.shape[1] for idx in stacks])
+    return [part.reshape(idx.shape + idx.shape[1:]) for part, idx in zip(np.split(out, ends[:-1]), stacks)]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -870,7 +942,11 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
     stands for nothing: it points at the diagonal in a stack of one map, as
     the constructors' zero columns do, else nowhere, so that only nonzero
     products can meet, and a map of zero products only is dropped.  Each
-    value is ``A``'s entry times ``B``'s, with every zero +0."""
+    value is ``A``'s entry times ``B``'s, formed by NumPy; the skipped terms
+    of the dense product are exact zeros, so for real values every entry
+    equals that of BLAS's product.  Adding 0 makes every zero +0, also the
+    -0 of a negative value times 0, because LAPACK reads the sign of a
+    zero."""
     d = pa.rows.shape[1]
     if len(pa.rows) == len(pb.rows) == 1:
         rows, values = pa.rows[0][pb.rows[0]], pa.values[0][pb.rows[0]] * pb.values[0] + 0.0
@@ -888,27 +964,6 @@ def _compose(pa: LadderPattern, pb: LadderPattern) -> LadderPattern | None:
         if (marked[1:] == marked[:-1]).any():
             return None
     return LadderPattern(rows, values)
-
-
-def _product(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
-    """The stack of ``A @ B`` for the stacks ``pa`` and ``pb``.
-
-    Where every entry of the product is a single product, :func:`_compose`
-    forms it by NumPy in the operand order; the skipped terms of the dense
-    product are exact zeros, so for real values every entry equals that of
-    BLAS's product.  Adding 0 turns the -0 of a negative value times 0 into
-    +0, the zero BLAS gives at most sizes (some of its edge kernels give
-    -0), because LAPACK reads the sign of a zero.  Where two nonzero
-    products land on one entry, the product is :func:`_blas_product`.
-    """
-    composed = _compose(pa, pb)
-    return composed if composed is not None else _blas_product(pa, pb)
-
-
-def _blas_product(pa: LadderPattern, pb: LadderPattern) -> LadderPattern:
-    """BLAS's product of the dense arrays of ``pa`` and ``pb``, whose order
-    of fused multiply-adds sets the bits of a sum, as a stack."""
-    return _array_stack(_materialise(pa) @ _materialise(pb))
 
 
 def photon_safe_mask(space: SpaceDescriptor, margin: int = 1) -> np.ndarray:

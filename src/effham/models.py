@@ -167,6 +167,9 @@ class ModelInstance:
     conserved: dict[str, OperatorMatrix]
     detunings: dict[str, float]
     operators: dict[str, OperatorMatrix] = field(default_factory=dict)
+    #: what the rotations find once per model (the elimination generators),
+    #: fresh for every instance, a replaced one included
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def interaction(self, name: str) -> Interaction:
         for term in self.interactions:

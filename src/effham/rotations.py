@@ -42,11 +42,16 @@ from .algebra import VERIFICATION_TOL, DeformedAlgebra
 from .errors import AnalysisError, EffhamError, ResonanceError
 from .hilbert import (OperatorMatrix, SpaceDescriptor, blockwise, collective_operator,
                       commutator, diagonal_operator, identity, number_operator,
-                      occupation_sector_mask, photon_safe_mask, unitary_within, zero)
+                      occupation_sector_mask, photon_safe_mask, unitarity_defect,
+                      unitary_within, zero)
 from .models import ModelInstance, amplitude_guard, dispersive_guards, resonant
 
 _TAYLOR_ORDER = 20
-_SCALE_TARGET = 0.5  # truncation error of the order-20 series below 1e-26 at this norm
+#: The scaled 1-norm eta is at most this.  The series stops before the
+#: first term whose 1-norm bound eta^k / k! is at most _SERIES_CUTOFF * eta;
+#: at eta = 1/2 that is term 19, within the cap of _TAYLOR_ORDER terms.
+_SCALE_TARGET = 0.5
+_SERIES_CUTOFF = 2.0 ** -72
 
 
 # ---------------------------------------------------------------------------
@@ -61,29 +66,42 @@ def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
     each block is exponentiated on its own: the cost is the sum of the block
     sizes cubed, not dim^3, and every entry outside the blocks is +0 (see
     :func:`~effham.hilbert.blockwise`).  A block goes through scaling and
-    squaring of the series of ``exp(B) - 1`` (order 20, scaled 1-norm at
-    most 1/2, where the remainder is ~1e-26, far below double-precision
-    roundoff), and 1 is added once at the end.  The entries of ``U - 1`` of
-    a small rotation thereby keep their relative precision, and rotations
-    are unitary to machine precision.  Non-finite entries raise.
+    squaring of the series of ``exp(B) - 1`` (scaled 1-norm ``eta`` at most
+    1/2), and 1 is added once at the end.  The series stops once the 1-norm
+    bound ``eta^k / k!`` of the next term is at most ``2^-72 eta``, after
+    20 terms at most (:func:`_expm1`).  The entries of ``U - 1`` of a small
+    rotation thereby keep their relative precision, and rotations are
+    unitary to machine precision.  Non-finite entries raise.  The
+    exponential is found once per operator and kept.
     """
     def kernel(b):
         if not np.isfinite(b).all():
             raise ValueError("matrix exponential of a non-finite matrix")
         return _expm1(b) + np.eye(b.shape[-1])
-    return blockwise(kernel, op)
+    return op._kept("exponential", lambda: blockwise(kernel, op))
 
 
 def _expm1(b: np.ndarray) -> np.ndarray:
     """``exp(B) - 1`` for each block of the stack ``b``: the Taylor series
     of ``exp(B / 2^s) - 1``, then ``s`` doublings
     ``exp(2B) - 1 = 2 (exp(B) - 1) + (exp(B) - 1)^2``, with one ``s`` for
-    the whole stack."""
+    the whole stack.
+
+    ``s`` brings the largest 1-norm of a block to ``eta <= 1/2``.  The
+    series stops before term ``k`` once that term's 1-norm bound
+    ``eta^k / k!`` is at most :data:`_SERIES_CUTOFF` ``* eta``, a size that
+    no longer moves a rounded entry of the sum (the stopping rule of
+    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and after
+    :data:`_TAYLOR_ORDER` terms at most."""
     norm1 = float(np.abs(b).sum(axis=-2).max())
     squarings = max(0, int(math.ceil(math.log2(norm1 / _SCALE_TARGET)))) if norm1 > _SCALE_TARGET else 0
     b = b / (2.0 ** squarings)
+    eta = bound = norm1 / 2.0 ** squarings
     term = out = b
     for k in range(2, _TAYLOR_ORDER + 1):
+        bound = bound * eta / k
+        if bound <= _SERIES_CUTOFF * eta:
+            break
         term = term @ b / k
         out = out + term
     for _ in range(squarings):
@@ -128,17 +146,21 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
     :data:`~effham.algebra.VERIFICATION_TOL`, scaled as in
     :meth:`~effham.hilbert.OperatorMatrix.is_unitary`; its defect
     ``||U^dag U - 1||`` is the root of the sum of the squared defects of the
-    blocks, every state (an isolated one too) lying in one block.
+    blocks, every state (an isolated one too) lying in one block.  The
+    result is kept on ``h`` for each ``u``.
     """
-    defects = []
+    def conjugated():
+        defects = []
 
-    def kernel(hb, b):
-        defects.append(float(np.linalg.norm(_adjoint(b) @ b - np.eye(b.shape[-1]))))
-        return b @ hb @ _adjoint(b)
-    out = blockwise(kernel, h, u)
-    if not unitary_within(math.hypot(*defects), VERIFICATION_TOL, u.dim):
-        raise ValueError("conjugation requires a unitary matrix")
-    return out
+        def kernel(hb, b):
+            defects.append(unitarity_defect(b))
+            return b @ hb @ _adjoint(b)
+        out = blockwise(kernel, h, u)
+        if not unitary_within(math.hypot(*defects), VERIFICATION_TOL, u.dim):
+            raise ValueError("conjugation requires a unitary matrix")
+        return u, out
+    # the kept entry holds u, so no other operator takes its id meanwhile
+    return h._kept(("conjugate", id(u)), conjugated)[1]
 
 
 def _stage_product(stages) -> OperatorMatrix:
@@ -472,7 +494,17 @@ def eliminating_generator(model: ModelInstance, names=None):
     Returns ``(G, eps)`` where ``eps`` maps interaction names to the
     rotation amplitudes ``g / D`` with measured steps D.  Raises on
     one-photon resonances (on the scale of ``h_diag``) and on large amplitudes.
+    ``G`` is found once per model and ``names`` and kept; each call gets its
+    own copy of ``eps``.
     """
+    key = ("generator", None if names is None else tuple(names))
+    if key not in model.kept:
+        model.kept[key] = _generator(model, names)
+    gen, eps = model.kept[key]
+    return gen, dict(eps)
+
+
+def _generator(model: ModelInstance, names):
     chosen = model.interactions if names is None else [model.interaction(n) for n in names]
     pieces = []
     eps: dict[str, float] = {}

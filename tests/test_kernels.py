@@ -22,9 +22,12 @@ reductions, and hold no dense array.
 """
 
 import contextlib
+import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -146,15 +149,16 @@ def _fresh_stack(op):
 
 
 @contextlib.contextmanager
-def _blas_calls():
-    """The operand pairs of every product BLAS forms while the block runs."""
+def _blockwise_calls():
+    """The operands of every product or commutator formed block by block
+    (:func:`hilbert.blockwise`) while the block runs."""
     calls = []
-    real = hilbert._blas_product
-    hilbert._blas_product = lambda pa, pb: calls.append((pa, pb)) or real(pa, pb)
+    real = hilbert.blockwise
+    hilbert.blockwise = lambda kernel, *ops: calls.append(ops) or real(kernel, *ops)
     try:
         yield calls
     finally:
-        hilbert._blas_product = real
+        hilbert.blockwise = real
 
 
 def _same_pattern(carried, scanned) -> bool:
@@ -287,7 +291,7 @@ def test_pattern_only_results_match_dense_arithmetic(case):
         assert _same_entries(got, ref)
         if len(got.ladder.rows) == 1 and _shared_places(a, b):
             assert _same_pattern(got.ladder, _fresh_stack(got))
-    with _blas_calls() as calls:  # single products only: composed, not BLAS
+    with _blockwise_calls() as calls:  # single products only: composed, not block-wise
         products = ((a @ b, x @ y), (eh.commutator(a, b), x @ y - y @ x))
     assert not calls
     for got, ref in products:
@@ -321,8 +325,8 @@ def test_pattern_only_readers_match_dense_bits(case):
 
 def test_sum_with_two_nonzeros_in_one_row_is_a_stack():
     # one map whose two nonzeros share row 0: a product with it as the left
-    # factor sums two products at (0, j), so BLAS forms it, and its action
-    # on a state sums the row
+    # factor sums two products at (0, j), so it is formed block-wise, and its
+    # action on a state sums the row
     space = _space(2)
     a = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 0]]),
                                                                np.array([[1.0 + 0j, 0.0]])))
@@ -333,7 +337,7 @@ def test_sum_with_two_nonzeros_in_one_row_is_a_stack():
     assert len(total.ladder.rows) == 1
     assert np.array_equal(total.matrix, ref) and len(total.dag().ladder.rows) == 2
     x = np.array([[0.5, -1.0], [3.0, 0.25]])
-    with _blas_calls() as calls:
+    with _blockwise_calls() as calls:
         assert np.array_equal((total @ eh.OperatorMatrix(space, x)).matrix, ref @ x)
     assert len(calls) == 1
     assert np.array_equal(total.apply(np.array([1.0, 1j])), ref @ np.array([1.0, 1j]))
@@ -355,12 +359,12 @@ def test_cancelled_entry_keeps_its_place():
 def test_zero_products_meet_nothing():
     # both columns of a point at row 0; b's column 0 holds 1 in row 0 and
     # an explicit zero in row 1, so a @ b forms 1 * 1 and 1 * 0 at (0, 0):
-    # one nonzero product, which stays a stack, not a BLAS sum
+    # one nonzero product, which stays a composed stack, not a block-wise sum
     space = _space(2)
     a = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 0]]), np.ones((1, 2)) + 0j))
     b = hilbert._pattern_operator(space, hilbert.LadderPattern(np.array([[0, 1], [1, -1]]),
                                                                np.array([[1.0, 2.0], [0.0, 0.0]]) + 0j))
-    with _blas_calls() as calls:
+    with _blockwise_calls() as calls:
         got = a @ b
     assert not calls and np.array_equal(got.matrix, a.matrix @ b.matrix)
     # where every product is zero, one map is left, and the product reads as 0
@@ -825,6 +829,12 @@ def _signed_stack(rng, space, maps: int):
     return op, ref
 
 
+def _sum_close(got: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
+    """``got`` is ``x @ y`` up to the roundoff of sums of ``dim`` complex
+    products per entry."""
+    return bool(np.all(np.abs(got - x @ y) <= 4 * (len(x) + 2) * EPS * (np.abs(x) @ np.abs(y))))
+
+
 def _product_close(got: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
     """``got`` is ``x @ y`` up to the rounding of one complex product per
     entry."""
@@ -848,12 +858,15 @@ def test_pattern_sums_match_dense_bits(dim, maps_a, maps_b, seed):
         assert np.array_equal(got, x * s)
         assert not _negative_zero(got[_off_pattern(a)])
     assert np.array_equal(a.dag().matrix, x.conj().T) and _same_entries(a.dag(), x.conj().T)
-    with _blas_calls() as calls:
+    with _blockwise_calls() as calls:
         prod = a @ b
     if not calls:
         assert _product_close(prod.matrix, x, y) and not _negative_zero(prod.matrix)
     else:
-        assert _bits(prod.matrix) == _bits(x @ y)
+        # NumPy's products of the blocks, the dense blocks' bits, with +0
+        # off the blocks; the dense product within the roundoff of its sums
+        assert _bits(prod.matrix) == _bits(_assembled(a, [a, b], lambda blk: blk[0] @ blk[1]))
+        assert _sum_close(prod.matrix, x, y)
     mask = rng.random(dim) < 0.6
     assert _bits(a.project(mask).matrix) == _bits(np.where(np.outer(mask, mask), x, 0.0))
     assert _same_entries(a, x) and _bits(a.diagonal()) == _bits(x.diagonal())
@@ -955,8 +968,28 @@ def test_dicke_closed_form_peaks_below_a_quarter_dense_array():
                                   atoms=5, n_max=99))
     assert model.space.dim == 600
     scenario = eh.EffectiveScenario("dicke-dispersive")
-    peak = _peak_bytes(lambda: eh.closed_form_effective(model, scenario))
+    peak = _peak_bytes(lambda: eh.closed_form_effective(_unkept(model), scenario))
     assert peak < model.space.dim ** 2 * 16 / 4
+
+
+def test_xi_far_level_closed_form_peaks_below_a_quarter_dense_array():
+    # the second-order commutators of xi-far-level collide in both orders;
+    # formed block by block they build no dim^2 array (the dense products
+    # held several at once: about 270 MB traced here)
+    atoms, n_max = 10, 30
+    model = eh.build(eh.ModelSpec(kind="xi3", omega_field=10.0, energies=(0.0, 11.0, 21.0),
+                                  couplings=(0.2 / (atoms * math.sqrt(n_max + 1)), 0.01),
+                                  atoms=atoms, n_max=n_max))
+    assert model.space.dim == 2046
+    scenario = eh.EffectiveScenario("xi-far-level")
+    peak = _peak_bytes(lambda: eh.closed_form_effective(_unkept(model), scenario))
+    assert peak < model.space.dim ** 2 * 16 / 4
+
+
+def _unkept(model):
+    """A copy of ``model`` that has kept nothing, so that a closed form on it
+    builds its generator, rotation and conjugation afresh."""
+    return dataclasses.replace(model)
 
 
 def test_offdiagonal_residual_labels_match_pairwise_loop(dicke_model):
@@ -1026,15 +1059,26 @@ def scaled_checks(draw):
     return _space(dim), h, tol, size < 1, kind
 
 
-@given(scaled_checks(), st.integers(-14, 14))
+@given(scaled_checks(), st.integers(-170, 170))
 def test_hermiticity_and_diagonality_are_unit_free(case, k):
     # the checks scale by the operator's own size: the verdict is the same
-    # at every 10^k, where a floor at 1 would pass any defect below 1
+    # at every 10^k, where a floor at 1 would pass any defect below 1, and
+    # where sums of squares would underflow (below ~1e-162) or overflow
     space, h, tol, verdict, kind = case
     for m in (h, h * 10.0 ** k):
         op = eh.OperatorMatrix(space, m)
         check = op.is_hermitian if kind == "hermitian" else op.is_diagonal
         assert check(tol) == verdict
+
+
+@pytest.mark.parametrize("size", [1e-170, 1e-160, 1e160, 1e170])
+def test_tiny_and_huge_defects_fail(size):
+    # 1 at (0, 0) and 1j at (0, 1), at any size: neither diagonal nor Hermitian
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[0, 1] = size, 1j * size
+    op = eh.OperatorMatrix(_space(4), m)
+    assert not op.is_diagonal(1e-12) and not op.is_hermitian(1e-12)
+    assert eh.OperatorMatrix(_space(4), m + m.conj().T).is_hermitian(1e-12)
 
 
 #: the 4-level cascade at A = 3, n_max = 16 (dim 340) on three-photon resonance
@@ -1069,7 +1113,7 @@ def test_closed_form_holds_stacks_no_taller_than_a_block(scenario):
     assert len(forms.rotation.ladder.rows) == largest
     assert all(len(op.ladder.rows) <= largest for op in (forms.printed, forms.corrected))
     bound = 2 * model.space.dim ** 2 * 16
-    assert _peak_bytes(lambda: eh.closed_form_effective(model, eh.EffectiveScenario(scenario))) < bound
+    assert _peak_bytes(lambda: eh.closed_form_effective(_unkept(model), eh.EffectiveScenario(scenario))) < bound
 
 
 def test_cascade_decomposition_holds_stacks_no_taller_than_a_block():
@@ -1228,3 +1272,157 @@ def test_back_rotation_allocates_less_than_one_dense_array():
     assert _peak_bytes(lambda: forms.rotation.matrix.conj()) >= bound  # the copy it replaces
     assert _peak_bytes(lambda: eh.effective_evolution(forms.corrected, psi, TIMES,
                                                       rotation=forms.rotation)) < bound
+
+
+# -- block-wise products, the stopped series, unitarity -----------------------
+
+def _blocky(rng, dim: int, density: float, cuts: int) -> np.ndarray:
+    """A complex array block diagonal under a random permutation, in
+    ``cuts + 1`` blocks, with entries drawn at ``density``."""
+    m = np.zeros((dim, dim), dtype=complex)
+    cut = np.sort(rng.choice(np.arange(1, dim), size=min(cuts, dim - 1), replace=False))
+    for idx in np.split(rng.permutation(dim), cut):
+        m[np.ix_(idx, idx)] = _dense(rng, len(idx), density)
+    return m
+
+
+@st.composite
+def colliding_operands(draw):
+    """(space, x, y, collide): two block-diagonal arrays on blocks of their
+    own, or on the same blocks; ``collide`` where some product of full
+    blocks of two or more states sums several terms in both orders."""
+    dim = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.3, 1.0]))
+    cuts = draw(st.integers(0, min(6, dim - 1)))
+    x = _blocky(rng, dim, density, cuts)
+    if draw(st.booleans()):  # the same blocks
+        live = x != 0
+        y = np.where(live, _dense(rng, dim, 1.0), 0.0)
+        collide = density == 1.0 and cuts < dim - 1
+    else:
+        y = _blocky(rng, dim, density, draw(st.integers(0, dim - 1)))
+        collide = False
+    if draw(st.booleans()):
+        x, y = x.real + 0.0, y.real + 0.0
+    return _space(dim), x, y, collide
+
+
+@given(colliding_operands())
+def test_blockwise_products_match_dense_products(case):
+    # products whose terms collide are formed on the blocks of the joint
+    # pattern alone: the dense products within the roundoff of their sums,
+    # and exact +0 off the blocks, where the dense sums may hold -0
+    space, x, y, collide = case
+    a, b = eh.OperatorMatrix(space, x), eh.OperatorMatrix(space, y)
+    inside = np.zeros((space.dim, space.dim), dtype=bool)
+    for part in hilbert.components(a, b):
+        inside[np.ix_(part, part)] = True
+    with _blockwise_calls() as calls:
+        got = [(a @ b, x @ y, np.abs(x) @ np.abs(y)),
+               (eh.commutator(a, b), x @ y - y @ x, np.abs(x) @ np.abs(y) + np.abs(y) @ np.abs(x))]
+    assert len(calls) == 2 or not collide
+    for op, ref, size in got:
+        m = op.matrix
+        assert np.all(np.abs(m - ref) <= 4 * (space.dim + 2) * EPS * size)
+        assert not m[~inside].any() and not _negative_zero(m[~inside])
+
+
+def _expm1_all_terms(b: np.ndarray) -> np.ndarray:
+    """``rotations._expm1`` with every one of its 20 series terms: the
+    reference the stopped series must reproduce."""
+    norm1 = float(np.abs(b).sum(axis=-2).max())
+    target = rotations._SCALE_TARGET
+    squarings = max(0, int(math.ceil(math.log2(norm1 / target)))) if norm1 > target else 0
+    b = b / (2.0 ** squarings)
+    term = out = b
+    for k in range(2, rotations._TAYLOR_ORDER + 1):
+        term = term @ b / k
+        out = out + term
+    for _ in range(squarings):
+        out = 2.0 * out + out @ out
+    return out
+
+
+@pytest.mark.parametrize("fixture, scenario", [
+    ("dicke_model", "dicke-dispersive"),
+    ("four_level_model", "four-level-three-photon"),
+    ("four_level_model", "cascade-first-stage"),
+    ("xi_far_level_model", "xi-far-level"),
+    ("xi_two_photon_model", "xi-two-photon"),
+])
+def test_stopped_series_is_the_full_series_on_the_fixtures(fixture, scenario, request):
+    # every block stack the engine exponentiates, the later stages' too
+    model = request.getfixturevalue(fixture)
+    real, stacks = rotations._expm1, []
+    with mock.patch.object(rotations, "_expm1", lambda b: stacks.append(b) or real(b)):
+        eh.closed_form_effective(_unkept(model), eh.EffectiveScenario(scenario))
+    assert stacks
+    stopped = 0
+    for b in stacks:
+        assert _bits(real(b)) == _bits(_expm1_all_terms(b))
+        eta = float(np.abs(b).sum(axis=-2).max())
+        stopped += eta ** 19 / math.factorial(19) <= rotations._SERIES_CUTOFF * eta
+    assert stopped  # the series stopped early somewhere, so the test compares something
+
+
+@given(st.integers(1, 6), st.floats(-6.0, 0.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30)
+def test_stopped_series_matches_mpmath(size, log_scale, anti, seed):
+    # blocks up to the scaled norm the series runs at, where it is used as
+    # it is, with no doubling: within a few ulps of ||U - 1||
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
+    if anti:
+        b = b - rotations._adjoint(b)
+    b = b * (rotations._SCALE_TARGET * 10.0 ** log_scale / np.abs(b).sum(axis=-2).max())
+    got = rotations._expm1(b)
+    with mpmath.workdps(40):
+        for block, g in zip(b, got):
+            exact = mpmath.expm(mpmath.matrix(block.tolist())) - mpmath.eye(size)
+            ref = np.array(exact.tolist(), dtype=complex)
+            assert np.max(np.abs(g - ref)) <= 4 * EPS * np.linalg.norm(ref)
+
+
+@st.composite
+def unitarity_cases(draw):
+    """(space, array, defect): a block-diagonal unitary, perturbed at one
+    entry, possibly off its blocks, by 0 or by far more than the tolerance."""
+    dim = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = _blocky(rng, dim, draw(st.sampled_from([0.3, 1.0])), draw(st.integers(0, dim)))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    u = (v * np.exp(1j * w * draw(st.sampled_from([0.01, 1.0, 30.0])))) @ v.conj().T
+    u = np.where(np.abs(u) > 1e-300, u, 0.0)
+    defect = draw(st.sampled_from([0.0, 1e-9, 1e-3, np.nan]))
+    i, j = rng.integers(0, dim, size=2)
+    u[i, j] += defect
+    return _space(dim), u, defect
+
+
+@given(unitarity_cases())
+def test_unitarity_verdict_matches_the_dense_check(case):
+    # the defect summed block by block decides as the dense m^dag m - 1 does
+    space, u, defect = case
+    dense = hilbert.unitary_within(float(np.linalg.norm(u.conj().T @ u - np.eye(space.dim))), 1e-12, space.dim)
+    assert eh.OperatorMatrix(space, u).is_unitary(1e-12) == dense == (defect == 0.0)
+
+
+def test_first_stage_is_found_once_per_model(four_level_model):
+    # cascade_first_stage reuses the generator, rotation and conjugation
+    # that closed_form_effective built on the same model
+    model = _unkept(four_level_model)
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario("cascade-first-stage"))
+    with mock.patch.object(hilbert, "blockwise", side_effect=AssertionError("formed again")):
+        deco = eh.cascade_first_stage(model)
+        gen, eps = eh.eliminating_generator(model)
+        assert eh.matrix_exponential(gen) is forms.rotation is deco.rotation
+        assert eh.conjugate(model.h_int, deco.rotation) is deco.transformed
+    again, eps_again = eh.eliminating_generator(model)
+    assert again is gen and eps_again == eps and eps_again is not eps
+    # a copy of the model finds its own, with the same bits
+    fresh, fresh_eps = eh.eliminating_generator(_unkept(model))
+    assert fresh is not gen and fresh_eps == eps
+    assert _bits(fresh.matrix) == _bits(gen.matrix)
+    # a named subset is a generator of its own
+    assert eh.eliminating_generator(model, ["1"])[0] is not gen
