@@ -89,10 +89,11 @@ def _expm1(b: np.ndarray) -> np.ndarray:
 
     ``s`` brings the largest 1-norm of a block to ``eta <= 1/2``.  The
     series stops before term ``k`` once that term's 1-norm bound
-    ``eta^k / k!`` is at most :data:`_SERIES_CUTOFF` ``* eta``, a size that
-    no longer moves a rounded entry of the sum (the stopping rule of
-    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and after
-    :data:`_TAYLOR_ORDER` terms at most."""
+    ``eta^k / k!`` is at most :data:`_SERIES_CUTOFF` ``* eta``, about 2^-20
+    of an ulp of ``eta`` (the stopping rule of Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)), and after :data:`_TAYLOR_ORDER`
+    terms at most.  An entry far smaller than ``eta`` may still differ in
+    its last bits from the full series'."""
     norm1 = float(np.abs(b).sum(axis=-2).max())
     squarings = max(0, int(math.ceil(math.log2(norm1 / _SCALE_TARGET)))) if norm1 > _SCALE_TARGET else 0
     b = b / (2.0 ** squarings)
@@ -147,7 +148,9 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
     :meth:`~effham.hilbert.OperatorMatrix.is_unitary`; its defect
     ``||U^dag U - 1||`` is the root of the sum of the squared defects of the
     blocks, every state (an isolated one too) lying in one block.  The
-    result is kept on ``h`` for each ``u``.
+    result is kept on ``u`` for each ``h``, so it lives as long as the
+    rotation (a long-lived ``h`` conjugated by many rotations holds none of
+    them).
     """
     def conjugated():
         defects = []
@@ -158,9 +161,9 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
         out = blockwise(kernel, h, u)
         if not unitary_within(math.hypot(*defects), VERIFICATION_TOL, u.dim):
             raise ValueError("conjugation requires a unitary matrix")
-        return u, out
-    # the kept entry holds u, so no other operator takes its id meanwhile
-    return h._kept(("conjugate", id(u)), conjugated)[1]
+        return h, out
+    # the kept entry holds h, so no other operator takes its id meanwhile
+    return u._kept(("conjugate", id(h)), conjugated)[1]
 
 
 def _stage_product(stages) -> OperatorMatrix:
