@@ -1,13 +1,15 @@
-"""Time two models up a ladder of sizes: build, scenario, spectra and evolutions.
+"""Time three models up a ladder of sizes: build, scenario, spectra and evolutions.
 
     python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--cascade 3:16 4:20]
-                                 [--repeats 3] [--out OUT.json]
+                                 [--xi3 6:10 10:30 12:50] [--repeats 3] [--out OUT.json]
 
 For each atom count A the Dicke model with ``n_max = 10 A`` (dim 22, 306,
-1111 and 4221 for the defaults), and for each ``A:n_max`` the four-level
-cascade of the benchmark's multiphoton workload (dim 340 and 735 for the
-defaults), runs in a fresh interpreter with one BLAS thread, importing
-``effham`` from ``DIR/src`` (default: the checkout this file sits in).
+1111 and 4221 for the defaults), for each ``A:n_max`` of ``--cascade`` the
+four-level cascade of the benchmark's multiphoton workload (dim 340 and 735
+for the defaults), and for each ``A:n_max`` of ``--xi3`` the three-level
+cascade of its xi-far-level task (dim 308, 2046 and 4641 for the defaults)
+runs in a fresh interpreter with one BLAS thread, importing ``effham`` from
+``DIR/src`` (default: the checkout this file sits in).
 Each repeat of a Dicke rung times these stages of one pass on a freshly
 built model:
 
@@ -21,10 +23,11 @@ built model:
   41 times over one effective period.
 
 The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
-the coupling sits at a fifth of the dispersive guard.  A cascade rung
-times ``build``, ``scenario`` (``four-level-three-photon``, as the
-multiphoton task at variant 0) and ``spectra`` (its corrected form against
-``h_int`` on the blocks).  The median of each stage over the repeats and
+the coupling sits at a fifth of the dispersive guard.  A cascade or xi3
+rung times ``build``, ``scenario`` (``four-level-three-photon`` or
+``xi-far-level``, as the multiphoton task at variant 0) and ``spectra``
+(its corrected form against ``h_int`` on the blocks).  The median of each
+stage over the repeats and
 the peak resident memory of the interpreter are printed as one JSON line
 per size and, with ``--out``, written to a file.
 """
@@ -83,26 +86,47 @@ def measure(atoms: int, repeats: int) -> dict:
             "samples_s": samples}
 
 
-def measure_cascade(atoms: int, n_max: int, repeats: int) -> dict:
-    """One cascade size, in this interpreter: the median stage times and peak RSS."""
+def _cascade(eh, atoms: int, n_max: int):
+    """The four-level cascade of the multiphoton task, and its scenario."""
+    wf = 10.0
+    return (eh.ModelSpec(kind="cascade", atoms=atoms, n_max=n_max, omega_field=wf,
+                         energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf), couplings=(0.010, 0.012, 0.014)),
+            "four-level-three-photon")
+
+
+def _xi3(eh, atoms: int, n_max: int):
+    """The three-level cascade of the multiphoton xi-far-level task at
+    variant 0 (D12 = 1, D23 = 0, g12 at a fifth of the dispersive guard),
+    and its scenario."""
+    wf = 10.0
+    return (eh.ModelSpec(kind="xi3", atoms=atoms, n_max=n_max, omega_field=wf,
+                         energies=(0.0, wf + 1.0, 2 * wf + 1.0),
+                         couplings=(0.2 / (atoms * math.sqrt(n_max + 1)), 0.010)),
+            "xi-far-level")
+
+
+CHAINS = {"cascade": _cascade, "xi3": _xi3}
+
+
+def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
+    """One cascade or xi3 size, in this interpreter: the median stage times and peak RSS."""
     import effham as eh
 
-    wf = 10.0
-    spec = eh.ModelSpec(kind="cascade", atoms=atoms, n_max=n_max, omega_field=wf,
-                        energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf), couplings=(0.010, 0.012, 0.014))
+    spec, scenario = CHAINS[kind](eh, atoms, n_max)
     samples = {"build": [], "scenario": [], "spectra": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = eh.build(spec)
         t1 = time.perf_counter()
-        forms = eh.closed_form_effective(model, eh.EffectiveScenario("four-level-three-photon"))
+        forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
         t2 = time.perf_counter()
         eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model))
         t3 = time.perf_counter()
         for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2)):
             samples[stage].append(seconds)
+        dim = model.space.dim
         del model, forms
-    return {"model": "cascade", "atoms": atoms, "n_max": n_max, "dim": math.comb(atoms + 3, 3) * (n_max + 1),
+    return {"model": kind, "atoms": atoms, "n_max": n_max, "dim": dim,
             "repeats": repeats, **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "samples_s": samples}
@@ -113,6 +137,7 @@ def main(argv=None) -> int:
     p.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
     p.add_argument("--atoms", type=int, nargs="*", default=[1, 5, 10, 20])
     p.add_argument("--cascade", nargs="*", default=["3:16", "4:20"], metavar="A:N_MAX")
+    p.add_argument("--xi3", nargs="*", default=["6:10", "10:30", "12:50"], metavar="A:N_MAX")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", type=Path)
     p.add_argument("--child", help=argparse.SUPPRESS)
@@ -120,15 +145,18 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     if args.child is not None:
         sys.path.insert(0, str(checkout / "src"))
-        if ":" in args.child:
-            atoms, n_max = (int(x) for x in args.child.split(":"))
-            print(json.dumps(measure_cascade(atoms, n_max, args.repeats)))
+        kind, *size = args.child.split(":")
+        if kind in CHAINS:
+            atoms, n_max = (int(x) for x in size)
+            print(json.dumps(measure_chain(kind, atoms, n_max, args.repeats)))
         else:
-            print(json.dumps(measure(int(args.child), args.repeats)))
+            print(json.dumps(measure(int(size[0]), args.repeats)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sizes = []
-    for rung in [str(a) for a in args.atoms] + args.cascade:
+    rungs = ([f"dicke:{a}" for a in args.atoms] + [f"cascade:{r}" for r in args.cascade]
+             + [f"xi3:{r}" for r in args.xi3])
+    for rung in rungs:
         out = subprocess.run([sys.executable, __file__, "--checkout", str(checkout),
                               "--repeats", str(args.repeats), "--child", rung],
                              env=env, check=True, capture_output=True, text=True).stdout
