@@ -3,10 +3,19 @@
 Evolution goes through the eigendecomposition of the invariant subspace
 the initial state lies in (a diagonal generator needs none), so
 trajectories are exact for arbitrary horizons and norm is conserved to
-machine precision.  The
-comparison helpers quantify how well an effective Hamiltonian reproduces
-the exact spectra (per conserved block) and dynamics (fidelity in the
-rotated frame), and fit empirical convergence orders from epsilon sweeps.
+machine precision.  The comparison helpers quantify how well an effective
+Hamiltonian reproduces the exact spectra (per conserved block) and
+dynamics (fidelity in the rotated frame), and fit empirical convergence
+orders from epsilon sweeps.
+
+Both checks cost what the blocks and the state's support cost, not the
+whole space.  A spectrum comparison reads its blocks once: every state
+carries the set of blocks that hold it, packed into 64-bit words, and
+the block leakage compares those words at the two ends of each nonzero.
+An evolution runs on the support of its initial state: the states whose
+component label (:func:`~effham.hilbert.component_labels`) is that of a
+support state, or the support alone under a diagonal generator; a
+rotation is applied from the columns on the support only.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, SpaceMismatchError
-from .hilbert import OperatorMatrix, components, size_groups
+from .hilbert import OperatorMatrix, component_labels
 
 NORM_TOL = 1e-10
 #: metric values at or below this are taken as roundoff and left out of a scaling fit
@@ -43,12 +52,15 @@ class Trajectory:
 def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Trajectory:
     """Evolve ``psi0`` under the Hermitian ``h`` at the requested times.
 
-    A diagonal ``h`` evolves in closed form.  Otherwise the states are
-    expanded in one eigendecomposition of ``h`` restricted to the union of
-    the connected components of its nonzero pattern
-    (:func:`~effham.hilbert.components`) that meet the support of ``psi0``.
-    That span is invariant under ``h``, so the restriction is exact and
-    every state outside it keeps amplitude exactly 0.
+    Only the support of ``psi0`` and what ``h`` reaches from it evolve.  A
+    diagonal ``h`` evolves in closed form, with the phases of the support's
+    states alone.  Otherwise the states are expanded in one
+    eigendecomposition of ``h`` restricted to the span of the support: the
+    states whose component label (:func:`~effham.hilbert.component_labels`,
+    the connected components of the nonzero pattern of ``h``) is the label
+    of a support state.  That span is invariant under ``h``, so the
+    restriction is exact.  Either way every state outside it keeps
+    amplitude exactly 0.
 
     ``observables`` maps names to operators whose expectation values are
     recorded along the trajectory.
@@ -59,16 +71,19 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)
+    states = np.zeros((len(t), len(psi)), dtype=complex)
+    support = np.flatnonzero(psi)
     if h.is_diagonal(0.0):
         # eigh reads only the real part of a Hermitian diagonal
-        states = np.exp(-1j * np.outer(t, h.diagonal().real)) * psi
+        states[:, support] = np.exp(-1j * np.outer(t, h.diagonal().real[support])) * psi[support]
     else:
-        span = np.zeros(len(psi), dtype=bool)
-        span[np.concatenate([part for part in components(h) if np.any(psi[part])])] = True
-        w, v = np.linalg.eigh(h.block(np.flatnonzero(span)))
+        label = component_labels(h)
+        met = np.zeros(len(psi), dtype=bool)
+        met[label[support]] = True
+        span = np.flatnonzero(met[label])
+        w, v = np.linalg.eigh(h.block(span))
         coeff = v.conj().T @ psi[span]
         phases = np.exp(-1j * np.outer(t, w))
-        states = np.zeros((len(t), len(psi)), dtype=complex)
         states[:, span] = (phases * coeff) @ v.T  # (T, dim) in the original basis
     drift = Trajectory(t, states).norm_drift()
     if drift > NORM_TOL:
@@ -98,9 +113,12 @@ def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,
     rotation the bare comparison is returned; the frame corrections it
     omits are first order in the rotation amplitude and time independent.
 
-    Only the columns of U that the support of the rotated-frame states
-    reaches can be nonzero in the result, so only those are formed; each
-    still sums over every state, as the full product does.
+    ``U psi0`` reads only the columns of U on the support of ``psi0``
+    (:meth:`~effham.hilbert.OperatorMatrix.apply`), and the rotated-frame
+    states evolve on their own support (:func:`evolve`).  Only the columns
+    of U that the support of the rotated-frame states reaches can be
+    nonzero in the result, so only those are formed; each still sums over
+    every state, as the full product does.
     """
     psi = np.asarray(psi0, dtype=complex)
     if rotation is None:
@@ -145,79 +163,93 @@ class BlockErrors:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-block eigenvalue errors and the block leakage of the inputs."""
+    """Per-block eigenvalue errors, the block leakage of the inputs, and the
+    number of distinct states the blocks cover."""
 
     blocks: tuple[BlockErrors, ...]
     max_error: float
     mean_error: float
     block_leakage: float
+    compared_states: int
 
 
 def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
                     block_tol: float = 1e-10) -> ComparisonReport:
     """Sorted-eigenvalue differences inside each conserved block.
 
-    ``blocks`` is an iterable of boolean masks or index lists.  Both inputs
-    must be block diagonal with respect to them: the leakage of ``h`` is
-    ``max_b ||h[b, ~b]||_F / max(1, ||h||)`` over the blocks ``b`` (which
-    may overlap), read from the nonzero entries of ``h``, and exactly 0 for
-    an exactly block-diagonal ``h``; the larger leakage of the two inputs
-    beyond ``block_tol`` is an error.  The blocks of one size are
-    diagonalised in one stacked ``eigvalsh`` call, each block as on its own;
-    degenerate clusters are compared as sorted multisets.  An empty
-    ``blocks``, or an empty block in it, compares nothing and is an error.
+    ``blocks`` is an iterable of boolean masks or index lists, read once
+    into one boolean stack.  One ``np.flatnonzero`` of that stack gives the
+    index array of every block, and each state's set of blocks as packed
+    64-bit words, so blocks may overlap; ``compared_states`` counts the
+    states whose set is not empty.  Both inputs must be block diagonal with
+    respect to the blocks: the leakage of ``h`` (:func:`_leakage`) is
+    exactly 0 for an exactly block-diagonal ``h``, and the larger leakage
+    of the two inputs beyond ``block_tol`` is an error.  The blocks of one
+    size are diagonalised in one stacked ``eigvalsh`` call, each block as
+    on its own, and their errors are reduced in one call per size; degenerate
+    clusters are compared as sorted multisets.  ``max_error`` and
+    ``mean_error`` reduce every error in block order.  An empty ``blocks``,
+    or an empty block in it, compares nothing and is an error.
     """
     h_exact._check(h_eff)
-    masks = []
-    for b, blk in enumerate(blocks):
-        sel = np.asarray(blk)
-        m = np.zeros(h_exact.dim, dtype=bool)
-        if sel.size:
-            m[sel] = True
-        if not m.any():
-            raise AnalysisError(f"block {b} is empty")
-        masks.append(m)
-    if not masks:
+    blocks = list(blocks)
+    if not blocks:
         raise AnalysisError("no blocks to compare")
-    leakage = max(_leakage(h, masks) for h in (h_exact, h_eff))
+    masks = np.zeros((len(blocks), h_exact.dim), dtype=bool)
+    for mask, blk in zip(masks, blocks):
+        sel = np.asarray(blk)
+        if sel.size:
+            mask[sel] = True
+    sizes = np.count_nonzero(masks, axis=1)
+    if not sizes.all():
+        raise AnalysisError(f"block {int(np.argmin(sizes))} is empty")
+    block, states = np.divmod(np.flatnonzero(masks), h_exact.dim)  # block by block, in basis order
+    # bit b of state i's words is set where block b holds state i
+    words = np.zeros((h_exact.dim, -(-len(blocks) // 64)), dtype=np.uint64)
+    np.bitwise_or.at(words, (states, block >> 6), np.uint64(1) << (block & 63).astype(np.uint64))
+    leakage = max(_leakage(h, masks, words) for h in (h_exact, h_eff))
     if leakage > block_tol:
         raise AnalysisError(f"operators leak between blocks (relative norm {leakage:.3e})")
-    idx = [np.flatnonzero(m) for m in masks]
-    spectra = {}
-    for members, stack in size_groups(idx):
-        pairs = zip(np.linalg.eigvalsh(h_exact.block(stack)), np.linalg.eigvalsh(h_eff.block(stack)))
-        spectra.update(zip(members, pairs))
-    per_block = []
-    errs_all = []
-    for b in range(len(masks)):
-        ev_exact, ev_eff = spectra[b]
+    starts = np.cumsum(sizes) - sizes
+    errs = np.empty(len(states))
+    stats: list = [None] * len(blocks)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # each size once, ascending
+        members = np.flatnonzero(sizes == size)
+        place = starts[members][:, None] + np.arange(size)
+        ev_exact = np.linalg.eigvalsh(h_exact.block(states[place]))
+        ev_eff = np.linalg.eigvalsh(h_eff.block(states[place]))
         err = np.abs(ev_exact - ev_eff)
-        per_block.append(BlockErrors(key=(float(b),), max_error=float(err.max()),
-                                     mean_error=float(err.mean()), size=len(idx[b]),
-                                     exact_ev=tuple(ev_exact.tolist()),
-                                     eff_ev=tuple(ev_eff.tolist())))
-        errs_all.extend(err.tolist())
-    errs_all = np.asarray(errs_all)
-    return ComparisonReport(blocks=tuple(per_block),
-                            max_error=float(errs_all.max()),
-                            mean_error=float(errs_all.mean()),
-                            block_leakage=leakage)
+        errs[place] = err
+        for b, *row in zip(members.tolist(), err.max(axis=1).tolist(), err.mean(axis=1).tolist(),
+                           ev_exact.tolist(), ev_eff.tolist()):
+            stats[b] = row
+    per_block = tuple(BlockErrors(key=(float(b),), max_error=most, mean_error=mean, size=size,
+                                  exact_ev=tuple(exact), eff_ev=tuple(eff))
+                      for b, ((most, mean, exact, eff), size) in enumerate(zip(stats, sizes.tolist())))
+    return ComparisonReport(blocks=per_block,
+                            max_error=float(errs.max()),
+                            mean_error=float(errs.mean()),
+                            block_leakage=leakage,
+                            compared_states=int(np.count_nonzero(words.any(axis=1))))
 
 
-def _leakage(h: OperatorMatrix, masks) -> float:
-    """``max_b ||h[b, ~b]||_F / max(1, ||h||)`` over the boolean ``masks``.
+def _leakage(h: OperatorMatrix, masks: np.ndarray, words: np.ndarray) -> float:
+    """``max_b ||h[b, ~b]||_F / ||h||`` over the rows ``b`` of the boolean
+    stack ``masks``; 0 for an ``h`` with no entries.
 
-    Only a nonzero between two states that lie in different sets of masks
-    can leak, so the masks are checked on those entries alone."""
+    ``words[i]`` packs the set of blocks holding state ``i``.  Only a
+    nonzero between two states with different sets can leak, so the words
+    at the two ends of each nonzero are compared, in one pass, and the
+    norm of a block's leaking entries is taken only for the blocks one of
+    those entries leaves."""
     rows, cols, v = h.entries()
-    stack = np.array(masks)
-    member = np.packbits(stack, axis=0)  # column i: the masks holding state i, 8 to a byte
-    cross = (member[:, rows] != member[:, cols]).any(axis=0)
+    cross = (words[rows] != words[cols]).any(axis=1)
     if not cross.any():
         return 0.0
     rows, cols, v = rows[cross], cols[cross], v[cross]
-    out = max(float(np.linalg.norm(v[m[rows] & ~m[cols]])) for m in stack)
-    return out / max(1.0, h.norm()) if out else 0.0
+    leaks = masks[:, rows] & ~masks[:, cols]
+    out = max((float(np.linalg.norm(v[leak])) for leak in leaks[leaks.any(axis=1)]), default=0.0)
+    return out / h.norm() if out else 0.0
 
 
 @dataclass(frozen=True)

@@ -43,17 +43,19 @@ on one BLAS thread, ``np.sum``): at small dimensions they reduce over a
 transient dense array, and from :data:`_STACK_NORM_DIM` and
 :data:`_STACK_SUM_DIM` up over the stack's nonzero entries in the dense
 reductions' order (:func:`_frobenius`, :func:`_pairwise_sum`), with no
-dim^2 array.  An operator keeps what it has once found about itself: its
-nonzero entries, its components and its norm.
+dim^2 array.  ``apply`` reads only the columns on the support of its
+vector.  An operator keeps what it has once found about itself: its
+nonzero entries, its components with their labels, and its norm.
 
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
-in, which the evolution runs on.  :func:`blockwise` is the one writer of
-block stacks: it gathers the blocks of each operand, grouped by size, in
-one pass over the operand's stack and writes a kernel's blocks into one
-stack.  The exponential, the conjugation, the product of rotation stages,
-the unitarity check and every product whose terms collide are one call of
-it each, so no other module reads or writes a stack.
+in; :func:`component_labels` names each state's component by its smallest
+state, which the evolution finds its span with.  :func:`blockwise` is the
+one writer of block stacks: it gathers the blocks of each operand, grouped
+by size, in one pass over the operand's stack and writes a kernel's blocks
+into one stack.  The exponential, the conjugation, the product of rotation
+stages, the unitarity check and every product whose terms collide are one
+call of it each, so no other module reads or writes a stack.
 """
 
 from __future__ import annotations
@@ -372,9 +374,15 @@ class OperatorMatrix:
         """``matrix @ vec`` for a state or a ``(dim, k)`` stack of states as
         columns, with no dense array: each entry sums its row's nonzero
         products in the order of the transposed stack's maps, a single
-        product where the row holds one nonzero."""
+        product where the row holds one nonzero.  Only the columns on the
+        support of ``vec`` are read, so an entry is the sum of the products
+        of the whole stack bit for bit wherever that is not zero, and 0 in a
+        row no support column reaches."""
         v = np.asarray(vec, dtype=complex)
-        t = self._ladder.transpose()
+        p = self._ladder
+        live = np.flatnonzero(v.reshape(self.dim, -1).any(axis=1))
+        rows, cols, values = LadderPattern(p.rows[:, live], p.values[:, live]).nonzeros()
+        t = _stacked(self.dim, live[cols], rows, values)  # the transpose of those columns
         out = (t.values[0] * v[t.rows[0]].T).T
         for rows, values in zip(t.rows[1:], t.values[1:]):
             out += (values * v[rows].T).T  # an unused entry adds 0
@@ -824,14 +832,26 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
     their exponential included, is block diagonal in these components with
     exact zeros outside them, whatever the model.  The nonzeros are read
     from the stacks; the components of a single operator are found once
-    and kept.
+    and kept, with their labels (:func:`component_labels`).
     """
+    return list(_joined(ops)[1])
+
+
+def component_labels(*ops: OperatorMatrix) -> np.ndarray:
+    """The label of each state's component (:func:`components`): its
+    smallest state, read-only.  Two states lie in one component exactly
+    when their labels are equal."""
+    return _joined(ops)[0]
+
+
+def _joined(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The labels and the components of ``ops``, kept for a single operator."""
     if len(ops) == 1:
-        return list(ops[0]._kept("components", lambda: _components(ops)))
+        return ops[0]._kept("components", lambda: _components(ops))
     return _components(ops)
 
 
-def _components(ops) -> list[np.ndarray]:
+def _components(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     rows, cols = [], []
     for op in ops:
         r, c, _ = op._ladder.nonzeros()
@@ -852,7 +872,8 @@ def _components(ops) -> list[np.ndarray]:
         while not np.array_equal(root, hooked):
             root, hooked = hooked, hooked[hooked]
     order = np.argsort(root, kind="stable")
-    return list(_frozen(*np.split(order, np.flatnonzero(np.diff(root[order])) + 1)))
+    ends = [*(np.flatnonzero(np.diff(root[order])) + 1).tolist(), len(order)]
+    return _frozen(root)[0], _frozen(*(order[start:end] for start, end in zip([0, *ends], ends)))
 
 
 def size_groups(parts) -> list[tuple[list[int], np.ndarray]]:
@@ -922,8 +943,9 @@ def _gathered(p: LadderPattern, stacks) -> list[np.ndarray]:
     flat = start + pos[p.rows] * width + pos[:d]
     out = np.zeros(offset, dtype=complex)
     out[flat[inside]] = p.values[inside]
-    ends = np.cumsum([idx.size * idx.shape[1] for idx in stacks])
-    return [part.reshape(idx.shape + idx.shape[1:]) for part, idx in zip(np.split(out, ends[:-1]), stacks)]
+    ends = np.cumsum([idx.size * idx.shape[1] for idx in stacks]).tolist()
+    return [out[start:end].reshape(idx.shape + idx.shape[1:])
+            for start, end, idx in zip([0, *ends], ends, stacks)]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -507,11 +507,16 @@ class Block:
     touches_truncation: bool
 
 
-def conserved_blocks(model: ModelInstance) -> list[Block]:
-    """Group basis states by the joint eigenvalues of the conserved operators.
+def _grouped(model: ModelInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The conserved blocks as labels: ``(label, keys, truncated)``.
 
-    Blocks containing a state at the Fock truncation edge of any mode are
-    flagged, since their spectra and dynamics are affected by the cutoff.
+    ``label[i]`` is the block of state ``i``, ``keys[b]`` the block's joint
+    eigenvalues of the conserved operators, rounded to 9 decimals, and
+    ``truncated[b]`` whether the block holds a state at the Fock cutoff of
+    a mode.  Blocks come in the sorted order of their keys, first operator
+    first, as ``np.unique(axis=0)`` gives them: a stable ``lexsort`` of the
+    rows and a comparison of neighbours.  A model with no conserved
+    operator is one block with an empty key.
     """
     space = model.space
     diags = np.empty((space.dim, len(model.conserved)))
@@ -519,27 +524,40 @@ def conserved_blocks(model: ModelInstance) -> list[Block]:
         if not op.is_diagonal(1e-12):
             raise ValueError(f"conserved operator {name} is not diagonal in the product basis")
         diags[:, k] = op.diagonal().real
-    # one block per distinct row of rounded eigenvalues, in sorted order,
-    # each holding its states in basis order
-    keys, group = np.unique(np.round(diags, 9), axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    rounded = np.round(diags, 9)
+    order = np.lexsort(rounded.T[::-1]) if len(model.conserved) else np.arange(space.dim)
+    ranked = rounded[order]
+    first = np.ones(space.dim, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    label = np.empty(space.dim, dtype=np.intp)
+    label[order] = np.cumsum(first) - 1
     at_top = ~photon_safe_mask(space, 1)
-    return [Block(key=tuple(key.tolist()), indices=tuple(idx.tolist()),
-                  touches_truncation=bool(at_top[idx].any()))
-            for key, idx in zip(keys, members)]
+    truncated = np.bincount(label, weights=at_top, minlength=np.count_nonzero(first)) > 0
+    return label, ranked[first], truncated
+
+
+def conserved_blocks(model: ModelInstance) -> list[Block]:
+    """Group basis states by the joint eigenvalues of the conserved operators.
+
+    The blocks are those of :func:`_grouped`, each holding its states in
+    basis order.  Blocks containing a state at the Fock truncation edge of
+    any mode are flagged, since their spectra and dynamics are affected by
+    the cutoff.
+    """
+    label, keys, truncated = _grouped(model)
+    members = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label)).tolist()
+    return [Block(key=tuple(key), indices=tuple(members[start:end]), touches_truncation=flag)
+            for key, start, end, flag in zip(keys.tolist(), [0, *ends], ends, truncated.tolist())]
 
 
 def block_masks(model: ModelInstance, skip_truncated: bool = True) -> list[np.ndarray]:
-    """Boolean masks for each conserved block, optionally skipping cutoff-touching ones."""
-    out = []
-    for blk in conserved_blocks(model):
-        if skip_truncated and blk.touches_truncation:
-            continue
-        mask = np.zeros(model.space.dim, dtype=bool)
-        mask[list(blk.indices)] = True
-        out.append(mask)
-    return out
+    """Boolean masks for each conserved block of :func:`_grouped`, in the
+    order of :func:`conserved_blocks`, optionally skipping cutoff-touching
+    ones; one comparison of the labels builds them all."""
+    label, _, truncated = _grouped(model)
+    kept = np.flatnonzero(~truncated) if skip_truncated else np.arange(len(truncated))
+    return list(label == kept[:, None])
 
 
 def with_scaled_couplings(spec: ModelSpec, factor: float) -> ModelSpec:

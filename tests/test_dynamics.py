@@ -150,6 +150,26 @@ class TestCompareSpectra:
             with pytest.raises(AnalysisError, match="block 0 is empty"):
                 eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, [[]])
 
+    def test_compared_states_count_the_covered_states(self, dicke_model):
+        # the union of the blocks, each state once, however they overlap
+        masks = eh.block_masks(dicke_model)
+        rep = eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, masks + masks[:2])
+        assert rep.compared_states == np.count_nonzero(np.any(masks, axis=0))
+        assert rep.compared_states == sum(blk.size for blk in rep.blocks[:len(masks)])
+
+    def test_two_mode_smallest_cutoff_compares_one_state(self):
+        # the known vacuous pass: at n_max = (1, 1) only the vacuum's block
+        # is untruncated, so the comparison of 16 states covers 1 and reads
+        # a zero error; the coverage makes that visible
+        spec = eh.ModelSpec(kind="two-mode-four", energies=(0.0, 10.7, 22.6, 31.7),
+                            omega_field=10.0, omega_b=11.0, couplings=(0.02, 0.015, 0.025),
+                            couplings_b=(0.018, 0.022, 0.02), n_max=(1, 1))
+        m = eh.build(spec)
+        forms = eh.closed_form_effective(m, eh.EffectiveScenario("two-mode-four"))
+        rep = eh.compare_spectra(m.h_int, forms.corrected, eh.block_masks(m))
+        assert m.space.dim == 16
+        assert rep.compared_states == 1 and rep.max_error == 0.0
+
     def test_blocks_carry_compared_eigenvalues(self, dicke_model):
         masks = eh.block_masks(dicke_model)
         rep = eh.compare_spectra(dicke_model.h_int, dicke_model.h_diag, masks)

@@ -31,11 +31,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import effham as eh
-from effham import hilbert, models, rotations
+from effham import dynamics, hilbert, models, rotations
 from effham.hilbert import EnsembleSpec, FockTruncation, SpaceDescriptor
 
 EPS = np.finfo(float).eps
@@ -723,12 +723,12 @@ def test_entries_scan_lists_nonzeros_in_nonzero_order():
 
 def _leakage_per_mask(ops, masks) -> float:
     """The block leakage as one gather per mask: ``max_b ||h[b, ~b]||``
-    relative to ``max(1, ||h||)``, the larger over ``ops``."""
+    relative to ``||h||``, the larger over ``ops``."""
     leakage = 0.0
     for h in ops:
         out = max(float(np.linalg.norm(h.block(np.flatnonzero(m), np.flatnonzero(~m)))) for m in masks)
         if out:
-            leakage = max(leakage, out / max(1.0, h.norm()))
+            leakage = max(leakage, out / h.norm())
     return leakage
 
 
@@ -783,6 +783,127 @@ def test_block_diagonal_pair_leaks_exactly_zero(dicke_model):
     for h_eff in (forms.corrected, eh.conjugate(dicke_model.h_int, forms.rotation)):
         report = eh.compare_spectra(dicke_model.h_int, h_eff, eh.block_masks(dicke_model))
         assert report.block_leakage == 0.0
+
+
+@given(leakage_cases(), st.integers(-170, 170), st.integers(-14, 14))
+def test_block_leakage_is_unit_free(case, two, ten):
+    # relative to ||h|| alone: a power of two scales every norm exactly, and
+    # any other factor moves the ratio by its roundoff only
+    space, x, y, blocks, _ = case
+    ops = [eh.OperatorMatrix(space, x), eh.OperatorMatrix(space, y)]
+    base = eh.compare_spectra(*ops, blocks, block_tol=np.inf).block_leakage
+    assume(base > 0)
+    for c, rel in ((2.0 ** two, 0.0), (10.0 ** ten, 1e-14)):
+        got = eh.compare_spectra(*(c * op for op in ops), blocks, block_tol=np.inf).block_leakage
+        assert got == pytest.approx(base, rel=rel, abs=0)
+
+
+def _leakage_packed(h, masks) -> float:
+    """The block leakage as ``compare_spectra`` read it with one boolean mask
+    per block, packed into bytes for each operator: the reference for the
+    words it now reads."""
+    rows, cols, v = h.entries()
+    stack = np.array(masks)
+    member = np.packbits(stack, axis=0)  # column i: the masks holding state i, 8 to a byte
+    cross = (member[:, rows] != member[:, cols]).any(axis=0)
+    if not cross.any():
+        return 0.0
+    rows, cols, v = rows[cross], cols[cross], v[cross]
+    out = max(float(np.linalg.norm(v[m[rows] & ~m[cols]])) for m in stack)
+    return out / h.norm() if out else 0.0
+
+
+def _compare_per_mask(h_exact, h_eff, blocks):
+    """``compare_spectra`` as a loop over one mask per block, the reference
+    its labels must reproduce: the report's fields, floats as hex strings."""
+    masks = []
+    for blk in blocks:
+        sel = np.asarray(blk)
+        m = np.zeros(h_exact.dim, dtype=bool)
+        if sel.size:
+            m[sel] = True
+        masks.append(m)
+    leakage = max(_leakage_packed(h, masks) for h in (h_exact, h_eff))
+    idx = [np.flatnonzero(m) for m in masks]
+    spectra = {}
+    for members, stack in hilbert.size_groups(idx):
+        pairs = zip(np.linalg.eigvalsh(h_exact.block(stack)), np.linalg.eigvalsh(h_eff.block(stack)))
+        spectra.update(zip(members, pairs))
+    per_block = []
+    errs_all = []
+    for b in range(len(masks)):
+        ev_exact, ev_eff = spectra[b]
+        err = np.abs(ev_exact - ev_eff)
+        per_block.append(dynamics.BlockErrors(key=(float(b),), max_error=float(err.max()),
+                                              mean_error=float(err.mean()), size=len(idx[b]),
+                                              exact_ev=tuple(ev_exact.tolist()),
+                                              eff_ev=tuple(ev_eff.tolist())))
+        errs_all.extend(err.tolist())
+    errs_all = np.asarray(errs_all)
+    return _hexed(per_block, float(errs_all.max()), float(errs_all.mean()), leakage,
+                  int(np.any(masks, axis=0).sum()))
+
+
+def _hexed(blocks, max_error, mean_error, leakage, compared):
+    """A report's fields with every float as its hex string, so that equal
+    values mean equal bits."""
+    def one(x):
+        return tuple(map(one, x)) if isinstance(x, tuple) else x.hex() if isinstance(x, float) else x
+    rows = [tuple(one(getattr(b, f.name)) for f in dataclasses.fields(b)) for b in blocks]
+    return rows, one(max_error), one(mean_error), one(leakage), compared
+
+
+@given(leakage_cases(), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_compare_spectra_matches_the_per_mask_loop(case, singles, seed):
+    # partitions, overlapping masks and index lists, with one-state blocks
+    # added as masks or index lists: every field bit for bit
+    space, x, y, blocks, _ = case
+    rng = np.random.default_rng(seed)
+    for i in rng.integers(0, space.dim, size=singles):
+        blocks.append(np.arange(space.dim) == i if rng.random() < 0.5 else [int(i)])
+    ops = [eh.OperatorMatrix(space, x), eh.OperatorMatrix(space, y)]
+    got = eh.compare_spectra(*ops, blocks, block_tol=np.inf)
+    ref = _compare_per_mask(*ops, blocks)
+    assert _hexed(got.blocks, got.max_error, got.mean_error, got.block_leakage,
+                  got.compared_states) == ref
+
+
+def _apply_whole_stack(op, vec) -> np.ndarray:
+    """``op.apply(vec)`` over every column of the stack, the reference the
+    support-only read must reproduce."""
+    v = np.asarray(vec, dtype=complex)
+    t = op.ladder.transpose()
+    out = (t.values[0] * v[t.rows[0]].T).T
+    for rows, values in zip(t.rows[1:], t.values[1:]):
+        out += (values * v[rows].T).T
+    return out
+
+
+@pytest.mark.parametrize("fixture, scenario, labels", [
+    ("dicke_model", "dicke-dispersive", [((3,), 1)]),
+    ("dicke_model", "dicke-dispersive", [((3,), 1), ((1,), 2)]),
+    ("xi_far_level_model", "xi-far-level", [((3,), 2)]),
+    ("xi_far_level_model", "xi-far-level", [((3,), 2), ((1,), 3)]),
+], ids=["dicke", "dicke two blocks", "xi-far-level", "xi-far-level two blocks"])
+def test_support_evolution_matches_the_full_space_formulas(fixture, scenario, labels, request):
+    # the rotated state read from the support's columns of U, and the
+    # closed-form phases of the support alone: bit for bit the whole-space
+    # formulas wherever those are nonzero, and exactly 0 elsewhere
+    model = request.getfixturevalue(fixture)
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    psi = _two_blocks(model.space, *labels)
+    rotated, ref = forms.rotation.apply(psi), _apply_whole_stack(forms.rotation, psi)
+    live = ref != 0
+    assert 0 < np.count_nonzero(live) < model.space.dim
+    assert _bits(rotated[live]) == _bits(ref[live]) and not rotated[~live].any()
+    diagonal = eh.OperatorMatrix(model.space, np.diag(forms.corrected.diagonal()))
+    times = np.linspace(0.0, 40.0, 41)
+    for h in (forms.corrected, diagonal):
+        if not h.is_diagonal(0.0):
+            continue
+        got = eh.evolve(h, rotated, times).states
+        full = np.exp(-1j * np.outer(times, h.diagonal().real)) * rotated
+        assert _bits(got[:, live]) == _bits(full[:, live]) and not got[:, ~live].any()
 
 
 def _signed_parts(rng, n: int) -> np.ndarray:
@@ -1135,7 +1256,7 @@ def _fresh(op: eh.OperatorMatrix) -> eh.OperatorMatrix:
 
 
 _READS = {"entries": lambda op: op.entries(), "components": lambda op: hilbert.components(op),
-          "norm": lambda op: op.norm()}
+          "labels": lambda op: [hilbert.component_labels(op)], "norm": lambda op: op.norm()}
 
 
 @st.composite
@@ -1172,6 +1293,11 @@ def test_kept_reads_equal_a_fresh_operators(case):
         assert not rows.flags.writeable and not cols.flags.writeable
     if "components" in reads:
         assert all(not part.flags.writeable for part in hilbert.components(op))
+    if "labels" in reads:
+        label = hilbert.component_labels(op)
+        assert not label.flags.writeable
+        for part in hilbert.components(op):
+            assert (label[part] == part[0]).all()
     other = eh.OperatorMatrix(op.space, np.diag(np.arange(op.dim) + 1.0))
     results = [op + op, op - op, op + other, other - op, -op, 2.0 * op, 1j * op, op @ op,
                op @ other, other @ op, op.dag(), op.project(mask), eh.commutator(op, other)]
@@ -1344,15 +1470,23 @@ def _expm1_all_terms(b: np.ndarray) -> np.ndarray:
     return out
 
 
+#: fixtures on which an entry of U - 1 lies far below the norm the series
+#: stops by, so the stopped series keeps 2^-80 of the largest entry, not every bit
+_SERIES_WITHIN = {"two_mode_model", "lambda_model"}
+
+
 @pytest.mark.parametrize("fixture, scenario", [
     ("dicke_model", "dicke-dispersive"),
     ("four_level_model", "four-level-three-photon"),
     ("four_level_model", "cascade-first-stage"),
     ("xi_far_level_model", "xi-far-level"),
     ("xi_two_photon_model", "xi-two-photon"),
+    ("two_mode_model", "two-mode-four"),
+    ("lambda_model", "lambda-dispersive"),
 ])
 def test_stopped_series_is_the_full_series_on_the_fixtures(fixture, scenario, request):
-    # every block stack the engine exponentiates, the later stages' too
+    # every block stack the engine exponentiates, the later stages' too:
+    # bit for bit, or within 2^-80 of the largest entry of U - 1
     model = request.getfixturevalue(fixture)
     real, stacks = rotations._expm1, []
     with mock.patch.object(rotations, "_expm1", lambda b: stacks.append(b) or real(b)):
@@ -1360,7 +1494,11 @@ def test_stopped_series_is_the_full_series_on_the_fixtures(fixture, scenario, re
     assert stacks
     stopped = 0
     for b in stacks:
-        assert _bits(real(b)) == _bits(_expm1_all_terms(b))
+        got, ref = real(b), _expm1_all_terms(b)
+        if fixture in _SERIES_WITHIN:
+            assert np.max(np.abs(got - ref)) <= 2.0 ** -80 * np.max(np.abs(ref))
+        else:
+            assert _bits(got) == _bits(ref)
         eta = float(np.abs(b).sum(axis=-2).max())
         stopped += eta ** 19 / math.factorial(19) <= rotations._SERIES_CUTOFF * eta
     assert stopped  # the series stopped early somewhere, so the test compares something

@@ -318,6 +318,39 @@ def test_conserved_blocks_match_per_state_loop(fixture, request):
     assert all(type(i) is int for b in got for i in b.indices)
 
 
+@pytest.mark.parametrize("first", ["S3", "n"])
+def test_blocks_of_two_varying_charges_sort_by_the_first(dicke_model, first):
+    # every fixture has one charge that varies; with two, the blocks sort
+    # by the first operator's value, then the second's, as the loop's keys
+    charges = {"S3": dicke_model.operators["S3"], "n": dicke_model.operators["n"]}
+    second = "n" if first == "S3" else "S3"
+    model = dataclasses.replace(dicke_model, conserved={first: charges[first], second: charges[second]})
+    got, ref = eh.conserved_blocks(model), _blocks_per_state_loop(model)
+    assert len(got) == model.space.dim  # each state a block of its own
+    assert [(b.key, b.indices, b.touches_truncation) for b in got] == \
+        [(b.key, b.indices, b.touches_truncation) for b in ref]
+
+
+@pytest.mark.parametrize("fixture", ["spin_model", "dicke_model", "xi_two_photon_model",
+                                     "lambda_model", "four_level_model", "xi_far_level_model",
+                                     "two_mode_model"])
+def test_block_masks_match_masks_of_the_blocks(fixture, request):
+    # the masks come from the labels, the blocks from their members: one
+    # grouping, so the same blocks in the same order either way
+    model = request.getfixturevalue(fixture)
+    blocks = eh.conserved_blocks(model)
+    for skip in (True, False):
+        ref = []
+        for blk in blocks:
+            if not (skip and blk.touches_truncation):
+                mask = np.zeros(model.space.dim, dtype=bool)
+                mask[list(blk.indices)] = True
+                ref.append(mask)
+        got = eh.block_masks(model, skip_truncated=skip)
+        assert len(got) == len(ref) and all(np.array_equal(g, r) for g, r in zip(got, ref))
+        assert all(g.dtype == bool and g.shape == (model.space.dim,) for g in got)
+
+
 _SMALLEST = {
     "spin-in-field": dict(omega=1.0, g=0.1, spin_j=0.5),
     "spin-in-field, j = 3/2": dict(omega=1.0, g=0.1, spin_j=1.5),

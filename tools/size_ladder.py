@@ -1,10 +1,10 @@
 """Time three models up a ladder of sizes: build, scenario, spectra and evolutions.
 
-    python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20] [--cascade 3:16 4:20]
+    python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20 40] [--cascade 3:16 4:20]
                                  [--xi3 6:10 10:30 12:50] [--repeats 3] [--out OUT.json]
 
 For each atom count A the Dicke model with ``n_max = 10 A`` (dim 22, 306,
-1111 and 4221 for the defaults), for each ``A:n_max`` of ``--cascade`` the
+1111, 4221 and 16441 for the defaults), for each ``A:n_max`` of ``--cascade`` the
 four-level cascade of the benchmark's multiphoton workload (dim 340 and 735
 for the defaults), and for each ``A:n_max`` of ``--xi3`` the three-level
 cascade of its xi-far-level task (dim 308, 2046 and 4641 for the defaults)
@@ -26,10 +26,13 @@ The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
 the coupling sits at a fifth of the dispersive guard.  A cascade or xi3
 rung times ``build``, ``scenario`` (``four-level-three-photon`` or
 ``xi-far-level``, as the multiphoton task at variant 0) and ``spectra``
-(its corrected form against ``h_int`` on the blocks).  The median of each
-stage over the repeats and
-the peak resident memory of the interpreter are printed as one JSON line
-per size and, with ``--out``, written to a file.
+(its corrected form against ``h_int`` on the blocks).  Every rung also
+records, outside the timed stages, its block cost ``block_cost``, the sum
+of ``block_size^3`` over the conserved blocks, against which the stage
+times should scale, and ``states_compared``, the states the spectra's
+blocks cover.  The median of each stage over the repeats and the peak
+resident memory of the interpreter are printed as one JSON line per size
+and, with ``--out``, written to a file.
 """
 
 from __future__ import annotations
@@ -47,6 +50,15 @@ from pathlib import Path
 
 DELTA = 0.6
 GUARD_RATIO = 0.2
+
+
+def _coverage(eh, model) -> dict:
+    """The block cost and the states the spectra compare, for one model."""
+    import numpy as np
+
+    sizes = [len(blk.indices) for blk in eh.conserved_blocks(model)]
+    return {"block_cost": sum(size ** 3 for size in sizes),
+            "states_compared": int(np.count_nonzero(np.any(eh.block_masks(model), axis=0)))}
 
 
 def measure(atoms: int, repeats: int) -> dict:
@@ -78,9 +90,10 @@ def measure(atoms: int, repeats: int) -> dict:
         t5 = time.perf_counter()
         for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             samples[stage].append(seconds)
+        coverage = _coverage(eh, model)
         del model
     return {"model": "dicke", "atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
-            "repeats": repeats,
+            "repeats": repeats, **coverage,
             **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "samples_s": samples}
@@ -124,10 +137,11 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
         t3 = time.perf_counter()
         for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2)):
             samples[stage].append(seconds)
-        dim = model.space.dim
+        dim, coverage = model.space.dim, _coverage(eh, model)
         del model, forms
     return {"model": kind, "atoms": atoms, "n_max": n_max, "dim": dim,
-            "repeats": repeats, **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
+            "repeats": repeats, **coverage,
+            **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "samples_s": samples}
 
@@ -135,7 +149,7 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
-    p.add_argument("--atoms", type=int, nargs="*", default=[1, 5, 10, 20])
+    p.add_argument("--atoms", type=int, nargs="*", default=[1, 5, 10, 20, 40])
     p.add_argument("--cascade", nargs="*", default=["3:16", "4:20"], metavar="A:N_MAX")
     p.add_argument("--xi3", nargs="*", default=["6:10", "10:30", "12:50"], metavar="A:N_MAX")
     p.add_argument("--repeats", type=int, default=3)
