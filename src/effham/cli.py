@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dynamics, models, rotations
 from .algebra import ladder_relation_report, verify_su3_cross_relations
-from .errors import ConfigError, EffhamError
+from .errors import ConfigError, EffhamError, ResonanceError
 from .hilbert import basis_state, collective_operator, number_operator
 from .models import ModelSpec
 from .rotations import SCENARIOS, EffectiveScenario
@@ -77,6 +77,10 @@ class RunConfig:
     output: Path
     fmt: str
     raw: dict[str, dict[str, str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.draws < 1:
+            raise ValueError(f"draws must be at least 1, got {self.draws}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -327,7 +331,8 @@ def _run_couplings(cfg: RunConfig):
             rel = abs(got[key] - closed[key]) / max(abs(closed[key]), 1e-300)
             worst = max(worst, rel)
             rows.append((draw, key, _fmt(got[key]), _fmt(closed[key]), _fmt(rel)))
-    checks = [Check("recurrence-vs-closed-forms", worst <= 1e-12, worst, 1e-12)]
+    checks = [Check("recurrence-vs-closed-forms", bool(rows) and worst <= 1e-12, worst, 1e-12,
+                    detail="" if rows else "no draw compared")]
     header = ("draw", "constant", "recurrence", "closed_form", "rel_err")
     return checks, header, rows, {"draws_used": len(rows) // 3}
 
@@ -343,9 +348,10 @@ def _scaled_model(cfg: RunConfig, eps: float) -> models.ModelInstance:
         return models.build(ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
                                       omega0=spec.omega0, g=eps * delta,
                                       atoms=spec.atoms, n_max=spec.n_max))
-    model0 = models.build(spec)
-    current = max(abs(t.epsilon) for t in model0.interactions if t.detuning != 0)
-    return models.build(models.with_scaled_couplings(spec, eps / current))
+    detuned = [abs(t.epsilon) for t in models.build(spec).interactions if t.detuning != 0]
+    if not any(detuned):
+        raise ResonanceError("every coupling is zero or on one-photon resonance: nothing to scale")
+    return models.build(models.with_scaled_couplings(spec, eps / max(detuned)))
 
 
 def _run_scaling(cfg: RunConfig):

@@ -582,7 +582,7 @@ def _pairwise_sum(n: int, places: np.ndarray, values: np.ndarray) -> complex:
     sums = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
     np.add.at(sums, leaf[~lane], values[~lane])
     part = part[new]
-    for depth in np.unique(part):  # the deepest parting node first
+    for depth in np.flatnonzero(np.bincount(part)):  # the deepest parting node first
         last = part == depth
         sums[:-1][last] += sums[1:][last]
         sums = sums[np.concatenate([[True], ~last])]

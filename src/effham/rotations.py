@@ -13,10 +13,11 @@ check the model kind, evaluate the guards, build the rotation stages, take
 the corrected form, keep the resonant transition signatures, and measure
 the printed form against it on the validity sector.  Each stage is one
 anti-Hermitian generator: the first removes the named one-photon
-transitions, later ones remove couplings the earlier stages generate.  This
-is the order-by-order scheme of Bravyi, DiVincenzo & Loss, Ann. Phys. 326,
-2793 (2011).  What differs between scenarios is data in the rows of
-:data:`SCENARIOS`, so a new scenario is one row plus a printed-form function.
+transitions, each later one the hops the earlier stages generate, by one
+fitted rule (:func:`_fitted_stage`).  This is the order-by-order scheme of
+Bravyi, DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011).  What differs
+between scenarios is data in the rows of :data:`SCENARIOS`, so a new
+scenario is one row plus a printed-form function.
 
 For each scenario two operators are produced: the textbook closed form as
 commonly printed (``printed``), and the form obtained mechanically from the
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -255,15 +256,13 @@ class CouplingTable:
 
     ``eps[i]`` is the one-photon rotation amplitude of step ``i+1``;
     ``lam[n-1][i-1]`` is the order-n coupling between levels ``i`` and
-    ``i+n``.  ``alpha2``/``beta`` are filled for the four-level scenario
-    (second-stage rotation amplitudes); ``xi2_ab`` for the two-mode one.
+    ``i+n``.  ``alpha2`` is filled for the four-level chain: the closed-form
+    amplitudes of its two-photon hops, which its guard reads.
     """
 
     eps: tuple[float, ...]
     lam: tuple[tuple[float, ...], ...]
     alpha2: tuple[float, ...] | None = None
-    beta: dict[tuple[int, int], float] | None = None
-    xi2_ab: float | None = None
 
     def lam_at(self, i: int, order: int) -> float:
         return self.lam[order - 1][i - 1]
@@ -301,12 +300,12 @@ def coupling_table(couplings, deltas, max_order: int | None = None) -> CouplingT
 
 
 def four_level_constants(couplings, deltas) -> CouplingTable:
-    """Coupling table for a four-level chain plus the second-stage amplitudes.
+    """Coupling table for a four-level chain plus its two-photon amplitudes.
 
-    ``alpha2[i-1] = lam_i^(2) / (D_{i+2} - D_i)`` removes the two-photon
-    terms; ``beta[(i, j)] = eps_i g_j / (D_{i+1} - D_i + D_j - D_{j+1})``
-    removes the photon-conserving dipole-dipole terms.  Vanishing denominators
-    are two-photon or dipole-dipole resonances and raise.
+    ``alpha2[i-1] = lam_i^(2) / (D_{i+2} - D_i)`` removes the hop
+    ``a^2 S^{i,i+2}``.  A vanishing denominator, or a vanishing
+    ``D_{i+1} - D_i + D_j - D_{j+1}`` of steps ``i < j``, is a two-photon or
+    dipole-dipole resonance and raises.
     """
     table = coupling_table(couplings, deltas, max_order=3)
     d = [float(x) for x in deltas]
@@ -318,17 +317,11 @@ def four_level_constants(couplings, deltas) -> CouplingTable:
         if resonant(den, d[i + 1], d[i - 1]):
             raise ResonanceError(f"two-photon resonance between levels {i} and {i + 2}")
         alpha2.append(table.lam_at(i, 2) / den)
-    beta: dict[tuple[int, int], float] = {}
-    g = [float(x) for x in couplings]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i == j:
-                continue
-            den = (d[i] - d[i - 1]) + (d[j - 1] - d[j])
-            if resonant(den, d[i], d[i - 1], d[j - 1], d[j]):
-                raise ResonanceError(f"dipole-dipole resonance for step pair ({i}, {j})")
-            beta[(i, j)] = table.eps[i - 1] * g[j - 1] / den
-    return CouplingTable(eps=table.eps, lam=table.lam, alpha2=tuple(alpha2), beta=beta)
+    for i, j in combinations(range(1, 4), 2):
+        den = (d[i] - d[i - 1]) + (d[j - 1] - d[j])
+        if resonant(den, d[i], d[i - 1], d[j - 1], d[j]):
+            raise ResonanceError(f"dipole-dipole resonance for step pair ({i}, {j})")
+    return CouplingTable(eps=table.eps, lam=table.lam, alpha2=tuple(alpha2))
 
 
 def two_mode_pair_coupling(couplings_a, couplings_b, deltas) -> float:
@@ -344,13 +337,10 @@ def two_mode_pair_coupling(couplings_a, couplings_b, deltas) -> float:
 def two_mode_tables(couplings_a, couplings_b, deltas, gap):
     """Per-mode coupling tables for the two-mode four-level chain.
 
-    Mode-b detunings are shifted by the mode gap per absorbed photon.  The
-    mixed 2-4 pair coupling is stored on both tables.
+    Mode-b detunings are shifted by the mode gap per absorbed photon.
     """
-    xi2 = two_mode_pair_coupling(couplings_a, couplings_b, deltas)
-    table_a = coupling_table(couplings_a, deltas)
-    table_b = coupling_table(couplings_b, [d - i * gap for i, d in enumerate(deltas)])
-    return replace(table_a, xi2_ab=xi2), replace(table_b, xi2_ab=xi2)
+    return (coupling_table(couplings_a, deltas),
+            coupling_table(couplings_b, [d - i * gap for i, d in enumerate(deltas)]))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +527,18 @@ def _second_order(model: ModelInstance, gen: OperatorMatrix, eliminate, retain=(
     return h2
 
 
+def _fitted_stage(model: ModelInstance, hops, stages) -> OperatorMatrix:
+    """Later-stage generator ``sum (c/D)(Y - Y^dag)`` over the ``hops`` Y:
+    ``c`` is Y's coefficient in ``h_int`` as the earlier ``stages`` leave it,
+    fitted away from the Fock cutoff, ``D`` its measured step.  A hop with
+    no entries there moves only states at the cutoff and is skipped."""
+    rotated = conjugate_stages(model.h_int, stages)
+    safe = photon_safe_mask(model.space, 1)
+    pieces = ((fit_coefficient(rotated, y, mask=safe) / measured_step(model.h_diag, y))
+              * (y - y.dag()) for y in hops if y.project(safe).norm() != 0)
+    return _sum(pieces) or zero(model.space)
+
+
 # ---------------------------------------------------------------------------
 # cascade first stage: conjugation and pattern split
 # ---------------------------------------------------------------------------
@@ -624,19 +626,19 @@ def cascade_stark_leading(model: ModelInstance) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# scenario pieces: guards and tables, later stages, printed forms
+# scenario pieces: guards, later-stage hops, printed forms
 # ---------------------------------------------------------------------------
 
 def _prepare_su2(model: ModelInstance):
     omega, g = model.spec.omega, model.spec.g
-    return {"g_over_omega": amplitude_guard("g/omega", g / omega if omega else math.inf)}, None
+    return {"g_over_omega": amplitude_guard("g/omega", g / omega if omega else math.inf)}
 
 
 def _prepare_xi_far_level(model: ModelInstance):
     d12, d23 = model.detunings["12"], model.detunings["23"]
     g12, g23 = model.spec.couplings
     eps13 = g12 * g23 / (d12 * (d12 + d23)) if (d12 + d23) else math.inf
-    return {"eps13": amplitude_guard("the second-stage 1-3 transition", eps13)}, None
+    return {"eps13": amplitude_guard("the second-stage 1-3 transition", eps13)}
 
 
 def _prepare_xi_two_photon(model: ModelInstance):
@@ -644,12 +646,12 @@ def _prepare_xi_two_photon(model: ModelInstance):
     if not resonant(d12 + d23, *model.spec.energies, model.spec.omega_field):
         raise ResonanceError(
             f"two-photon resonance requires D12 = -D23, got {d12:.6g} vs {-d23:.6g}")
-    return {}, None
+    return {}
 
 
 def _prepare_cascade_first_stage(model: ModelInstance):
     table = coupling_table(model.spec.couplings, _level_detunings(model))
-    return {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}, table
+    return {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}
 
 
 def _prepare_four_level(model: ModelInstance):
@@ -661,39 +663,29 @@ def _prepare_four_level(model: ModelInstance):
     table = four_level_constants(model.spec.couplings, deltas)
     guards = {f"eps{i + 1}": abs(e) for i, e in enumerate(table.eps)}
     guards["alpha2_max"] = max(abs(x) for x in table.alpha2)
-    return guards, table
+    return guards
 
 
-def _stage_xi_far_two_photon(model: ModelInstance, table, stages):
-    """Removes the two-photon 1-3 channel the first stage generates; the
-    amplitude is fitted on the once-rotated Hamiltonian."""
-    y_plus = (model.operators["a"] @ model.operators["a"]) @ model.operators["S13"]
-    c_y = fit_coefficient(conjugate_stages(model.h_int, stages), y_plus,
-                          mask=photon_safe_mask(model.space, 1))
-    step_y = measured_step(model.h_diag, y_plus)
-    return (c_y / step_y) * (y_plus - y_plus.dag())
-
-
-def _stage_four_level_two_photon(model: ModelInstance, table: CouplingTable, stages):
+def _two_photon_hops(model: ModelInstance) -> list[OperatorMatrix]:
+    """``a^2 S^{i,i+2}`` along the chain."""
     a2 = model.operators["a"] @ model.operators["a"]
-    hops = ((alpha, a2 @ collective_operator(model.space, i, i + 2))
-            for i, alpha in zip((1, 2), table.alpha2))
-    return _sum(0.5 * alpha * (hop - hop.dag()) for alpha, hop in hops)
+    return [a2 @ collective_operator(model.space, i, i + 2)
+            for i in range(1, model.space.ensemble.levels - 1)]
 
 
-def _stage_four_level_dipole_dipole(model: ModelInstance, table: CouplingTable, stages):
+def _dipole_dipole_hops(model: ModelInstance) -> list[OperatorMatrix]:
+    """``S^{i,i+1} S^{j+1,j}`` for each pair of steps ``i < j``."""
     space = model.space
-    crosses = ((b, collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j))
-               for (i, j), b in table.beta.items())
-    return _sum(0.5 * b * (cross - cross.dag()) for b, cross in crosses)
+    return [collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j)
+            for i, j in combinations(range(1, space.ensemble.levels), 2)]
 
 
-def _printed_su2(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_su2(model: ModelInstance) -> OperatorMatrix:
     omega, g = model.spec.omega, model.spec.g
     return (omega + 2 * g * g / omega) * model.operators["S3"]
 
 
-def _printed_dicke(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_dicke(model: ModelInstance) -> OperatorMatrix:
     delta, g = model.detunings["delta"], model.spec.g
     s3, n_op = model.operators["S3"], model.operators["n"]
     a_count = model.spec.atoms
@@ -703,7 +695,7 @@ def _printed_dicke(model: ModelInstance, table) -> OperatorMatrix:
         s3 @ s3 - 2 * (n_op + eye) @ s3 - casimir * eye)
 
 
-def _printed_xi_far_level(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_xi_far_level(model: ModelInstance) -> OperatorMatrix:
     d12, d23 = model.detunings["12"], model.detunings["23"]
     g12, g23 = model.spec.couplings
     ops = model.operators
@@ -712,7 +704,7 @@ def _printed_xi_far_level(model: ModelInstance, table) -> OperatorMatrix:
             + (g12 ** 2 / d12) * ops["S22"] @ (ops["n"] + eye))
 
 
-def _printed_xi_two_photon(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_xi_two_photon(model: ModelInstance) -> OperatorMatrix:
     d12 = model.detunings["12"]
     g12, g23 = model.spec.couplings
     ops = model.operators
@@ -726,7 +718,7 @@ def _printed_xi_two_photon(model: ModelInstance, table) -> OperatorMatrix:
             + model.spec.atoms * (g12 ** 2 / d12) * n_op)
 
 
-def _printed_lambda(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_lambda(model: ModelInstance) -> OperatorMatrix:
     ops = model.operators
     eye = identity(model.space)
     d31, d32 = model.detunings["31"], model.detunings["32"]
@@ -739,9 +731,10 @@ def _printed_lambda(model: ModelInstance, table) -> OperatorMatrix:
             + (g13 * g23 / d31) * transfer)
 
 
-def _printed_cascade_first_stage(model: ModelInstance, table: CouplingTable) -> OperatorMatrix:
+def _printed_cascade_first_stage(model: ModelInstance) -> OperatorMatrix:
     space = model.space
     nlev = space.ensemble.levels
+    table = coupling_table(model.spec.couplings, _level_detunings(model))
     printed = model.h_diag + cascade_stark_leading(model)
     g = model.spec.couplings
     if nlev == 4:
@@ -756,7 +749,7 @@ def _printed_cascade_first_stage(model: ModelInstance, table: CouplingTable) -> 
     return _sum((coeff * (hop + hop.dag()) for _, _, hop, coeff in hops), start=printed)
 
 
-def _printed_four_level(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_four_level(model: ModelInstance) -> OperatorMatrix:
     ops = model.operators
     eye = identity(model.space)
     g1, g2, g3 = model.spec.couplings
@@ -770,9 +763,11 @@ def _printed_four_level(model: ModelInstance, table) -> OperatorMatrix:
             + model.spec.atoms * (g1 ** 2 / d2) * n_op)
 
 
-def _printed_two_mode(model: ModelInstance, table) -> OperatorMatrix:
+def _printed_two_mode(model: ModelInstance) -> OperatorMatrix:
+    deltas = _level_detunings(model)
+    xi2 = two_mode_pair_coupling(model.spec.couplings, model.spec.couplings_b, deltas)
     table_a, table_b = two_mode_tables(model.spec.couplings, model.spec.couplings_b,
-                                       _level_detunings(model), model.detunings["gap"])
+                                       deltas, model.detunings["gap"])
     space = model.space
     ops = model.operators
     printed = _sum(chain(_stark_pieces(space, 0, model.spec.couplings, table_a.eps),
@@ -784,7 +779,7 @@ def _printed_two_mode(model: ModelInstance, table) -> OperatorMatrix:
     return (printed
             + 0.5 * table_a.lam_at(1, 2) * (hop2 + hop2.dag())
             + (1.0 / 3.0) * table_b.lam_at(1, 3) * (hop3 + hop3.dag())
-            + table_a.xi2_ab * (hop_ab + hop_ab.dag()))
+            + xi2 * (hop_ab + hop_ab.dag()))
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +808,14 @@ class ScenarioInfo:
     model_kinds: tuple[str, ...]
     guards: str  # validity conditions, as printed by list-scenarios
     sketch: str  # effective form, likewise
-    printed: Callable  # (model, table) -> the printed closed form
+    printed: Callable  # model -> the printed closed form
     corrected_from: str = "conjugation"  # or "structure", "second-order"; see the engine
     dispersive: tuple[tuple[str, str], ...] = ()  # (transition, guard name) pairs
-    prepare: Callable | None = None  # model -> (further guards, table); raises on violation
+    prepare: Callable | None = None  # model -> further guards; raises on violation
     eliminate: tuple[str, ...] | None = None  # first-stage transitions; None: all
     retain: tuple[str, ...] = ()  # couplings kept at second order
     amplitude_key: str | None = None  # guard name format of the first-stage amplitudes
-    stages: tuple[Callable, ...] = ()  # later generators: (model, table, unitaries) -> G
+    stages: tuple[Callable, ...] = ()  # later stages: model -> hops, see _fitted_stage
     keep: Callable | None = None  # filter_signatures predicate; None: no filter
     empty_levels: tuple[int, ...] = ()  # validity sector; none: the full space
     notes: tuple[str, ...] | Callable = ()  # printed-form deviations, or model -> notes
@@ -841,7 +836,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {s.identifier: s for s in (
                  "D23*S33 + g23*(a S23+ + h.c.) + (g12^2/D12)*S22*(n+1) on the S11=0 sector",
                  printed=_printed_xi_far_level, corrected_from="second-order",
                  dispersive=(("12", "dispersive_ratio_12"),), prepare=_prepare_xi_far_level,
-                 eliminate=("12",), retain=("23",), stages=(_stage_xi_far_two_photon,),
+                 eliminate=("12",), retain=("23",), stages=(_two_photon_hops,),
                  keep=lambda dph, docc: not (abs(sum(dph)) == 2 and docc[0] and docc[2]),
                  empty_levels=(1,)),
     ScenarioInfo("xi-two-photon", ("xi3",),
@@ -871,7 +866,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {s.identifier: s for s in (
                  "D4 = 0; no one-/two-photon or dipole-dipole resonances",
                  "(g1*g2*g3/(D2*D3))*(a^3 S14+ + h.c.) + Stark shifts on the S22=S33=0 sector",
                  printed=_printed_four_level, prepare=_prepare_four_level,
-                 stages=(_stage_four_level_two_photon, _stage_four_level_dipole_dipole),
+                 stages=(_two_photon_hops, _dipole_dipole_hops),
                  keep=_resonant(((3,), 1, 4)), empty_levels=(2, 3),
                  notes=("printed Stark pattern disagrees with the rotation algebra in the photon-"
                         "dependent terms; the corrected form is taken from conjugation",)),
@@ -921,19 +916,17 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
         raise EffhamError(
             f"scenario {scenario.identifier!r} does not apply to model kind {model.spec.kind!r}")
     guards = dispersive_guards(model, info.dispersive)
-    table = None
     if info.prepare is not None:
-        more, table = info.prepare(model)
-        guards.update(more)
+        guards.update(info.prepare(model))
 
     gen, eps = eliminating_generator(model, info.eliminate)
     # the printed forms divide by the one-photon steps checked above
-    printed = info.printed(model, table)
+    printed = info.printed(model)
     if info.amplitude_key is not None:
         guards.update((info.amplitude_key.format(name), abs(e)) for name, e in eps.items())
     stages = [matrix_exponential(gen)]
-    for next_stage in info.stages:
-        stages.append(matrix_exponential(next_stage(model, table, stages)))
+    for hops in info.stages:
+        stages.append(matrix_exponential(_fitted_stage(model, hops(model), stages)))
     rotation = _stage_product(stages)
 
     if info.corrected_from == "structure":

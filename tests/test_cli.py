@@ -237,6 +237,8 @@ BAD_VALUES = {
                              "needs one truncation per mode (2), got 1"),
     "g nan": ("[model]\nkind = dicke\ng = nan\n[analysis]\nkind = algebra-check\n",
               "g must be finite, got nan"),
+    "no draws": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\ndraws = 0\n",
+                 "draws must be at least 1, got 0"),
 }
 
 
@@ -249,6 +251,32 @@ def test_bad_value_is_config_error(tmp_path, capsys, defect):
         assert _run(command) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and rule in err
+
+
+def test_couplings_check_fails_when_no_draw_is_compared(tmp_path, capsys):
+    # seed 10 skips its one draw (a detuning step under 0.2), so the
+    # recurrence is compared with nothing and the check must not pass
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text((CONFIGS / "couplings.cfg").read_text()
+                   .replace("draws = 200", "draws = 1").replace("seed = 7", "seed = 10"))
+    out = tmp_path / "r.csv"
+    assert _run(["run", cfg, "--output", out]) == 1
+    assert "[FAIL] recurrence-vs-closed-forms" in capsys.readouterr().out
+    assert "# draws_used = 0" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("energies, couplings", [("0, 10, 20", "0.04, 0.04"),
+                                                 ("0, 11, 20", "0, 0")])
+def test_scaling_with_nothing_to_scale_is_config_error(tmp_path, capsys, energies, couplings):
+    # both one-photon steps on resonance, or both couplings zero: no
+    # coupling has an amplitude the scaling study could scale to its epsilons
+    cfg = tmp_path / "resonant.cfg"
+    cfg.write_text(f"[model]\nkind = xi3\nenergies = {energies}\nomega_field = 10\n"
+                   f"couplings = {couplings}\natoms = 1\nn_max = 4\n[analysis]\nkind = scaling\n"
+                   "scenario = xi-two-photon\nmetric = offdiag-residual\n")
+    assert _run(["run", cfg, "--output", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nothing to scale" in err
 
 
 def test_failed_model_validation_is_internal_error(tmp_path, capsys, monkeypatch):

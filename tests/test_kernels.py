@@ -24,6 +24,9 @@ reductions, and hold no dense array.
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -37,6 +40,7 @@ from hypothesis import strategies as st
 import effham as eh
 from effham import dynamics, hilbert, models, rotations
 from effham.hilbert import EnsembleSpec, FockTruncation, SpaceDescriptor
+from tests.conftest import REPO_ROOT
 
 EPS = np.finfo(float).eps
 
@@ -1080,6 +1084,22 @@ def test_stack_reductions_are_the_dense_bits(dim, maps_a, maps_b, seed, diagonal
         with mock.patch.multiple(hilbert, _STACK_NORM_DIM=0, _STACK_SUM_DIM=0):
             assert _reductions(a, b, labels) == expected
         assert _reductions(a, b, labels) == expected
+
+
+def test_stack_inner_leaves_numpy_ma_unimported():
+    # the stack's inner product (dim 1111, over _STACK_SUM_DIM) walks the
+    # parting depths of its sum without np.unique, whose first call on a
+    # 1-D array imports numpy.ma (about 1 MB); checked in a fresh interpreter
+    code = ("import sys, effham as eh\n"
+            "m = eh.build(eh.ModelSpec(kind='dicke', omega_field=10.0, omega0=10.6, g=0.001,"
+            " atoms=10, n_max=100))\n"
+            "assert m.space.dim == 1111 and 'numpy.ma' not in sys.modules\n"
+            "m.h_int.inner(m.h_int)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_dicke_closed_form_peaks_below_a_quarter_dense_array():

@@ -208,9 +208,6 @@ class TestCouplingTable:
         assert table.alpha2 is not None and len(table.alpha2) == 2
         assert table.alpha2[0] == pytest.approx(table.lam_at(1, 2) / 1.7, rel=1e-12)
         assert table.alpha2[1] == pytest.approx(table.lam_at(2, 2) / -1.0, rel=1e-12)
-        assert (1, 1) not in table.beta
-        assert table.beta[(1, 2)] == pytest.approx(
-            (0.03 / 1.0) * 0.03 / (1.0 - 0.7), rel=1e-12)
 
     def test_four_level_resonances_rejected(self):
         with pytest.raises(ResonanceError):
@@ -373,6 +370,71 @@ class TestClosedFormEffective:
         pred = g ** 3 / (d2 * d3) * math.sqrt(n * (n - 1) * (n - 2))
         assert forms.corrected.matrix[r, c].real == pytest.approx(pred, rel=0.05)
 
+    def test_later_stage_amplitudes_match_closed_forms(self, monkeypatch):
+        # the fitted amplitudes of the two later four-level stages against
+        # the hand derivation, at A = 3 where the dipole-dipole crosses are
+        # nonzero: 0.5 alpha2[i] for a^2 S^{i,i+2}, and for S^{i,i+1} S^{j+1,j}
+        # 0.5 (eps_i g_j + eps_j g_i) / (D_{i+1} - D_i + D_j - D_{j+1}).  The
+        # two differ at relative O(eps^2), so halving the couplings quarters
+        # the gap.  The hops of a stage hold disjoint entries, so each one's
+        # amplitude is its coefficient in the stage's generator.
+        generators = []
+        exponential = rotations.matrix_exponential
+
+        def spy(op):
+            generators.append(op)
+            return exponential(op)
+
+        monkeypatch.setattr(rotations, "matrix_exponential", spy)
+
+        def gaps(scale):
+            wf = 10.0
+            g = (0.015 * scale, 0.01 * scale, 0.0125 * scale)
+            spec = eh.ModelSpec(kind="cascade", energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf),
+                                omega_field=wf, couplings=g, atoms=3, n_max=8)
+            m = eh.build(spec, require_resonance=True)
+            generators.clear()
+            eh.closed_form_effective(m, eh.EffectiveScenario("four-level-three-photon"))
+            _, two_photon, dipole = generators
+            d = [m.detunings[str(j)] for j in range(1, 5)]
+            table = eh.four_level_constants(g, d)
+            ops = m.operators
+            a2 = ops["a"] @ ops["a"]
+            pairs = [(two_photon, a2 @ ops[f"S{i}{i + 2}"], 0.5 * table.alpha2[i - 1]) for i in (1, 2)]
+            for i, j in ((1, 2), (1, 3), (2, 3)):
+                closed = (0.5 * (table.eps[i - 1] * g[j - 1] + table.eps[j - 1] * g[i - 1])
+                          / (d[i] - d[i - 1] + d[j - 1] - d[j]))
+                pairs.append((dipole, ops[f"S{i}{i + 1}"] @ ops[f"S{j + 1}{j}"], closed))
+            assert all(hop.norm() > 0 for _, hop, _ in pairs)
+            return np.array([abs(eh.fit_coefficient(gen, hop) / closed - 1)
+                             for gen, hop, closed in pairs])
+
+        full, half = gaps(1.0), gaps(0.5)
+        assert np.all(full < 1e-2)
+        assert np.all((3.8 <= full / half) & (full / half <= 4.2))
+
+    @pytest.mark.parametrize("spec, scenario", [
+        (eh.ModelSpec(kind="cascade", energies=(0.0, 11.0, 21.7, 30.0), omega_field=10.0,
+                      couplings=(0.03, 0.03, 0.03), atoms=2, n_max=2), "four-level-three-photon"),
+        (eh.ModelSpec(kind="xi3", energies=(0.0, 11.0, 21.05), omega_field=10.0,
+                      couplings=(0.01, 0.01), atoms=1, n_max=2), "xi-far-level"),
+    ])
+    def test_hops_only_at_the_cutoff_are_skipped(self, spec, scenario, monkeypatch):
+        # at n_max = 2 every a^2 S^{i,i+2} entry moves a state with 2
+        # photons, so no coefficient can be fitted away from the cutoff: the
+        # two-photon stage is the zero generator, and the forms are built
+        generators = []
+        exponential = rotations.matrix_exponential
+
+        def spy(op):
+            generators.append(op)
+            return exponential(op)
+
+        monkeypatch.setattr(rotations, "matrix_exponential", spy)
+        forms = eh.closed_form_effective(eh.build(spec), eh.EffectiveScenario(scenario))
+        assert generators[1].norm() == 0.0
+        assert math.isfinite(forms.deviation_norm)
+
     def test_three_photon_dipole_resonance_rejected(self):
         wf = 10.0
         spec = eh.ModelSpec(kind="cascade", energies=(0.0, wf + 1.0, 2 * wf - 1.0, 3 * wf),
@@ -470,11 +532,9 @@ class TestTwoModeScenario:
         with pytest.raises(ResonanceError):
             eh.two_mode_pair_coupling([0.1] * 3, [0.1] * 3, [0.0, 1.0, 1.0, 2.0])
 
-    def test_two_mode_tables_store_pair_coupling(self):
+    def test_two_mode_tables_shift_mode_b_steps(self):
         deltas = [0.0, 0.7, 2.6, 1.7]
-        ta, tb = eh.two_mode_tables([0.02] * 3, [0.03] * 3, deltas, 1.0)
-        xi2 = eh.two_mode_pair_coupling([0.02] * 3, [0.03] * 3, deltas)
-        assert ta.xi2_ab == tb.xi2_ab == pytest.approx(xi2, rel=1e-15)
+        _, tb = eh.two_mode_tables([0.02] * 3, [0.03] * 3, deltas, 1.0)
         # mode-b amplitudes use the gap-shifted steps
         assert tb.eps[0] == pytest.approx(0.03 / (0.7 - 1.0), rel=1e-12)
 

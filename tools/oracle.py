@@ -21,10 +21,12 @@ of the model), so every mp matrix is small:
   validity sector) and the Frobenius norms.
 
 Every input must be block diagonal in the conserved charge; an entry
-outside the blocks is an error.  The later-stage generator of
-``xi-far-level`` carries an amplitude the engine fits in float64 from its
-own conjugation; its roundoff moves ``||rotation - 1||`` by less than
-1e-18, far below the distances the pins are held to.  Guards are ratios of
+outside the blocks is an error.  Every later-stage generator (those of
+``xi-far-level`` and ``four-level-three-photon``) carries amplitudes the
+engine fits in float64 from its own conjugation of the earlier stages.
+The oracle takes them as exact like any input, so it must be re-run when
+the fit changes; the fit's roundoff moves ``||rotation - 1||`` by less
+than 1e-18, far below the distances the pins are held to.  Guards are ratios of
 model parameters that never pass through the engine's linear algebra, and
 are not recomputed.
 
