@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -44,6 +45,13 @@ SCALING_METRICS = ("eigenvalue-error", "infidelity", "offdiag-residual")
 def _fmt(x) -> str:
     """Scientific notation with 15 significant digits (deterministic)."""
     return f"{float(x):.14e}"
+
+
+def _fmt_column(values) -> list[str]:
+    """:func:`_fmt` of every entry of a float array or a sequence of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [f"{x:.14e}" for x in values]
 
 
 @dataclass
@@ -81,6 +89,8 @@ class RunConfig:
     def __post_init__(self):
         if self.draws < 1:
             raise ValueError(f"draws must be at least 1, got {self.draws}")
+        if self.max_order < 2:
+            raise ValueError(f"max_order must be at least 2, got {self.max_order}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -110,7 +120,7 @@ _MODEL_KEYS = {"atoms": int, "n_max": _parse_ints, "energies": _parse_floats,
                **dict.fromkeys(("omega_field", "omega_b", "omega", "g", "spin_j", "omega0"), float)}
 
 
-def _model_spec(section) -> ModelSpec:
+def _model_spec(section: dict[str, str]) -> ModelSpec:
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("missing model.kind")
@@ -121,6 +131,16 @@ def _model_spec(section) -> ModelSpec:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
+def _check_epsilons(epsilons: tuple[float, ...]) -> None:
+    """Refuse a scaling grid the order fit cannot use: fewer than three
+    values, or a value that is not positive and finite."""
+    if len(epsilons) < 3:
+        raise ConfigError(f"analysis.epsilons needs at least three values, got {len(epsilons)}")
+    for eps in epsilons:
+        if not (math.isfinite(eps) and eps > 0):
+            raise ConfigError(f"analysis.epsilons must be positive and finite, got {eps!r}")
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a sectioned key-value config file; every defect,
     an unreadable file and a value that does not parse included, raises
@@ -128,16 +148,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
-        # every value is read here, so a bad interpolation raises here too
+        # every value is read and interpolated here, once, so a bad
+        # interpolation raises here too; the rest reads only ``raw``
         raw = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    if "model" not in parser or "analysis" not in parser:
+    if "model" not in raw or "analysis" not in raw:
         raise ConfigError("config needs [model] and [analysis] sections")
-    model = _model_spec(parser["model"])
-    ana = parser["analysis"]
+    model = _model_spec(raw["model"])
+    ana = raw["analysis"]
     analysis = ana.get("kind", "")
     if analysis not in ANALYSES:
         raise ConfigError(f"analysis.kind must be one of {ANALYSES}, got {analysis!r}")
@@ -153,7 +174,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if metric not in SCALING_METRICS:
         raise ConfigError(f"analysis.metric must be one of {SCALING_METRICS}")
 
-    out_sec = parser["output"] if "output" in parser else {}
+    out_sec = raw.get("output", {})
     overrides = overrides or {}
     out_path = overrides.get("output") or out_sec.get("path", "report.csv")
     fmt = overrides.get("format") or out_sec.get("format", "csv")
@@ -167,7 +188,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     eps_text = overrides.get("epsilon") or ana.get("epsilons", "0.04 0.02 0.01")
     seed = overrides.get("seed")
     try:
-        return RunConfig(
+        cfg = RunConfig(
             model=model,
             analysis=analysis,
             scenario=scenario,
@@ -175,21 +196,24 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             epsilons=_parse_floats(eps_text),
             times=_parse_times(ana.get("times", "0:100:201")),
             initial_photons=_parse_ints(ana.get("initial_photons", "0")),
-            initial_level=ana.getint("initial_level", 1),
+            initial_level=int(ana.get("initial_level", 1)),
             initial_occupations=_parse_ints(ana["initial_occupations"])
             if "initial_occupations" in ana else None,
-            order_threshold=ana.getfloat("order_threshold", 2.6),
+            order_threshold=float(ana.get("order_threshold", 2.6)),
             metric=metric,
-            max_order=ana.getint("max_order", 3),
-            draws=ana.getint("draws", 100),
-            seed=int(ana.getint("seed", 0) if seed is None else seed),
-            max_error=ana.getfloat("max_error") if "max_error" in ana else None,
+            max_order=int(ana.get("max_order", 3)),
+            draws=int(ana.get("draws", 100)),
+            seed=int(ana.get("seed", 0) if seed is None else seed),
+            max_error=float(ana["max_error"]) if "max_error" in ana else None,
             output=output,
             fmt=fmt,
             raw=raw,
         )
     except ValueError as exc:
         raise ConfigError(f"bad analysis section: {exc}") from exc
+    if analysis == "scaling":
+        _check_epsilons(cfg.epsilons)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +274,9 @@ def _run_spectrum(cfg: RunConfig):
     report = dynamics.compare_spectra(model.h_int, h_eff, masks)
     rows = []
     for b, blk in enumerate(report.blocks):
-        for k, (x, y) in enumerate(zip(blk.exact_ev, blk.eff_ev)):
-            rows.append((b, k, _fmt(x), _fmt(y), _fmt(abs(x - y))))
+        err = [abs(x - y) for x, y in zip(blk.exact_ev, blk.eff_ev)]
+        rows.extend(zip([b] * len(err), range(len(err)), _fmt_column(blk.exact_ev),
+                        _fmt_column(blk.eff_ev), _fmt_column(err)))
     checks = [Check("block-structure", True, report.block_leakage, 1e-10)]
     for name, val in forms.guards.items():
         checks.append(Check(f"guard {name}", True, val))
@@ -296,69 +321,76 @@ def _run_evolve(cfg: RunConfig):
                                            rotation=forms.rotation)
         infid = dynamics.infidelity_series(traj, eff)
         columns.append("infidelity")
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [_fmt(t)] + [_fmt(traj.observables[k][i]) for k in obs]
-        if infid is not None:
-            row.append(_fmt(infid[i]))
-        rows.append(tuple(row))
+    series = [traj.times] + [traj.observables[k] for k in obs]
+    if infid is not None:
+        series.append(infid)
+    rows = list(zip(*map(_fmt_column, series)))
     extra = {}
     if infid is not None:
         extra["max_infidelity"] = float(np.max(infid))
     return checks, tuple(columns), rows, extra
 
 
+def _sign(rng: np.random.Generator) -> float:
+    """A random sign, the draw ``rng.choice([-1.0, 1.0])`` makes, without
+    ``choice``'s argument handling."""
+    return (-1.0, 1.0)[rng.integers(2)]
+
+
 def _run_couplings(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
+    used = 0
     for draw in range(cfg.draws):
-        g = rng.uniform(0.01, 0.1, 3)
-        d2 = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        d3 = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        g = rng.uniform(0.01, 0.1, 3).tolist()
+        d2 = rng.uniform(0.5, 2.0) * _sign(rng)
+        d3 = rng.uniform(0.5, 2.0) * _sign(rng)
         if abs(d3 - d2) < 0.2 or abs(d3) < 0.2 or abs(d2) < 0.2:
             continue
         deltas = [0.0, d2, d3, 0.0]
         table = rotations.coupling_table(g, deltas, max_order=cfg.max_order)
-        closed = {
-            "lam12": g[0] * g[1] * (2 * d2 - d3) / (d2 * (d3 - d2)),
-            "lam22": g[1] * g[2] * (2 * d3 - d2) / (d3 * (d2 - d3)),
-            "lam13": 3 * g[0] * g[1] * g[2] / (d2 * d3),
-        }
-        got = {"lam12": table.lam_at(1, 2), "lam22": table.lam_at(2, 2),
-               "lam13": table.lam_at(1, 3)}
-        for key in closed:
-            rel = abs(got[key] - closed[key]) / max(abs(closed[key]), 1e-300)
+        # the closed forms of the orders the table holds
+        compared = [("lam12", table.lam_at(1, 2), g[0] * g[1] * (2 * d2 - d3) / (d2 * (d3 - d2))),
+                    ("lam22", table.lam_at(2, 2), g[1] * g[2] * (2 * d3 - d2) / (d3 * (d2 - d3)))]
+        if len(table.lam) >= 3:
+            compared.append(("lam13", table.lam_at(1, 3), 3 * g[0] * g[1] * g[2] / (d2 * d3)))
+        used += 1
+        for key, got, closed in compared:
+            rel = abs(got - closed) / max(abs(closed), 1e-300)
             worst = max(worst, rel)
-            rows.append((draw, key, _fmt(got[key]), _fmt(closed[key]), _fmt(rel)))
+            rows.append((draw, key, f"{got:.14e}", f"{closed:.14e}", f"{rel:.14e}"))
     checks = [Check("recurrence-vs-closed-forms", bool(rows) and worst <= 1e-12, worst, 1e-12,
                     detail="" if rows else "no draw compared")]
     header = ("draw", "constant", "recurrence", "closed_form", "rel_err")
-    return checks, header, rows, {"draws_used": len(rows) // 3}
+    return checks, header, rows, {"draws_used": used}
 
 
-def _scaled_model(cfg: RunConfig, eps: float) -> models.ModelInstance:
-    """Rebuild the model with couplings scaled so the expansion parameter is eps."""
-    spec = cfg.model
+def _scaled_specs(spec: ModelSpec):
+    """``eps -> spec`` with couplings scaled so the expansion parameter is
+    ``eps``; a kind other than spin-in-field and dicke is built once here,
+    for the amplitudes its scale is set by."""
     if spec.kind == "spin-in-field":
-        return models.build(ModelSpec(kind=spec.kind, omega=spec.omega,
-                                      g=eps * abs(spec.omega), spin_j=spec.spin_j))
+        return lambda eps: ModelSpec(kind=spec.kind, omega=spec.omega,
+                                     g=eps * abs(spec.omega), spin_j=spec.spin_j)
     if spec.kind == "dicke":
         delta = abs(spec.omega0 - spec.omega_field)
-        return models.build(ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
-                                      omega0=spec.omega0, g=eps * delta,
-                                      atoms=spec.atoms, n_max=spec.n_max))
+        return lambda eps: ModelSpec(kind=spec.kind, omega_field=spec.omega_field,
+                                     omega0=spec.omega0, g=eps * delta,
+                                     atoms=spec.atoms, n_max=spec.n_max)
     detuned = [abs(t.epsilon) for t in models.build(spec).interactions if t.detuning != 0]
     if not any(detuned):
         raise ResonanceError("every coupling is zero or on one-photon resonance: nothing to scale")
-    return models.build(models.with_scaled_couplings(spec, eps / max(detuned)))
+    largest = max(detuned)
+    return lambda eps: models.with_scaled_couplings(spec, eps / largest)
 
 
 def _run_scaling(cfg: RunConfig):
     rows = []
+    scaled = _scaled_specs(cfg.model)
 
     def metric(eps: float) -> float:
-        model = _scaled_model(cfg, eps)
+        model = models.build(scaled(eps))
         forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
         if cfg.metric == "eigenvalue-error":
             masks = models.block_masks(model, skip_truncated=True)
@@ -513,7 +545,10 @@ def validate_config(config_path: str) -> int:
     return _classified(check)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built at its first use and kept: parsing
+    leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="effham",
         description="Build model Hamiltonians, apply small nonlinear rotations, "
@@ -531,8 +566,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate-config", help="check a config file")
     p_val.add_argument("config")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         overrides = {"output": args.output, "format": args.format,
                      "epsilon": args.epsilon, "seed": args.seed}

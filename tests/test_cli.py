@@ -2,7 +2,10 @@ import json
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from effham import cli, models
 from tests.conftest import REPO_ROOT
@@ -206,6 +209,8 @@ class TestDeterminism:
 _TWO_MODE = ("[model]\nkind = two-mode-four\nomega_field = 10\nomega_b = 11\n"
              "energies = 0, 10.5, 22.2, 31.5\ncouplings = 0.01, 0.012, 0.014\n")
 
+_SCALING = "[model]\nkind = dicke\n[analysis]\nkind = scaling\nscenario = dicke-dispersive\n"
+
 #: configs whose values do not parse or do not make a model, by what is
 #: wrong, with the words of the error that name the rule
 BAD_VALUES = {
@@ -239,6 +244,21 @@ BAD_VALUES = {
               "g must be finite, got nan"),
     "no draws": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\ndraws = 0\n",
                  "draws must be at least 1, got 0"),
+    "draws not integer": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\ndraws = 2.5\n",
+                          "invalid literal for int()"),
+    "max_order not integer": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\n"
+                              "max_order = three\n", "invalid literal for int()"),
+    "max_order 1": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\nmax_order = 1\n",
+                    "max_order must be at least 2, got 1"),
+    "max_order 0": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\nmax_order = 0\n",
+                    "max_order must be at least 2, got 0"),
+    "one epsilon": (_SCALING + "epsilons = 0.02\n", "needs at least three values, got 1"),
+    "two epsilons": (_SCALING + "epsilons = 0.04, 0.02\n", "needs at least three values, got 2"),
+    "negative epsilons": (_SCALING + "epsilons = -0.04, -0.02, -0.01\n",
+                          "must be positive and finite, got -0.04"),
+    "zero epsilon": (_SCALING + "epsilons = 0.04, 0.02, 0\n", "must be positive and finite, got 0.0"),
+    "nan epsilon": (_SCALING + "epsilons = 0.04, nan, 0.01\n", "must be positive and finite, got nan"),
+    "inf epsilon": (_SCALING + "epsilons = inf, 0.02, 0.01\n", "must be positive and finite, got inf"),
 }
 
 
@@ -306,3 +326,104 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, raised):
     assert _run(["run", CONFIGS / "dicke_spectrum.cfg", "--output", tmp_path / "r.csv"]) == 3
     assert capsys.readouterr().err.startswith(f"internal error: {type(raised).__name__}")
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_epsilon_override_below_three_values_is_config_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert _run(["run", CONFIGS / "dicke_scaling.cfg", "--output", out, "--epsilon", "0.04,0.02"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs at least three values, got 2" in err
+    assert not out.exists()
+
+
+def test_epsilon_grid_is_checked_for_scaling_only(tmp_path, capsys):
+    # the same grid is refused for scaling, and left alone by spectrum,
+    # which does not read it
+    scaling, spectrum = tmp_path / "scaling.cfg", tmp_path / "spectrum.cfg"
+    scaling.write_text((CONFIGS / "dicke_scaling.cfg").read_text()
+                       .replace("epsilons = 0.04, 0.02, 0.01", "epsilons = -1"))
+    spectrum.write_text((CONFIGS / "dicke_spectrum.cfg").read_text()
+                        .replace("[analysis]", "[analysis]\nepsilons = -1"))
+    assert _run(["validate-config", scaling]) == 2
+    assert _run(["validate-config", spectrum]) == 0
+
+
+def test_couplings_at_max_order_2_compares_the_second_order(tmp_path, capsys):
+    cfg = tmp_path / "second.cfg"
+    cfg.write_text((CONFIGS / "couplings.cfg").read_text().replace("max_order = 3", "max_order = 2"))
+    out = tmp_path / "r.csv"
+    assert _run(["validate-config", cfg]) == 0
+    assert _run(["run", cfg, "--output", out]) == 0
+    assert "[PASS] recurrence-vs-closed-forms" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    draws_used = int(next(l for l in lines if l.startswith("# draws_used")).split("=")[1])
+    rows = [l.split(",") for l in lines[lines.index("draw,constant,recurrence,closed_form,rel_err") + 1:]]
+    assert {r[1] for r in rows} == {"lam12", "lam22"}
+    # draws_used counts draws compared, two rows each at this order
+    assert draws_used == len({r[0] for r in rows}) == len(rows) // 2 > 0
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_couplings_signs_draw_as_generator_choice(seed):
+    # the draws of _run_couplings, made once with Generator.choice and once
+    # with the sign helper, interleaved with uniform as the loop makes them
+    reference, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert reference.uniform(0.01, 0.1, 3).tolist() == fast.uniform(0.01, 0.1, 3).tolist()
+        for _ in range(2):
+            assert reference.uniform(0.5, 2.0) == fast.uniform(0.5, 2.0)
+            assert reference.choice([-1.0, 1.0]) == cli._sign(fast)
+
+
+def test_scaling_builds_the_unscaled_model_once(tmp_path, monkeypatch):
+    built = []
+    build = models.build
+
+    def counting(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(models, "build", counting)
+    cfg = tmp_path / "xi3.cfg"
+    cfg.write_text("[model]\nkind = xi3\nenergies = 0, 11, 20\nomega_field = 10\n"
+                   "couplings = 0.04, 0.04\natoms = 1\nn_max = 4\n[analysis]\nkind = scaling\n"
+                   "scenario = xi-two-photon\nmetric = offdiag-residual\nepsilons = 0.04, 0.02, 0.01\n"
+                   "order_threshold = 0.9\n")
+    assert _run(["run", cfg, "--output", tmp_path / "r.csv"]) == 0
+    # the unscaled model once, for the scale, then one model per epsilon
+    assert len(built) == 4
+
+
+def test_analysis_values_are_interpolated(tmp_path):
+    cfg = tmp_path / "interp.cfg"
+    cfg.write_text("[model]\nkind = dicke\n[analysis]\nkind = couplings\nbase = 5\n"
+                   "draws = %(base)s\nmax_order = %(base)s\nseed = 1%(base)s\n")
+    run = cli.load_config(cfg)
+    assert (run.draws, run.max_order, run.seed) == (5, 5, 15)
+    assert run.raw["analysis"]["draws"] == "5"
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    config = CONFIGS / "couplings.cfg"
+    plain = tmp_path / "out" / "couplings.csv"
+    seeded = tmp_path / "seeded.json"
+    assert _run(["run", config, "--seed", "3", "--format", "json", "--output", seeded]) == 0
+    assert _run(["list-scenarios"]) == 0
+    assert _run(["validate-config", config]) == 0
+    assert _run(["run", config]) == 0
+    after_others = plain.read_bytes()
+    assert cli._parser() is cli._parser()
+    cli._parser.cache_clear()
+    assert _run(["run", config]) == 0
+    assert plain.read_bytes() == after_others
+    # neither the json format nor the seed of the first run carried over
+    assert after_others.startswith(b"# effham report\n")
+    assert _run(["run", config, "--seed", "3", "--output", tmp_path / "seeded.csv"]) == 0
+    assert (tmp_path / "seeded.csv").read_bytes() != after_others
+    for argv in (["run"], ["run", config, "--format", "xml"], ["frobnicate"], []):
+        with pytest.raises(SystemExit) as exc:
+            _run(argv)
+        assert exc.value.code == 2
+    assert _run(["run", config]) == 0
+    assert plain.read_bytes() == after_others

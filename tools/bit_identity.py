@@ -8,7 +8,9 @@
 task ``workloads.all_variants`` yields at full size for each workload, once,
 with one BLAS thread, and writes the results with floats as hex strings, so
 equal records mean bit-identical results.  It also runs ``effham run`` on
-each ``configs/*.cfg`` with csv and with json reports and records their
+each ``configs/*.cfg`` with csv and with json reports, and with a csv report
+on the config of every ``config-suite`` task, every variant at both sizes
+(the tasks themselves write json), and records each report's exit code and
 sha256, and the sha256 of what ``effham list-scenarios`` prints.  Reports
 and configs go to a temporary directory; nothing under the checkout is
 written.
@@ -38,6 +40,15 @@ def _exact(value):
     return value
 
 
+def _report(cli, config, report: Path, fmt: str) -> dict:
+    """Exit code and report sha256 (None when no report was written) of one
+    ``effham run``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["run", str(config), "--output", str(report), "--format", fmt])
+    digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.is_file() else None
+    return {"exit_code": code, "sha256": digest}
+
+
 def record(checkout: Path, out: Path) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -56,11 +67,11 @@ def record(checkout: Path, out: Path) -> int:
             print(f"{workload}: {len(tasks)} tasks", flush=True)
         for cfg in sorted((checkout / "configs").glob("*.cfg")):
             for fmt in ("csv", "json"):
-                report = workdir / f"{cfg.stem}.{fmt}"
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(["run", str(cfg), "--output", str(report), "--format", fmt])
-                digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.is_file() else None
-                doc["reports"][f"{cfg.name}:{fmt}"] = {"exit_code": code, "sha256": digest}
+                doc["reports"][f"{cfg.name}:{fmt}"] = _report(cli, cfg, workdir / f"{cfg.stem}.{fmt}", fmt)
+        for size in ("full", "tiny"):
+            for task in wl.all_variants("config-suite", size, checkout, workdir / f"csv-{size}"):
+                report = Path(task.args["report"]).with_suffix(".csv")
+                doc["reports"][f"{task.key}:csv"] = _report(cli, task.args["config"], report, "csv")
         print(f"configs: {len(doc['reports'])} reports", flush=True)
         with contextlib.redirect_stdout(io.StringIO()) as listing:
             code = cli.main(["list-scenarios"])
