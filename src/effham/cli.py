@@ -91,6 +91,8 @@ class RunConfig:
             raise ValueError(f"draws must be at least 1, got {self.draws}")
         if self.max_order < 2:
             raise ValueError(f"max_order must be at least 2, got {self.max_order}")
+        if self.initial_level < 1:
+            raise ValueError(f"initial_level must be at least 1, got {self.initial_level}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -133,12 +135,16 @@ def _model_spec(section: dict[str, str]) -> ModelSpec:
 
 def _check_epsilons(epsilons: tuple[float, ...]) -> None:
     """Refuse a scaling grid the order fit cannot use: fewer than three
-    values, or a value that is not positive and finite."""
+    values, a value that is not positive and finite, or fewer than three
+    distinct values."""
     if len(epsilons) < 3:
         raise ConfigError(f"analysis.epsilons needs at least three values, got {len(epsilons)}")
     for eps in epsilons:
         if not (math.isfinite(eps) and eps > 0):
             raise ConfigError(f"analysis.epsilons must be positive and finite, got {eps!r}")
+    if len(set(epsilons)) < 3:
+        raise ConfigError(f"analysis.epsilons needs at least three distinct values, "
+                          f"got {len(set(epsilons))}")
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -167,6 +173,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown scenario {scenario!r}")
     if analysis in ("spectrum", "scaling", "effective") and scenario is None:
         raise ConfigError(f"analysis {analysis!r} needs a scenario")
+    if scenario is not None and analysis not in ("algebra-check", "couplings"):
+        # the analyses that build the scenario's forms
+        info = SCENARIOS[scenario]
+        if model.kind not in info.model_kinds:
+            raise ConfigError(f"scenario {scenario!r} does not apply to model kind {model.kind!r}")
+        if analysis == "spectrum" and info.empty_levels:
+            raise ConfigError(
+                f"scenario {scenario!r} is restricted to an occupation sector; "
+                "spectrum comparison is only defined for full-space scenarios")
     form = ana.get("form", "corrected")
     if form not in ("corrected", "printed"):
         raise ConfigError("analysis.form must be corrected or printed")
@@ -266,10 +281,6 @@ def _run_spectrum(cfg: RunConfig):
     model = models.build(cfg.model)
     forms = rotations.closed_form_effective(model, EffectiveScenario(cfg.scenario, form=cfg.form))
     h_eff = forms.selected
-    if forms.sector_mask is not None:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} is restricted to an occupation sector; "
-            "spectrum comparison is only defined for full-space scenarios")
     masks = models.block_masks(model, skip_truncated=True)
     report = dynamics.compare_spectra(model.h_int, h_eff, masks)
     rows = []

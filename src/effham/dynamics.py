@@ -274,15 +274,16 @@ def scaling_study(metric, eps_grid) -> ScalingFit:
     """Fit the convergence order of ``metric(eps)`` over a geometric epsilon grid.
 
     Grid points whose metric is at most :data:`SATURATION` are dropped and
-    the fit is flagged saturated; at least three usable points are required.
+    the fit is flagged saturated; the grid needs three distinct values, and
+    the fit three distinct usable ones.
     """
     eps = [float(e) for e in eps_grid]
-    if len(eps) < 3:
-        raise ValueError("need at least three epsilon values")
+    if len(set(eps)) < 3:
+        raise ValueError("need at least three distinct epsilon values")
     vals = [float(metric(e)) for e in eps]
     usable = [(e, v) for e, v in zip(eps, vals) if v > SATURATION]
     saturated = len(usable) < len(vals)
-    if len(usable) < 3:
+    if len({e for e, _ in usable}) < 3:
         return ScalingFit(order=math.nan, intercept=math.nan, residual=math.inf,
                           epsilons=tuple(eps), values=tuple(vals), saturated=True)
     le = np.log10([e for e, _ in usable])

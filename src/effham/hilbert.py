@@ -47,6 +47,9 @@ dim^2 array.  ``apply`` reads only the columns on the support of its
 vector.  An operator keeps what it has once found about itself: its
 nonzero entries, its components with their labels, and its norm.
 
+The constructors build a new operator on each call and keep nothing on the
+space; a model keeps the elementary operators it builds in ``operators``.
+
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
 in; :func:`component_labels` names each state's component by its smallest
@@ -64,7 +67,7 @@ import cmath
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -168,11 +171,6 @@ class SpaceDescriptor:
         keys = np.ravel_multi_index(labels.T, radix)
         order = np.argsort(keys)
         return radix, keys[order], order
-
-    @cached_property
-    def _operators(self) -> dict:
-        """The elementary operators built on this space, by constructor call."""
-        return {}
 
     def _lookup(self, labels: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of an integer label array laid out like
@@ -694,19 +692,6 @@ def _combined(op, p: LadderPattern, q: LadderPattern) -> LadderPattern:
 
 # -- constructors -----------------------------------------------------------
 
-def _per_space(build):
-    """Build each elementary operator once per space: operators are
-    immutable, and a model and its scenarios ask for the same ones again."""
-    @wraps(build)
-    def cached(space: SpaceDescriptor, *args, **kwargs) -> OperatorMatrix:
-        key = (build.__name__, args, tuple(sorted(kwargs.items())))
-        built = space._operators.get(key)
-        if built is None:
-            built = space._operators[key] = build(space, *args, **kwargs)
-        return built
-    return cached
-
-
 def _column_operator(space: SpaceDescriptor, rows: np.ndarray, values) -> OperatorMatrix:
     """The operator whose column ``j`` holds ``values[j]`` in row ``rows[j]``
     and nothing else; a column with value 0 is empty."""
@@ -718,17 +703,14 @@ def diagonal_operator(space: SpaceDescriptor, values) -> OperatorMatrix:
     return _column_operator(space, _own(space.dim), values)
 
 
-@_per_space
 def identity(space: SpaceDescriptor) -> OperatorMatrix:
     return diagonal_operator(space, np.ones(space.dim))
 
 
-@_per_space
 def zero(space: SpaceDescriptor) -> OperatorMatrix:
     return diagonal_operator(space, np.zeros(space.dim))
 
 
-@_per_space
 def annihilator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     """Photon annihilation operator ``a`` on the selected mode.
 
@@ -747,19 +729,16 @@ def annihilator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     return _column_operator(space, rows, np.sqrt(n))
 
 
-@_per_space
 def creator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     return annihilator(space, mode_index).dag()
 
 
-@_per_space
 def number_operator(space: SpaceDescriptor, mode_index: int = 0) -> OperatorMatrix:
     if not 0 <= mode_index < len(space.modes):
         raise ValueError(f"mode index {mode_index} out of range")
     return diagonal_operator(space, space._label_array[:, mode_index])
 
 
-@_per_space
 def collective_operator(space: SpaceDescriptor, i: int, j: int) -> OperatorMatrix:
     """Collective atomic operator taking one atom from level ``i`` to level ``j``.
 
@@ -783,7 +762,6 @@ def collective_operator(space: SpaceDescriptor, i: int, j: int) -> OperatorMatri
     return _column_operator(space, rows, np.sqrt(labels[:, ii] * (labels[:, jj] + 1)))
 
 
-@_per_space
 def collective_inversion(space: SpaceDescriptor, i: int, j: int) -> OperatorMatrix:
     """Half population difference ``(S^{jj} - S^{ii}) / 2`` between levels ``i < j``."""
     return 0.5 * (collective_operator(space, j, j) - collective_operator(space, i, i))
@@ -1013,6 +991,8 @@ def basis_state(space: SpaceDescriptor, photons=(), occupations=None, level: int
     if occupations is None:
         if level is None:
             raise ValueError("give either occupations or level")
+        if not 1 <= level <= space.ensemble.levels:
+            raise ValueError(f"level {level} out of range 1..{space.ensemble.levels}")
         occupations = [0] * space.ensemble.levels
         occupations[level - 1] = space.ensemble.atoms
     vec = np.zeros(space.dim, dtype=complex)

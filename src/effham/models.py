@@ -236,10 +236,9 @@ def build_spin_in_field(spec: ModelSpec) -> ModelInstance:
     """
     atoms = int(round(2 * spec.spin_j))
     space = enumerate_basis([], EnsembleSpec(levels=2, atoms=atoms))
-    s3, sp, _ = hilbert.spin_operators(space)
+    s3, sp, sm = hilbert.spin_operators(space)
     return _model(spec, space, spec.omega * s3, [("spin", spec.g, spec.omega, s3, sp, None)],
-                  hilbert.zero(space), {}, {"omega": spec.omega},
-                  {"S3": s3, "S+": sp, "S-": sp.dag()})
+                  hilbert.zero(space), {}, {"omega": spec.omega}, {"S3": s3, "S+": sp, "S-": sm})
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +253,27 @@ def build_dicke(spec: ModelSpec) -> ModelInstance:
     """
     space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=2, atoms=spec.atoms))
     s3, sp, sm = hilbert.spin_operators(space)
-    a = annihilator(space, 0)
+    a, n = annihilator(space, 0), number_operator(space, 0)
     delta = spec.omega0 - spec.omega_field
-    n_exc = number_operator(space, 0) + s3
+    n_exc = n + s3
     return _model(spec, space, delta * s3, [("jc", spec.g, delta, s3, a @ sp, 0)],
                   spec.omega_field * n_exc, {"N": n_exc}, {"delta": delta},
-                  {"S3": s3, "S+": sp, "S-": sm, "a": a, "n": number_operator(space, 0)})
+                  {"S3": s3, "S+": sp, "S-": sm, "a": a, "n": n})
 
 
 # ---------------------------------------------------------------------------
 # three-level cascade (Xi)
 # ---------------------------------------------------------------------------
 
+def level_key(i: int, j: int) -> str:
+    """The name of ``S^{ij}`` in ``operators``: ``S12``, or ``S1,11`` once a level has two digits."""
+    return f"S{i}{j}" if i < 10 and j < 10 else f"S{i},{j}"
+
+
 def _level_ops(space: SpaceDescriptor) -> dict[str, OperatorMatrix]:
     nlev = space.ensemble.levels
-    ops = {}
-    for i in range(1, nlev + 1):
-        for j in range(1, nlev + 1):
-            ops[f"S{i}{j}"] = collective_operator(space, i, j)
-    return ops
+    return {level_key(i, j): collective_operator(space, i, j)
+            for i in range(1, nlev + 1) for j in range(1, nlev + 1)}
 
 
 def build_xi3(spec: ModelSpec) -> ModelInstance:
@@ -287,14 +288,14 @@ def build_xi3(spec: ModelSpec) -> ModelInstance:
     g12, g23 = spec.couplings
     space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=3, atoms=spec.atoms))
     ops = _level_ops(space)
-    a = annihilator(space, 0)
+    a, n = annihilator(space, 0), number_operator(space, 0)
     d12, d23 = e2 - e1 - wf, e3 - e2 - wf
-    n_exc = number_operator(space, 0) + ops["S33"] - ops["S11"]
+    n_exc = n + ops["S33"] - ops["S11"]
     transitions = [("12", g12, d12, collective_inversion(space, 1, 2), a @ ops["S12"], 0),
                    ("23", g23, d23, collective_inversion(space, 2, 3), a @ ops["S23"], 0)]
     return _model(spec, space, (-d12) * ops["S11"] + d23 * ops["S33"], transitions,
                   wf * n_exc + (e2 * spec.atoms) * identity(space), {"N": n_exc},
-                  {"12": d12, "23": d23}, {**ops, "a": a, "n": number_operator(space, 0)})
+                  {"12": d12, "23": d23}, {**ops, "a": a, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +313,16 @@ def build_lambda3(spec: ModelSpec) -> ModelInstance:
     g13, g23 = spec.couplings
     space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=3, atoms=spec.atoms))
     ops = _level_ops(space)
-    a = annihilator(space, 0)
+    a, n = annihilator(space, 0), number_operator(space, 0)
     d31, d32 = e3 - e1 - wf, e3 - e2 - wf
-    n_exc = number_operator(space, 0) + ops["S33"]
+    n_exc = n + ops["S33"]
     transitions = [("13", g13, d31, collective_inversion(space, 1, 3), a @ ops["S13"], 0),
                    ("23", g23, d32, collective_inversion(space, 2, 3), a @ ops["S23"], 0)]
     population = ops["S11"] + ops["S22"] + ops["S33"]
     return _model(spec, space, (-d31) * ops["S11"] + (-d32) * ops["S22"], transitions,
                   wf * n_exc + ((e3 - wf) * spec.atoms) * identity(space),
                   {"N": n_exc, "population": population}, {"31": d31, "32": d32},
-                  {**ops, "a": a, "n": number_operator(space, 0)})
+                  {**ops, "a": a, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +340,12 @@ def cascade_detunings(energies, omega_field: float) -> tuple[float, ...]:
     return tuple(e - e1 - j * omega_field for j, e in enumerate(energies))
 
 
-def _chain(space: SpaceDescriptor, ops, n_exc: OperatorMatrix, h_diag: OperatorMatrix, deltas):
-    """``n_exc + sum_i mu_i S3^{i,i+1}`` and ``h_diag + sum_j D_j S^{jj}`` of a cascade chain."""
-    for i, w in enumerate(inversion_weights(space.ensemble.levels), start=1):
-        n_exc = n_exc + w * collective_inversion(space, i, i + 1)
+def _chain(ops, inversions, n_exc: OperatorMatrix, h_diag: OperatorMatrix, deltas):
+    """``n_exc + sum_i mu_i inversions[i]`` and ``h_diag + sum_j D_j S^{jj}`` of a chain."""
+    for w, s3 in zip(inversion_weights(len(deltas)), inversions):
+        n_exc = n_exc + w * s3
     for j, d in enumerate(deltas, start=1):
-        h_diag = h_diag + d * ops[f"S{j}{j}"]
+        h_diag = h_diag + d * ops[level_key(j, j)]
     return n_exc, h_diag
 
 
@@ -363,16 +364,17 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False) -> ModelIn
             f"multiphoton resonance requested but D_{nlev} = {deltas[-1]:.3e}")
     space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=nlev, atoms=spec.atoms))
     ops = _level_ops(space)
-    a = annihilator(space, 0)
-    n_exc, h_diag = _chain(space, ops, number_operator(space, 0), hilbert.zero(space), deltas)
-    transitions = [(str(i), g, deltas[i] - deltas[i - 1], collective_inversion(space, i, i + 1),
-                    a @ ops[f"S{i}{i + 1}"], 0)
+    inversions = [collective_inversion(space, i, i + 1) for i in range(1, nlev)]
+    a, n = annihilator(space, 0), number_operator(space, 0)
+    n_exc, h_diag = _chain(ops, inversions, n, hilbert.zero(space), deltas)
+    transitions = [(str(i), g, deltas[i] - deltas[i - 1], inversions[i - 1],
+                    a @ ops[level_key(i, i + 1)], 0)
                    for i, g in enumerate(spec.couplings, start=1)]
     e_mid = 0.5 * (spec.energies[-1] + spec.energies[0])
     h_free = wf * n_exc + ((e_mid - 0.5 * deltas[-1]) * spec.atoms) * identity(space)
     return _model(spec, space, h_diag, transitions, h_free, {"N": n_exc},
                   {str(j): d for j, d in enumerate(deltas, start=1)},
-                  {**ops, "a": a, "n": number_operator(space, 0)})
+                  {**ops, "a": a, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +401,12 @@ def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
     deltas = cascade_detunings(spec.energies, wa)
     space = enumerate_basis([spec.n_max[0], spec.n_max[1]], EnsembleSpec(levels=4, atoms=spec.atoms))
     ops = _level_ops(space)
+    inversions = [collective_inversion(space, i, i + 1) for i in range(1, 4)]
     a, b = annihilator(space, 0), annihilator(space, 1)
     na, nb = number_operator(space, 0), number_operator(space, 1)
-    n_exc, h_diag = _chain(space, ops, na + nb, gap * nb, deltas)
+    n_exc, h_diag = _chain(ops, inversions, na + nb, gap * nb, deltas)
     transitions = []
-    for i in range(1, 4):
-        s3 = collective_inversion(space, i, i + 1)
+    for i, s3 in enumerate(inversions, start=1):
         raising = ops[f"S{i}{i + 1}"]
         d_step = deltas[i] - deltas[i - 1]
         transitions.append((f"a{i}", spec.couplings[i - 1], d_step, s3, a @ raising, 0))

@@ -41,11 +41,10 @@ import numpy as np
 
 from .algebra import VERIFICATION_TOL, DeformedAlgebra
 from .errors import AnalysisError, EffhamError, ResonanceError
-from .hilbert import (OperatorMatrix, SpaceDescriptor, blockwise, collective_operator,
-                      commutator, diagonal_operator, identity, number_operator,
+from .hilbert import (OperatorMatrix, blockwise, commutator, diagonal_operator, identity,
                       occupation_sector_mask, photon_safe_mask, unitarity_defect,
                       unitary_within, zero)
-from .models import ModelInstance, amplitude_guard, dispersive_guards, resonant
+from .models import ModelInstance, amplitude_guard, dispersive_guards, level_key, resonant
 
 _TAYLOR_ORDER = 20
 #: The scaled 1-norm eta is at most this.  The series stops before the
@@ -191,13 +190,13 @@ def _sum(pieces, start: OperatorMatrix | None = None) -> OperatorMatrix | None:
     return total
 
 
-def _stark_pieces(space: SpaceDescriptor, mode: int, couplings, eps):
-    """Per adjacent step: ``g_i eps_i [n (S^{i+1,i+1} - S^{ii}) + (S^{ii}+1) S^{i+1,i+1}]``."""
-    n_op = number_operator(space, mode)
-    eye = identity(space)
+def _stark_pieces(model: ModelInstance, number: str, couplings, eps):
+    """Per adjacent step: ``g_i eps_i [n (S^{i+1,i+1} - S^{ii}) + (S^{ii}+1) S^{i+1,i+1}]``,
+    ``n`` the model's operator named ``number``."""
+    ops = model.operators
+    n_op, eye = ops[number], identity(model.space)
     for i, g in enumerate(couplings, start=1):
-        s_low = collective_operator(space, i, i)
-        s_up = collective_operator(space, i + 1, i + 1)
+        s_low, s_up = ops[level_key(i, i)], ops[level_key(i + 1, i + 1)]
         yield g * eps[i - 1] * (n_op @ (s_up - s_low) + (s_low + eye) @ s_up)
 
 
@@ -221,7 +220,7 @@ def _multiphoton_hops(model: ModelInstance, table: CouplingTable):
     for k in range(2, nlev):
         a_k = a_k @ a
         for i in range(1, nlev - k + 1):
-            hop = a_k @ collective_operator(model.space, i, i + k)
+            hop = a_k @ model.operators[level_key(i, i + k)]
             yield k, i, hop, (k - 1) / math.factorial(k) * table.lam_at(i, k)
 
 
@@ -622,7 +621,7 @@ def cascade_stark_leading(model: ModelInstance) -> OperatorMatrix:
     Per adjacent step: ``g_i eps_i [n (S^{i+1,i+1} - S^{ii}) + (S^{ii}+1) S^{i+1,i+1}]``.
     """
     table = coupling_table(model.spec.couplings, _level_detunings(model))
-    return _sum(_stark_pieces(model.space, 0, model.spec.couplings, table.eps))
+    return _sum(_stark_pieces(model, "n", model.spec.couplings, table.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -668,16 +667,16 @@ def _prepare_four_level(model: ModelInstance):
 
 def _two_photon_hops(model: ModelInstance) -> list[OperatorMatrix]:
     """``a^2 S^{i,i+2}`` along the chain."""
-    a2 = model.operators["a"] @ model.operators["a"]
-    return [a2 @ collective_operator(model.space, i, i + 2)
-            for i in range(1, model.space.ensemble.levels - 1)]
+    ops = model.operators
+    a2 = ops["a"] @ ops["a"]
+    return [a2 @ ops[level_key(i, i + 2)] for i in range(1, model.space.ensemble.levels - 1)]
 
 
 def _dipole_dipole_hops(model: ModelInstance) -> list[OperatorMatrix]:
     """``S^{i,i+1} S^{j+1,j}`` for each pair of steps ``i < j``."""
-    space = model.space
-    return [collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j)
-            for i, j in combinations(range(1, space.ensemble.levels), 2)]
+    ops = model.operators
+    return [ops[level_key(i, i + 1)] @ ops[level_key(j + 1, j)]
+            for i, j in combinations(range(1, model.space.ensemble.levels), 2)]
 
 
 def _printed_su2(model: ModelInstance) -> OperatorMatrix:
@@ -732,8 +731,8 @@ def _printed_lambda(model: ModelInstance) -> OperatorMatrix:
 
 
 def _printed_cascade_first_stage(model: ModelInstance) -> OperatorMatrix:
-    space = model.space
-    nlev = space.ensemble.levels
+    ops = model.operators
+    nlev = model.space.ensemble.levels
     table = coupling_table(model.spec.couplings, _level_detunings(model))
     printed = model.h_diag + cascade_stark_leading(model)
     g = model.spec.couplings
@@ -743,7 +742,7 @@ def _printed_cascade_first_stage(model: ModelInstance) -> OperatorMatrix:
         pairs = [(i, j) for i in range(1, nlev) for j in range(i + 1, nlev)]
     for i, j in pairs:
         coeff = 0.5 * (table.eps[i - 1] * g[j - 1] + table.eps[j - 1] * g[i - 1])
-        cross = collective_operator(space, i, i + 1) @ collective_operator(space, j + 1, j)
+        cross = ops[level_key(i, i + 1)] @ ops[level_key(j + 1, j)]
         printed = printed + coeff * (cross + cross.dag())
     hops = _multiphoton_hops(model, table)
     return _sum((coeff * (hop + hop.dag()) for _, _, hop, coeff in hops), start=printed)
@@ -768,10 +767,9 @@ def _printed_two_mode(model: ModelInstance) -> OperatorMatrix:
     xi2 = two_mode_pair_coupling(model.spec.couplings, model.spec.couplings_b, deltas)
     table_a, table_b = two_mode_tables(model.spec.couplings, model.spec.couplings_b,
                                        deltas, model.detunings["gap"])
-    space = model.space
     ops = model.operators
-    printed = _sum(chain(_stark_pieces(space, 0, model.spec.couplings, table_a.eps),
-                         _stark_pieces(space, 1, model.spec.couplings_b, table_b.eps)),
+    printed = _sum(chain(_stark_pieces(model, "na", model.spec.couplings, table_a.eps),
+                         _stark_pieces(model, "nb", model.spec.couplings_b, table_b.eps)),
                    start=model.h_diag)
     hop2 = (ops["a"] @ ops["a"]) @ ops["S13"]
     hop3 = (ops["b"] @ ops["b"] @ ops["b"]) @ ops["S14"]

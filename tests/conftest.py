@@ -47,14 +47,15 @@ def lambda_model():
     return eh.build(spec)
 
 
+#: D2 = 1, D3 = 1.7, D4 = 0 (three-photon resonance, no two-photon or
+#: dipole-dipole resonances)
+FOUR_LEVEL_SPEC = eh.ModelSpec(kind="cascade", energies=(0.0, 11.0, 21.7, 30.0),
+                               omega_field=10.0, couplings=(0.03, 0.03, 0.03), atoms=1, n_max=8)
+
+
 @pytest.fixture
 def four_level_model():
-    # D2 = 1, D3 = 1.7, D4 = 0 (three-photon resonance, no two-photon or
-    # dipole-dipole resonances)
-    wf = 10.0
-    spec = eh.ModelSpec(kind="cascade", energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf),
-                        omega_field=wf, couplings=(0.03, 0.03, 0.03), atoms=1, n_max=8)
-    return eh.build(spec, require_resonance=True)
+    return eh.build(FOUR_LEVEL_SPEC, require_resonance=True)
 
 
 @pytest.fixture

@@ -164,8 +164,9 @@ class TestOtherCommands:
         assert "four-level-three-photon" in out
         assert "8 scenarios" in out
 
-    def test_validate_config_ok(self, capsys):
-        assert _run(["validate-config", CONFIGS / "dicke_spectrum.cfg"]) == 0
+    @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIGS.glob("*.cfg"))])
+    def test_validate_config_ok(self, capsys, name):
+        assert _run(["validate-config", CONFIGS / name]) == 0
 
     def test_validate_config_bad(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -196,8 +197,7 @@ def test_unparsable_config_is_usage_error(tmp_path, capsys, command, defect):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["dicke_spectrum.cfg", "dicke_scaling.cfg",
-                                      "couplings.cfg", "xi_two_photon_evolve.cfg"])
+    @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIGS.glob("*.cfg"))])
     def test_repeated_runs_are_byte_identical(self, tmp_path, name):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -208,6 +208,9 @@ class TestDeterminism:
 
 _TWO_MODE = ("[model]\nkind = two-mode-four\nomega_field = 10\nomega_b = 11\n"
              "energies = 0, 10.5, 22.2, 31.5\ncouplings = 0.01, 0.012, 0.014\n")
+
+_XI_TWO_PHOTON = ("[model]\nkind = xi3\nenergies = 0, 11, 20\nomega_field = 10\n"
+                  "couplings = 0.04, 0.04\natoms = 1\nn_max = 4\n")
 
 _SCALING = "[model]\nkind = dicke\n[analysis]\nkind = scaling\nscenario = dicke-dispersive\n"
 
@@ -259,6 +262,15 @@ BAD_VALUES = {
     "zero epsilon": (_SCALING + "epsilons = 0.04, 0.02, 0\n", "must be positive and finite, got 0.0"),
     "nan epsilon": (_SCALING + "epsilons = 0.04, nan, 0.01\n", "must be positive and finite, got nan"),
     "inf epsilon": (_SCALING + "epsilons = inf, 0.02, 0.01\n", "must be positive and finite, got inf"),
+    "equal epsilons": (_SCALING + "epsilons = 0.02, 0.02, 0.02\n",
+                       "needs at least three distinct values, got 1"),
+    "initial_level 0": ("[model]\nkind = dicke\natoms = 2\nn_max = 4\n[analysis]\nkind = evolve\n"
+                        "times = 0:1:3\ninitial_level = 0\n", "initial_level must be at least 1, got 0"),
+    "scenario of another kind": ("[model]\nkind = dicke\nomega_field = 10\nomega0 = 11\ng = 0.04\n"
+                                 "[analysis]\nkind = effective\nscenario = xi-two-photon\n",
+                                 "scenario 'xi-two-photon' does not apply to model kind 'dicke'"),
+    "spectrum on a sector": (_XI_TWO_PHOTON + "[analysis]\nkind = spectrum\nscenario = xi-two-photon\n",
+                             "scenario 'xi-two-photon' is restricted to an occupation sector"),
 }
 
 

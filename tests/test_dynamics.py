@@ -214,6 +214,18 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             eh.scaling_study(lambda eps: eps, [0.1, 0.05])
 
+    def test_needs_three_distinct_points(self):
+        # equal epsilons leave the order fit rank-deficient
+        with pytest.raises(ValueError, match="three distinct"):
+            eh.scaling_study(lambda eps: eps, [0.02, 0.02, 0.02])
+        with pytest.raises(ValueError, match="three distinct"):
+            eh.scaling_study(lambda eps: eps, [0.1, 0.05, 0.1])
+
+    def test_fit_needs_three_distinct_usable_points(self):
+        # the grid is distinct, but only one of its values is above saturation
+        fit = eh.scaling_study(lambda eps: eps if eps == 0.1 else 0.0, [0.1, 0.1, 0.1, 0.05, 0.025])
+        assert fit.saturated and math.isnan(fit.order)
+
     def test_effective_dynamics_fidelity_order(self):
         # rotated-frame effective evolution converges with order >= 1.8 over
         # one period of the slow (Stark-scale) beat

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 import effham as eh
 from effham import rotations
 from effham.errors import DimensionCapError, SpaceMismatchError
+from tests.conftest import FOUR_LEVEL_SPEC
 
 
 def test_basis_dimensions():
@@ -260,6 +263,48 @@ def test_constructors_match_per_state_loops(fixture, request):
         for j in range(1, levels + 1):
             assert np.array_equal(eh.collective_operator(space, i, j).matrix,
                                   _reference_collective(space, i, j))
+
+
+def test_constructors_build_a_new_operator_on_each_call(four_level_model):
+    # the model holds its elementary operators; a constructor keeps nothing
+    # on the space and builds a fresh operator with the same entries
+    ops, space = four_level_model.operators, four_level_model.space
+    built = {"a": lambda: eh.annihilator(space, 0), "n": lambda: eh.number_operator(space, 0),
+             "S12": lambda: eh.collective_operator(space, 1, 2),
+             "S33": lambda: eh.collective_operator(space, 3, 3)}
+    for name, build in built.items():
+        first, second = build(), build()
+        assert first is not second and first is not ops[name]
+        assert np.array_equal(first.matrix, ops[name].matrix)
+        assert np.array_equal(second.matrix, ops[name].matrix)
+    for build in (lambda: eh.identity(space), lambda: eh.zero(space),
+                  lambda: eh.creator(space, 0), lambda: eh.collective_inversion(space, 1, 4)):
+        first, second = build(), build()
+        assert first is not second and np.array_equal(first.matrix, second.matrix)
+
+
+@pytest.mark.parametrize("scenario", ["cascade-first-stage", "four-level-three-photon"])
+def test_a_model_is_freed_without_the_cyclic_collector(scenario):
+    # no operator is kept on its space, so a model, its space and its
+    # operators form no reference cycle: they go when the last reference does
+    gc.disable()
+    try:
+        model = eh.build(FOUR_LEVEL_SPEC, require_resonance=True)
+        forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+        space = weakref.ref(model.space)
+        del model, forms
+        assert space() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("level", [0, -1, 3])
+def test_basis_state_refuses_a_level_outside_the_ensemble(level):
+    # a level below 1 would index the occupations from their end
+    space = eh.enumerate_basis([2], eh.EnsembleSpec(levels=2, atoms=2))
+    with pytest.raises(ValueError, match=f"level {level} out of range 1..2"):
+        eh.basis_state(space, (0,), level=level)
+    assert eh.basis_state(space, (0,), level=2)[space.index((0,), (0, 2))] == 1
 
 
 def test_constructor_rejects_label_outside_the_basis():

@@ -176,6 +176,17 @@ class TestCascade:
             eh.ModelSpec(kind="cascade", energies=(0.0, 1.0),
                          omega_field=0.5, couplings=(0.1,), n_max=2)
 
+    def test_level_operators_of_a_long_chain_have_distinct_names(self):
+        # from level 10 up "S{i}{j}" would give S^{1,11} and S^{11,1} one name
+        energies = [k * 10.0 + 0.5 * k + 0.13 * k * k for k in range(11)]
+        m = eh.build(eh.ModelSpec(kind="cascade", energies=energies, omega_field=10.0,
+                                  couplings=[0.01] * 10, atoms=1, n_max=2))
+        assert models.level_key(1, 2) == "S12"
+        assert len({models.level_key(i, j) for i in range(1, 12) for j in range(1, 12)}) == 121
+        for i, j in ((1, 11), (11, 1), (10, 11), (2, 2)):
+            assert np.array_equal(m.operators[models.level_key(i, j)].matrix,
+                                  eh.collective_operator(m.space, i, j).matrix)
+
 
 class TestTwoModeFour:
     def _spec(self):
