@@ -32,7 +32,8 @@ import numpy as np
 from . import dynamics, models, rotations
 from .algebra import ladder_relation_report, verify_su3_cross_relations
 from .errors import ConfigError, EffhamError, ResonanceError
-from .hilbert import basis_state, collective_operator, number_operator
+from .hilbert import (DIMENSION_CAP, basis_dimension, basis_state, collective_operator,
+                      number_operator)
 from .models import ModelSpec
 from .rotations import SCENARIOS, EffectiveScenario
 
@@ -147,6 +148,32 @@ def _check_epsilons(epsilons: tuple[float, ...]) -> None:
                           f"got {len(set(epsilons))}")
 
 
+def _check_basis(cfg: RunConfig) -> None:
+    """Refuse a model space over :data:`~effham.hilbert.DIMENSION_CAP` and,
+    where the analysis evolves an initial state, one that is not a basis
+    label: photons in 0..n_max per mode, and a level in 1..N or N
+    non-negative occupations that sum to the atom count."""
+    modes, ensemble = models.model_basis(cfg.model)
+    dim = basis_dimension(modes, ensemble)
+    if dim > DIMENSION_CAP:
+        raise ConfigError(f"space dimension {dim} exceeds cap {DIMENSION_CAP}")
+    if cfg.analysis != "evolve" and (cfg.analysis, cfg.metric) != ("scaling", "infidelity"):
+        return
+    photons, occupations, levels = cfg.initial_photons, cfg.initial_occupations, ensemble.levels
+    if len(photons) != len(modes):
+        raise ConfigError(f"initial_photons must give one entry per mode ({len(modes)}), "
+                          f"got {len(photons)}")
+    if occupations is None:
+        level = cfg.initial_level
+        if level > levels:
+            raise ConfigError(f"bad initial state: level {level} out of range 1..{levels}")
+        occupations = tuple(ensemble.atoms * (k == level) for k in range(1, levels + 1))
+    fits = all(0 <= n <= mode.n_max for n, mode in zip(photons, modes))
+    if not (fits and len(occupations) == levels and min(occupations) >= 0
+            and sum(occupations) == ensemble.atoms):
+        raise ConfigError(f"bad initial state: no basis state with label {(photons, occupations)}")
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a sectioned key-value config file; every defect,
     an unreadable file and a value that does not parse included, raises
@@ -228,6 +255,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"bad analysis section: {exc}") from exc
     if analysis == "scaling":
         _check_epsilons(cfg.epsilons)
+    if analysis != "couplings":  # the analyses that build a model
+        _check_basis(cfg)
     return cfg
 
 
@@ -236,15 +265,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _initial_state(cfg: RunConfig, model: models.ModelInstance) -> np.ndarray:
-    photons = cfg.initial_photons
-    if len(photons) != len(model.space.modes):
-        raise ConfigError("initial_photons must give one entry per mode")
-    try:
-        if cfg.initial_occupations is not None:
-            return basis_state(model.space, photons, occupations=cfg.initial_occupations)
-        return basis_state(model.space, photons, level=cfg.initial_level)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad initial state: {exc}") from exc
+    """The initial basis state, a label :func:`load_config` has checked."""
+    if cfg.initial_occupations is not None:
+        return basis_state(model.space, cfg.initial_photons, occupations=cfg.initial_occupations)
+    return basis_state(model.space, cfg.initial_photons, level=cfg.initial_level)
 
 
 def _run_algebra_check(cfg: RunConfig):

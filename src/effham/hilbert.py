@@ -44,8 +44,9 @@ transient dense array, and from :data:`_STACK_NORM_DIM` and
 :data:`_STACK_SUM_DIM` up over the stack's nonzero entries in the dense
 reductions' order (:func:`_frobenius`, :func:`_pairwise_sum`), with no
 dim^2 array.  ``apply`` reads only the columns on the support of its
-vector.  An operator keeps what it has once found about itself: its
-nonzero entries, its components with their labels, and its norm.
+vector.  An operator keeps what its readers ask of it again: its nonzero
+entries and its norm.  Its components and their labels are found on each
+request.
 
 The constructors build a new operator on each call and keep nothing on the
 space; a model keeps the elementary operators it builds in ``operators``.
@@ -197,6 +198,11 @@ class SpaceDescriptor:
         return self.labels[i][1]
 
 
+def basis_dimension(modes: tuple[FockTruncation, ...], ensemble: EnsembleSpec) -> int:
+    """The dimension of the modes x ensemble space, found without enumerating it."""
+    return math.prod((m.dim for m in modes), start=ensemble.dim)
+
+
 def enumerate_basis(modes, ensemble: EnsembleSpec, cap: int = DIMENSION_CAP) -> SpaceDescriptor:
     """Build the basis for the given modes and ensemble.
 
@@ -205,9 +211,7 @@ def enumerate_basis(modes, ensemble: EnsembleSpec, cap: int = DIMENSION_CAP) -> 
     is checked against ``cap`` before any matrix is allocated.
     """
     mode_specs = tuple(m if isinstance(m, FockTruncation) else FockTruncation(m) for m in modes)
-    dim = ensemble.dim
-    for m in mode_specs:
-        dim *= m.dim
+    dim = basis_dimension(mode_specs, ensemble)
     if dim > cap:
         raise DimensionCapError(f"space dimension {dim} exceeds cap {cap}")
 
@@ -274,8 +278,8 @@ class OperatorMatrix:
 
     def _kept(self, key: str, find):
         """``find()``, called on the first request for ``key`` and kept: an
-        operator never changes, so its nonzero entries, components and norm
-        are found once (two threads at worst find the same value twice).
+        operator never changes, so its nonzero entries and norm are found
+        once (two threads at worst find the same value twice).
         Every new operator starts with nothing kept."""
         memo = self._memo
         if key not in memo:
@@ -805,31 +809,26 @@ def components(*ops: OperatorMatrix) -> list[np.ndarray]:
 
     States ``i`` and ``j`` are joined when an operator has a nonzero at
     ``(i, j)`` or ``(j, i)``, and a state no nonzero touches is a component
-    of its own.  Each component is a sorted index array, and they come in
-    the order of their first index.  Every sum and product of the operators,
-    their exponential included, is block diagonal in these components with
-    exact zeros outside them, whatever the model.  The nonzeros are read
-    from the stacks; the components of a single operator are found once
-    and kept, with their labels (:func:`component_labels`).
+    of its own.  Each component is a sorted, read-only index array, and they
+    come in the order of their first index.  Every sum and product of the
+    operators, their exponential included, is block diagonal in these
+    components with exact zeros outside them, whatever the model.  The
+    nonzeros are read from the stacks on each call; nothing is kept.
     """
-    return list(_joined(ops)[1])
+    root = _components(ops)
+    order = np.argsort(root, kind="stable")
+    ends = [*(np.flatnonzero(np.diff(root[order])) + 1).tolist(), len(order)]
+    return list(_frozen(*(order[start:end] for start, end in zip([0, *ends], ends))))
 
 
 def component_labels(*ops: OperatorMatrix) -> np.ndarray:
     """The label of each state's component (:func:`components`): its
     smallest state, read-only.  Two states lie in one component exactly
     when their labels are equal."""
-    return _joined(ops)[0]
-
-
-def _joined(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The labels and the components of ``ops``, kept for a single operator."""
-    if len(ops) == 1:
-        return ops[0]._kept("components", lambda: _components(ops))
     return _components(ops)
 
 
-def _components(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _components(ops) -> np.ndarray:
     rows, cols = [], []
     for op in ops:
         r, c, _ = op._ladder.nonzeros()
@@ -849,9 +848,7 @@ def _components(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
             break
         while not np.array_equal(root, hooked):
             root, hooked = hooked, hooked[hooked]
-    order = np.argsort(root, kind="stable")
-    ends = [*(np.flatnonzero(np.diff(root[order])) + 1).tolist(), len(order)]
-    return _frozen(root)[0], _frozen(*(order[start:end] for start, end in zip([0, *ends], ends)))
+    return _frozen(root)[0]
 
 
 def size_groups(parts) -> list[tuple[list[int], np.ndarray]]:

@@ -30,8 +30,8 @@ import numpy as np
 from . import hilbert
 from .algebra import VERIFICATION_TOL, DeformedAlgebra, build_deformed
 from .errors import GuardViolationError, ResonanceError
-from .hilbert import (EnsembleSpec, OperatorMatrix, SpaceDescriptor, annihilator,
-                      collective_inversion, collective_operator,
+from .hilbert import (EnsembleSpec, FockTruncation, OperatorMatrix, SpaceDescriptor,
+                      annihilator, collective_inversion, collective_operator,
                       enumerate_basis, identity, number_operator, photon_safe_mask)
 
 MODEL_KINDS = ("spin-in-field", "dicke", "xi3", "lambda3", "cascade", "two-mode-four")
@@ -110,6 +110,18 @@ class ModelSpec:
 
 #: level energies each kind's builder reads; a cascade reads at least this many
 _LEVELS = {"xi3": 3, "lambda3": 3, "cascade": 3, "two-mode-four": 4}
+#: field modes of the kinds that have other than one
+_MODES = {"spin-in-field": 0, "two-mode-four": 2}
+
+
+def model_basis(spec: ModelSpec) -> tuple[tuple[FockTruncation, ...], EnsembleSpec]:
+    """The basis the kind's builder builds its space on: the truncation of
+    each field mode, and an ensemble of one level per level energy (two for
+    the spin and Dicke kinds) and ``atoms`` atoms (2j for a spin j)."""
+    modes = tuple(FockTruncation(n) for n in spec.n_max[:_MODES.get(spec.kind, 1)])
+    levels = len(spec.energies) if spec.kind in _LEVELS else 2
+    atoms = int(round(2 * spec.spin_j)) if spec.kind == "spin-in-field" else spec.atoms
+    return modes, EnsembleSpec(levels=levels, atoms=atoms)
 
 
 def _check_shape(spec: ModelSpec) -> None:
@@ -234,8 +246,7 @@ def build_spin_in_field(spec: ModelSpec) -> ModelInstance:
     Realized as A = 2j two-level atoms; there is no field mode and no
     integral of motion beyond the Casimir.
     """
-    atoms = int(round(2 * spec.spin_j))
-    space = enumerate_basis([], EnsembleSpec(levels=2, atoms=atoms))
+    space = enumerate_basis(*model_basis(spec))
     s3, sp, sm = hilbert.spin_operators(space)
     return _model(spec, space, spec.omega * s3, [("spin", spec.g, spec.omega, s3, sp, None)],
                   hilbert.zero(space), {}, {"omega": spec.omega}, {"S3": s3, "S+": sp, "S-": sm})
@@ -251,7 +262,7 @@ def build_dicke(spec: ModelSpec) -> ModelInstance:
     ``h_int = Delta*S3 + g*(a S+ + a^dag S-)`` with ``Delta = omega0 - omega_f``
     and the excitation number ``N = a^dag a + S3`` conserved.
     """
-    space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=2, atoms=spec.atoms))
+    space = enumerate_basis(*model_basis(spec))
     s3, sp, sm = hilbert.spin_operators(space)
     a, n = annihilator(space, 0), number_operator(space, 0)
     delta = spec.omega0 - spec.omega_field
@@ -286,7 +297,7 @@ def build_xi3(spec: ModelSpec) -> ModelInstance:
     e1, e2, e3 = spec.energies
     wf = spec.omega_field
     g12, g23 = spec.couplings
-    space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=3, atoms=spec.atoms))
+    space = enumerate_basis(*model_basis(spec))
     ops = _level_ops(space)
     a, n = annihilator(space, 0), number_operator(space, 0)
     d12, d23 = e2 - e1 - wf, e3 - e2 - wf
@@ -311,7 +322,7 @@ def build_lambda3(spec: ModelSpec) -> ModelInstance:
     e1, e2, e3 = spec.energies
     wf = spec.omega_field
     g13, g23 = spec.couplings
-    space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=3, atoms=spec.atoms))
+    space = enumerate_basis(*model_basis(spec))
     ops = _level_ops(space)
     a, n = annihilator(space, 0), number_operator(space, 0)
     d31, d32 = e3 - e1 - wf, e3 - e2 - wf
@@ -362,7 +373,7 @@ def build_cascade_n(spec: ModelSpec, require_resonance: bool = False) -> ModelIn
     if require_resonance and not resonant(deltas[-1], *spec.energies, wf):
         raise ResonanceError(
             f"multiphoton resonance requested but D_{nlev} = {deltas[-1]:.3e}")
-    space = enumerate_basis([spec.n_max[0]], EnsembleSpec(levels=nlev, atoms=spec.atoms))
+    space = enumerate_basis(*model_basis(spec))
     ops = _level_ops(space)
     inversions = [collective_inversion(space, i, i + 1) for i in range(1, nlev)]
     a, n = annihilator(space, 0), number_operator(space, 0)
@@ -399,7 +410,7 @@ def build_two_mode_four(spec: ModelSpec, require_resonance: bool = False,
                                           *spec.energies, wa, wb):
         raise ResonanceError("three-photon resonance E4 - E1 = 3 omega_b requested but violated")
     deltas = cascade_detunings(spec.energies, wa)
-    space = enumerate_basis([spec.n_max[0], spec.n_max[1]], EnsembleSpec(levels=4, atoms=spec.atoms))
+    space = enumerate_basis(*model_basis(spec))
     ops = _level_ops(space)
     inversions = [collective_inversion(space, i, i + 1) for i in range(1, 4)]
     a, b = annihilator(space, 0), annihilator(space, 1)

@@ -148,9 +148,9 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
     :meth:`~effham.hilbert.OperatorMatrix.is_unitary`; its defect
     ``||U^dag U - 1||`` is the root of the sum of the squared defects of the
     blocks, every state (an isolated one too) lying in one block.  The
-    result is kept on ``u`` for each ``h``, so it lives as long as the
-    rotation (a long-lived ``h`` conjugated by many rotations holds none of
-    them).
+    result is kept on ``u`` for each ``h`` (operators hash by identity), so
+    it lives as long as the rotation (a long-lived ``h`` conjugated by many
+    rotations holds none of them).
     """
     def conjugated():
         defects = []
@@ -161,9 +161,8 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
         out = blockwise(kernel, h, u)
         if not unitary_within(math.hypot(*defects), VERIFICATION_TOL, u.dim):
             raise ValueError("conjugation requires a unitary matrix")
-        return h, out
-    # the kept entry holds h, so no other operator takes its id meanwhile
-    return u._kept(("conjugate", id(h)), conjugated)[1]
+        return out
+    return u._kept(("conjugate", h), conjugated)
 
 
 def _stage_product(stages) -> OperatorMatrix:
@@ -526,12 +525,11 @@ def _second_order(model: ModelInstance, gen: OperatorMatrix, eliminate, retain=(
     return h2
 
 
-def _fitted_stage(model: ModelInstance, hops, stages) -> OperatorMatrix:
+def _fitted_stage(model: ModelInstance, hops, rotated: OperatorMatrix) -> OperatorMatrix:
     """Later-stage generator ``sum (c/D)(Y - Y^dag)`` over the ``hops`` Y:
-    ``c`` is Y's coefficient in ``h_int`` as the earlier ``stages`` leave it,
-    fitted away from the Fock cutoff, ``D`` its measured step.  A hop with
-    no entries there moves only states at the cutoff and is skipped."""
-    rotated = conjugate_stages(model.h_int, stages)
+    ``c`` is Y's coefficient in ``rotated`` (``h_int`` after the earlier
+    stages), fitted away from the Fock cutoff, ``D`` its measured step.  A
+    hop with no entries there moves only states at the cutoff and is skipped."""
     safe = photon_safe_mask(model.space, 1)
     pieces = ((fit_coefficient(rotated, y, mask=safe) / measured_step(model.h_diag, y))
               * (y - y.dag()) for y in hops if y.project(safe).norm() != 0)
@@ -923,8 +921,10 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     if info.amplitude_key is not None:
         guards.update((info.amplitude_key.format(name), abs(e)) for name, e in eps.items())
     stages = [matrix_exponential(gen)]
+    rotated = model.h_int  # as the stages before the last leave it
     for hops in info.stages:
-        stages.append(matrix_exponential(_fitted_stage(model, hops(model), stages)))
+        rotated = conjugate(rotated, stages[-1])
+        stages.append(matrix_exponential(_fitted_stage(model, hops(model), rotated)))
     rotation = _stage_product(stages)
 
     if info.corrected_from == "structure":
@@ -933,7 +933,7 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     elif info.corrected_from == "second-order":
         corrected = _second_order(model, gen, info.eliminate, info.retain)
     else:
-        corrected = conjugate_stages(model.h_int, stages)
+        corrected = conjugate(rotated, stages[-1])
     if info.keep is not None:
         corrected = filter_signatures(corrected, info.keep)
 

@@ -214,6 +214,8 @@ _XI_TWO_PHOTON = ("[model]\nkind = xi3\nenergies = 0, 11, 20\nomega_field = 10\n
 
 _SCALING = "[model]\nkind = dicke\n[analysis]\nkind = scaling\nscenario = dicke-dispersive\n"
 
+_DICKE_EVOLVE = "[model]\nkind = dicke\natoms = 2\nn_max = 4\n[analysis]\nkind = evolve\n"
+
 #: configs whose values do not parse or do not make a model, by what is
 #: wrong, with the words of the error that name the rule
 BAD_VALUES = {
@@ -266,6 +268,31 @@ BAD_VALUES = {
                        "needs at least three distinct values, got 1"),
     "initial_level 0": ("[model]\nkind = dicke\natoms = 2\nn_max = 4\n[analysis]\nkind = evolve\n"
                         "times = 0:1:3\ninitial_level = 0\n", "initial_level must be at least 1, got 0"),
+    "initial_level 3": (_DICKE_EVOLVE + "initial_level = 3\n", "level 3 out of range 1..2"),
+    "two photon numbers for one mode": (_DICKE_EVOLVE + "initial_photons = 1, 1\n",
+                                        "initial_photons must give one entry per mode (1), got 2"),
+    "occupations of one atom": (_DICKE_EVOLVE + "initial_occupations = 1, 0\n",
+                                "no basis state with label ((0,), (1, 0))"),
+    "photons above n_max": (_DICKE_EVOLVE + "initial_photons = 9\n",
+                            "no basis state with label ((9,), (2, 0))"),
+    "infidelity from level 3": (_SCALING + "metric = infidelity\ninitial_level = 3\n",
+                                "level 3 out of range 1..2"),
+    "space over the cap": ("[model]\nkind = dicke\natoms = 100\nn_max = 1000\n[analysis]\n"
+                           "kind = spectrum\nscenario = dicke-dispersive\n",
+                           "space dimension 101101 exceeds cap 20000"),
+    "time grid of two fields": (_DICKE_EVOLVE + "times = 0:1\n", "must be start:stop:count"),
+    "time grid of one point": (_DICKE_EVOLVE + "times = 0:1:1\n", "needs at least two points"),
+    "no model kind": ("[model]\natoms = 2\n[analysis]\nkind = algebra-check\n", "missing model.kind"),
+    "unknown analysis": ("[model]\nkind = dicke\n[analysis]\nkind = fit\n",
+                         "analysis.kind must be one of"),
+    "unknown scenario": ("[model]\nkind = dicke\n[analysis]\nkind = effective\nscenario = nope\n",
+                         "unknown scenario 'nope'"),
+    "spectrum without a scenario": ("[model]\nkind = dicke\n[analysis]\nkind = spectrum\n",
+                                    "analysis 'spectrum' needs a scenario"),
+    "unknown form": (_SCALING + "form = exact\n", "analysis.form must be corrected or printed"),
+    "unknown metric": (_SCALING + "metric = fidelity\n", "analysis.metric must be one of"),
+    "xml report": ("[model]\nkind = dicke\n[analysis]\nkind = algebra-check\n[output]\nformat = xml\n",
+                   "output format must be csv or json"),
     "scenario of another kind": ("[model]\nkind = dicke\nomega_field = 10\nomega0 = 11\ng = 0.04\n"
                                  "[analysis]\nkind = effective\nscenario = xi-two-photon\n",
                                  "scenario 'xi-two-photon' does not apply to model kind 'dicke'"),
@@ -346,6 +373,16 @@ def test_epsilon_override_below_three_values_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "needs at least three values, got 2" in err
     assert not out.exists()
+
+
+def test_initial_state_is_checked_where_it_is_evolved_only(tmp_path, capsys):
+    # spectrum and the eigenvalue-error scaling metric never read the
+    # initial state, so a level off the basis does not refuse them
+    for name in ("dicke_spectrum.cfg", "dicke_scaling.cfg"):
+        cfg = tmp_path / name
+        cfg.write_text((CONFIGS / name).read_text().replace("[analysis]", "[analysis]\ninitial_level = 9"))
+        assert _run(["validate-config", cfg]) == 0
+    assert "config ok" in capsys.readouterr().out
 
 
 def test_epsilon_grid_is_checked_for_scaling_only(tmp_path, capsys):

@@ -324,3 +324,22 @@ def test_only_hilbert_knows_the_stack():
             text = path.read_text(encoding="utf-8")
             assert not re.search(r"LadderPattern|_pattern_operator|\.ladder\b", text), path.name
     assert not any(hasattr(rotations, name) for name in ("_block_stacks", "_assemble", "_stacked_norm"))
+
+
+_TWO_LEVELS = eh.enumerate_basis([2], eh.EnsembleSpec(2, 1))
+_THREE_LEVELS = eh.enumerate_basis([2], eh.EnsembleSpec(3, 1))
+
+
+@pytest.mark.parametrize("call, rule", [
+    (lambda: eh.FockTruncation(-1), "n_max must be a non-negative integer, got -1"),
+    (lambda: eh.EnsembleSpec(1, 1), "an ensemble needs at least two levels"),
+    (lambda: eh.OperatorMatrix(_TWO_LEVELS, np.zeros((6, 5))), "operator matrix must be square"),
+    (lambda: eh.OperatorMatrix(_TWO_LEVELS, np.eye(5)), "matrix dimension 5 != space dimension 6"),
+    (lambda: eh.annihilator(_TWO_LEVELS, 1), "mode index 1 out of range"),
+    (lambda: eh.collective_operator(_TWO_LEVELS, 1, 3), re.escape("level indices (1, 3) out of range 1..2")),
+    (lambda: eh.spin_operators(_THREE_LEVELS), "spin operators require a two-level ensemble"),
+    (lambda: eh.basis_state(_TWO_LEVELS, (0,)), "give either occupations or level"),
+])
+def test_spaces_and_operators_refuse_what_they_cannot_be(call, rule):
+    with pytest.raises(ValueError, match=rule):
+        call()

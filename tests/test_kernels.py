@@ -1324,6 +1324,22 @@ def test_kept_reads_equal_a_fresh_operators(case):
     assert all(r._memo == {} for r in results)
 
 
+def test_components_are_found_and_not_kept(dicke_model, rng):
+    # no caller asks a single operator for its components twice, so neither
+    # the parts nor the labels stay on the operator
+    m = _dense(rng, 12, 0.2)
+    for op in (dicke_model.h_int, eh.OperatorMatrix(_space(12), m)):
+        before = set(op._memo)  # h_int keeps the entries its checks read
+        parts, label = hilbert.components(op), hilbert.component_labels(op)
+        assert set(op._memo) == before
+        fresh = _fresh(op)
+        assert [_bits(p) for p in parts] == [_bits(p) for p in hilbert.components(fresh)]
+        assert _bits(label) == _bits(hilbert.component_labels(fresh))
+        assert not label.flags.writeable
+        assert all(not part.flags.writeable for part in parts)
+        assert all((label[part] == part[0]).all() for part in parts)
+
+
 def test_dicke_task_scans_h_int_once(dicke_model, monkeypatch):
     # one dicke-ladder task body: every reader of h_int's nonzeros (the
     # Hermiticity and conservation checks of the build, the block leakage,
@@ -1564,6 +1580,21 @@ def test_unitarity_verdict_matches_the_dense_check(case):
     space, u, defect = case
     dense = hilbert.unitary_within(float(np.linalg.norm(u.conj().T @ u - np.eye(space.dim))), 1e-12, space.dim)
     assert eh.OperatorMatrix(space, u).is_unitary(1e-12) == dense == (defect == 0.0)
+
+
+def test_engine_looks_up_no_conjugation_it_holds(four_level_model, monkeypatch):
+    # the engine carries h_int as the stages so far leave it, so it conjugates
+    # each stage once and never asks a rotation for a conjugation it made
+    kept, made, again = hilbert.OperatorMatrix._kept, [], []
+
+    def spy(op, key, find):
+        if isinstance(key, tuple) and key[0] == "conjugate":
+            (again if key in op._memo else made).append(key)
+        return kept(op, key, find)
+
+    monkeypatch.setattr(hilbert.OperatorMatrix, "_kept", spy)
+    eh.closed_form_effective(_unkept(four_level_model), eh.EffectiveScenario("four-level-three-photon"))
+    assert len(made) == 3 and again == []  # one per stage
 
 
 def test_first_stage_is_found_once_per_model(four_level_model):

@@ -503,3 +503,16 @@ def test_spec_refuses_a_non_finite_field(field, bad):
     value = (bad,) if isinstance(getattr(good, field), tuple) else bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         dataclasses.replace(good, **{field: value})
+
+
+@pytest.mark.parametrize("fields, rule", [
+    (dict(kind="dicke", atoms=0), "atoms must be >= 1"),
+    (dict(kind="dicke", n_max=0), "field truncations must be positive"),
+    (dict(kind="cascade", energies=(0.0, 11.0, 10.0), couplings=(0.01, 0.01)),
+     "cascade level energies must be strictly increasing"),
+    (dict(kind="lambda3", energies=(0.0, 11.0, 5.0), couplings=(0.01, 0.01)),
+     "the shared level of a Lambda system must lie highest"),
+])
+def test_spec_refuses_what_no_builder_takes(fields, rule):
+    with pytest.raises(ValueError, match=rule):
+        eh.ModelSpec(**fields)

@@ -556,3 +556,26 @@ def test_measured_step_is_relative_to_the_energies(seed):
             scale * step, rel=1e-12, abs=0)
         with pytest.raises(AnalysisError):
             rotations.measured_step(scale * random, xplus)
+
+
+def _refuse_four_level_on_five_levels():
+    model = eh.build(eh.ModelSpec(kind="cascade", energies=(0.0, 11.0, 21.7, 30.0, 41.3),
+                                  omega_field=10.0, couplings=(0.03,) * 4, n_max=4))
+    eh.closed_form_effective(model, eh.EffectiveScenario("four-level-three-photon"))
+
+
+def _refuse_zero_step():
+    model = eh.build(eh.ModelSpec(kind="cascade", energies=(0.0, 10.0, 21.0, 30.0),
+                                  omega_field=10.0, couplings=(0.03,) * 3, n_max=4))
+    eh.eliminating_generator(model)
+
+
+@pytest.mark.parametrize("call, error, rule", [
+    (lambda: eh.four_level_constants((0.03,) * 3, (0.0, 1.0, 0.0, 2.0)), ResonanceError,
+     "two-photon resonance between levels 1 and 3"),
+    (_refuse_four_level_on_five_levels, EffhamError, "the three-photon scenario needs a four-level cascade"),
+    (_refuse_zero_step, ResonanceError, "one-photon resonance on transition 1"),
+])
+def test_rotations_refuse_resonances_and_other_chains(call, error, rule):
+    with pytest.raises(error, match=rule):
+        call()
