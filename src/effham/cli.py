@@ -237,7 +237,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             form=form,
             epsilons=_parse_floats(eps_text),
             times=_parse_times(ana.get("times", "0:100:201")),
-            initial_photons=_parse_ints(ana.get("initial_photons", "0")),
+            initial_photons=_parse_ints(ana["initial_photons"]) if "initial_photons" in ana
+            else (0,) * models.field_modes(model.kind),
             initial_level=int(ana.get("initial_level", 1)),
             initial_occupations=_parse_ints(ana["initial_occupations"])
             if "initial_occupations" in ana else None,

@@ -15,7 +15,10 @@ the block leakage compares those words at the two ends of each nonzero.
 An evolution runs on the support of its initial state: the states whose
 component label (:func:`~effham.hilbert.component_labels`) is that of a
 support state, or the support alone under a diagonal generator; a
-rotation is applied from the columns on the support only.
+rotation is applied from the columns on the support only.  A rotation's
+blocks are formed per component on first read
+(:func:`~effham.hilbert.blocks_on_read`), so an evolution from a basis
+state exponentiates only the blocks its state reaches.
 """
 
 from __future__ import annotations
@@ -118,7 +121,9 @@ def effective_evolution(h_eff: OperatorMatrix, psi0: np.ndarray, times,
     states evolve on their own support (:func:`evolve`).  Only the columns
     of U that the support of the rotated-frame states reaches can be
     nonzero in the result, so only those are formed; each still sums over
-    every state, as the full product does.
+    every state, as the full product does.  U is read through ``apply``
+    and ``block`` alone, so of a rotation formed per component on first
+    read only the components those states meet are formed.
     """
     psi = np.asarray(psi0, dtype=complex)
     if rotation is None:

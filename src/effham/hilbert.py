@@ -46,7 +46,10 @@ reductions' order (:func:`_frobenius`, :func:`_pairwise_sum`), with no
 dim^2 array.  ``apply`` reads only the columns on the support of its
 vector.  An operator keeps what its readers ask of it again: its nonzero
 entries and its norm.  Its components and their labels are found on each
-request.
+request.  The blocks of an operator of :func:`blocks_on_read` are formed
+per component on first read: ``apply`` and ``block`` form those of the
+states they read, and every other read all that are left, so no reader
+sees a block that is not formed.
 
 The constructors build a new operator on each call and keep nothing on the
 space; a model keeps the elementary operators it builds in ``operators``.
@@ -54,18 +57,22 @@ space; a model keeps the elementary operators it builds in ``operators``.
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
 in; :func:`component_labels` names each state's component by its smallest
-state, which the evolution finds its span with.  :func:`blockwise` is the
-one writer of block stacks: it gathers the blocks of each operand, grouped
-by size, in one pass over the operand's stack and writes a kernel's blocks
-into one stack.  The exponential, the conjugation, the product of rotation
-stages, the unitarity check and every product whose terms collide are one
-call of it each, so no other module reads or writes a stack.
+state, which the evolution finds its span with.  :func:`blocks_on_read` is
+the one writer of block stacks: it gathers the blocks of each operand,
+grouped by size, in one pass over the operand's stack and writes a
+kernel's blocks into one stack, each component's on the first read that
+touches it.  :func:`blockwise` writes every block at once.  The
+exponential and the product of rotation stages are one call of
+:func:`blocks_on_read` each, the conjugation, the unitarity check and
+every product whose terms collide one call of :func:`blockwise`, so no
+other module reads or writes a stack.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -261,7 +268,7 @@ class OperatorMatrix:
     is the read-only dense array.
     """
 
-    __slots__ = ("space", "_ladder", "_memo")
+    __slots__ = ("space", "_stack", "_memo", "_unformed")
 
     def __init__(self, space: SpaceDescriptor, matrix: np.ndarray):
         arr = np.array(matrix, dtype=complex)
@@ -271,10 +278,47 @@ class OperatorMatrix:
             raise ValueError(f"matrix dimension {arr.shape[0]} != space dimension {space.dim}")
         self._set(space, _array_stack(arr))
 
-    def _set(self, space: SpaceDescriptor, ladder: LadderPattern) -> None:
+    def _set(self, space: SpaceDescriptor, ladder: LadderPattern, unformed=None) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_ladder", ladder)
+        object.__setattr__(self, "_stack", ladder)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_unformed", unformed)
+
+    @property
+    def _ladder(self) -> LadderPattern:
+        """The stack with every block written (:func:`blocks_on_read`)."""
+        if self._unformed is not None:
+            self._form()
+        return self._stack
+
+    def _form(self, *reads: np.ndarray) -> None:
+        """Write the blocks not yet written (:func:`blocks_on_read`) of the
+        components that meet every index array of ``reads``; of every
+        component without ``reads``.  A component is marked written after
+        its blocks are, so two threads at worst write the same bits twice."""
+        pending = self._unformed
+        if pending is None:
+            return
+        left, stacks = pending.left, pending.stacks
+        if reads or not left.all():
+            met = []
+            for states in reads:
+                met.append(np.zeros(self.dim, dtype=bool))
+                met[-1][states] = True
+            chosen = []
+            for idx in stacks:
+                pick = left[idx[:, 0]]
+                for m in met:
+                    pick &= m[idx].any(axis=1)
+                if pick.any():
+                    chosen.append(idx[pick])
+            stacks = chosen
+        if stacks:
+            _write_blocks(self._stack, pending.kernel, pending.sources, stacks)
+            for idx in stacks:
+                left[idx] = False
+        if not left.any():
+            object.__setattr__(self, "_unformed", None)
 
     def _kept(self, key: str, find):
         """``find()``, called on the first request for ``key`` and kept: an
@@ -377,12 +421,14 @@ class OperatorMatrix:
         columns, with no dense array: each entry sums its row's nonzero
         products in the order of the transposed stack's maps, a single
         product where the row holds one nonzero.  Only the columns on the
-        support of ``vec`` are read, so an entry is the sum of the products
-        of the whole stack bit for bit wherever that is not zero, and 0 in a
-        row no support column reaches."""
+        support of ``vec`` are read, and only their components' blocks are
+        written (:func:`blocks_on_read`), so an entry is the sum of the
+        products of the whole stack bit for bit wherever that is not zero,
+        and 0 in a row no support column reaches."""
         v = np.asarray(vec, dtype=complex)
-        p = self._ladder
         live = np.flatnonzero(v.reshape(self.dim, -1).any(axis=1))
+        self._form(live)
+        p = self._stack
         rows, cols, values = LadderPattern(p.rows[:, live], p.values[:, live]).nonzeros()
         t = _stacked(self.dim, live[cols], rows, values)  # the transpose of those columns
         out = (t.values[0] * v[t.rows[0]].T).T
@@ -395,11 +441,14 @@ class OperatorMatrix:
         fresh C-ordered array built from the stack alone.
 
         ``rows`` and ``cols`` may also be stacks of index arrays, shape
-        ``(count, size)``, for a stack of ``count`` blocks.
+        ``(count, size)``, for a stack of ``count`` blocks.  Only the blocks
+        of the components that meet both ``rows`` and ``cols`` are written
+        (:func:`blocks_on_read`).
         """
         rows = np.asarray(rows)
         cols = rows if cols is None else np.asarray(cols)
-        p = self._ladder
+        self._form(rows.ravel(), cols.ravel())
+        p = self._stack
         if len(p.rows) > 1 and rows.size and rows.shape[:-1] == cols.shape[:-1]:
             # each entry of the requested columns looks its row up among
             # the requested rows: place[i] is 1 + the position of row i in
@@ -418,7 +467,7 @@ class OperatorMatrix:
                 out = np.zeros(r.size * width, dtype=complex)
                 out[(at * width + np.arange(width))[hit]] = p.values[:, c][hit]
                 return out.reshape(rows.shape[:-1] + (n, width))
-        return self._at(rows[..., :, None], cols[..., None, :])
+        return _stack_at(p, rows[..., :, None], cols[..., None, :])
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzero entries, in row-major
@@ -429,12 +478,7 @@ class OperatorMatrix:
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The entries at ``(rows[k], cols[k])``, the two index arrays
         broadcast against each other."""
-        p = self._ladder
-        if len(p.rows) == 1:
-            return np.where(p.rows[0][cols] == rows, p.values[0][cols], 0.0)
-        # one entry at most holds each place: the first map that hits it
-        hit = p.rows[:, cols] == rows
-        return np.where(hit.any(axis=0), p.values[hit.argmax(axis=0), cols], 0.0)
+        return _stack_at(self._ladder, rows, cols)
 
     def inner(self, other: "OperatorMatrix"):
         """``np.sum(self.matrix.conj() * other.matrix)`` bit for bit
@@ -498,11 +542,22 @@ class OperatorMatrix:
         return f"OperatorMatrix(dim={self.dim})"
 
 
-def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern) -> OperatorMatrix:
-    """An operator with stack ``ladder``."""
+def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern,
+                      unformed: _Unformed | None = None) -> OperatorMatrix:
+    """An operator with stack ``ladder``, and the blocks it has not written
+    yet (:func:`blocks_on_read`)."""
     out = object.__new__(OperatorMatrix)
-    out._set(space, ladder)
+    out._set(space, ladder, unformed)
     return out
+
+
+def _stack_at(p: LadderPattern, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries of the stack ``p`` at ``(rows[k], cols[k])``."""
+    if len(p.rows) == 1:
+        return np.where(p.rows[0][cols] == rows, p.values[0][cols], 0.0)
+    # one entry at most holds each place: the first map that hits it
+    hit = p.rows[:, cols] == rows
+    return np.where(hit.any(axis=0), p.values[hit.argmax(axis=0), cols], 0.0)
 
 
 def _materialise(p: LadderPattern) -> np.ndarray:
@@ -863,58 +918,110 @@ def size_groups(parts) -> list[tuple[list[int], np.ndarray]]:
 
 def blockwise(kernel, *ops: OperatorMatrix) -> OperatorMatrix:
     """The operator that holds ``kernel`` of the blocks of ``ops`` on the
-    joint components of ``ops`` (:func:`components`), and +0 everywhere else.
+    joint components of ``ops`` (:func:`components`), and +0 everywhere
+    else: :func:`blocks_on_read` on those components, every block written
+    at once."""
+    stacks = [idx for _, idx in size_groups(components(*ops))]
+    out = _unwritten(ops, stacks)
+    _write_blocks(out._stack, kernel, [op._ladder for op in ops], stacks)
+    return out
 
-    The components are grouped by size (:func:`size_groups`).  For each
+
+class _Unformed(NamedTuple):
+    """What an operator of :func:`blocks_on_read` needs to write the blocks
+    it has not written yet."""
+
+    kernel: Callable
+    sources: tuple  # per operand, its stack, or the operand while it has blocks to write
+    stacks: list[np.ndarray]  # the (count, size) component stacks, one per size
+    left: np.ndarray  # left[i]: the blocks of state i's component are not written yet
+
+
+def blocks_on_read(kernel, parts, *ops: OperatorMatrix) -> OperatorMatrix:
+    """The operator that holds ``kernel`` of the blocks of ``ops`` on the
+    components ``parts``, and +0 everywhere else, each component's blocks
+    written on the first read that touches it.
+
+    ``parts`` are sorted index arrays that cover every state once, and every
+    nonzero of ``ops`` and of the result lies inside one of them.  They are
+    grouped by size (:func:`size_groups`).  For a stack of components of one
     size ``kernel`` gets one ``(count, size, size)`` stack of blocks per
     operand, in the order of ``ops``, and returns the result's blocks as one
-    such stack.  The blocks of an operand are those :meth:`OperatorMatrix.block`
-    gives, gathered for every size in one pass over its stack
-    (:func:`_gathered`).  The result's blocks are written into a stack of
-    as many maps as the largest block has states, where map ``m`` of column
+    such stack.  The blocks of an operand are those
+    :meth:`OperatorMatrix.block` gives, gathered for every size in one pass
+    over its stack (:func:`_gathered`) after the operand has written its
+    own blocks there.  The result's blocks are written into a stack of as
+    many maps as the largest block has states, where map ``m`` of column
     ``idx[c, j]`` holds row ``idx[c, m]`` and value ``blocks[c, m, j]``.
     Every entry inside a block is kept, a zero and its sign too, since
-    LAPACK reads that sign; an unused entry is nowhere.  This is the one
-    writer of block stacks.
+    LAPACK reads that sign; an unused entry, and every entry of a component
+    not yet written, is nowhere.  This is the one writer of block stacks.
+
+    :meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.block` write the
+    components of the states they read; every other read writes every
+    component left, so it sees the whole operator.
     """
+    stacks = [idx for _, idx in size_groups(parts)]
+    # a written operand is held by its stack alone, so that an operand that
+    # keeps the result (a generator its exponential) forms no cycle with it
+    sources = tuple(op if op._unformed is not None else op._stack for op in ops)
+    return _unwritten(ops, stacks, _Unformed(kernel, sources, stacks, np.ones(ops[0].dim, dtype=bool)))
+
+
+def _unwritten(ops, stacks, unformed: _Unformed | None = None) -> OperatorMatrix:
+    """An operator on the space of ``ops`` whose stack has as many maps as
+    the largest component of ``stacks`` has states, none of them written."""
     for op in ops[1:]:
         ops[0]._check(op)
-    stacks = [idx for _, idx in size_groups(components(*ops))]
-    gathered = [_gathered(op._ladder, stacks) for op in ops]
-    size = stacks[-1].shape[1]
-    rows = np.full((size, ops[0].dim), -1)
-    values = np.zeros((size, ops[0].dim), dtype=complex)
+    size, d = stacks[-1].shape[1], ops[0].dim
+    ladder = LadderPattern(np.full((size, d), -1), np.zeros((size, d), dtype=complex))
+    return _pattern_operator(ops[0].space, ladder, unformed)
+
+
+def _write_blocks(p: LadderPattern, kernel, sources, stacks) -> None:
+    """Write ``kernel`` of the blocks of the operands on each component
+    stack of ``stacks`` into the stack ``p`` (:func:`blocks_on_read`).  A
+    source is an operand's stack, or an operand that first writes its own
+    blocks on those components."""
+    read = []
+    for src in sources:
+        if isinstance(src, OperatorMatrix):
+            src._form(np.concatenate([idx.ravel() for idx in stacks]))
+            src = src._stack
+        read.append(src)
+    gathered = [_gathered(src, stacks) for src in read]
     for g, idx in enumerate(stacks):
         s = idx.shape[1]
-        rows[:s, idx] = idx.T[:, :, None]
-        values[:s, idx] = kernel(*(blocks[g] for blocks in gathered)).transpose(1, 0, 2)
-    return _pattern_operator(ops[0].space, LadderPattern(rows, values))
+        p.rows[:s, idx] = idx.T[:, :, None]
+        p.values[:s, idx] = kernel(*(blocks[g] for blocks in gathered)).transpose(1, 0, 2)
 
 
 def _gathered(p: LadderPattern, stacks) -> list[np.ndarray]:
     """The ``(count, size, size)`` block stack of the stack ``p`` on each of
-    the ``(count, size)`` index stacks ``stacks``, which cover every state
-    once: ``block(idx)`` of each, bit for bit, from one pass over ``p``.
+    the ``(count, size)`` index stacks ``stacks``, no state in two:
+    ``block(idx)`` of each, bit for bit, from one pass over ``p``.
 
     Each entry of ``p`` whose row lies in its column's block goes to its
     place in that block, a stored zero with its sign too, and every other
     place of a block is +0.  The blocks of all sizes lie one after another
-    in one array; an unused entry's row -1 reads the extra last state,
-    which lies in no block."""
+    in one array; a state in no block, and an unused entry's row -1, which
+    reads the extra last state, have block -1."""
     d = p.rows.shape[1]
     block = np.full(d + 1, -1)  # the block of each state, counted over all sizes
-    start = np.empty(d, dtype=np.intp)  # where its block starts in the array
-    pos = np.empty(d + 1, dtype=np.intp)  # its place in its block
-    width = np.empty(d, dtype=np.intp)  # its block's size
-    blocks = offset = 0
+    start = np.zeros(d, dtype=np.intp)  # where its block starts in the array
+    pos = np.zeros(d + 1, dtype=np.intp)  # its place in its block
+    width = np.zeros(d, dtype=np.intp)  # its block's size
+    blocks = offset = covered = 0
     for idx in stacks:
         count, s = idx.shape
         block[idx] = np.arange(blocks, blocks + count)[:, None]
         start[idx] = (offset + s * s * np.arange(count))[:, None]
         pos[idx] = np.arange(s)
         width[idx] = s
-        blocks, offset = blocks + count, offset + count * s * s
+        blocks, offset, covered = blocks + count, offset + count * s * s, covered + idx.size
     inside = block[p.rows] == block[:d]
+    if covered < d:
+        inside &= block[:d] >= 0
     flat = start + pos[p.rows] * width + pos[:d]
     out = np.zeros(offset, dtype=complex)
     out[flat[inside]] = p.values[inside]

@@ -114,11 +114,16 @@ _LEVELS = {"xi3": 3, "lambda3": 3, "cascade": 3, "two-mode-four": 4}
 _MODES = {"spin-in-field": 0, "two-mode-four": 2}
 
 
+def field_modes(kind: str) -> int:
+    """The number of field modes of a model kind."""
+    return _MODES.get(kind, 1)
+
+
 def model_basis(spec: ModelSpec) -> tuple[tuple[FockTruncation, ...], EnsembleSpec]:
     """The basis the kind's builder builds its space on: the truncation of
     each field mode, and an ensemble of one level per level energy (two for
     the spin and Dicke kinds) and ``atoms`` atoms (2j for a spin j)."""
-    modes = tuple(FockTruncation(n) for n in spec.n_max[:_MODES.get(spec.kind, 1)])
+    modes = tuple(FockTruncation(n) for n in spec.n_max[:field_modes(spec.kind)])
     levels = len(spec.energies) if spec.kind in _LEVELS else 2
     atoms = int(round(2 * spec.spin_j)) if spec.kind == "spin-in-field" else spec.atoms
     return modes, EnsembleSpec(levels=levels, atoms=atoms)
@@ -126,8 +131,12 @@ def model_basis(spec: ModelSpec) -> tuple[tuple[FockTruncation, ...], EnsembleSp
 
 def _check_shape(spec: ModelSpec) -> None:
     """Refuse a level, coupling or truncation count the kind's builder
-    cannot take: one coupling per transition (two-mode: per mode), and one
-    truncation per mode of the two-mode chain."""
+    cannot take: one truncation per field mode (a spin has none and reads
+    none), and one coupling per transition (two-mode: per mode)."""
+    modes = field_modes(spec.kind)
+    if modes and len(spec.n_max) != modes:
+        raise ValueError(f"a {spec.kind} model needs one truncation per mode ({modes}), "
+                         f"got {len(spec.n_max)}")
     if spec.kind not in _LEVELS:
         return
     n, levels, least = len(spec.energies), _LEVELS[spec.kind], spec.kind == "cascade"
@@ -141,9 +150,6 @@ def _check_shape(spec: ModelSpec) -> None:
         if len(spec.couplings_b) != n - 1:
             raise ValueError(f"a two-mode-four model needs one mode-b coupling per transition "
                              f"({n - 1}), got {len(spec.couplings_b)}")
-        if len(spec.n_max) != 2:
-            raise ValueError(f"a two-mode-four model needs one truncation per mode (2), "
-                             f"got {len(spec.n_max)}")
 
 
 @dataclass(frozen=True)

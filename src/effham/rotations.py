@@ -41,9 +41,9 @@ import numpy as np
 
 from .algebra import VERIFICATION_TOL, DeformedAlgebra
 from .errors import AnalysisError, EffhamError, ResonanceError
-from .hilbert import (OperatorMatrix, blockwise, commutator, diagonal_operator, identity,
-                      occupation_sector_mask, photon_safe_mask, unitarity_defect,
-                      unitary_within, zero)
+from .hilbert import (OperatorMatrix, blocks_on_read, blockwise, commutator, components,
+                      diagonal_operator, identity, occupation_sector_mask, photon_safe_mask,
+                      unitarity_defect, unitary_within, zero)
 from .models import ModelInstance, amplitude_guard, dispersive_guards, level_key, resonant
 
 _TAYLOR_ORDER = 20
@@ -59,42 +59,56 @@ _SERIES_CUTOFF = 2.0 ** -72
 # ---------------------------------------------------------------------------
 
 def matrix_exponential(op: OperatorMatrix) -> OperatorMatrix:
-    """``exp(A)``, formed block by block.
+    """``exp(A)``, formed block by block, each component's blocks on the
+    first read that touches it.
 
     ``exp(A)`` is block diagonal on the connected components of the nonzero
     pattern of A (:func:`~effham.hilbert.components`), whatever A is, so
     each block is exponentiated on its own: the cost is the sum of the block
-    sizes cubed, not dim^3, and every entry outside the blocks is +0 (see
-    :func:`~effham.hilbert.blockwise`).  A block goes through scaling and
-    squaring of the series of ``exp(B) - 1`` (scaled 1-norm ``eta`` at most
-    1/2), and 1 is added once at the end.  The series stops once the 1-norm
-    bound ``eta^k / k!`` of the next term is at most ``2^-72 eta``, after
-    20 terms at most (:func:`_expm1`).  The entries of ``U - 1`` of a small
-    rotation thereby keep their relative precision, and rotations are
-    unitary to machine precision.  Non-finite entries raise.  The
-    exponential is found once per operator and kept.
+    sizes cubed, not dim^3, and every entry outside the blocks is +0.  The
+    blocks are formed per component on first read
+    (:func:`~effham.hilbert.blocks_on_read`): ``apply`` and ``block`` form
+    those of the states they read, any other read all that are left.  A
+    block goes through scaling and squaring of the series of ``exp(B) - 1``
+    (scaled 1-norm ``eta`` at most 1/2), and 1 is added once at the end.
+    The series stops once the 1-norm bound ``eta^k / k!`` of the next term
+    is at most ``2^-72 eta``, after 20 terms at most (:func:`_expm1`).  The
+    scaling and the stopping bound come from the largest column 1-norm of
+    all the blocks of one size, summed in row order from A's nonzeros here,
+    so a block has the same bits whichever blocks are formed with it.  The
+    entries of ``U - 1`` of a small rotation thereby keep their relative
+    precision, and rotations are unitary to machine precision.  Non-finite
+    entries raise here.  The exponential is kept on ``op``.
     """
-    def kernel(b):
-        if not np.isfinite(b).all():
+    def exponential():
+        _, cols, values = op.entries()
+        if not np.isfinite(values).all():
             raise ValueError("matrix exponential of a non-finite matrix")
-        return _expm1(b) + np.eye(b.shape[-1])
-    return op._kept("exponential", lambda: blockwise(kernel, op))
+        parts = components(op)
+        sizes = np.array([len(part) for part in parts])
+        norm1 = np.zeros(sizes.max() + 1)  # the largest column 1-norm per block size
+        np.maximum.at(norm1, np.repeat(sizes, sizes),
+                      np.bincount(cols, weights=np.abs(values), minlength=op.dim)[np.concatenate(parts)])
+        return blocks_on_read(lambda b: _expm1(b, float(norm1[b.shape[-1]])) + np.eye(b.shape[-1]), parts, op)
+    return op._kept("exponential", exponential)
 
 
-def _expm1(b: np.ndarray) -> np.ndarray:
+def _expm1(b: np.ndarray, norm1: float | None = None) -> np.ndarray:
     """``exp(B) - 1`` for each block of the stack ``b``: the Taylor series
     of ``exp(B / 2^s) - 1``, then ``s`` doublings
     ``exp(2B) - 1 = 2 (exp(B) - 1) + (exp(B) - 1)^2``, with one ``s`` for
     the whole stack.
 
-    ``s`` brings the largest 1-norm of a block to ``eta <= 1/2``.  The
-    series stops before term ``k`` once that term's 1-norm bound
-    ``eta^k / k!`` is at most :data:`_SERIES_CUTOFF` ``* eta``, about 2^-20
-    of an ulp of ``eta`` (the stopping rule of Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)), and after :data:`_TAYLOR_ORDER`
-    terms at most.  An entry far smaller than ``eta`` may still differ in
-    its last bits from the full series'."""
-    norm1 = float(np.abs(b).sum(axis=-2).max())
+    ``s`` brings ``norm1``, the largest column 1-norm of a block (by
+    default of a block of ``b``), to ``eta <= 1/2``.  The series stops
+    before term ``k`` once that term's 1-norm bound ``eta^k / k!`` is at
+    most :data:`_SERIES_CUTOFF` ``* eta``, about 2^-20 of an ulp of ``eta``
+    (the stopping rule of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)), and after :data:`_TAYLOR_ORDER` terms at most.  An entry far
+    smaller than ``eta`` may still differ in its last bits from the full
+    series'."""
+    if norm1 is None:
+        norm1 = float(np.abs(b).sum(axis=-2).max())
     squarings = max(0, int(math.ceil(math.log2(norm1 / _SCALE_TARGET)))) if norm1 > _SCALE_TARGET else 0
     b = b / (2.0 ** squarings)
     eta = bound = norm1 / 2.0 ** squarings
@@ -165,12 +179,17 @@ def conjugate(h: OperatorMatrix, u: OperatorMatrix) -> OperatorMatrix:
     return u._kept(("conjugate", h), conjugated)
 
 
-def _stage_product(stages) -> OperatorMatrix:
-    """The total rotation ``U_n ... U_1``, first stage rightmost, formed
-    block by block on the components of the stages' joint nonzero pattern."""
+def _stage_product(stages, generators) -> OperatorMatrix:
+    """The total rotation ``U_n ... U_1`` of the ``stages``
+    ``U_k = exp(G_k)``, first stage rightmost, ``G_k`` the ``generators``.
+    It is formed block by block on the components of the generators' joint
+    nonzero pattern, each component's blocks on the first read that touches
+    it (:func:`~effham.hilbert.blocks_on_read`), from the stages' blocks on
+    that component alone."""
     if len(stages) == 1:
         return stages[0]
-    return blockwise(lambda *blocks: reduce(np.matmul, reversed(blocks)), *stages)
+    return blocks_on_read(lambda *blocks: reduce(np.matmul, reversed(blocks)),
+                          components(*generators), *stages)
 
 
 def conjugate_stages(h: OperatorMatrix, stages) -> OperatorMatrix:
@@ -920,12 +939,13 @@ def closed_form_effective(model: ModelInstance, scenario: EffectiveScenario) -> 
     printed = info.printed(model)
     if info.amplitude_key is not None:
         guards.update((info.amplitude_key.format(name), abs(e)) for name, e in eps.items())
-    stages = [matrix_exponential(gen)]
+    generators, stages = [gen], [matrix_exponential(gen)]
     rotated = model.h_int  # as the stages before the last leave it
     for hops in info.stages:
         rotated = conjugate(rotated, stages[-1])
-        stages.append(matrix_exponential(_fitted_stage(model, hops(model), rotated)))
-    rotation = _stage_product(stages)
+        generators.append(_fitted_stage(model, hops(model), rotated))
+        stages.append(matrix_exponential(generators[-1]))
+    rotation = _stage_product(stages, generators)
 
     if info.corrected_from == "structure":
         (term,) = model.interactions

@@ -216,6 +216,9 @@ _SCALING = "[model]\nkind = dicke\n[analysis]\nkind = scaling\nscenario = dicke-
 
 _DICKE_EVOLVE = "[model]\nkind = dicke\natoms = 2\nn_max = 4\n[analysis]\nkind = evolve\n"
 
+_SPIN_EVOLVE = ("[model]\nkind = spin-in-field\nspin_j = 1\nomega = 1\ng = 0.1\n"
+                "[analysis]\nkind = evolve\ntimes = 0:1:3\n")
+
 #: configs whose values do not parse or do not make a model, by what is
 #: wrong, with the words of the error that name the rule
 BAD_VALUES = {
@@ -245,6 +248,12 @@ BAD_VALUES = {
     "two-mode truncations": (_TWO_MODE + "couplings_b = 0.012, 0.014, 0.01\nn_max = 3\n"
                              "[analysis]\nkind = algebra-check\n",
                              "needs one truncation per mode (2), got 1"),
+    "two truncations for one mode": ("[model]\nkind = dicke\nn_max = 4, 9\n[analysis]\n"
+                                     "kind = algebra-check\n",
+                                     "a dicke model needs one truncation per mode (1), got 2"),
+    "three truncations for one mode": (_XI_TWO_PHOTON.replace("n_max = 4", "n_max = 4, 9, 7")
+                                       + "[analysis]\nkind = algebra-check\n",
+                                       "a xi3 model needs one truncation per mode (1), got 3"),
     "g nan": ("[model]\nkind = dicke\ng = nan\n[analysis]\nkind = algebra-check\n",
               "g must be finite, got nan"),
     "no draws": ("[model]\nkind = dicke\n[analysis]\nkind = couplings\ndraws = 0\n",
@@ -271,6 +280,8 @@ BAD_VALUES = {
     "initial_level 3": (_DICKE_EVOLVE + "initial_level = 3\n", "level 3 out of range 1..2"),
     "two photon numbers for one mode": (_DICKE_EVOLVE + "initial_photons = 1, 1\n",
                                         "initial_photons must give one entry per mode (1), got 2"),
+    "photon number for a spin": (_SPIN_EVOLVE + "initial_photons = 0\n",
+                                 "initial_photons must give one entry per mode (0), got 1"),
     "occupations of one atom": (_DICKE_EVOLVE + "initial_occupations = 1, 0\n",
                                 "no basis state with label ((0,), (1, 0))"),
     "photons above n_max": (_DICKE_EVOLVE + "initial_photons = 9\n",
@@ -383,6 +394,20 @@ def test_initial_state_is_checked_where_it_is_evolved_only(tmp_path, capsys):
         cfg.write_text((CONFIGS / name).read_text().replace("[analysis]", "[analysis]\ninitial_level = 9"))
         assert _run(["validate-config", cfg]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [_SPIN_EVOLVE, _TWO_MODE + "couplings_b = 0.012, 0.014, 0.01\n"
+                                  "n_max = 3, 3\n[analysis]\nkind = evolve\ntimes = 0:1:3\n"],
+                         ids=["spin", "two modes"])
+def test_evolve_starts_from_no_photons_in_every_mode_by_default(tmp_path, capsys, text):
+    # without initial_photons the state holds 0 photons in each field mode
+    # of the kind: none for a spin, two for the two-mode chain
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text(text)
+    assert _run(["validate-config", cfg]) == 0
+    assert _run(["run", cfg, "--output", tmp_path / "r.csv"]) == 0
+    config = cli.load_config(cfg)
+    assert config.initial_photons == (0,) * len(models.build(config.model).space.modes)
 
 
 def test_epsilon_grid_is_checked_for_scaling_only(tmp_path, capsys):

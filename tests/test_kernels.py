@@ -23,6 +23,7 @@ reductions, and hold no dense array.
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -38,7 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import effham as eh
-from effham import dynamics, hilbert, models, rotations
+from effham import cli, dynamics, hilbert, models, rotations
 from effham.hilbert import EnsembleSpec, FockTruncation, SpaceDescriptor
 from tests.conftest import REPO_ROOT
 
@@ -163,6 +164,15 @@ def _blockwise_calls():
         yield calls
     finally:
         hilbert.blockwise = real
+
+
+@contextlib.contextmanager
+def _series_stacks():
+    """The block stacks ``rotations._expm1`` is called with while the
+    block runs, each passed on unchanged."""
+    real, stacks = rotations._expm1, []
+    with mock.patch.object(rotations, "_expm1", lambda b, *norm1: stacks.append(b) or real(b, *norm1)):
+        yield stacks
 
 
 def _same_pattern(carried, scanned) -> bool:
@@ -505,23 +515,49 @@ def test_dicke_basis_state_diagonalises_its_block_only(dicke_model, eigh_sizes):
     assert eigh_sizes and max(eigh_sizes) <= len(block.indices) < space.dim
 
 
-def test_dicke_kernels_see_blocks_only(dicke_model, eigh_sizes, monkeypatch):
+def test_dicke_kernels_see_blocks_only(dicke_model, eigh_sizes):
     # neither the exponential's series nor an eigh sees more than one block
-    series_sizes = []
-    series = rotations._expm1
-
-    def spy(b):
-        series_sizes.append(b.shape[-1])
-        return series(b)
-
-    monkeypatch.setattr(rotations, "_expm1", spy)
     largest = max(len(b.indices) for b in eh.conserved_blocks(dicke_model))
-    forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
-    eh.conjugate(dicke_model.h_int, forms.rotation)
+    with _series_stacks() as stacks:
+        forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
+        eh.conjugate(dicke_model.h_int, forms.rotation)
     psi = eh.basis_state(dicke_model.space, photons=(3,), occupations=(1, 0))
     eh.evolve(dicke_model.h_int, psi, TIMES)
+    series_sizes = [b.shape[-1] for b in stacks]
     assert series_sizes and max(series_sizes) <= largest < dicke_model.space.dim
     assert eigh_sizes and max(eigh_sizes) <= largest
+
+
+def test_dicke_effective_evolution_exponentiates_the_reached_block_only():
+    # A = 10, n_max = 100 (dim 1111, 101 excitation blocks) at a dicke-ladder
+    # benchmark setting: the spectra need no exponential, and the evolution
+    # from one basis state exponentiates the one block its state lies in,
+    # with the bits of the whole exponential
+    atoms, n_max, delta = 10, 100, 0.6
+    g = 0.2 * abs(delta) / (atoms * math.sqrt(n_max + 1))
+    model = eh.build(eh.ModelSpec(kind="dicke", atoms=atoms, n_max=n_max, omega_field=10.0,
+                                  omega0=10.0 + delta, g=g))
+    scenario = eh.EffectiveScenario("dicke-dispersive")
+    psi = eh.basis_state(model.space, (n_max // 2,), level=1)
+    with _series_stacks() as stacks:
+        forms = eh.closed_form_effective(model, scenario)
+        eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model, skip_truncated=True))
+        assert stacks == []
+        got = eh.effective_evolution(forms.corrected, psi, TIMES, rotation=forms.rotation)
+    gen, _ = eh.eliminating_generator(model)
+    (reached,) = [part for part in hilbert.components(gen) if np.flatnonzero(psi)[0] in part]
+    assert [b.shape for b in stacks] == [(1, len(reached), len(reached))] and len(reached) == atoms + 1
+    full = eh.closed_form_effective(_unkept(model), scenario).rotation
+    full.ladder  # every block formed before the evolution reads it
+    ref = eh.effective_evolution(forms.corrected, psi, TIMES, rotation=full)
+    assert _bits(got.states) == _bits(ref.states)
+
+
+def test_spectrum_run_exponentiates_nothing(tmp_path):
+    report = tmp_path / "r.csv"
+    with _series_stacks() as stacks:
+        assert cli.main(["run", str(REPO_ROOT / "configs" / "dicke_spectrum.cfg"), "--output", str(report)]) == 0
+    assert report.is_file() and stacks == []
 
 
 def test_dicke_effective_evolution_needs_no_eigh(dicke_model, monkeypatch):
@@ -611,6 +647,120 @@ def _assembled(op, ops, form) -> np.ndarray:
     for _, idx in hilbert.size_groups(hilbert.components(*ops)):
         out[idx[:, :, None], idx[:, None, :]] = form(np.array([o.block(idx) for o in ops]))
     return out
+
+
+@st.composite
+def patterned_generators(draw):
+    """(space, array): blocks of 1-4 states under a random permutation,
+    sizes repeating so that several blocks share a size group, each block
+    drawn at its own scale and density, anti-Hermitian or not."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    anti = draw(st.booleans())
+    dim = sum(sizes)
+    a = np.zeros((dim, dim), dtype=complex)
+    for idx in np.split(rng.permutation(dim), np.cumsum(sizes)[:-1]):
+        b = _dense(rng, len(idx), draw(st.sampled_from([0.5, 1.0]))) * 10.0 ** rng.uniform(-4, 0.7)
+        a[np.ix_(idx, idx)] = b - b.conj().T if anti else b
+    return _space(dim), a
+
+
+@st.composite
+def reads(draw, dim: int):
+    """A read of an operator: ("apply", vector), ("block", rows, cols) or
+    ("stack", index stack), each on a random support."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["apply", "block", "stack"]))
+    if kind == "apply":
+        live = rng.random(dim) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+        return kind, np.where(live, rng.normal(size=dim) + 1j * rng.normal(size=dim), 0.0)
+    if kind == "block":
+        return (kind, rng.choice(dim, size=rng.integers(0, dim + 1), replace=False),
+                rng.choice(dim, size=rng.integers(0, dim + 1), replace=False))
+    width = int(rng.integers(1, dim + 1))
+    return kind, np.array([rng.choice(dim, size=width, replace=False)
+                           for _ in range(rng.integers(1, 4))])
+
+
+def _read(op, read):
+    kind, *args = read
+    return op.apply(*args) if kind == "apply" else op.block(*args)
+
+
+def _touched(labels: np.ndarray, read) -> set:
+    """The components a read writes: those of the support of an ``apply``,
+    those that meet both the rows and the columns of a ``block``."""
+    kind, *args = read
+    if kind == "apply":
+        return set(labels[np.flatnonzero(args[0])].tolist())
+    rows, cols = args[0], args[-1]
+    return set(labels[rows.ravel()].tolist()) & set(labels[cols.ravel()].tolist())
+
+
+@settings(max_examples=60)
+@given(patterned_generators(), st.data())
+def test_partial_reads_give_the_bits_of_the_whole_exponential(case, data):
+    # any order of apply and block reads, then a full read, gives the bits
+    # of the exponential formed at once, each size group whole; each read
+    # exponentiates the blocks of the components it touches, once
+    space, a = case
+    op = eh.OperatorMatrix(space, a)
+    whole = hilbert.blockwise(lambda b: rotations._expm1(b) + np.eye(b.shape[-1]), op)
+    labels = hilbert.component_labels(op)
+    formed: set = set()
+    with _series_stacks() as stacks:
+        got = eh.matrix_exponential(op)
+        for read in data.draw(st.lists(reads(space.dim), max_size=5)):
+            assert _bits(_read(got, read)) == _bits(_read(whole, read))
+            formed |= _touched(labels, read)
+            assert sum(map(len, stacks)) == len(formed)
+        m = got.matrix
+    assert sum(map(len, stacks)) == len(set(labels.tolist()))
+    assert _bits(m) == _bits(whole.matrix)
+    assert np.array_equal(got.ladder.rows, whole.ladder.rows)
+    assert _bits(got.ladder.values) == _bits(whole.ladder.values)
+
+
+@settings(max_examples=20)
+@given(patterned_generators(), st.sampled_from([np.nan, np.inf, complex(0, -np.inf)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_nonfinite_generator_raises_where_it_is_exponentiated(case, bad, seed):
+    space, a = case
+    i, j = np.random.default_rng(seed).integers(0, space.dim, size=2)
+    a[i, j] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eh.matrix_exponential(eh.OperatorMatrix(space, a))
+
+
+@pytest.mark.parametrize("fixture, scenario", [("xi_far_level_model", "xi-far-level"),
+                                               ("four_level_model", "four-level-three-photon")])
+def test_stage_product_is_formed_where_it_is_read(fixture, scenario, request, monkeypatch):
+    # the total rotation of two or three stages, read from one basis state,
+    # forms the blocks of that state's component only, of the product and
+    # of the stages no conjugation formed; read whole, it has the bits of
+    # the stage product formed at once
+    model = _unkept(request.getfixturevalue(fixture))
+    generators, stages, exponential = [], [], rotations.matrix_exponential
+    monkeypatch.setattr(rotations, "matrix_exponential",
+                        lambda g: generators.append(g) or stages.append(exponential(g)) or stages[-1])
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    start = model.space.dim // 2
+    psi = np.zeros(model.space.dim, dtype=complex)
+    psi[start] = 1.0
+    with _series_stacks() as stacks:
+        moved = forms.rotation.apply(psi)
+    blocks = [len(b) for b in stacks]
+    assert len(stages) > 1 and forms.rotation is not stages[-1]
+    if scenario == "xi-far-level":  # no conjugation reads its second stage
+        joint, own = hilbert.component_labels(*generators), hilbert.component_labels(generators[1])
+        reached = set(own[joint == joint[start]].tolist())
+        assert sum(blocks) == len(reached) < len(set(own.tolist()))
+    else:  # each stage is read whole by the conjugation of the next or the corrected form
+        assert blocks == []
+    whole = hilbert.blockwise(lambda *b: functools.reduce(np.matmul, reversed(b)), *stages)
+    assert _bits(moved) == _bits(whole.apply(psi))
+    assert _bits(forms.rotation.matrix) == _bits(whole.matrix)
+    assert np.array_equal(forms.rotation.ladder.rows, whole.ladder.rows)
 
 
 def _with_one_bad_block(dicke_model, bad):
@@ -1524,13 +1674,13 @@ def test_stopped_series_is_the_full_series_on_the_fixtures(fixture, scenario, re
     # every block stack the engine exponentiates, the later stages' too:
     # bit for bit, or within 2^-80 of the largest entry of U - 1
     model = request.getfixturevalue(fixture)
-    real, stacks = rotations._expm1, []
-    with mock.patch.object(rotations, "_expm1", lambda b: stacks.append(b) or real(b)):
-        eh.closed_form_effective(_unkept(model), eh.EffectiveScenario(scenario))
+    with _series_stacks() as stacks:
+        forms = eh.closed_form_effective(_unkept(model), eh.EffectiveScenario(scenario))
+        forms.rotation.ladder  # a rotation no analysis reads is formed on this read, each stack whole
     assert stacks
     stopped = 0
     for b in stacks:
-        got, ref = real(b), _expm1_all_terms(b)
+        got, ref = rotations._expm1(b), _expm1_all_terms(b)
         if fixture in _SERIES_WITHIN:
             assert np.max(np.abs(got - ref)) <= 2.0 ** -80 * np.max(np.abs(ref))
         else:

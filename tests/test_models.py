@@ -516,3 +516,26 @@ def test_spec_refuses_a_non_finite_field(field, bad):
 def test_spec_refuses_what_no_builder_takes(fields, rule):
     with pytest.raises(ValueError, match=rule):
         eh.ModelSpec(**fields)
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("dicke", {}),
+    ("xi3", dict(energies=(0.0, 11.0, 21.0), couplings=(0.01, 0.01))),
+    ("lambda3", dict(energies=(0.0, 0.1, 11.0), couplings=(0.01, 0.01))),
+    ("cascade", dict(energies=(0.0, 11.0, 21.7, 30.0), couplings=(0.01, 0.01, 0.01))),
+    ("two-mode-four", dict(energies=(0.0, 10.5, 22.2, 31.5), couplings=(0.01,) * 3,
+                           couplings_b=(0.01,) * 3)),
+])
+def test_spec_takes_one_truncation_per_field_mode(kind, fields):
+    # a truncation the builder would drop is refused, not ignored
+    modes = models.field_modes(kind)
+    spec = eh.ModelSpec(kind=kind, n_max=(3,) * modes, **fields)
+    assert len(models.model_basis(spec)[0]) == modes
+    for count in (modes - 1, modes + 1):
+        with pytest.raises(ValueError, match=rf"needs one truncation per mode \({modes}\), got {count}"):
+            eh.ModelSpec(kind=kind, n_max=(3,) * count, **fields)
+
+
+def test_spin_reads_no_truncation():
+    spin = eh.ModelSpec(kind="spin-in-field", spin_j=1.0, n_max=(4, 9))
+    assert models.model_basis(spin)[0] == () and models.model_basis(eh.ModelSpec(kind="spin-in-field"))[0] == ()

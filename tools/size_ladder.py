@@ -14,7 +14,10 @@ Each repeat of a Dicke rung times these stages of one pass on a freshly
 built model:
 
 * ``build``: ``effham.build`` of the model;
-* ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``;
+* ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``, which
+  no longer forms the rotation: its blocks are exponentiated on first read,
+  so the exponential of the blocks the evolution reaches is timed under
+  ``effective``;
 * ``spectra``: ``block_masks`` of the model and ``compare_spectra`` of
   ``h_int`` against the scenario's corrected form on them;
 * ``effective``: ``effective_evolution`` of the corrected form with the
@@ -25,8 +28,11 @@ built model:
 The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
 the coupling sits at a fifth of the dispersive guard.  A cascade or xi3
 rung times ``build``, ``scenario`` (``four-level-three-photon`` or
-``xi-far-level``, as the multiphoton task at variant 0) and ``spectra``
-(its corrected form against ``h_int`` on the blocks).  Every rung also
+``xi-far-level``, as the multiphoton task at variant 0), ``spectra`` (its
+corrected form against ``h_int`` on the blocks) and ``effective``
+(``effective_evolution`` of the corrected form with the scenario's
+rotation, from the multiphoton task's initial state and at its 41
+times).  Every rung also
 records, outside the timed stages, its block cost ``block_cost``, the sum
 of ``block_size^3`` over the conserved blocks, against which the stage
 times should scale, and ``states_compared``, the states the spectra's
@@ -100,22 +106,26 @@ def measure(atoms: int, repeats: int) -> dict:
 
 
 def _cascade(eh, atoms: int, n_max: int):
-    """The four-level cascade of the multiphoton task, and its scenario."""
-    wf = 10.0
+    """The four-level cascade of the multiphoton task, its scenario, and
+    the initial state (photons, level) and last time of its evolution."""
+    wf, g = 10.0, (0.010, 0.012, 0.014)
+    n0 = min(6, n_max - 1)
+    coupling = g[0] * g[1] * g[2] / (1.0 * 1.7) * math.sqrt(atoms * n0 * (n0 - 1) * (n0 - 2))
     return (eh.ModelSpec(kind="cascade", atoms=atoms, n_max=n_max, omega_field=wf,
-                         energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf), couplings=(0.010, 0.012, 0.014)),
-            "four-level-three-photon")
+                         energies=(0.0, wf + 1.0, 2 * wf + 1.7, 3 * wf), couplings=g),
+            "four-level-three-photon", ((n0,), 1), 2 * math.pi / coupling)
 
 
 def _xi3(eh, atoms: int, n_max: int):
     """The three-level cascade of the multiphoton xi-far-level task at
     variant 0 (D12 = 1, D23 = 0, g12 at a fifth of the dispersive guard),
-    and its scenario."""
-    wf = 10.0
+    its scenario, and the initial state and last time of its evolution."""
+    wf, g23 = 10.0, 0.010
+    n0 = n_max // 2
     return (eh.ModelSpec(kind="xi3", atoms=atoms, n_max=n_max, omega_field=wf,
                          energies=(0.0, wf + 1.0, 2 * wf + 1.0),
-                         couplings=(0.2 / (atoms * math.sqrt(n_max + 1)), 0.010)),
-            "xi-far-level")
+                         couplings=(0.2 / (atoms * math.sqrt(n_max + 1)), g23)),
+            "xi-far-level", ((n0,), 2), 4 * math.pi / (g23 * math.sqrt(atoms * n0)))
 
 
 CHAINS = {"cascade": _cascade, "xi3": _xi3}
@@ -123,10 +133,13 @@ CHAINS = {"cascade": _cascade, "xi3": _xi3}
 
 def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
     """One cascade or xi3 size, in this interpreter: the median stage times and peak RSS."""
+    import numpy as np
+
     import effham as eh
 
-    spec, scenario = CHAINS[kind](eh, atoms, n_max)
-    samples = {"build": [], "scenario": [], "spectra": []}
+    spec, scenario, (photons, level), end = CHAINS[kind](eh, atoms, n_max)
+    times = np.linspace(0.0, end, 41)
+    samples = {"build": [], "scenario": [], "spectra": [], "effective": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = eh.build(spec)
@@ -135,7 +148,10 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
         t2 = time.perf_counter()
         eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model))
         t3 = time.perf_counter()
-        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2)):
+        psi0 = eh.basis_state(model.space, photons, level=level)
+        eh.effective_evolution(forms.corrected, psi0, times, rotation=forms.rotation)
+        t4 = time.perf_counter()
+        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             samples[stage].append(seconds)
         dim, coverage = model.space.dim, _coverage(eh, model)
         del model, forms
