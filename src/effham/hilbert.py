@@ -45,11 +45,13 @@ transient dense array, and from :data:`_STACK_NORM_DIM` and
 reductions' order (:func:`_frobenius`, :func:`_pairwise_sum`), with no
 dim^2 array.  ``apply`` reads only the columns on the support of its
 vector.  An operator keeps what its readers ask of it again: its nonzero
-entries and its norm.  Its components and their labels are found on each
-request.  The blocks of an operator of :func:`blocks_on_read` are formed
-per component on first read: ``apply`` and ``block`` form those of the
-states they read, and every other read all that are left, so no reader
-sees a block that is not formed.
+entries, its norm, and its nonzero entries grouped by transition signature
+(:meth:`OperatorMatrix.signatures`), one ``np.unique`` of the differences
+of the space's integer state keys.  Its components and their labels are
+found on each request.  The blocks of an operator of
+:func:`blocks_on_read` are formed per component on first read: ``apply``
+and ``block`` form those of the states they read, and every other read
+all that are left, so no reader sees a block that is not formed.
 
 The constructors build a new operator on each call and keep nothing on the
 space; a model keeps the elementary operators it builds in ``operators``.
@@ -156,6 +158,8 @@ class SpaceDescriptor:
     """Enumerated basis of a modes x ensemble tensor product.
 
     ``labels[i]`` is ``(photons, occupations)`` for basis state ``i``.
+    Each state also has one exact integer key (:meth:`_key`), which the
+    label lookups and the signature grouping read.
     """
 
     modes: tuple[FockTruncation, ...]
@@ -172,20 +176,58 @@ class SpaceDescriptor:
         return np.array([p + o for p, o in self.labels], dtype=np.int64).reshape(self.dim, -1)
 
     @cached_property
-    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(radix, sorted keys, basis index of each) for :meth:`_lookup`."""
-        labels = self._label_array
-        radix = labels.max(axis=0) + 1
-        keys = np.ravel_multi_index(labels.T, radix)
-        order = np.argsort(keys)
-        return radix, keys[order], order
+    def _radix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lowest value, span, place value) of each label column for
+        :meth:`_key`: a mixed radix of ``2 span + 1`` per column, the first
+        column the most significant.  The places are int64 where the product
+        of the radices fits, and with it every key and every difference of
+        two keys (at most half that product in size), else Python integers,
+        exact at any size."""
+        columns = np.ascontiguousarray(self._label_array.T)  # reduced faster by rows
+        low = columns.min(axis=1)
+        span = columns.max(axis=1) - low
+        places = [1]
+        for s in span[:0:-1].tolist():
+            places.append(places[-1] * (2 * s + 1))
+        exact = places[-1] * (2 * int(span[0]) + 1) <= np.iinfo(np.int64).max
+        return low, span, np.array(places[::-1], dtype=np.int64 if exact else object)
+
+    def _key(self, labels: np.ndarray) -> np.ndarray:
+        """The key of each row of an integer label array laid out like
+        ``_label_array``: its offsets from the lowest values in the mixed
+        radix of :attr:`_radix`.  The keys of distinct basis states differ,
+        and ``key(a) - key(b)`` names ``a - b`` (:meth:`_differences`).  A
+        label outside the columns' ranges may share a state's key.  An int64
+        key is formed modulo 2^64, so it is exact wherever it fits."""
+        low, _, place = self._radix
+        return labels @ place - low @ place
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The key of each basis state (:meth:`_key`), read-only."""
+        return _frozen(self._key(self._label_array))[0]
+
+    def _differences(self, keys: np.ndarray) -> list[Label]:
+        """The ``(dphot, docc)`` label difference each difference of two
+        state keys names.  Its digits are balanced, each in ``[-span,
+        span]``, so adding the key of all spans gives plain digits in
+        ``[0, 2 span]``."""
+        _, span, place = self._radix
+        plain = (keys + span @ place)[:, None] // place % (2 * span + 1)
+        split = len(self.modes)
+        return [(tuple(d[:split]), tuple(d[split:])) for d in (plain - span).tolist()]
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted keys, basis index of each) for :meth:`_lookup`."""
+        order = np.argsort(self._keys)
+        return self._keys[order], order
 
     def _lookup(self, labels: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of an integer label array laid out like
         ``_label_array``; raises if one is not a basis state."""
-        radix, keys, order = self._sorted_keys
-        wanted = np.ravel_multi_index(labels.T, radix, mode="clip")
-        found = order[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)]
+        keys, order = self._sorted_keys
+        found = order[np.minimum(np.searchsorted(keys, self._key(labels)), len(keys) - 1)]
         if not np.array_equal(self._label_array[found], labels):
             raise ValueError("no basis state with a requested label")
         return found
@@ -322,8 +364,8 @@ class OperatorMatrix:
 
     def _kept(self, key: str, find):
         """``find()``, called on the first request for ``key`` and kept: an
-        operator never changes, so its nonzero entries and norm are found
-        once (two threads at worst find the same value twice).
+        operator never changes, so its nonzero entries, norm and signature
+        groups are found once (two threads at worst find the same value twice).
         Every new operator starts with nothing kept."""
         memo = self._memo
         if key not in memo:
@@ -403,7 +445,9 @@ class OperatorMatrix:
         rows, cols, v = self.entries()
         e = _unit_exponent(v)
         v, back = _scaled(v, e), _scaled(self._at(cols, rows), e)
-        diff, lone = v - back.conj(), np.where(back == 0, v, 0.0)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            diff = v - back.conj()
+        lone = np.where(back == 0, v, 0.0)
         defect2 = _squares(diff) + _squares(lone)
         return math.sqrt(defect2) <= tol * math.sqrt(_squares(v))
 
@@ -492,12 +536,20 @@ class OperatorMatrix:
         order = np.argsort(flat)
         return _pairwise_sum(self.dim ** 2, flat[order], values[order])
 
-    def zeroed(self, rows: np.ndarray, cols: np.ndarray) -> "OperatorMatrix":
-        """The operator with its nonzero entries at ``(rows[k], cols[k])`` set
-        to 0 in the map that holds each, every other entry as it is."""
+    def signatures(self) -> list[Label]:
+        """The distinct transition signatures ``(dphot, docc)`` (row label
+        minus column label) of the nonzero entries, in the order of their
+        keys (:func:`_signature_groups`), found once and kept."""
+        return self._kept("signatures", lambda: _signature_groups(self))[2]
+
+    def keeping_signatures(self, kept) -> "OperatorMatrix":
+        """The operator with every nonzero entry whose signature is
+        ``signatures()[g]`` with ``kept[g]`` false set to +0, every other
+        entry as it is: a copy of the values with the same rows."""
+        cells, group, _ = self._kept("signatures", lambda: _signature_groups(self))
         p = self._ladder
         values = p.values.copy()
-        values[(p.rows[:, cols] == rows).argmax(axis=0), cols] = 0.0
+        values.ravel()[cells[~np.asarray(kept, dtype=bool)[group]]] = 0.0
         return _pattern_operator(self.space, LadderPattern(p.rows, values))
 
     def project(self, mask: np.ndarray) -> "OperatorMatrix":
@@ -549,6 +601,18 @@ def _pattern_operator(space: SpaceDescriptor, ladder: LadderPattern,
     out = object.__new__(OperatorMatrix)
     out._set(space, ladder, unformed)
     return out
+
+
+def _signature_groups(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, list[Label]]:
+    """The nonzero entries of ``op``'s stack grouped by transition
+    signature: the flat place of each in the stack, its group, and the
+    distinct signatures.  Each entry is grouped by ``key[row] - key[col]``
+    of the space's state keys, which names its signature, with one
+    ``np.unique``, and only the distinct differences are decoded."""
+    p, keys = op._ladder, op.space._keys
+    cells = np.flatnonzero(p.values)
+    distinct, group = np.unique(keys[p.rows.ravel()[cells]] - keys[cells % op.dim], return_inverse=True)
+    return cells, group, op.space._differences(distinct)
 
 
 def _stack_at(p: LadderPattern, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

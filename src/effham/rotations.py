@@ -431,35 +431,22 @@ def filter_signatures(h: OperatorMatrix, keep) -> OperatorMatrix:
 
     ``dphot``/``docc`` are tuples (row label minus column label).  Diagonal
     entries have all-zero signatures; ``keep`` decides those too.  ``keep``
-    is called once per distinct signature among the nonzero entries.
+    is called once per distinct signature among the nonzero entries.  Each
+    basis state has one integer key, a mixed radix of its labels in which
+    ``key[row] - key[col]`` names the signature, so the entries are grouped
+    by that difference with one ``np.unique`` and only the distinct ones are
+    decoded (:meth:`~effham.hilbert.OperatorMatrix.signatures`).  The
+    grouping is kept on ``h``, so filtering one operator again, as
+    :func:`cascade_first_stage` splits the operator the
+    ``cascade-first-stage`` filter reads, groups nothing twice.  A rejected
+    entry becomes +0; every other entry, a stored -0 too, keeps its bits.
     """
-    return _keep_signatures(h, _signature_groups(h), keep)
+    return _keep_signatures(h, h.signatures(), keep)
 
 
-def _signature_groups(h: OperatorMatrix):
-    """The nonzero entries of ``h`` grouped by transition signature:
-    their rows and columns, sorted by signature, the index of each one's
-    group, and the distinct ``(dphot, docc)`` signatures."""
-    labels = h.space._label_array
-    rows, cols, _ = h.entries()
-    # sort the signatures of the nonzero entries; a group of equal ones
-    # starts wherever a signature differs from the one before
-    order = np.lexsort((labels[rows] - labels[cols]).T)
-    rows, cols = rows[order], cols[order]
-    sig = labels[rows] - labels[cols]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(sig[1:] != sig[:-1], axis=1)
-    split = len(h.space.modes)
-    signatures = [(tuple(s[:split]), tuple(s[split:])) for s in sig[starts].tolist()]
-    return rows, cols, np.cumsum(starts) - 1, signatures
-
-
-def _keep_signatures(h: OperatorMatrix, groups, keep) -> OperatorMatrix:
-    """:func:`filter_signatures` of ``h``, given its signature groups."""
-    rows, cols, group, signatures = groups
-    kept = np.array([bool(keep(dph, docc)) for dph, docc in signatures], dtype=bool)
-    drop = ~kept[group]
-    return h.zeroed(rows[drop], cols[drop])
+def _keep_signatures(h: OperatorMatrix, signatures, keep) -> OperatorMatrix:
+    """:func:`filter_signatures` of ``h``, given its distinct signatures."""
+    return h.keeping_signatures([bool(keep(dph, docc)) for dph, docc in signatures])
 
 
 def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
@@ -614,7 +601,7 @@ def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
     transformed = conjugate(model.h_int, u)
 
     h_d = diagonal_operator(model.space, transformed.diagonal()) - model.h_diag
-    groups = _signature_groups(transformed)
+    groups = transformed.signatures()
     h_nd = _keep_signatures(transformed, groups, lambda dph, docc: sum(dph) == 0 and any(docc))
     multi = {k: _keep_signatures(transformed, groups,
                                  lambda dph, docc, kk=k: abs(sum(dph)) == kk)

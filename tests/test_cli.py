@@ -156,6 +156,20 @@ path = alg.csv
         assert "relation,residual,tolerance" in out.read_text()
 
 
+    def test_algebra_check_on_a_62_level_chain(self, tmp_path, capsys):
+        # the basis lookup keys 62 occupation columns exactly
+        levels = 62
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("[model]\nkind = cascade\natoms = 1\nn_max = 3\nomega_field = 10.0\n"
+                       "energies = " + ", ".join(str(11.0 * k) for k in range(levels)) + "\n"
+                       "couplings = " + ", ".join(["0.01"] * (levels - 1)) + "\n"
+                       "[analysis]\nkind = algebra-check\n")
+        out = tmp_path / "alg.csv"
+        assert _run(["validate-config", cfg]) == 0
+        assert _run(["run", cfg, "--output", out]) == 0
+        assert "relation,residual,tolerance" in out.read_text()
+
+
 class TestOtherCommands:
     def test_list_scenarios(self, capsys):
         assert _run(["list-scenarios"]) == 0

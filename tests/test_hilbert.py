@@ -315,6 +315,51 @@ def test_constructor_rejects_label_outside_the_basis():
         eh.annihilator(space, 0)
 
 
+def _moved_reference(space, move) -> np.ndarray:
+    """The dense operator that takes each basis state to ``move(label)``, a
+    (label, amplitude) pair or None, built from a dict of label tuples."""
+    index = {label: i for i, label in enumerate(space.labels)}
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, label in enumerate(space.labels):
+        moved = move(label)
+        if moved is not None:
+            out[index[moved[0]], j] = moved[1]
+    return out
+
+
+def _moved_atom(i, j):
+    def move(label):
+        photons, occ = label
+        if not occ[i - 1]:
+            return None
+        new = list(occ)
+        new[i - 1] -= 1
+        new[j - 1] += 1
+        return (photons, tuple(new)), math.sqrt(occ[i - 1] * (occ[j - 1] + 1))
+    return move
+
+
+def _lowered_photon(label):
+    (n,), occ = label
+    return (((n - 1,), occ), math.sqrt(n)) if n else None
+
+
+@pytest.mark.parametrize("modes", [[], [2]])
+def test_ladder_operators_on_a_64_level_chain_match_a_label_dict(modes):
+    # a mixed radix over 64 occupation columns passes int64; the state keys
+    # stay exact and every moved label is found
+    space = eh.enumerate_basis(modes, eh.EnsembleSpec(64, 1))
+    for i, j in [(1, 2), (2, 1), (1, 64), (64, 1), (63, 64), (31, 32)]:
+        op = eh.collective_operator(space, i, j)
+        assert np.array_equal(op.matrix, _moved_reference(space, _moved_atom(i, j)))
+    if modes:
+        ref = _moved_reference(space, _lowered_photon)
+        assert np.array_equal(eh.annihilator(space, 0).matrix, ref)
+        assert space.index((2,), (0,) * 63 + (1,)) == space.dim - 1
+    with pytest.raises(ValueError):
+        space.index((0,) * len(modes), (2,) + (0,) * 63)
+
+
 def test_only_hilbert_knows_the_stack():
     # every other module reads and writes operators through OperatorMatrix
     # and hilbert's functions, so the stack layout can change in one place

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import effham as eh
-from effham import rotations
+from effham import hilbert, rotations
 from effham.errors import ResonanceError
 
 #: the small model (dim <= 100) each scenario is pinned on, by fixture name
@@ -197,6 +197,88 @@ def test_cascade_split_filters_match_per_entry_loop(four_level_model, monkeypatc
     assert len({id(h) for h, _, _ in calls}) == 1
     for h, keep, out in calls:
         assert np.array_equal(out.matrix, _filter_reference(h, keep))
+
+
+def test_cascade_task_groups_the_conjugated_operator_once(four_level_model, monkeypatch):
+    # the cascade-first-stage filter and the four-predicate split read one
+    # conjugated operator; its signature grouping is found once and kept
+    grouped = []
+    find = hilbert._signature_groups
+
+    def spy(op):
+        grouped.append(op)
+        return find(op)
+
+    monkeypatch.setattr(hilbert, "_signature_groups", spy)
+    eh.closed_form_effective(four_level_model, eh.EffectiveScenario("cascade-first-stage"))
+    deco = eh.cascade_first_stage(four_level_model)
+    assert len(grouped) == 1
+    assert grouped[0] is deco.transformed
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def filter_cases(draw):
+    """(operator, keep, chain): an operator on one or two Fock modes times
+    an ensemble, which may be a one-atom chain of 42 to 70 levels (a mixed
+    radix of 3 per level passes int64), with stored -0 and +0 entries, and
+    a pure ``keep``."""
+    chain = draw(st.booleans())
+    if chain:
+        modes = draw(st.sampled_from([[0], [1], [0, 1]]))
+        ensemble = eh.EnsembleSpec(draw(st.integers(42, 70)), 1)
+    else:
+        modes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+        ensemble = eh.EnsembleSpec(draw(st.integers(2, 3)), draw(st.integers(1, 2)))
+    space = eh.enumerate_basis(modes, ensemble)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = space.dim
+    m = np.where(rng.random((d, d)) < draw(st.sampled_from([0.01, 0.05, 0.3])),
+                 rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 0)
+    m[rng.random((d, d)) < 0.02] = complex(-0.0, 0.0)  # stored -0
+    m[rng.random((d, d)) < 0.02] = complex(1.0, -0.0)  # a -0 imaginary part
+    # x - x leaves a stored +0 in the map that holds x, and a projection
+    # leaves +0 in place of every entry it drops
+    cancelled = np.where(rng.random((d, d)) < 0.1, m, 0)
+    h = eh.OperatorMatrix(space, m) - eh.OperatorMatrix(space, cancelled)
+    if draw(st.booleans()):
+        h = h.project(rng.random(d) < 0.8)
+    # a pure predicate that keeps every, none, or a hashed share of the signatures
+    salt, every, invert = draw(st.integers()), draw(st.integers(1, 4)), draw(st.booleans())
+    return h, lambda dph, docc: (hash((salt, dph, docc)) % every == 0) != invert, chain
+
+
+def test_filter_matches_per_entry_loop_on_drawn_operators():
+    """``filter_signatures`` equals the per-entry loop bit for bit, a zero's
+    sign included, and calls ``keep`` once per distinct signature among
+    the nonzero entries."""
+    drawn = set()
+
+    @given(filter_cases())
+    def same_bits(case):
+        h, keep, chain = case
+        dense = h.matrix
+        drawn.add((chain, bool((np.signbit(dense.real) & (dense == 0)).any())))  # a stored -0
+        labels = h.space._label_array
+        split = len(h.space.modes)
+        rows, cols = np.nonzero(dense)
+        expected = {(tuple(s[:split]), tuple(s[split:]))
+                    for s in (labels[rows] - labels[cols]).tolist()}
+        calls = []
+
+        def counted(dph, docc):
+            calls.append((dph, docc))
+            return keep(dph, docc)
+        out = rotations.filter_signatures(h, counted)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == expected
+        assert np.array_equal(_bits(out.matrix), _bits(_filter_reference(h, keep)))
+
+    same_bits()
+    assert {(True, True), (False, True)} <= drawn
 
 
 def _rescaled(spec, k):

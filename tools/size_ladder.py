@@ -1,4 +1,4 @@
-"""Time three models up a ladder of sizes: build, scenario, spectra and evolutions.
+"""Time three models up a ladder of sizes: build, scenario, spectra, evolutions and filtering.
 
     python3 tools/size_ladder.py [--checkout DIR] [--atoms 1 5 10 20 40] [--cascade 3:16 4:20]
                                  [--xi3 6:10 10:30 12:50] [--repeats 3] [--out OUT.json]
@@ -32,7 +32,11 @@ rung times ``build``, ``scenario`` (``four-level-three-photon`` or
 corrected form against ``h_int`` on the blocks) and ``effective``
 (``effective_evolution`` of the corrected form with the scenario's
 rotation, from the multiphoton task's initial state and at its 41
-times).  Every rung also
+times).  A cascade rung also times ``filter``: ``filter_signatures`` with
+the ``cascade-first-stage`` predicate, applied to ``conjugate(h_int,
+matrix_exponential(G))``, ``G`` from ``eliminating_generator``; the
+conjugation runs outside the timed span, and the operator is new on each
+repeat, so its signatures are grouped each time.  Every rung also
 records, outside the timed stages, its block cost ``block_cost``, the sum
 of ``block_size^3`` over the conserved blocks, against which the stage
 times should scale, and ``states_compared``, the states the spectra's
@@ -140,6 +144,8 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
     spec, scenario, (photons, level), end = CHAINS[kind](eh, atoms, n_max)
     times = np.linspace(0.0, end, 41)
     samples = {"build": [], "scenario": [], "spectra": [], "effective": []}
+    if kind == "cascade":
+        samples["filter"] = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = eh.build(spec)
@@ -153,6 +159,13 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
         t4 = time.perf_counter()
         for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             samples[stage].append(seconds)
+        if kind == "cascade":
+            gen, _ = eh.eliminating_generator(model)
+            rotated = eh.conjugate(model.h_int, eh.matrix_exponential(gen))
+            t5 = time.perf_counter()
+            eh.filter_signatures(rotated, eh.SCENARIOS["cascade-first-stage"].keep)
+            samples["filter"].append(time.perf_counter() - t5)
+            del rotated
         dim, coverage = model.space.dim, _coverage(eh, model)
         del model, forms
     return {"model": kind, "atoms": atoms, "n_max": n_max, "dim": dim,
