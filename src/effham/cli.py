@@ -105,7 +105,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
-    """Either 'start:stop:count' or an explicit comma/space separated list."""
+    """Either 'start:stop:count' or an explicit comma/space separated list,
+    of one finite time at least."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -113,8 +114,12 @@ def _parse_times(text: str) -> tuple[float, ...]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 2:
             raise ConfigError("time grid needs at least two points")
-        return tuple(np.linspace(start, stop, count))
-    return _parse_floats(text)
+        times = tuple(np.linspace(start, stop, count))
+    else:
+        times = _parse_floats(text)
+    if not times or not np.isfinite(times).all():
+        raise ConfigError(f"time grid {text!r} must hold finite times, one at least")
+    return times
 
 
 #: the optional keys of the [model] section, each with the parser of its text

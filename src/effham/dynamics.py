@@ -66,14 +66,17 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
     amplitude exactly 0.
 
     ``observables`` maps names to operators whose expectation values are
-    recorded along the trajectory.
+    recorded along the trajectory.  The times must be finite, one at
+    least; a NaN in the state or the evolved norms fails its guard.
     """
     if not h.is_hermitian(1e-10):
         raise ValueError("evolution requires a Hermitian generator")
     psi = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)
+    if not t.size or not np.isfinite(t).all():
+        raise ValueError("evolution times must be finite, one at least")
     states = np.zeros((len(t), len(psi)), dtype=complex)
     support = np.flatnonzero(psi)
     if h.is_diagonal(0.0):
@@ -89,7 +92,7 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
         phases = np.exp(-1j * np.outer(t, w))
         states[:, span] = (phases * coeff) @ v.T  # (T, dim) in the original basis
     drift = Trajectory(t, states).norm_drift()
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise AnalysisError(f"norm drift {drift:.3e} beyond tolerance")
     return Trajectory(times=t, states=states, observables=_expectations(h, states, observables))
 
@@ -189,12 +192,13 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     states whose set is not empty.  Both inputs must be block diagonal with
     respect to the blocks: the leakage of ``h`` (:func:`_leakage`) is
     exactly 0 for an exactly block-diagonal ``h``, and the larger leakage
-    of the two inputs beyond ``block_tol`` is an error.  The blocks of one
-    size are diagonalised in one stacked ``eigvalsh`` call, each block as
-    on its own, and their errors are reduced in one call per size; degenerate
-    clusters are compared as sorted multisets.  ``max_error`` and
-    ``mean_error`` reduce every error in block order.  An empty ``blocks``,
-    or an empty block in it, compares nothing and is an error.
+    of the two inputs beyond ``block_tol``, or a NaN one, is an error.
+    The blocks of one size are diagonalised in one stacked ``eigvalsh``
+    call, each block as on its own, and their errors are reduced in one
+    call per size; degenerate clusters are compared as sorted multisets.
+    ``max_error`` and ``mean_error`` reduce every error in block order.  An
+    empty ``blocks``, or an empty block in it, compares nothing and is an
+    error.
     """
     h_exact._check(h_eff)
     blocks = list(blocks)
@@ -212,8 +216,8 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     # bit b of state i's words is set where block b holds state i
     words = np.zeros((h_exact.dim, -(-len(blocks) // 64)), dtype=np.uint64)
     np.bitwise_or.at(words, (states, block >> 6), np.uint64(1) << (block & 63).astype(np.uint64))
-    leakage = max(_leakage(h, masks, words) for h in (h_exact, h_eff))
-    if leakage > block_tol:
+    leakage = float(np.max([_leakage(h, masks, words) for h in (h_exact, h_eff)]))  # NaN if either is
+    if not leakage <= block_tol:
         raise AnalysisError(f"operators leak between blocks (relative norm {leakage:.3e})")
     starts = np.cumsum(sizes) - sizes
     errs = np.empty(len(states))

@@ -60,11 +60,12 @@ space; a model keeps the elementary operators it builds in ``operators``.
 pattern of operators: the blocks every function of them is block diagonal
 in; :func:`component_labels` names each state's component by its smallest
 state, which the evolution finds its span with.  :func:`blocks_on_read` is
-the one writer of block stacks: it gathers the blocks of each operand,
-grouped by size, in one pass over the operand's stack and writes a
-kernel's blocks into one stack, each component's on the first read that
-touches it.  :func:`blockwise` writes every block at once.  The
-exponential and the product of rotation stages are one call of
+the one writer of block stacks: it reads each operand whole when it is
+called, gathers the operand's blocks, grouped by size, in one pass over
+its stack, and writes a kernel's blocks into one stack, each component's
+on the first read that touches it.  :func:`blockwise` is
+:func:`blocks_on_read` on the operands' joint components, read at once.
+The exponential and the product of rotation stages are one call of
 :func:`blocks_on_read` each, the conjugation, the unitarity check and
 every product whose terms collide one call of :func:`blockwise`, so no
 other module reads or writes a stack.
@@ -983,11 +984,9 @@ def size_groups(parts) -> list[tuple[list[int], np.ndarray]]:
 def blockwise(kernel, *ops: OperatorMatrix) -> OperatorMatrix:
     """The operator that holds ``kernel`` of the blocks of ``ops`` on the
     joint components of ``ops`` (:func:`components`), and +0 everywhere
-    else: :func:`blocks_on_read` on those components, every block written
-    at once."""
-    stacks = [idx for _, idx in size_groups(components(*ops))]
-    out = _unwritten(ops, stacks)
-    _write_blocks(out._stack, kernel, [op._ladder for op in ops], stacks)
+    else: :func:`blocks_on_read` on those components, read at once."""
+    out = blocks_on_read(kernel, components(*ops), *ops)
+    out._form()
     return out
 
 
@@ -996,7 +995,7 @@ class _Unformed(NamedTuple):
     it has not written yet."""
 
     kernel: Callable
-    sources: tuple  # per operand, its stack, or the operand while it has blocks to write
+    sources: tuple[LadderPattern, ...]  # the stack of each operand, every block written
     stacks: list[np.ndarray]  # the (count, size) component stacks, one per size
     left: np.ndarray  # left[i]: the blocks of state i's component are not written yet
 
@@ -1011,49 +1010,35 @@ def blocks_on_read(kernel, parts, *ops: OperatorMatrix) -> OperatorMatrix:
     grouped by size (:func:`size_groups`).  For a stack of components of one
     size ``kernel`` gets one ``(count, size, size)`` stack of blocks per
     operand, in the order of ``ops``, and returns the result's blocks as one
-    such stack.  The blocks of an operand are those
-    :meth:`OperatorMatrix.block` gives, gathered for every size in one pass
-    over its stack (:func:`_gathered`) after the operand has written its
-    own blocks there.  The result's blocks are written into a stack of as
-    many maps as the largest block has states, where map ``m`` of column
-    ``idx[c, j]`` holds row ``idx[c, m]`` and value ``blocks[c, m, j]``.
-    Every entry inside a block is kept, a zero and its sign too, since
-    LAPACK reads that sign; an unused entry, and every entry of a component
-    not yet written, is nowhere.  This is the one writer of block stacks.
+    such stack.  Each operand is read whole, its every block written, when
+    the result is made, and the result holds its stack alone.  The blocks
+    of an operand are those :meth:`OperatorMatrix.block` gives, gathered for
+    every size in one pass over its stack (:func:`_gathered`).  The
+    result's blocks are written into a stack of as many maps as the largest
+    block has states, where map ``m`` of column ``idx[c, j]`` holds row
+    ``idx[c, m]`` and value ``blocks[c, m, j]``.  Every entry inside a block
+    is kept, a zero and its sign too, since LAPACK reads that sign; an
+    unused entry, and every entry of a component not yet written, is
+    nowhere.  This is the one writer of block stacks.
 
     :meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.block` write the
     components of the states they read; every other read writes every
     component left, so it sees the whole operator.
     """
-    stacks = [idx for _, idx in size_groups(parts)]
-    # a written operand is held by its stack alone, so that an operand that
-    # keeps the result (a generator its exponential) forms no cycle with it
-    sources = tuple(op if op._unformed is not None else op._stack for op in ops)
-    return _unwritten(ops, stacks, _Unformed(kernel, sources, stacks, np.ones(ops[0].dim, dtype=bool)))
-
-
-def _unwritten(ops, stacks, unformed: _Unformed | None = None) -> OperatorMatrix:
-    """An operator on the space of ``ops`` whose stack has as many maps as
-    the largest component of ``stacks`` has states, none of them written."""
     for op in ops[1:]:
         ops[0]._check(op)
+    stacks = [idx for _, idx in size_groups(parts)]
     size, d = stacks[-1].shape[1], ops[0].dim
     ladder = LadderPattern(np.full((size, d), -1), np.zeros((size, d), dtype=complex))
-    return _pattern_operator(ops[0].space, ladder, unformed)
+    sources = tuple(op._ladder for op in ops)
+    return _pattern_operator(ops[0].space, ladder, _Unformed(kernel, sources, stacks, np.ones(d, dtype=bool)))
 
 
 def _write_blocks(p: LadderPattern, kernel, sources, stacks) -> None:
-    """Write ``kernel`` of the blocks of the operands on each component
-    stack of ``stacks`` into the stack ``p`` (:func:`blocks_on_read`).  A
-    source is an operand's stack, or an operand that first writes its own
-    blocks on those components."""
-    read = []
-    for src in sources:
-        if isinstance(src, OperatorMatrix):
-            src._form(np.concatenate([idx.ravel() for idx in stacks]))
-            src = src._stack
-        read.append(src)
-    gathered = [_gathered(src, stacks) for src in read]
+    """Write ``kernel`` of the blocks of the operand stacks ``sources`` on
+    each component stack of ``stacks`` into the stack ``p``
+    (:func:`blocks_on_read`)."""
+    gathered = [_gathered(src, stacks) for src in sources]
     for g, idx in enumerate(stacks):
         s = idx.shape[1]
         p.rows[:s, idx] = idx.T[:, :, None]

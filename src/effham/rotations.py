@@ -185,7 +185,7 @@ def _stage_product(stages, generators) -> OperatorMatrix:
     It is formed block by block on the components of the generators' joint
     nonzero pattern, each component's blocks on the first read that touches
     it (:func:`~effham.hilbert.blocks_on_read`), from the stages' blocks on
-    that component alone."""
+    that component; each stage is read whole when the product is made."""
     if len(stages) == 1:
         return stages[0]
     return blocks_on_read(lambda *blocks: reduce(np.matmul, reversed(blocks)),
@@ -223,11 +223,13 @@ def _resonant(*channels):
 
     A channel ``(photon change, i, j)`` moves atoms between levels i and j
     while the photon numbers change by ``photon change``, or by its negative.
+    Each channel's two photon changes are formed once, here.
     """
+    moves = [((tuple(ph), tuple(-x for x in ph)), i - 1, j - 1) for ph, i, j in channels]
+
     def keep(dph, docc):
         return (not any(dph) and not any(docc)) or any(
-            dph in (tuple(ph), tuple(-x for x in ph)) and docc[i - 1] and docc[j - 1]
-            for ph, i, j in channels)
+            dph in photons and docc[i] and docc[j] for photons, i, j in moves)
     return keep
 
 
@@ -441,12 +443,7 @@ def filter_signatures(h: OperatorMatrix, keep) -> OperatorMatrix:
     ``cascade-first-stage`` filter reads, groups nothing twice.  A rejected
     entry becomes +0; every other entry, a stored -0 too, keeps its bits.
     """
-    return _keep_signatures(h, h.signatures(), keep)
-
-
-def _keep_signatures(h: OperatorMatrix, signatures, keep) -> OperatorMatrix:
-    """:func:`filter_signatures` of ``h``, given its distinct signatures."""
-    return h.keeping_signatures([bool(keep(dph, docc)) for dph, docc in signatures])
+    return h.keeping_signatures([bool(keep(dph, docc)) for dph, docc in h.signatures()])
 
 
 def fit_coefficient(h: OperatorMatrix, template: OperatorMatrix,
@@ -601,13 +598,10 @@ def cascade_first_stage(model: ModelInstance) -> CascadeDecomposition:
     transformed = conjugate(model.h_int, u)
 
     h_d = diagonal_operator(model.space, transformed.diagonal()) - model.h_diag
-    groups = transformed.signatures()
-    h_nd = _keep_signatures(transformed, groups, lambda dph, docc: sum(dph) == 0 and any(docc))
-    multi = {k: _keep_signatures(transformed, groups,
-                                 lambda dph, docc, kk=k: abs(sum(dph)) == kk)
+    h_nd = filter_signatures(transformed, lambda dph, docc: sum(dph) == 0 and any(docc))
+    multi = {k: filter_signatures(transformed, lambda dph, docc, kk=k: abs(sum(dph)) == kk)
              for k in range(2, nlev)}
-    residual = _keep_signatures(transformed, groups,
-                                lambda dph, docc: abs(sum(dph)) == 1).norm()
+    residual = filter_signatures(transformed, lambda dph, docc: abs(sum(dph)) == 1).norm()
 
     safe = photon_safe_mask(model.space, margin=1)
     checks = tuple(CouplingCheck(start_level=i, photons=k, predicted=predicted,

@@ -307,6 +307,11 @@ BAD_VALUES = {
                            "space dimension 101101 exceeds cap 20000"),
     "time grid of two fields": (_DICKE_EVOLVE + "times = 0:1\n", "must be start:stop:count"),
     "time grid of one point": (_DICKE_EVOLVE + "times = 0:1:1\n", "needs at least two points"),
+    "empty time list": (_DICKE_EVOLVE + "times =\n", "must hold finite times, one at least"),
+    "nan time": (_DICKE_EVOLVE + "times = nan, 1\n", "must hold finite times"),
+    "inf time": (_DICKE_EVOLVE + "times = inf\n", "must hold finite times"),
+    "time grid to nan": (_DICKE_EVOLVE + "times = 0:nan:5\n", "must hold finite times"),
+    "time past the float range": (_DICKE_EVOLVE + "times = 0, 1e400\n", "must hold finite times"),
     "no model kind": ("[model]\natoms = 2\n[analysis]\nkind = algebra-check\n", "missing model.kind"),
     "unknown analysis": ("[model]\nkind = dicke\n[analysis]\nkind = fit\n",
                          "analysis.kind must be one of"),

@@ -80,6 +80,21 @@ class TestEvolve:
         with pytest.raises(ValueError):
             eh.evolve(dicke_model.h_int, psi0, [0.0, 1.0])
 
+    def test_rejects_a_nan_state(self, dicke_model):
+        # a NaN norm fails the normalisation guard
+        psi0 = eh.basis_state(dicke_model.space, (0,), level=1)
+        psi0[-1] = np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            eh.evolve(dicke_model.h_int, psi0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.inf], []], ids=["nan", "inf", "empty"])
+    def test_rejects_a_time_grid_without_finite_times(self, dicke_model, times):
+        psi0 = eh.basis_state(dicke_model.space, (1,), level=2)
+        with pytest.raises(ValueError, match="times must be finite, one at least"):
+            eh.evolve(dicke_model.h_int, psi0, times)
+        with pytest.raises(ValueError, match="times must be finite, one at least"):
+            eh.effective_evolution(dicke_model.h_int, psi0, times)
+
 
 class TestFidelity:
     def test_self_and_orthogonal(self, dicke_model):
@@ -133,6 +148,17 @@ class TestCompareSpectra:
         mask[dicke_model.space.index((0,), (0, 1))] = True
         with pytest.raises(AnalysisError):
             eh.compare_spectra(dicke_model.h_int, dicke_model.h_diag, [mask])
+
+    @pytest.mark.parametrize("exact_first", [True, False], ids=["in h_eff", "in h_exact"])
+    def test_nan_between_blocks_rejected(self, dicke_model, exact_first):
+        # a NaN leakage fails the guard in either input, so the blocks'
+        # errors (0 here: the NaN lies off every block) are not reported
+        a = np.array(dicke_model.h_int.matrix)
+        vacuum = dicke_model.space.index((0,), (1, 0))
+        a[vacuum, vacuum + 5] = np.nan
+        pair = (dicke_model.h_int, eh.OperatorMatrix(dicke_model.space, a))
+        with pytest.raises(AnalysisError, match="leak"):
+            eh.compare_spectra(*(pair if exact_first else pair[::-1]), eh.block_masks(dicke_model))
 
     def test_no_blocks_rejected(self, dicke_model):
         # comparing nothing must not read as a zero error

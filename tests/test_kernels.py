@@ -732,13 +732,16 @@ def test_nonfinite_generator_raises_where_it_is_exponentiated(case, bad, seed):
         eh.matrix_exponential(eh.OperatorMatrix(space, a))
 
 
-@pytest.mark.parametrize("fixture, scenario", [("xi_far_level_model", "xi-far-level"),
-                                               ("four_level_model", "four-level-three-photon")])
+STAGED = pytest.mark.parametrize("fixture, scenario", [("xi_far_level_model", "xi-far-level"),
+                                                       ("four_level_model", "four-level-three-photon")])
+
+
+@STAGED
 def test_stage_product_is_formed_where_it_is_read(fixture, scenario, request, monkeypatch):
     # the total rotation of two or three stages, read from one basis state,
-    # forms the blocks of that state's component only, of the product and
-    # of the stages no conjugation formed; read whole, it has the bits of
-    # the stage product formed at once
+    # writes the blocks of that state's component only and exponentiates
+    # nothing: every stage was read whole when the product was made; read
+    # whole, it has the bits of the stage product formed at once
     model = _unkept(request.getfixturevalue(fixture))
     generators, stages, exponential = [], [], rotations.matrix_exponential
     monkeypatch.setattr(rotations, "matrix_exponential",
@@ -749,18 +752,28 @@ def test_stage_product_is_formed_where_it_is_read(fixture, scenario, request, mo
     psi[start] = 1.0
     with _series_stacks() as stacks:
         moved = forms.rotation.apply(psi)
-    blocks = [len(b) for b in stacks]
     assert len(stages) > 1 and forms.rotation is not stages[-1]
-    if scenario == "xi-far-level":  # no conjugation reads its second stage
-        joint, own = hilbert.component_labels(*generators), hilbert.component_labels(generators[1])
-        reached = set(own[joint == joint[start]].tolist())
-        assert sum(blocks) == len(reached) < len(set(own.tolist()))
-    else:  # each stage is read whole by the conjugation of the next or the corrected form
-        assert blocks == []
+    assert stacks == []
+    joint = hilbert.component_labels(*generators)
+    written = ~forms.rotation._unformed.left
+    assert np.array_equal(written, joint == joint[start]) and written.sum() < model.space.dim
     whole = hilbert.blockwise(lambda *b: functools.reduce(np.matmul, reversed(b)), *stages)
     assert _bits(moved) == _bits(whole.apply(psi))
     assert _bits(forms.rotation.matrix) == _bits(whole.matrix)
     assert np.array_equal(forms.rotation.ladder.rows, whole.ladder.rows)
+
+
+@STAGED
+def test_no_operator_waits_on_the_blocks_of_another(fixture, scenario, request, monkeypatch):
+    # every operator whose blocks are formed on read holds its operands'
+    # stacks, every block written, and no operand
+    model = _unkept(request.getfixturevalue(fixture))
+    pending, real = [], hilbert._pattern_operator
+    monkeypatch.setattr(hilbert, "_pattern_operator",
+                        lambda space, ladder, unformed=None: pending.append(unformed) or real(space, ladder, unformed))
+    eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    sources = [src for unformed in pending if unformed is not None for src in unformed.sources]
+    assert sources and all(isinstance(src, hilbert.LadderPattern) for src in sources)
 
 
 def _with_one_bad_block(dicke_model, bad):

@@ -182,16 +182,16 @@ def test_filter_matches_per_entry_loop(scenario, monkeypatch, request):
 
 
 def test_cascade_split_filters_match_per_entry_loop(four_level_model, monkeypatch):
-    # cascade_first_stage groups the signatures once and applies four predicates
+    # cascade_first_stage filters one operator with four predicates
     calls = []
-    apply_keep = rotations._keep_signatures
+    vectorised = rotations.filter_signatures
 
-    def spy(h, groups, keep):
-        out = apply_keep(h, groups, keep)
+    def spy(h, keep):
+        out = vectorised(h, keep)
         calls.append((h, keep, out))
         return out
 
-    monkeypatch.setattr(rotations, "_keep_signatures", spy)
+    monkeypatch.setattr(rotations, "filter_signatures", spy)
     eh.cascade_first_stage(four_level_model)
     assert len(calls) == 4
     assert len({id(h) for h, _, _ in calls}) == 1

@@ -28,7 +28,10 @@ built model:
 The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
 the coupling sits at a fifth of the dispersive guard.  A cascade or xi3
 rung times ``build``, ``scenario`` (``four-level-three-photon`` or
-``xi-far-level``, as the multiphoton task at variant 0), ``spectra`` (its
+``xi-far-level``, as the multiphoton task at variant 0; the product of the
+rotation stages reads every stage whole when it is made, so the xi3
+rung's ``scenario`` includes the exponential of its second stage, which
+no conjugation reads), ``spectra`` (its
 corrected form against ``h_int`` on the blocks) and ``effective``
 (``effective_evolution`` of the corrected form with the scenario's
 rotation, from the multiphoton task's initial state and at its 41
