@@ -67,7 +67,8 @@ def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix) -> Defo
     ``[X3, X+] = X+`` fails beyond :data:`VERIFICATION_TOL` relative to
     ``||X+||``, or if the structure operator fails to commute with ``X3``
     beyond :data:`CONSTRUCTION_TOL` relative to its own norm.  Neither
-    scale has a floor, so no verdict depends on the unit of ``X+``.
+    scale has a floor, so no verdict depends on the unit of ``X+``; a NaN
+    residual fails.
     """
     if x3.space != xplus.space:
         raise SpaceMismatchError("X3 and X+ live on different spaces")
@@ -75,13 +76,13 @@ def build_deformed(name: str, x3: OperatorMatrix, xplus: OperatorMatrix) -> Defo
         raise LadderRelationError(f"{name}: X3 is not Hermitian")
     # each residual is measured first: an exact 0 needs no scale
     ladder = (commutator(x3, xplus) - xplus).norm()
-    if ladder and ladder > VERIFICATION_TOL * xplus.norm():
+    if ladder and not ladder <= VERIFICATION_TOL * xplus.norm():
         raise LadderRelationError(
             f"{name}: [X3, X+] - X+ has norm {ladder:.3e} (tol {VERIFICATION_TOL:.1e})")
     xminus = xplus.dag()
     structure = commutator(xplus, xminus)
     comm = commutator(structure, x3).norm()
-    if comm and comm > CONSTRUCTION_TOL * structure.norm():
+    if comm and not comm <= CONSTRUCTION_TOL * structure.norm():
         raise LadderRelationError(f"{name}: structure operator does not commute with X3")
     return DeformedAlgebra(name=name, x3=x3, xplus=xplus, xminus=xminus, structure=structure)
 

@@ -9,9 +9,10 @@ dynamics (fidelity in the rotated frame), and fit empirical convergence
 orders from epsilon sweeps.
 
 Both checks cost what the blocks and the state's support cost, not the
-whole space.  A spectrum comparison reads its blocks once: every state
-carries the set of blocks that hold it, packed into 64-bit words, and
-the block leakage compares those words at the two ends of each nonzero.
+whole space.  A spectrum comparison reads its blocks once, into one
+label per state: the block that holds it, or none, since blocks may not
+overlap.  The block leakage compares the labels at the two ends of each
+nonzero.
 An evolution runs on the support of its initial state: the states whose
 component label (:func:`~effham.hilbert.component_labels`) is that of a
 support state, or the support alone under a diagonal generator; a
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, SpaceMismatchError
-from .hilbert import OperatorMatrix, component_labels
+from .hilbert import OperatorMatrix, component_labels, size_groups
 
 NORM_TOL = 1e-10
 #: metric values at or below this are taken as roundoff and left out of a scaling fit
@@ -186,78 +187,73 @@ def compare_spectra(h_exact: OperatorMatrix, h_eff: OperatorMatrix, blocks,
     """Sorted-eigenvalue differences inside each conserved block.
 
     ``blocks`` is an iterable of boolean masks or index lists, read once
-    into one boolean stack.  One ``np.flatnonzero`` of that stack gives the
-    index array of every block, and each state's set of blocks as packed
-    64-bit words, so blocks may overlap; ``compared_states`` counts the
-    states whose set is not empty.  Both inputs must be block diagonal with
-    respect to the blocks: the leakage of ``h`` (:func:`_leakage`) is
-    exactly 0 for an exactly block-diagonal ``h``, and the larger leakage
-    of the two inputs beyond ``block_tol``, or a NaN one, is an error.
-    The blocks of one size are diagonalised in one stacked ``eigvalsh``
-    call, each block as on its own, and their errors are reduced in one
-    call per size; degenerate clusters are compared as sorted multisets.
-    ``max_error`` and ``mean_error`` reduce every error in block order.  An
-    empty ``blocks``, or an empty block in it, compares nothing and is an
-    error.
+    into one label per state: the block that holds it, -1 for none.  Blocks
+    may not overlap, and an empty ``blocks``, or an empty block in it,
+    compares nothing; each is an error.  ``compared_states`` counts the
+    labelled states.  Both inputs must be block diagonal: the larger
+    leakage of the two (:func:`_leakage`, exactly 0 for an exactly
+    block-diagonal ``h``) beyond ``block_tol``, or a NaN one, is an error.
+    The blocks of one size (:func:`~effham.hilbert.size_groups`) are
+    diagonalised in one stacked ``eigvalsh`` call, each block as on its
+    own, and their errors are reduced in one call per size; degenerate
+    clusters are compared as sorted multisets.  ``max_error`` and
+    ``mean_error`` reduce every error in block order.
     """
     h_exact._check(h_eff)
     blocks = list(blocks)
     if not blocks:
         raise AnalysisError("no blocks to compare")
-    masks = np.zeros((len(blocks), h_exact.dim), dtype=bool)
-    for mask, blk in zip(masks, blocks):
+    label = np.full(h_exact.dim, -1)
+    for b, blk in enumerate(blocks):
         sel = np.asarray(blk)
-        if sel.size:
-            mask[sel] = True
-    sizes = np.count_nonzero(masks, axis=1)
-    if not sizes.all():
-        raise AnalysisError(f"block {int(np.argmin(sizes))} is empty")
-    block, states = np.divmod(np.flatnonzero(masks), h_exact.dim)  # block by block, in basis order
-    # bit b of state i's words is set where block b holds state i
-    words = np.zeros((h_exact.dim, -(-len(blocks) // 64)), dtype=np.uint64)
-    np.bitwise_or.at(words, (states, block >> 6), np.uint64(1) << (block & 63).astype(np.uint64))
-    leakage = float(np.max([_leakage(h, masks, words) for h in (h_exact, h_eff)]))  # NaN if either is
+        held = label[sel] if sel.size else sel
+        if not held.size:
+            raise AnalysisError(f"block {b} is empty")
+        if held.max() >= 0:
+            raise AnalysisError(f"block {b} holds a state of block {int(held.max())}")
+        label[sel] = b
+    leakage = float(np.max([_leakage(h, label) for h in (h_exact, h_eff)]))  # NaN if either is
     if not leakage <= block_tol:
         raise AnalysisError(f"operators leak between blocks (relative norm {leakage:.3e})")
-    starts = np.cumsum(sizes) - sizes
-    errs = np.empty(len(states))
-    stats: list = [None] * len(blocks)
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # each size once, ascending
-        members = np.flatnonzero(sizes == size)
-        place = starts[members][:, None] + np.arange(size)
-        ev_exact = np.linalg.eigvalsh(h_exact.block(states[place]))
-        ev_eff = np.linalg.eigvalsh(h_eff.block(states[place]))
+    ends = np.cumsum(np.bincount(label + 1, minlength=len(blocks) + 1)).tolist()
+    states = np.argsort(label, kind="stable")  # the unlabelled, then block by block in basis order
+    errs = np.empty(h_exact.dim)
+    per_block: list = [None] * len(blocks)
+    for members, stack in size_groups([states[a:z] for a, z in zip(ends, ends[1:])]):
+        ev_exact = np.linalg.eigvalsh(h_exact.block(stack))
+        ev_eff = np.linalg.eigvalsh(h_eff.block(stack))
         err = np.abs(ev_exact - ev_eff)
-        errs[place] = err
-        for b, *row in zip(members.tolist(), err.max(axis=1).tolist(), err.mean(axis=1).tolist(),
-                           ev_exact.tolist(), ev_eff.tolist()):
-            stats[b] = row
-    per_block = tuple(BlockErrors(key=(float(b),), max_error=most, mean_error=mean, size=size,
-                                  exact_ev=tuple(exact), eff_ev=tuple(eff))
-                      for b, ((most, mean, exact, eff), size) in enumerate(zip(stats, sizes.tolist())))
-    return ComparisonReport(blocks=per_block,
+        errs[stack] = err  # block b's k-th error at its k-th state
+        for b, most, mean, exact, eff in zip(members, err.max(axis=1).tolist(), err.mean(axis=1).tolist(),
+                                             ev_exact.tolist(), ev_eff.tolist()):
+            per_block[b] = BlockErrors(key=(float(b),), max_error=most, mean_error=mean,
+                                       size=stack.shape[1], exact_ev=tuple(exact), eff_ev=tuple(eff))
+    errs = errs[states[ends[0]:]]
+    return ComparisonReport(blocks=tuple(per_block),
                             max_error=float(errs.max()),
                             mean_error=float(errs.mean()),
                             block_leakage=leakage,
-                            compared_states=int(np.count_nonzero(words.any(axis=1))))
+                            compared_states=len(errs))
 
 
-def _leakage(h: OperatorMatrix, masks: np.ndarray, words: np.ndarray) -> float:
-    """``max_b ||h[b, ~b]||_F / ||h||`` over the rows ``b`` of the boolean
-    stack ``masks``; 0 for an ``h`` with no entries.
+def _leakage(h: OperatorMatrix, label: np.ndarray) -> float:
+    """``max_b ||h[b, ~b]||_F / ||h||`` over the blocks ``b`` of ``label``
+    (the block of each state, -1 for none); 0 for an ``h`` with no entries.
 
-    ``words[i]`` packs the set of blocks holding state ``i``.  Only a
-    nonzero between two states with different sets can leak, so the words
-    at the two ends of each nonzero are compared, in one pass, and the
-    norm of a block's leaking entries is taken only for the blocks one of
-    those entries leaves."""
+    A nonzero leaks where its row is in a block and its column is not in
+    that block.  The leaking entries are grouped by the block of their row
+    with a stable sort, so each block's norm reads its entries in the order
+    of :meth:`~effham.hilbert.OperatorMatrix.entries`, and a norm is taken
+    only for the blocks one of them leaves."""
     rows, cols, v = h.entries()
-    cross = (words[rows] != words[cols]).any(axis=1)
+    row_label = label[rows]
+    cross = (row_label >= 0) & (row_label != label[cols])
     if not cross.any():
         return 0.0
-    rows, cols, v = rows[cross], cols[cross], v[cross]
-    leaks = masks[:, rows] & ~masks[:, cols]
-    out = max((float(np.linalg.norm(v[leak])) for leak in leaks[leaks.any(axis=1)]), default=0.0)
+    order = np.argsort(row_label[cross], kind="stable")
+    row_label, v = row_label[cross][order], v[cross][order]
+    cuts = np.flatnonzero(row_label[1:] != row_label[:-1]) + 1
+    out = max(float(np.linalg.norm(part)) for part in np.split(v, cuts))
     return out / h.norm() if out else 0.0
 
 

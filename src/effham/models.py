@@ -209,7 +209,7 @@ def _validate(model: ModelInstance) -> ModelInstance:
     dense products would form, so the residual reads ``h_int``'s nonzeros.
     Its norm may be at most :data:`~effham.algebra.VERIFICATION_TOL` times
     the norms of both operators, with no floor, so the verdict does not
-    depend on their units.
+    depend on their units; a NaN residual fails.
     """
     h = model.h_int
     if not h.is_hermitian(1e-12) or not model.h_free.is_hermitian(1e-12):
@@ -222,7 +222,7 @@ def _validate(model: ModelInstance) -> ModelInstance:
         c = op.diagonal()
         # an exact 0, the usual case, needs no scale
         resid = float(np.linalg.norm(v * c[cols] - c[rows] * v))
-        if resid and resid > VERIFICATION_TOL * h.norm() * op.norm():
+        if resid and not resid <= VERIFICATION_TOL * h.norm() * op.norm():
             raise ValueError(f"[h_int, {name}] != 0")
     return model
 

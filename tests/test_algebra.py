@@ -40,6 +40,24 @@ def test_build_rejects_ladder_violation():
         eh.build_deformed("bad", s3, a)
 
 
+def test_build_rejects_a_nan_ladder_residual(dicke_model):
+    # a NaN in X+ makes the ladder residual NaN, which fails its guard
+    alg = dicke_model.interactions[0].algebra
+    a = np.array(alg.xplus.matrix)
+    a[tuple(np.argwhere(a)[0])] = np.nan
+    with pytest.raises(LadderRelationError, match=r"\[X3, X\+\] - X\+ has norm nan"):
+        eh.build_deformed("bad", alg.x3, eh.OperatorMatrix(dicke_model.space, a))
+
+
+def test_build_rejects_a_nan_structure_residual(dicke_model):
+    # X+ at 1e160 keeps the ladder relation exact, but its structure
+    # operator overflows to inf and [structure, X3] holds NaN, which fails
+    alg = dicke_model.interactions[0].algebra
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LadderRelationError, match="does not commute"):
+            eh.build_deformed("bad", alg.x3, 1e160 * alg.xplus)
+
+
 def test_build_rejects_nonhermitian_x3():
     space = eh.enumerate_basis([], eh.EnsembleSpec(2, 1))
     _, sp, _ = eh.spin_operators(space)

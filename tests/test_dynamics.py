@@ -176,12 +176,19 @@ class TestCompareSpectra:
             with pytest.raises(AnalysisError, match="block 0 is empty"):
                 eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, [[]])
 
-    def test_compared_states_count_the_covered_states(self, dicke_model):
-        # the union of the blocks, each state once, however they overlap
+    def test_overlapping_blocks_rejected(self, dicke_model):
+        # blocks partition the states they hold: a state in two is refused
         masks = eh.block_masks(dicke_model)
-        rep = eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, masks + masks[:2])
-        assert rep.compared_states == np.count_nonzero(np.any(masks, axis=0))
-        assert rep.compared_states == sum(blk.size for blk in rep.blocks[:len(masks)])
+        with pytest.raises(AnalysisError, match="block 6 holds a state of block 0"):
+            eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, masks + masks[:2])
+
+    def test_compared_states_count_the_covered_states(self, dicke_model):
+        # a partition with some blocks left out: the states of the rest
+        masks = eh.block_masks(dicke_model, skip_truncated=False)[::2]
+        rep = eh.compare_spectra(dicke_model.h_int, dicke_model.h_int, masks)
+        assert 0 < rep.compared_states < dicke_model.space.dim
+        assert rep.compared_states == sum(int(m.sum()) for m in masks)
+        assert rep.compared_states == sum(blk.size for blk in rep.blocks)
 
     def test_two_mode_smallest_cutoff_compares_one_state(self):
         # the known vacuous pass: at n_max = (1, 1) only the vacuum's block
@@ -205,6 +212,26 @@ class TestCompareSpectra:
             assert np.array_equal(blk.exact_ev, np.linalg.eigvalsh(sub))
             err = np.abs(np.asarray(blk.exact_ev) - np.asarray(blk.eff_ev))
             assert blk.max_error == err.max()
+
+
+@pytest.mark.parametrize("fixture, scenario", [
+    ("spin_model", "su2-generic"),
+    ("dicke_model", "dicke-dispersive"),
+    ("xi_two_photon_model", "xi-two-photon"),
+    ("lambda_model", "lambda-dispersive"),
+    ("four_level_model", "four-level-three-photon"),
+    ("xi_far_level_model", "xi-far-level"),
+    ("two_mode_model", "two-mode-four"),
+])
+def test_block_masks_partition_the_compared_states(fixture, scenario, request):
+    # the calling contract of the benchmark: the masks of the untruncated
+    # blocks are pairwise disjoint, so the states compared are their sizes summed
+    model = request.getfixturevalue(fixture)
+    masks = eh.block_masks(model, skip_truncated=True)
+    assert np.sum(masks, axis=0).max() == 1  # each state in one mask at most
+    forms = eh.closed_form_effective(model, eh.EffectiveScenario(scenario))
+    rep = eh.compare_spectra(model.h_int, forms.corrected, masks)
+    assert rep.compared_states == sum(int(k.sum()) for k in masks)
 
 
 class TestScalingStudy:

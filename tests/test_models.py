@@ -416,6 +416,17 @@ def test_validate_reads_the_charge_off_h_int(dicke_model):
             models._validate(dataclasses.replace(dicke_model, conserved={"N": n, "H": off}))
 
 
+def test_validate_rejects_a_nan_charge(dicke_model):
+    # a NaN on the diagonal of N, at a state where h_int has an entry, makes the
+    # residual NaN, which fails the conservation check
+    n = np.array(dicke_model.conserved["N"].matrix)
+    coupled = dicke_model.h_int.entries()[0][0]
+    n[coupled, coupled] = np.nan
+    charge = eh.OperatorMatrix(dicke_model.space, n)
+    with pytest.raises(ValueError, match=r"\[h_int, N\]"):
+        models._validate(dataclasses.replace(dicke_model, conserved={"N": charge}))
+
+
 def test_validate_is_relative_to_both_norms(dicke_model):
     # an h_int that changes the excitation number by 1e-6 (a + a^dag) is
     # refused at every scale 10^k of h_int and of N, where a floor at 1 let

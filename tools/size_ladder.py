@@ -66,12 +66,11 @@ GUARD_RATIO = 0.2
 
 
 def _coverage(eh, model) -> dict:
-    """The block cost and the states the spectra compare, for one model."""
-    import numpy as np
-
-    sizes = [len(blk.indices) for blk in eh.conserved_blocks(model)]
-    return {"block_cost": sum(size ** 3 for size in sizes),
-            "states_compared": int(np.count_nonzero(np.any(eh.block_masks(model), axis=0)))}
+    """The block cost and the states the spectra compare (those of the
+    blocks clear of the Fock cutoff, which partition them), for one model."""
+    blocks = eh.conserved_blocks(model)
+    return {"block_cost": sum(len(blk.indices) ** 3 for blk in blocks),
+            "states_compared": sum(len(blk.indices) for blk in blocks if not blk.touches_truncation)}
 
 
 def measure(atoms: int, repeats: int) -> dict:
