@@ -68,11 +68,15 @@ def evolve(h: OperatorMatrix, psi0: np.ndarray, times, observables=None) -> Traj
 
     ``observables`` maps names to operators whose expectation values are
     recorded along the trajectory.  The times must be finite, one at
-    least; a NaN in the state or the evolved norms fails its guard.
+    least; a NaN in the state or the evolved norms fails its guard, and a
+    state whose first axis is not the space dimension raises
+    ``SpaceMismatchError``.
     """
     if not h.is_hermitian(1e-10):
         raise ValueError("evolution requires a Hermitian generator")
     psi = np.asarray(psi0, dtype=complex)
+    if psi.shape[:1] != (h.dim,):
+        raise SpaceMismatchError(f"state of shape {psi.shape} on a space of dimension {h.dim}")
     if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
         raise ValueError("initial state must be normalized")
     t = np.asarray(list(times), dtype=float)

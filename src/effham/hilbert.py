@@ -59,16 +59,16 @@ space; a model keeps the elementary operators it builds in ``operators``.
 :func:`components` gives the connected components of the joint nonzero
 pattern of operators: the blocks every function of them is block diagonal
 in; :func:`component_labels` names each state's component by its smallest
-state, which the evolution finds its span with.  :func:`blocks_on_read` is
-the one writer of block stacks: it reads each operand whole when it is
-called, gathers the operand's blocks, grouped by size, in one pass over
-its stack, and writes a kernel's blocks into one stack, each component's
-on the first read that touches it.  :func:`blockwise` is
-:func:`blocks_on_read` on the operands' joint components, read at once.
-The exponential and the product of rotation stages are one call of
-:func:`blocks_on_read` each, the conjugation, the unitarity check and
-every product whose terms collide one call of :func:`blockwise`, so no
-other module reads or writes a stack.
+state, which the evolution finds its span with.  :func:`_blocks` is the
+one gather of blocks, which ``block``, the unitarity check and the block
+writer read through.  :func:`blocks_on_read` is the one writer of block
+stacks: it reads each operand whole when it is called and writes a
+kernel's blocks into one stack, each component's on the first read that
+touches it.  :func:`blockwise` is :func:`blocks_on_read` on the operands'
+joint components, read at once.  The exponential and the product of
+rotation stages are one call of :func:`blocks_on_read` each, the
+conjugation and every product whose terms collide one call of
+:func:`blockwise`, so no other module reads or writes a stack.
 """
 
 from __future__ import annotations
@@ -456,9 +456,9 @@ class OperatorMatrix:
         """``||m^dag m - 1||`` (Frobenius) passes :func:`unitary_within` at
         ``tol``; the defect is summed block by block on the components of
         ``m``, where ``m^dag m`` is block diagonal, as
-        :func:`~effham.rotations.conjugate` sums it."""
-        defects = []
-        blockwise(lambda b: defects.append(unitarity_defect(b)) or b, self)
+        :func:`~effham.rotations.conjugate` sums it; no stack is written."""
+        p = self._ladder
+        defects = [unitarity_defect(*_blocks([p], idx, idx)) for _, idx in size_groups(components(self))]
         return unitary_within(math.hypot(*defects), tol, self.dim)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -469,8 +469,11 @@ class OperatorMatrix:
         support of ``vec`` are read, and only their components' blocks are
         written (:func:`blocks_on_read`), so an entry is the sum of the
         products of the whole stack bit for bit wherever that is not zero,
-        and 0 in a row no support column reaches."""
+        and 0 in a row no support column reaches.  A first axis of ``vec``
+        other than the space dimension raises ``SpaceMismatchError``."""
         v = np.asarray(vec, dtype=complex)
+        if v.shape[:1] != (self.dim,):
+            raise SpaceMismatchError(f"state of shape {v.shape} on a space of dimension {self.dim}")
         live = np.flatnonzero(v.reshape(self.dim, -1).any(axis=1))
         self._form(live)
         p = self._stack
@@ -483,35 +486,25 @@ class OperatorMatrix:
 
     def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """``matrix[np.ix_(rows, cols)]`` (``cols`` defaults to ``rows``), a
-        fresh C-ordered array built from the stack alone.
+        fresh C-ordered array built from the stack alone (:func:`_blocks`).
 
         ``rows`` and ``cols`` may also be stacks of index arrays, shape
-        ``(count, size)``, for a stack of ``count`` blocks.  Only the blocks
-        of the components that meet both ``rows`` and ``cols`` are written
-        (:func:`blocks_on_read`).
+        ``(count, size)``, for a stack of ``count`` blocks.  Every index lies
+        in ``0 .. dim - 1``; any other raises ``IndexError`` before a block
+        is written or read.  Only the blocks of the components that meet
+        both ``rows`` and ``cols`` are written (:func:`blocks_on_read`).
         """
         rows = np.asarray(rows)
         cols = rows if cols is None else np.asarray(cols)
+        for idx in (rows, cols):
+            if idx.size and not (0 <= idx.min() and idx.max() < self.dim):
+                raise IndexError(f"block index out of range 0..{self.dim - 1}")
         self._form(rows.ravel(), cols.ravel())
         p = self._stack
-        if len(p.rows) > 1 and rows.size and rows.shape[:-1] == cols.shape[:-1]:
-            # each entry of the requested columns looks its row up among
-            # the requested rows: place[i] is 1 + the position of row i in
-            # the flattened blocks, 0 where i is not requested (row -1
-            # reads the extra last slot), so the cost is the stack's entries
-            # in those columns, not each block's size squared
-            r = rows.reshape(-1, rows.shape[-1])
-            c = cols.reshape(len(r), -1)
-            count, n, width = r.shape + c.shape[1:]
-            flat = np.arange(1, r.size + 1)
-            place = np.zeros(self.dim + 1, dtype=np.intp)
-            place[r.ravel()] = flat
-            if (place[r.ravel()] == flat).all():  # no row is asked for twice
-                at = place[p.rows[:, c]] - 1
-                hit = at // n == np.arange(count)[:, None]
-                out = np.zeros(r.size * width, dtype=complex)
-                out[(at * width + np.arange(width))[hit]] = p.values[:, c][hit]
-                return out.reshape(rows.shape[:-1] + (n, width))
+        if rows.size and rows.shape[:-1] == cols.shape[:-1]:
+            blocks = _blocks([p], rows, cols)
+            if blocks is not None:
+                return blocks[0]
         return _stack_at(p, rows[..., :, None], cols[..., None, :])
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1012,8 +1005,8 @@ def blocks_on_read(kernel, parts, *ops: OperatorMatrix) -> OperatorMatrix:
     operand, in the order of ``ops``, and returns the result's blocks as one
     such stack.  Each operand is read whole, its every block written, when
     the result is made, and the result holds its stack alone.  The blocks
-    of an operand are those :meth:`OperatorMatrix.block` gives, gathered for
-    every size in one pass over its stack (:func:`_gathered`).  The
+    of the operands are those :meth:`OperatorMatrix.block` gives, gathered
+    for all operands at once, one size at a time (:func:`_blocks`).  The
     result's blocks are written into a stack of as many maps as the largest
     block has states, where map ``m`` of column ``idx[c, j]`` holds row
     ``idx[c, m]`` and value ``blocks[c, m, j]``.  Every entry inside a block
@@ -1038,45 +1031,37 @@ def _write_blocks(p: LadderPattern, kernel, sources, stacks) -> None:
     """Write ``kernel`` of the blocks of the operand stacks ``sources`` on
     each component stack of ``stacks`` into the stack ``p``
     (:func:`blocks_on_read`)."""
-    gathered = [_gathered(src, stacks) for src in sources]
-    for g, idx in enumerate(stacks):
+    for idx in stacks:
         s = idx.shape[1]
         p.rows[:s, idx] = idx.T[:, :, None]
-        p.values[:s, idx] = kernel(*(blocks[g] for blocks in gathered)).transpose(1, 0, 2)
+        p.values[:s, idx] = kernel(*_blocks(sources, idx, idx)).transpose(1, 0, 2)
 
 
-def _gathered(p: LadderPattern, stacks) -> list[np.ndarray]:
-    """The ``(count, size, size)`` block stack of the stack ``p`` on each of
-    the ``(count, size)`` index stacks ``stacks``, no state in two:
-    ``block(idx)`` of each, bit for bit, from one pass over ``p``.
-
-    Each entry of ``p`` whose row lies in its column's block goes to its
-    place in that block, a stored zero with its sign too, and every other
-    place of a block is +0.  The blocks of all sizes lie one after another
-    in one array; a state in no block, and an unused entry's row -1, which
-    reads the extra last state, have block -1."""
-    d = p.rows.shape[1]
-    block = np.full(d + 1, -1)  # the block of each state, counted over all sizes
-    start = np.zeros(d, dtype=np.intp)  # where its block starts in the array
-    pos = np.zeros(d + 1, dtype=np.intp)  # its place in its block
-    width = np.zeros(d, dtype=np.intp)  # its block's size
-    blocks = offset = covered = 0
-    for idx in stacks:
-        count, s = idx.shape
-        block[idx] = np.arange(blocks, blocks + count)[:, None]
-        start[idx] = (offset + s * s * np.arange(count))[:, None]
-        pos[idx] = np.arange(s)
-        width[idx] = s
-        blocks, offset, covered = blocks + count, offset + count * s * s, covered + idx.size
-    inside = block[p.rows] == block[:d]
-    if covered < d:
-        inside &= block[:d] >= 0
-    flat = start + pos[p.rows] * width + pos[:d]
-    out = np.zeros(offset, dtype=complex)
-    out[flat[inside]] = p.values[inside]
-    ends = np.cumsum([idx.size * idx.shape[1] for idx in stacks]).tolist()
-    return [out[start:end].reshape(idx.shape + idx.shape[1:])
-            for start, end, idx in zip([0, *ends], ends, stacks)]
+def _blocks(stacks, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray] | None:
+    """``block(rows, cols)`` of the operator of each stack of ``stacks``,
+    for nonempty ``rows`` and for ``cols`` of the same leading shape; None
+    where a row is asked for twice.  Each entry of the requested columns
+    looks its row up among the requested rows: ``place[i]`` is 1 + the
+    position of row ``i`` in the flattened blocks, 0 where ``i`` is not
+    requested (row -1 reads the extra last slot), one lookup for every
+    stack, so the cost is the stacks' entries in those columns, not each
+    block's size squared."""
+    r = rows.reshape(-1, rows.shape[-1])
+    c = cols.reshape(len(r), -1)
+    count, n, width = r.shape + c.shape[1:]
+    flat = np.arange(1, r.size + 1)
+    place = np.zeros(stacks[0].rows.shape[1] + 1, dtype=np.intp)
+    place[r.ravel()] = flat
+    if not (place[r.ravel()] == flat).all():
+        return None
+    out = []
+    for p in stacks:
+        at = place[p.rows[:, c]] - 1
+        hit = at // n == np.arange(count)[:, None]
+        blocks = np.zeros(r.size * width, dtype=complex)
+        blocks[(at * width + np.arange(width))[hit]] = p.values[:, c][hit]
+        out.append(blocks.reshape(rows.shape[:-1] + (n, width)))
+    return out
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

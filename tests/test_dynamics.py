@@ -95,6 +95,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="times must be finite, one at least"):
             eh.effective_evolution(dicke_model.h_int, psi0, times)
 
+    def test_evolve_refuses_a_state_off_the_space(self, dicke_model):
+        psi0 = np.append(eh.basis_state(dicke_model.space, (1,), level=2), 0.0)
+        with pytest.raises(SpaceMismatchError):
+            eh.evolve(dicke_model.h_int, psi0, [0.0, 1.0])
+
+    def test_effective_evolution_refuses_a_state_off_the_space(self, dicke_model):
+        forms = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive"))
+        psi0 = np.append(eh.basis_state(dicke_model.space, (1,), level=2), 0.0)
+        for rotation in (None, forms.rotation):
+            with pytest.raises(SpaceMismatchError):
+                eh.effective_evolution(forms.corrected, psi0, [0.0, 1.0], rotation=rotation)
+
 
 class TestFidelity:
     def test_self_and_orthogonal(self, dicke_model):

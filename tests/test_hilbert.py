@@ -371,6 +371,26 @@ def test_only_hilbert_knows_the_stack():
     assert not any(hasattr(rotations, name) for name in ("_block_stacks", "_assemble", "_stacked_norm"))
 
 
+def test_block_refuses_an_index_outside_the_space():
+    # row -1 would read the slot of the stack's unused entries, and row dim
+    # the entries of no state: both raise before a block is written or read
+    model = eh.build(eh.ModelSpec(kind="dicke", omega_field=10.0, omega0=11.0, g=0.04, atoms=2, n_max=4))
+    rotation = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive")).rotation
+    for op in (model.h_int, rotation):
+        assert op.dim == 15
+        for rows, cols in (([-1], [14]), ([15], [0, 1]), ([[0, 1], [2, 3]], [[0, 1], [2, -1]])):
+            with pytest.raises(IndexError, match=r"out of range 0\.\.14"):
+                op.block(rows, cols)
+    assert rotation._unformed.left.all()
+
+
+def test_apply_refuses_a_state_off_the_space(dicke_model):
+    h = dicke_model.h_int
+    for vec in (np.ones(2 * h.dim), np.ones(h.dim + 1), np.ones((2 * h.dim, 1)), np.complex128(1.0)):
+        with pytest.raises(SpaceMismatchError):
+            h.apply(vec)
+
+
 _TWO_LEVELS = eh.enumerate_basis([2], eh.EnsembleSpec(2, 1))
 _THREE_LEVELS = eh.enumerate_basis([2], eh.EnsembleSpec(3, 1))
 

@@ -1737,6 +1737,14 @@ def test_unitarity_verdict_matches_the_dense_check(case):
     assert eh.OperatorMatrix(space, u).is_unitary(1e-12) == dense == (defect == 0.0)
 
 
+def test_unitarity_check_writes_no_block_stack(dicke_model):
+    # is_unitary sums the defects of the blocks it reads and keeps none
+    rotation = eh.closed_form_effective(dicke_model, eh.EffectiveScenario("dicke-dispersive")).rotation
+    assert rotation.ladder.rows.shape[0] > 1  # every block formed
+    with mock.patch.object(hilbert, "blocks_on_read", side_effect=AssertionError("a block stack was written")):
+        assert rotation.is_unitary()
+
+
 def test_engine_looks_up_no_conjugation_it_holds(four_level_model, monkeypatch):
     # the engine carries h_int as the stages so far leave it, so it conjugates
     # each stage once and never asks a rotation for a conjugation it made

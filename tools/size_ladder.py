@@ -10,36 +10,34 @@ for the defaults), and for each ``A:n_max`` of ``--xi3`` the three-level
 cascade of its xi-far-level task (dim 308, 2046 and 4641 for the defaults)
 runs in a fresh interpreter with one BLAS thread, importing ``effham`` from
 ``DIR/src`` (default: the checkout this file sits in).
-Each repeat of a Dicke rung times these stages of one pass on a freshly
-built model:
+Each repeat of a rung times these stages of one pass on a freshly built
+model, in this order:
 
 * ``build``: ``effham.build`` of the model;
-* ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``, which
-  no longer forms the rotation: its blocks are exponentiated on first read,
-  so the exponential of the blocks the evolution reaches is timed under
-  ``effective``;
+* ``scenario``: ``closed_form_effective`` with ``dicke-dispersive``,
+  ``four-level-three-photon`` or ``xi-far-level`` (as the multiphoton task
+  at variant 0).  The Dicke rotation is not formed there: its blocks are
+  exponentiated on first read, so the exponential of the blocks the
+  evolution reaches is timed under ``effective``.  The product of the
+  rotation stages reads every stage whole when it is made, so the xi3
+  rung's ``scenario`` includes the exponential of its second stage, which
+  no conjugation reads;
 * ``spectra``: ``block_masks`` of the model and ``compare_spectra`` of
   ``h_int`` against the scenario's corrected form on them;
 * ``effective``: ``effective_evolution`` of the corrected form with the
-  scenario's rotation, from the state and at the times of ``evolve``;
-* ``evolve``: ``evolve`` of ``h_int`` from ``|n_max/2 photons, ground>`` at
-  41 times over one effective period.
+  scenario's rotation, from the rung's initial state at its 41 times: for
+  Dicke ``|n_max/2 photons, ground>`` over one effective period, for the
+  cascades the multiphoton task's;
+* ``evolve``, Dicke only: ``evolve`` of ``h_int`` from the same state at
+  the same times;
+* ``filter``, cascade only: ``filter_signatures`` with the
+  ``cascade-first-stage`` predicate, applied to ``conjugate(h_int,
+  matrix_exponential(G))``, ``G`` from ``eliminating_generator``; the
+  conjugation runs outside the timed span, and the operator is new on each
+  repeat, so its signatures are grouped each time.
 
-The parameters follow the benchmark's dicke-ladder task at detuning 0.6:
-the coupling sits at a fifth of the dispersive guard.  A cascade or xi3
-rung times ``build``, ``scenario`` (``four-level-three-photon`` or
-``xi-far-level``, as the multiphoton task at variant 0; the product of the
-rotation stages reads every stage whole when it is made, so the xi3
-rung's ``scenario`` includes the exponential of its second stage, which
-no conjugation reads), ``spectra`` (its
-corrected form against ``h_int`` on the blocks) and ``effective``
-(``effective_evolution`` of the corrected form with the scenario's
-rotation, from the multiphoton task's initial state and at its 41
-times).  A cascade rung also times ``filter``: ``filter_signatures`` with
-the ``cascade-first-stage`` predicate, applied to ``conjugate(h_int,
-matrix_exponential(G))``, ``G`` from ``eliminating_generator``; the
-conjugation runs outside the timed span, and the operator is new on each
-repeat, so its signatures are grouped each time.  Every rung also
+The Dicke parameters follow the benchmark's dicke-ladder task at detuning
+0.6: the coupling sits at a fifth of the dispersive guard.  Every rung also
 records, outside the timed stages, its block cost ``block_cost``, the sum
 of ``block_size^3`` over the conserved blocks, against which the stage
 times should scale, and ``states_compared``, the states the spectra's
@@ -73,42 +71,14 @@ def _coverage(eh, model) -> dict:
             "states_compared": sum(len(blk.indices) for blk in blocks if not blk.touches_truncation)}
 
 
-def measure(atoms: int, repeats: int) -> dict:
-    """One size, in this interpreter: the median stage times and peak RSS."""
-    import numpy as np
-
-    import effham as eh
-
-    n_max = 10 * atoms
+def _dicke(eh, atoms: int, n_max: int):
+    """The Dicke model of the dicke-ladder task at detuning 0.6, its
+    scenario, and the initial state and last time of its evolution."""
     g = GUARD_RATIO * DELTA / (atoms * math.sqrt(n_max + 1))
-    spec = eh.ModelSpec(kind="dicke", atoms=atoms, n_max=n_max, omega_field=10.0,
-                        omega0=10.0 + DELTA, g=g)
     n0 = n_max // 2
-    times = np.linspace(0.0, 2 * math.pi * DELTA / (g * g * (n0 + 1)), 41)
-    samples = {"build": [], "scenario": [], "spectra": [], "effective": [], "evolve": []}
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        model = eh.build(spec)
-        t1 = time.perf_counter()
-        forms = eh.closed_form_effective(model, eh.EffectiveScenario("dicke-dispersive"))
-        t2 = time.perf_counter()
-        eh.compare_spectra(model.h_int, forms.corrected, eh.block_masks(model))
-        t3 = time.perf_counter()
-        psi0 = eh.basis_state(model.space, (n0,), level=1)
-        eh.effective_evolution(forms.corrected, psi0, times, rotation=forms.rotation)
-        t4 = time.perf_counter()
-        del forms
-        eh.evolve(model.h_int, psi0, times)
-        t5 = time.perf_counter()
-        for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
-            samples[stage].append(seconds)
-        coverage = _coverage(eh, model)
-        del model
-    return {"model": "dicke", "atoms": atoms, "n_max": n_max, "dim": (atoms + 1) * (n_max + 1),
-            "repeats": repeats, **coverage,
-            **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "samples_s": samples}
+    return (eh.ModelSpec(kind="dicke", atoms=atoms, n_max=n_max, omega_field=10.0,
+                         omega0=10.0 + DELTA, g=g),
+            "dicke-dispersive", ((n0,), 1), 2 * math.pi * DELTA / (g * g * (n0 + 1)))
 
 
 def _cascade(eh, atoms: int, n_max: int):
@@ -134,11 +104,11 @@ def _xi3(eh, atoms: int, n_max: int):
             "xi-far-level", ((n0,), 2), 4 * math.pi / (g23 * math.sqrt(atoms * n0)))
 
 
-CHAINS = {"cascade": _cascade, "xi3": _xi3}
+CHAINS = {"dicke": _dicke, "cascade": _cascade, "xi3": _xi3}
 
 
-def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
-    """One cascade or xi3 size, in this interpreter: the median stage times and peak RSS."""
+def measure(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
+    """One size of one model, in this interpreter: the median stage times and peak RSS."""
     import numpy as np
 
     import effham as eh
@@ -146,8 +116,6 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
     spec, scenario, (photons, level), end = CHAINS[kind](eh, atoms, n_max)
     times = np.linspace(0.0, end, 41)
     samples = {"build": [], "scenario": [], "spectra": [], "effective": []}
-    if kind == "cascade":
-        samples["filter"] = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = eh.build(spec)
@@ -161,15 +129,20 @@ def measure_chain(kind: str, atoms: int, n_max: int, repeats: int) -> dict:
         t4 = time.perf_counter()
         for stage, seconds in zip(samples, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             samples[stage].append(seconds)
-        if kind == "cascade":
+        del forms
+        if kind == "dicke":
+            t5 = time.perf_counter()
+            eh.evolve(model.h_int, psi0, times)
+            samples.setdefault("evolve", []).append(time.perf_counter() - t5)
+        elif kind == "cascade":
             gen, _ = eh.eliminating_generator(model)
             rotated = eh.conjugate(model.h_int, eh.matrix_exponential(gen))
             t5 = time.perf_counter()
             eh.filter_signatures(rotated, eh.SCENARIOS["cascade-first-stage"].keep)
-            samples["filter"].append(time.perf_counter() - t5)
+            samples.setdefault("filter", []).append(time.perf_counter() - t5)
             del rotated
         dim, coverage = model.space.dim, _coverage(eh, model)
-        del model, forms
+        del model
     return {"model": kind, "atoms": atoms, "n_max": n_max, "dim": dim,
             "repeats": repeats, **coverage,
             **{f"{stage}_s": statistics.median(v) for stage, v in samples.items()},
@@ -190,16 +163,12 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     if args.child is not None:
         sys.path.insert(0, str(checkout / "src"))
-        kind, *size = args.child.split(":")
-        if kind in CHAINS:
-            atoms, n_max = (int(x) for x in size)
-            print(json.dumps(measure_chain(kind, atoms, n_max, args.repeats)))
-        else:
-            print(json.dumps(measure(int(size[0]), args.repeats)))
+        kind, atoms, n_max = args.child.split(":")
+        print(json.dumps(measure(kind, int(atoms), int(n_max), args.repeats)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sizes = []
-    rungs = ([f"dicke:{a}" for a in args.atoms] + [f"cascade:{r}" for r in args.cascade]
+    rungs = ([f"dicke:{a}:{10 * a}" for a in args.atoms] + [f"cascade:{r}" for r in args.cascade]
              + [f"xi3:{r}" for r in args.xi3])
     for rung in rungs:
         out = subprocess.run([sys.executable, __file__, "--checkout", str(checkout),
